@@ -18,15 +18,23 @@ witness:
   above-certificate at h - eps for a rational 0 < eps < 1; the pair exists
   exactly when s = h.
 
-All arithmetic is exact `fractions.Fraction`; there is no float mode.
+Arithmetic is exact: rationals (`fractions.Fraction`) at the API, exact
+integers inside, and no float mode.  Each call scales once by D, the lcm of
+the denominators of the entries and of h, so a_i = D*x_i and H = D*h are
+integers and the test "p_j < j*h/n" becomes the sign test n*P_j < j*H on
+running sums P_j of a (flipped for the dual direction).
 Indices are 1-based in every public signature and certificate, in the style
 of cycle-lemma statements; subscripts wrap modulo n.
 
-`find_rotation` locates a candidate start in O(n) by walking the running
-sums of (x_i - c): the slot after the last maximum works for the below
-direction (last minimum for above).  The candidate is verified before it is
-returned, with the O(n^2) `scan_rotation` as a defensive fallback, so the
-existence answer always agrees with the exhaustive scan.
+`find_rotation` locates its start in O(n) by walking the running sums of
+(n*a_i - H): the slot after the last maximum works for the below direction
+(last minimum for above).  By the cycle lemma (Dvoretzky-Motzkin/Raney)
+that start always works once the total is on the right side of h, so there
+is no second try; the one streamed pass that builds the prefix table also
+re-checks every inequality.  `scan_rotation` is the exhaustive O(n^2)
+search in Fractions, kept as a reference to test against.
+`prefix_condition_all_starts` finds every per-start witness in O(n) with a
+monotone stack over the doubled running sums.
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain, islice
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -82,7 +92,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -111,6 +124,8 @@ def cyclic_list(values: Union[CyclicList, Iterable[RationalLike]]) -> CyclicList
     """Build a CyclicList, coercing entries; idempotent on CyclicList."""
     if isinstance(values, CyclicList):
         return values
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return CyclicList(values)
     return CyclicList(tuple(as_fraction(v) for v in values))
 
 
@@ -182,9 +197,24 @@ class BlockCover:
         return sum(b.length for b in self.blocks)
 
 
+def _scaled(cl: CyclicList, h: Fraction) -> tuple[list[int], int, int]:
+    """(a, H, D): the entries and h as integers a_i = D*x_i and H = D*h, where
+    D is the lcm of their denominators."""
+    values = cl.values
+    dens = [v.denominator for v in values]
+    d = lcm(h.denominator, *dens)
+    return [v.numerator * (d // q) for v, q in zip(values, dens)], h.numerator * (d // h.denominator), d
+
+
+def _rotation(a: Sequence[int], k: int) -> Iterator[int]:
+    """The entries of a read from 1-based slot k once around, without a copy."""
+    return chain(islice(a, k - 1, None), islice(a, k - 1))
+
+
 def total(xs: Union[CyclicList, Iterable[RationalLike]]) -> Fraction:
     """Exact sum of the list."""
-    return sum(cyclic_list(xs).values, Fraction(0))
+    a, _, d = _scaled(cyclic_list(xs), Fraction(0))
+    return Fraction(sum(a), d)
 
 
 def _prefixes_from(cl: CyclicList, k: int) -> tuple[Fraction, ...]:
@@ -202,25 +232,19 @@ def _strict_ok(prefixes: Sequence[Fraction], c: Fraction, direction: Direction) 
     return all(p > c * j for j, p in enumerate(prefixes, start=1))
 
 
-def _certificate_at(cl: CyclicList, c: Fraction, k: int, direction: Direction) -> Optional[RotationCertificate]:
-    prefixes = _prefixes_from(cl, k)
-    if _strict_ok(prefixes, c, direction):
-        return RotationCertificate(direction=direction, k=k, prefix_sums=prefixes)
-    return None
-
-
 def scan_rotation(
     xs: Union[CyclicList, Iterable[RationalLike]],
     h: RationalLike,
     direction: Direction,
 ) -> Optional[RotationCertificate]:
-    """Exhaustive O(n^2) search; returns the certificate at the smallest k."""
+    """Exhaustive O(n^2) search in Fractions; returns the certificate at the
+    smallest k.  A reference to test `find_rotation` against."""
     cl = cyclic_list(xs)
     c = as_fraction(h) / cl.n
     for k in range(1, cl.n + 1):
-        cert = _certificate_at(cl, c, k, direction)
-        if cert is not None:
-            return cert
+        prefixes = _prefixes_from(cl, k)
+        if _strict_ok(prefixes, c, direction):
+            return RotationCertificate(direction=direction, k=k, prefix_sums=prefixes)
     return None
 
 
@@ -232,33 +256,34 @@ def find_rotation(
     """O(n) certificate search: start just past the last extreme running sum.
 
     Existence always agrees with scan_rotation; the returned k may differ.
-    The candidate start is verified before being returned, and any surprise
-    failure falls back to the exhaustive scan.
+    The prefix table is built and every inequality re-checked in one pass
+    from that start; a failure there would contradict the cycle lemma and
+    raises RuntimeError.
     """
     cl = cyclic_list(xs)
-    hf = as_fraction(h)
-    s = total(cl)
-    if direction is Direction.BELOW and not s < hf:
+    n = cl.n
+    a, big_h, d = _scaled(cl, as_fraction(h))
+    # Sign s = +1 (below) or -1 (above): every test is s*(n*P_j - j*H) < 0.
+    sn, sh = (n, big_h) if direction is Direction.BELOW else (-n, -big_h)
+    if not sn * sum(a) < n * sh:
         return None
-    if direction is Direction.ABOVE and not s > hf:
-        return None
-    c = hf / cl.n
-    # Running sums S_i of (x_1 - c) .. (x_i - c) for i = 0..n-1, S_0 = 0.
+    # Last maximum of the running sums S_i of s*(n*a_i - H), i = 0..n-1.
     best_i = 0
-    best = Fraction(0)
-    run = Fraction(0)
-    for i in range(1, cl.n):
-        run += cl.at(i) - c
-        if direction is Direction.BELOW:
-            if run >= best:
-                best, best_i = run, i
-        else:
-            if run <= best:
-                best, best_i = run, i
-    cert = _certificate_at(cl, c, best_i + 1, direction)
-    if cert is not None:
-        return cert
-    return scan_rotation(cl, hf, direction)
+    best = run = 0
+    for i, v in enumerate(islice(a, n - 1), start=1):
+        run += sn * v - sh
+        if run >= best:
+            best, best_i = run, i
+    k = best_i + 1
+    prefixes = []
+    acc = bound = 0
+    for v in _rotation(a, k):
+        acc += v
+        bound += sh
+        if not sn * acc < bound:
+            raise RuntimeError(f"internal error: start {k} fails a prefix test the cycle lemma guarantees")
+        prefixes.append(Fraction(acc, d))
+    return RotationCertificate(direction=direction, k=k, prefix_sums=tuple(prefixes))
 
 
 def verify_certificate(
@@ -272,14 +297,25 @@ def verify_certificate(
     1..n is malformed input and raises instead.
     """
     cl = cyclic_list(xs)
-    if not 1 <= cert.k <= cl.n:
-        raise ValueError(f"certificate start {cert.k} out of range 1..{cl.n}")
-    if len(cert.prefix_sums) != cl.n:
+    n = cl.n
+    if not 1 <= cert.k <= n:
+        raise ValueError(f"certificate start {cert.k} out of range 1..{n}")
+    if len(cert.prefix_sums) != n:
         return False
-    prefixes = _prefixes_from(cl, cert.k)
-    if tuple(prefixes) != tuple(cert.prefix_sums):
-        return False
-    return _strict_ok(prefixes, as_fraction(h) / cl.n, cert.direction)
+    a, big_h, d = _scaled(cl, as_fraction(h))
+    sn, sh = (n, big_h) if cert.direction is Direction.BELOW else (-n, -big_h)
+    acc = bound = 0
+    for v, p in zip(_rotation(a, cert.k), cert.prefix_sums):
+        acc += v
+        bound += sh
+        if not sn * acc < bound:
+            return False
+        if type(p) is Fraction or type(p) is int:
+            if p.numerator * d != acc * p.denominator:
+                return False
+        elif Fraction(acc, d) != p:
+            return False
+    return True
 
 
 def prefix_condition_all_starts(
@@ -294,24 +330,28 @@ def prefix_condition_all_starts(
     total is >= h (dually <= h for LEQ_SOMEWHERE).
     """
     cl = cyclic_list(xs)
-    c = as_fraction(h) / cl.n
-    witnesses = []
-    for i in range(1, cl.n + 1):
-        acc = Fraction(0)
-        hit = 0
-        for j in range(1, cl.n + 1):
-            acc += cl.at(i + j - 1)
-            if goal is PrefixGoal.GEQ_SOMEWHERE:
-                if acc >= c * j:
-                    hit = j
-                    break
-            else:
-                if acc <= c * j:
-                    hit = j
-                    break
-        if hit == 0:
-            return False, None
-        witnesses.append(hit)
+    n = cl.n
+    a, big_h, _ = _scaled(cl, as_fraction(h))
+    # With S_q the running sums of s*(n*a_i - H) over the list read twice,
+    # the witness of start p+1 is q - p for the least q > p with S_q >= S_p.
+    sn, sh = (n, big_h) if goal is PrefixGoal.GEQ_SOMEWHERE else (-n, -big_h)
+    if sn * sum(a) < n * sh:
+        # Total on the wrong side: by the cycle lemma some start stays
+        # strictly short of the average on every prefix.
+        return False, None
+    # Since S_{p+n} - S_p = s*n*(A - H) >= 0, every start is answered by q <= p + n.
+    witnesses = [0] * n
+    open_starts: list[tuple[int, int]] = [(0, 0)]  # (p, S_p), S_p strictly decreasing
+    run = 0
+    for q, v in enumerate(chain(a, islice(a, n - 1)), start=1):
+        run += sn * v - sh
+        while open_starts and open_starts[-1][1] <= run:
+            p = open_starts.pop()[0]
+            witnesses[p] = q - p
+        if q < n:
+            open_starts.append((q, run))
+        elif not open_starts:
+            break
     return True, tuple(witnesses)
 
 
@@ -339,13 +379,13 @@ def greedy_block_cover(
     if not 1 <= start <= cl.n:
         raise ValueError(f"start {start} out of range 1..{cl.n}")
     assert gs is not None
+    a, _, d = _scaled(cl, Fraction(0))
     blocks = []
     covered = 0
     pos = start
     while covered < cl.n:
         g = gs[pos - 1]
-        blk_total = sum((cl.at(pos + off) for off in range(g)), Fraction(0))
-        blocks.append(Block(start=pos, length=g, total=blk_total))
+        blocks.append(Block(start=pos, length=g, total=Fraction(sum(islice(_rotation(a, pos), g)), d)))
         covered += g
         pos = (pos - 1 + g) % cl.n + 1
     return BlockCover(tuple(blocks))
@@ -355,11 +395,17 @@ def equality_certificate(
     xs: Union[CyclicList, Iterable[RationalLike]],
     bound: BoundSpec,
 ) -> Optional[EqualityCertificate]:
-    """Certify total == bound.h via below(h + eps) plus above(h - eps)."""
-    below = find_rotation(xs, bound.h + bound.epsilon, Direction.BELOW)
+    """Certify total == bound.h via below(h + eps) plus above(h - eps).
+
+    The pair alone only shows |total - h| < eps, so the exact total (the
+    last entry of a full prefix table) is checked as well: None unless
+    total == h.
+    """
+    cl = cyclic_list(xs)
+    below = find_rotation(cl, bound.h + bound.epsilon, Direction.BELOW)
     if below is None:
         return None
-    above = find_rotation(xs, bound.h - bound.epsilon, Direction.ABOVE)
-    if above is None:
+    above = find_rotation(cl, bound.h - bound.epsilon, Direction.ABOVE)
+    if above is None or below.prefix_sums[-1] != bound.h:
         return None
     return EqualityCertificate(below=below, above=above)

@@ -460,6 +460,8 @@ def _prefix_search(
     stats = stats if stats is not None else _PrefixStats()
     parts = [sorted(p) for p in partition.parts]
     t = len(parts)
+    # count * t < (j + 1) * bound, cross-multiplied by bound's denominator
+    t_den = t * bound.denominator
     if variant is Variant.TOTAL:
         cover = list(g.adj)
     else:
@@ -501,7 +503,7 @@ def _prefix_search(
                 add |= 1 << verts[low.bit_length() - 1]
                 picked ^= low
             new_count = count + sub.bit_count()
-            if not Fraction(new_count) * t < (j + 1) * bound:
+            if not new_count * t_den < (j + 1) * bound.numerator:
                 stats.prefix_prunes += 1
                 continue
             new_chosen = chosen | add
@@ -607,6 +609,7 @@ def rd_prefix_pruned_search(
     bound = target + eps
     parts = [sorted(p) for p in partition.parts]
     t = len(parts)
+    t_den = t * bound.denominator
     full = g.full_mask
     closed = [g.closed_mask(v) for v in range(g.n)]
 
@@ -633,7 +636,7 @@ def rd_prefix_pruned_search(
         # at the bound kills the branch.
         for p in range(1, upto + 1):
             lb = sum((closed[u] & chosen).bit_count() - 1 for u in part_prefix_vertices[p - 1])
-            if not Fraction(lb) * t < p * bound:
+            if not lb * t_den < p * bound.numerator:
                 return False
         return True
 

@@ -70,7 +70,7 @@ def certificate_to_json(cert: RotationCertificate, h: Fraction) -> dict[str, Any
         "k": cert.k,
         "n": cert.n,
         "h": fraction_to_json(h),
-        "prefix": [fraction_to_json(p) for p in cert.prefix_sums],
+        "prefix": [{"num": p.numerator, "den": p.denominator} for p in cert.prefix_sums],
     }
 
 

@@ -43,6 +43,20 @@ def test_certify_sum_bad_rational_is_input_error(capsys):
     assert code == 2 and doc["error"] == "invalid input"
 
 
+def test_certify_sum_zero_denominator_is_input_error(capsys):
+    code, doc = run(capsys, "certify", "sum", "--list=1/0,2", "--h=1", "--direction=below")
+    assert code == 2 and doc["error"] == "invalid input"
+    code, doc = run(capsys, "certify", "sum", "--list=1,2", "--h=3/0", "--direction=below")
+    assert code == 2 and doc["error"] == "invalid input"
+
+
+def test_certify_sum_equality_refused_off_total(capsys):
+    # |1/4 - 0| < eps, but the total is not 0
+    code, doc = run(capsys, "certify", "sum", "--list=1/4", "--h=0", "--direction=equality")
+    assert code == 1 and not doc["found"]
+    assert doc["total"] == "1/4"
+
+
 def test_certify_verify_accepts_unedited_sum_output(capsys, tmp_path):
     # the whole stdout of `certify sum` must pipe back into `certify verify`
     code, doc = run(capsys, "certify", "sum", "--list", "0,0,4,0", "--h", "5")

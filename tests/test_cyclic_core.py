@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,9 @@ from conftest import brute_rotation_exists, random_rational_list
 
 rationals = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
 rational_lists = st.lists(rationals, min_size=1, max_size=10)
+# mixed denominators, so the common denominator D is rarely any one of them
+mixed_rationals = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 6, 7, 9, 12]))
+mixed_lists = st.lists(mixed_rationals, min_size=1, max_size=40)
 
 
 # --- plumbing ----------------------------------------------------------------
@@ -34,6 +38,12 @@ def test_as_fraction_accepts_int_str_fraction():
     assert as_fraction(3) == F(3)
     assert as_fraction("5/2") == F(5, 2)
     assert as_fraction(F(1, 3)) == F(1, 3)
+
+
+def test_as_fraction_rejects_zero_denominator_and_junk():
+    for bad in ("1/0", " -3/0 ", "x", "1/2/3", ""):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
 
 
 def test_as_fraction_rejects_bool_and_float():
@@ -146,15 +156,42 @@ def test_above_exists_iff_total_over_bound(xs, h):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rational_lists, rationals)
-def test_fast_path_agrees_with_scan(xs, h):
-    for direction in (Direction.BELOW, Direction.ABOVE):
+@given(mixed_lists, mixed_rationals, st.integers(-2, 2))
+def test_fast_path_agrees_with_scan(xs, h, shift):
+    # most bounds sit at or next to the total, where the sign is delicate
+    h = total(xs) + F(shift, 2) if shift else h
+    s = total(xs)
+    for direction, want in ((Direction.BELOW, s < h), (Direction.ABOVE, s > h)):
         fast = find_rotation(xs, h, direction)
         slow = scan_rotation(xs, h, direction)
-        assert (fast is None) == (slow is None)
+        assert (fast is not None) == (slow is not None) == want
         if fast is not None:
+            assert fast.direction is direction and fast.n == len(xs)
+            assert all(type(p) is F for p in fast.prefix_sums)
             assert verify_certificate(xs, h, fast)
             assert verify_certificate(xs, h, slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_lists, st.sampled_from([Direction.BELOW, Direction.ABOVE]), st.data())
+def test_prefix_entry_off_by_one_over_d_fails(xs, direction, data):
+    s = total(xs)
+    h = s + 1 if direction is Direction.BELOW else s - 1
+    cert = find_rotation(xs, h, direction)
+    d = math.lcm(h.denominator, *(x.denominator for x in xs))
+    j = data.draw(st.integers(0, len(xs) - 1))
+    delta = data.draw(st.sampled_from([F(1, d), F(-1, d)]))
+    table = list(cert.prefix_sums)
+    table[j] += delta
+    doctored = RotationCertificate(direction=direction, k=cert.k, prefix_sums=tuple(table))
+    assert not verify_certificate(xs, h, doctored)
+
+
+def test_verify_accepts_int_entries_in_the_table():
+    cert = find_rotation([1, 1], 3, Direction.BELOW)
+    as_ints = RotationCertificate(direction=cert.direction, k=cert.k, prefix_sums=(1, 2))
+    assert verify_certificate([1, 1], 3, as_ints)
+    assert not verify_certificate([1, 1], 3, RotationCertificate(cert.direction, cert.k, (1, 3)))
 
 
 def test_randomized_agreement_with_definition():
@@ -184,6 +221,31 @@ def test_witness_vector_absent_when_total_short():
 def test_witness_vector_dual_goal():
     ok, gs = prefix_condition_all_starts([0, 0, 4, 0], 4, PrefixGoal.LEQ_SOMEWHERE)
     assert ok and gs[0] == 1  # start 1 opens with 0 <= 1
+
+
+def _all_starts_reference(xs, h, goal):
+    """Direct O(n^2) witness vector in Fractions, one start at a time."""
+    n = len(xs)
+    c = F(h) / n
+    witnesses = []
+    for i in range(n):
+        acc = F(0)
+        for j in range(1, n + 1):
+            acc += xs[(i + j - 1) % n]
+            if (acc >= c * j) if goal is PrefixGoal.GEQ_SOMEWHERE else (acc <= c * j):
+                witnesses.append(j)
+                break
+        else:
+            return False, None
+    return True, tuple(witnesses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_lists, mixed_rationals, st.integers(-2, 2),
+       st.sampled_from([PrefixGoal.GEQ_SOMEWHERE, PrefixGoal.LEQ_SOMEWHERE]))
+def test_all_starts_matches_quadratic_reference(xs, h, shift, goal):
+    h = total(xs) + F(shift, 3) if shift else h
+    assert prefix_condition_all_starts(xs, h, goal) == _all_starts_reference(xs, h, goal)
 
 
 def test_block_cover_worked_example_non_peak_start():
@@ -260,6 +322,12 @@ def test_equality_certificate_on_worked_example():
 def test_equality_certificate_none_off_total():
     assert equality_certificate([0, 0, 4, 0], BoundSpec(h=5)) is None
     assert equality_certificate([0, 0, 4, 0], BoundSpec(h=3)) is None
+
+
+def test_equality_certificate_none_inside_the_window():
+    # both nudged certificates exist, since |1/4 - 0| < 1/2, but 1/4 != 0
+    assert equality_certificate(["1/4"], BoundSpec(h=0)) is None
+    assert equality_certificate([F(1, 3), F(1, 3)], BoundSpec(h=1, epsilon=F(3, 4))) is None
 
 
 @settings(max_examples=200, deadline=None)
