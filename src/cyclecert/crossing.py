@@ -88,23 +88,27 @@ class AbstractDrawing:
 def validate_drawing(d: AbstractDrawing) -> list[Violation]:
     """All good-drawing rule violations, empty when the drawing is clean."""
     out = []
-    seen: set[CrossingPair] = set()
-    for e, f in d.crossings:
-        for edge in (e, f):
-            if not d.graph.has_edge(*edge):
+    adj, n = d.graph.adj, d.graph.n
+    previous = None
+    for pair in d.crossings:
+        e, f = pair
+        for edge in pair:
+            u, v = edge  # normalized: u <= v
+            if not (0 <= u < v < n and adj[u] >> v & 1):
                 out.append(Violation("unknown-edge", f"edge {edge} is not in the graph"))
         if e == f:
             out.append(Violation("self-pair", f"edge {e} paired with itself"))
-        elif set(e) & set(f):
-            shared = (set(e) & set(f)).pop()
+        elif e[0] in f or e[1] in f:
+            shared = e[0] if e[0] in f else e[1]
             out.append(
                 Violation("adjacent-pair", f"edges {e} and {f} share vertex {shared}")
             )
-        if (e, f) in seen:
+        # The crossings are sorted, so repeats of a pair are adjacent.
+        if pair == previous:
             out.append(
                 Violation("duplicate-pair", f"edges {e} and {f} cross more than once")
             )
-        seen.add((e, f))
+        previous = pair
     return out
 
 

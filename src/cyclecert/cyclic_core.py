@@ -124,8 +124,13 @@ def cyclic_list(values: Union[CyclicList, Iterable[RationalLike]]) -> CyclicList
     """Build a CyclicList, coercing entries; idempotent on CyclicList."""
     if isinstance(values, CyclicList):
         return values
-    if type(values) is tuple and all(type(v) is Fraction for v in values):
-        return CyclicList(values)
+    if type(values) is tuple:
+        # A tuple of Fractions is taken as it is; its one type scan is the
+        # constructor's own check.
+        try:
+            return CyclicList(values)
+        except TypeError:
+            pass
     return CyclicList(tuple(as_fraction(v) for v in values))
 
 

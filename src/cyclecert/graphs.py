@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Graph",
+    "iter_bits",
     "norm_edge",
     "cycle",
     "complete",
@@ -24,6 +25,14 @@ __all__ = [
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -61,16 +70,9 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [
+            (u, v) for u, row in enumerate(self.adj) for v in iter_bits(row >> (u + 1) << (u + 1))
+        ]
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
@@ -82,13 +84,7 @@ class Graph:
         return [row.bit_count() for row in self.adj]
 
     def neighbors(self, v: int) -> Iterator[int]:
-        row = self.adj[v]
-        u = 0
-        while row:
-            if row & 1:
-                yield u
-            row >>= 1
-            u += 1
+        return iter_bits(self.adj[v])
 
     def closed_mask(self, v: int) -> int:
         return self.adj[v] | (1 << v)

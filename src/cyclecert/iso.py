@@ -1,11 +1,26 @@
 """Exact graph isomorphism by color refinement plus backtracking.
 
-Vertices are first partitioned by iterated neighborhood-color refinement
-(degree, then multiset of neighbor colors, to a fixed point, with color ids
-shared across both graphs).  Backtracking then maps vertices of the first
-graph in most-constrained-first order; a candidate image must carry the same
-color and reproduce the adjacency pattern against everything already mapped,
-which one bitmask comparison checks.
+`isomorphic(g1, g2)` is `match(prepare(g1), g2)`: everything that depends
+on g1 alone is computed once, so a caller comparing one graph against many
+(the window test in `structures` compares each window length's anchor
+against every other start) prepares it once and matches the rest.
+
+`prepare` refines g1 by itself: starting from degrees, each round gives
+every vertex the color of its signature (own color, sorted neighbor colors),
+numbering signatures in order of first appearance, until a round splits no
+color class.  It keeps each round's signature-to-color table and color
+histogram, and the most-constrained-first vertex order (rare colors early,
+then high degree).  `match` replays the rounds on g2 through the stored
+tables; a g2 signature missing from a table, or any histogram that differs,
+refutes isomorphism.  Since g1's colors and stopping round never depend on
+g2, this is the joint refinement of both graphs with color ids shared, and
+it gives the same colors.
+
+Backtracking then maps vertices of g1 in that order, on an explicit stack so
+that the depth is not limited by the interpreter's recursion limit; a
+candidate image must carry the same color and reproduce the adjacency
+pattern against everything already mapped, which one bitmask comparison
+checks.
 
 The search counts candidate assignments as nodes and raises
 IsomorphismBudgetError past the cap, so "unknown" is never conflated with
@@ -16,38 +31,140 @@ positive answer, only an explicit bijection does.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 from .errors import IsomorphismBudgetError
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
-__all__ = ["isomorphic", "DEFAULT_ISO_BUDGET"]
+__all__ = ["isomorphic", "prepare", "match", "PreparedGraph", "DEFAULT_ISO_BUDGET"]
 
 DEFAULT_ISO_BUDGET = 1_000_000
 
 
-def _refine_colors(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
-    """Joint color refinement; None when the color histograms split apart."""
-    c1 = [g1.degree(v) for v in range(g1.n)]
-    c2 = [g2.degree(v) for v in range(g2.n)]
-    if Counter(c1) != Counter(c2):
-        return None
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    # Lists, not tuples: a tuple built from a generator is allocated large and
+    # then shrunk, and over many calls the shrunk ones pile up in CPython's
+    # per-size tuple free lists (about 1 MB of peak RSS on a K31 window test).
+    return [list(iter_bits(row)) for row in g.adj]
+
+
+@dataclass(frozen=True)
+class PreparedGraph:
+    """The g1 side of an isomorphism test, reusable against any number of g2.
+
+    `rounds` holds (signature-to-color table, sorted colors) per refinement
+    round, the sorted colors standing for the color histogram; `back[d]` lists the vertices before position d of `order` that are
+    adjacent to order[d].
+    """
+
+    n: int
+    edge_count: int
+    degree_sequence: list[int]
+    rounds: tuple[tuple[dict, list[int]], ...]
+    colors: list[int]
+    order: list[int]
+    back: list[list[int]]
+
+
+def prepare(g: Graph) -> PreparedGraph:
+    """Refine g to a fixed point and fix its backtracking order."""
+    nbrs = _neighbor_lists(g)
+    degrees = [len(nb) for nb in nbrs]
+    cols = degrees
+    classes = len(set(cols))
+    rounds = []
     while True:
-        sigs: dict[tuple, int] = {}
+        table: dict[tuple, int] = {}
+        cols = [
+            table.setdefault((cols[v], tuple(sorted([cols[u] for u in nb]))), len(table))
+            for v, nb in enumerate(nbrs)
+        ]
+        rounds.append((table, sorted(cols)))
+        if len(table) == classes:
+            break
+        classes = len(table)
+    class_size = Counter(cols)
+    order = sorted(range(g.n), key=lambda v: (class_size[cols[v]], -degrees[v], v))
+    position = [0] * g.n
+    for d, v in enumerate(order):
+        position[v] = d
+    back = [[u for u in nbrs[v] if position[u] < d] for d, v in enumerate(order)]
+    return PreparedGraph(
+        n=g.n,
+        edge_count=g.edge_count,
+        degree_sequence=sorted(degrees),
+        rounds=tuple(rounds),
+        colors=cols,
+        order=order,
+        back=back,
+    )
 
-        def resign(g: Graph, cols: list[int]) -> list[int]:
-            out = []
-            for v in range(g.n):
-                sig = (cols[v], tuple(sorted(cols[u] for u in g.neighbors(v))))
-                out.append(sigs.setdefault(sig, len(sigs)))
-            return out
 
-        n1 = resign(g1, c1)
-        n2 = resign(g2, c2)
-        if Counter(n1) != Counter(n2):
-            return None
-        if len(set(n1)) == len(set(c1)):
-            return n1, n2
-        c1, c2 = n1, n2
+def match(p: PreparedGraph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET) -> bool:
+    """Decide whether g2 is isomorphic to the prepared graph.
+
+    Raises IsomorphismBudgetError when the backtracker exceeds node_budget
+    candidate placements.
+    """
+    if g2.n != p.n or g2.edge_count != p.edge_count:
+        return False
+    nbrs = _neighbor_lists(g2)
+    cols = [len(nb) for nb in nbrs]
+    if sorted(cols) != p.degree_sequence:
+        return False
+    if p.n == 0:
+        return True
+    for table, histogram in p.rounds:
+        cols = [
+            table.get((cols[v], tuple(sorted([cols[u] for u in nb]))), -1)
+            for v, nb in enumerate(nbrs)
+        ]
+        # A signature g1 never produced maps to -1, which no g1 color is.
+        if sorted(cols) != histogram:
+            return False
+    by_color: dict[int, list[int]] = {}
+    for w, c in enumerate(cols):
+        by_color.setdefault(c, []).append(w)
+
+    n, order, back, adj2 = p.n, p.order, p.back, g2.adj
+    candidates = [by_color[p.colors[v]] for v in order]
+    image = [0] * n
+    resume = [0] * n  # per depth: index of the next candidate to try
+    used = 0
+    nodes = 0
+    depth = 0
+    start = 0
+    while True:
+        # Image of the already-mapped neighborhood of order[depth], as a bitmask.
+        want = 0
+        for u in back[depth]:
+            want |= 1 << image[u]
+        cands = candidates[depth]
+        for k in range(start, len(cands)):
+            w = cands[k]
+            if used >> w & 1:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise IsomorphismBudgetError(
+                    f"isomorphism search exceeded {node_budget} nodes"
+                )
+            if adj2[w] & used != want:
+                continue
+            image[order[depth]] = w
+            used |= 1 << w
+            resume[depth] = k + 1
+            depth += 1
+            if depth == n:
+                return True
+            start = 0
+            break
+        else:
+            depth -= 1
+            if depth < 0:
+                return False
+            used ^= 1 << image[order[depth]]
+            start = resume[depth]
 
 
 def isomorphic(g1: Graph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET) -> bool:
@@ -57,55 +174,4 @@ def isomorphic(g1: Graph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET) -
     Raises IsomorphismBudgetError when the backtracker exceeds node_budget
     candidate placements.
     """
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    if g1.n == 0:
-        return True
-    refined = _refine_colors(g1, g2)
-    if refined is None:
-        return False
-    c1, c2 = refined
-    class_size = Counter(c1)
-    # Most-constrained-first: rare colors early, then high degree.
-    order = sorted(range(g1.n), key=lambda v: (class_size[c1[v]], -g1.degree(v), v))
-    by_color: dict[int, list[int]] = {}
-    for w in range(g2.n):
-        by_color.setdefault(c2[w], []).append(w)
-
-    image = [-1] * g1.n
-    used = 0
-    nodes = 0
-
-    def place(depth: int) -> bool:
-        nonlocal used, nodes
-        if depth == len(order):
-            return True
-        v = order[depth]
-        # Image of v's already-mapped neighborhood, as a bitmask.
-        want = 0
-        for d in range(depth):
-            u = order[d]
-            if g1.adj[v] >> u & 1:
-                want |= 1 << image[u]
-        mapped_imgs = used
-        for w in by_color.get(c1[v], ()):
-            if used >> w & 1:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise IsomorphismBudgetError(
-                    f"isomorphism search exceeded {node_budget} nodes"
-                )
-            if g2.adj[w] & mapped_imgs != want:
-                continue
-            image[v] = w
-            used |= 1 << w
-            if place(depth + 1):
-                return True
-            used &= ~(1 << w)
-            image[v] = -1
-        return False
-
-    return place(0)
+    return match(prepare(g1), g2, node_budget=node_budget)

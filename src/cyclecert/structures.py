@@ -12,10 +12,19 @@ partition into parts of unequal size can never be transitive, and the
 length-t window is the whole graph for every start, which the checker uses
 as a free sanity identity.
 
+Windows are grown, not rebuilt: each start keeps one accumulator (a vertex
+bitmask plus adjacency rows on the original ids) and takes in one more part
+per length, so the t windows of a length cost one part each.  A partition
+part brings the full rows of its vertices, and a window's edges are those
+rows masked to the window, which is the induced subgraph; a piece brings the
+rows of its own edges.  Each window is then relabelled to 0..k-1 straight
+from the bitmasks.
+
 Pairwise isomorphism of each length class is established by comparing every
 window against the first (isomorphism is an equivalence relation), after a
-cheap fingerprint screen; the positive answer still always rests on explicit
-bijections found by `iso.isomorphic`.
+cheap fingerprint screen.  The first window is prepared once per length
+(`iso.prepare`) and the others are matched against it (`iso.match`); the
+positive answer still always rests on explicit bijections.
 
 `find_transitive_partition` searches cyclically ordered partitions of the
 vertex set into t classes up to rotation and reflection.  Since
@@ -27,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .graphs import Graph, norm_edge
-from .iso import DEFAULT_ISO_BUDGET, isomorphic
+from .graphs import Graph, iter_bits, norm_edge
+from .iso import DEFAULT_ISO_BUDGET, match, prepare
 
 __all__ = [
     "VertexPartition",
@@ -187,47 +196,59 @@ def circulant14_decomposition(k: int) -> EdgeDecomposition:
     return EdgeDecomposition(tuple(pieces))
 
 
-def _relabel(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
-    ids = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(ids)}
-    return Graph.from_edges(len(ids), sorted(norm_edge(pos[u], pos[v]) for u, v in edges))
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
-def _partition_window(g: Graph, parts: tuple[frozenset[int], ...], start: int, length: int) -> Graph:
-    t = len(parts)
-    verts: set[int] = set()
-    for off in range(length):
-        verts |= parts[(start + off) % t]
-    edges = [e for e in g.edges() if e[0] in verts and e[1] in verts]
-    return _relabel(verts, edges)
-
-
-def _decomposition_window(pieces: tuple[Piece, ...], start: int, length: int) -> Graph:
-    t = len(pieces)
-    verts: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for off in range(length):
-        piece = pieces[(start + off) % t]
-        verts |= piece.vertices
-        edges |= {norm_edge(u, v) for u, v in piece.edges}
-    return _relabel(verts, edges)
+def _window_graph(mask: int, rows: Sequence[int]) -> Graph:
+    """The graph on the set bits of mask with edges rows[v] & mask, relabelled
+    to 0..k-1 in increasing id order; rows must be symmetric."""
+    pos = {v: i for i, v in enumerate(iter_bits(mask))}
+    adj = []
+    for v in pos:
+        row = 0
+        for u in iter_bits(rows[v] & mask):
+            row |= 1 << pos[u]
+        adj.append(row)
+    return Graph(len(adj), tuple(adj))
 
 
 def _fingerprint(g: Graph) -> tuple:
     return (g.n, g.edge_count, tuple(sorted(g.degrees())))
 
 
-def _windows_all_isomorphic(window_at, t: int, iso_budget: int) -> bool:
-    for length in range(1, t + 1):
-        windows = [window_at(i, length) for i in range(t)]
+# A part in the window test: its vertex bitmask, and the (vertex, row) pairs
+# it adds to the adjacency rows of every window that takes it in.
+_Part = tuple[int, list[tuple[int, int]]]
+
+
+def _windows_all_isomorphic(n: int, parts: list[_Part], iso_budget: int) -> bool:
+    t = len(parts)
+    masks = [0] * t
+    rows = [[0] * n for _ in range(t)]
+    for length in range(t):
+        windows = []
+        for i in range(t):
+            part_mask, part_rows = parts[(i + length) % t]
+            masks[i] |= part_mask
+            acc = rows[i]
+            for v, row in part_rows:
+                acc[v] |= row
+            windows.append(_window_graph(masks[i], acc))
         anchor = windows[0]
         fp = _fingerprint(anchor)
         if any(_fingerprint(w) != fp for w in windows[1:]):
             return False
+        prepared = None
         for w in windows[1:]:
             if w == anchor:
                 continue
-            if not isomorphic(anchor, w, node_budget=iso_budget):
+            if prepared is None:
+                prepared = prepare(anchor)
+            if not match(prepared, w, node_budget=iso_budget):
                 return False
     return True
 
@@ -237,10 +258,8 @@ def is_transitive_partition(
 ) -> bool:
     """Window test over induced subgraphs for every length 1..t."""
     validate_partition(g, partition)
-    parts = partition.parts
-    return _windows_all_isomorphic(
-        lambda i, length: _partition_window(g, parts, i, length), len(parts), iso_budget
-    )
+    parts = [(_mask(p), [(v, g.adj[v]) for v in p]) for p in partition.parts]
+    return _windows_all_isomorphic(g.n, parts, iso_budget)
 
 
 def is_transitive_decomposition(
@@ -248,10 +267,14 @@ def is_transitive_decomposition(
 ) -> bool:
     """Window test over piece unions for every length 1..t."""
     validate_decomposition(g, decomposition)
-    pieces = decomposition.pieces
-    return _windows_all_isomorphic(
-        lambda i, length: _decomposition_window(pieces, i, length), len(pieces), iso_budget
-    )
+    parts = []
+    for piece in decomposition.pieces:
+        piece_rows: dict[int, int] = {}
+        for u, v in piece.edges:
+            piece_rows[u] = piece_rows.get(u, 0) | 1 << v
+            piece_rows[v] = piece_rows.get(v, 0) | 1 << u
+        parts.append((_mask(piece.vertices), list(piece_rows.items())))
+    return _windows_all_isomorphic(g.n, parts, iso_budget)
 
 
 def find_transitive_partition(
@@ -278,8 +301,7 @@ def find_transitive_partition(
     all_vs = set(range(g.n))
 
     def class_fingerprint(vs: frozenset[int]) -> tuple:
-        sub = [e for e in g.edges() if e[0] in vs and e[1] in vs]
-        return _fingerprint(_relabel(vs, sub))
+        return _fingerprint(_window_graph(_mask(vs), g.adj))
 
     def extend(chosen: list[frozenset[int]], remaining: set[int]):
         nonlocal budget

@@ -68,6 +68,41 @@ def test_validate_clean_drawing():
     assert validate_drawing(d) == []
 
 
+def reference_violations(d: AbstractDrawing) -> list[str]:
+    """The good-drawing rules checked with sets and has_edge, pair by pair."""
+    out = []
+    seen = set()
+    for e, f in d.crossings:
+        for edge in (e, f):
+            if not d.graph.has_edge(*edge):
+                out.append(f"unknown-edge: edge {edge} is not in the graph")
+        if e == f:
+            out.append(f"self-pair: edge {e} paired with itself")
+        elif set(e) & set(f):
+            shared = (set(e) & set(f)).pop()
+            out.append(f"adjacent-pair: edges {e} and {f} share vertex {shared}")
+        if (e, f) in seen:
+            out.append(f"duplicate-pair: edges {e} and {f} cross more than once")
+        seen.add((e, f))
+    return out
+
+
+def test_validate_matches_reference_on_random_bad_drawings():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 7), 0.5)
+        ids = range(-1, g.n + 1)
+        pool = g.edges() + [(rng.choice(ids), rng.choice(ids)) for _ in range(3)]
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 8))]
+        pairs += rng.sample(pairs, min(2, len(pairs)))
+        d = AbstractDrawing(g, pairs)
+        got = [str(v) for v in validate_drawing(d)]
+        assert got == reference_violations(d)
+        kinds.update(msg.split(":")[0] for msg in got)
+    assert kinds == {"unknown-edge", "self-pair", "adjacent-pair", "duplicate-pair"}
+
+
 # --- counting -------------------------------------------------------------------
 
 

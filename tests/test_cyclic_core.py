@@ -65,6 +65,25 @@ def test_cyclic_list_one_based_wrapping():
 def test_cyclic_list_rejects_empty():
     with pytest.raises(ValueError):
         cyclic_list([])
+    with pytest.raises(ValueError):
+        cyclic_list(())
+
+
+def test_cyclic_list_takes_fraction_tuples_and_coerces_mixed_ones():
+    xs = (F(1, 2), F(-3))
+    assert cyclic_list(xs).values is xs
+    mixed = cyclic_list((F(1, 2), 3, "1/3"))
+    assert mixed.values == (F(1, 2), F(3), F(1, 3))
+    assert all(type(v) is F for v in mixed.values)
+    with pytest.raises(TypeError):
+        cyclic_list((F(1), 1.5))
+
+
+def test_cyclic_list_constructor_rejects_non_fractions():
+    with pytest.raises(TypeError):
+        CyclicList((1,))
+    with pytest.raises(TypeError):
+        CyclicList((F(1), 2))
 
 
 def test_bound_spec_epsilon_range():

@@ -8,8 +8,9 @@ from cyclecert.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    norm_edge,
 )
-from cyclecert.iso import isomorphic
+from cyclecert.iso import isomorphic, match, prepare
 from cyclecert.structures import (
     CyclicSymmetry,
     EdgeDecomposition,
@@ -334,3 +335,193 @@ def test_canonical_periodic_decomposition_on_column_tile():
     # every piece holds one copy's triangle plus its forward rungs
     assert all(len(p.edges) == 6 for p in dec.pieces)
     assert is_transitive_decomposition(g, dec)
+
+
+# --- deep searches ----------------------------------------------------------------
+
+
+def test_isomorphic_on_relabelled_long_cycle():
+    # 1,200 vertices is deeper than the interpreter's recursion limit
+    rng = random.Random(1200)
+    perm = list(range(1200))
+    rng.shuffle(perm)
+    relabelled = Graph.from_edges(1200, [(perm[u], perm[v]) for u, v in cycle(1200).edges()])
+    assert isomorphic(cycle(1200), relabelled)
+
+
+def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
+    # both graphs are 2-regular, so refinement cannot tell them apart
+    halves = Graph.from_edges(1200, [(i, i + 1 if i % 600 != 599 else i - 599) for i in range(1200)])
+    try:
+        assert not isomorphic(cycle(1200), halves)
+    except IsomorphismBudgetError:
+        pass
+
+
+# --- prepared anchors and grown windows against a reference from the definition --
+
+
+def _relabelled_window(vertices, edges) -> Graph:
+    ids = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(ids)}
+    return Graph.from_edges(len(ids), sorted(norm_edge(pos[u], pos[v]) for u, v in edges))
+
+
+def reference_partition_window(g: Graph, parts, start: int, length: int) -> Graph:
+    verts: set[int] = set()
+    for off in range(length):
+        verts |= parts[(start + off) % len(parts)]
+    return _relabelled_window(verts, [e for e in g.edges() if e[0] in verts and e[1] in verts])
+
+
+def reference_decomposition_window(pieces, start: int, length: int) -> Graph:
+    verts: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    for off in range(length):
+        piece = pieces[(start + off) % len(pieces)]
+        verts |= piece.vertices
+        edges |= {norm_edge(u, v) for u, v in piece.edges}
+    return _relabelled_window(verts, edges)
+
+
+def reference_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return sorted(g1.degrees()) == sorted(g2.degrees()) and perm_isomorphic(g1, g2)
+
+
+def reference_transitive(window_at, t: int) -> bool:
+    for length in range(1, t + 1):
+        windows = [window_at(i, length) for i in range(t)]
+        if not all(reference_isomorphic(windows[0], w) for w in windows[1:]):
+            return False
+    return True
+
+
+def _relabel_graph(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _move_edge(rng: random.Random, g: Graph) -> Graph:
+    edges = g.edges()
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    if not edges or not non_edges:
+        return g
+    gone = rng.choice(edges)
+    return Graph.from_edges(g.n, [e for e in edges if e != gone] + [rng.choice(non_edges)])
+
+
+def _swap_two(rng: random.Random, items: tuple) -> tuple:
+    out = list(items)
+    i, j = rng.sample(range(len(out)), 2)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _random_partition_case(rng: random.Random):
+    """A rotation-invariant partition of a relabelled circulant, its parts
+    rotated, then maybe two parts swapped or one edge moved."""
+    n = rng.randint(4, 8)
+    t = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+    strides = rng.sample(range(1, n // 2 + 1), rng.randint(1, n // 2))
+    g = circulant(n, strides)
+    if rng.random() < 0.5:
+        parts = [frozenset(v for v in range(n) if v % t == j) for j in range(t)]
+    else:
+        size = n // t
+        parts = [frozenset(range(j * size, (j + 1) * size)) for j in range(t)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = _relabel_graph(g, perm)
+    parts = [frozenset(perm[v] for v in p) for p in parts]
+    shift = rng.randrange(t)
+    parts = tuple(parts[shift:] + parts[:shift])
+    kind = rng.randrange(3)
+    if kind == 1:
+        parts = _swap_two(rng, parts)
+    elif kind == 2:
+        g = _move_edge(rng, g)
+    return g, VertexPartition(parts)
+
+
+def _random_decomposition_case(rng: random.Random):
+    """Stride fans of a circulant (piece i holds the edges from v_i forward),
+    relabelled and rotated, then maybe two pieces swapped or one edge moved
+    to another piece."""
+    n = rng.randint(5, 7)
+    strides = rng.sample(range(1, (n - 1) // 2 + 1), rng.randint(1, (n - 1) // 2))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = _relabel_graph(circulant(n, strides), perm)
+    pieces = []
+    for i in range(n):
+        edges = {norm_edge(perm[i], perm[(i + a) % n]) for a in strides}
+        pieces.append((set().union(*edges), edges))
+    shift = rng.randrange(n)
+    pieces = pieces[shift:] + pieces[:shift]
+    kind = rng.randrange(3)
+    if kind == 1:
+        pieces = list(_swap_two(rng, tuple(pieces)))
+    elif kind == 2:
+        src, dst = rng.sample(range(n), 2)
+        e = rng.choice(sorted(pieces[src][1]))
+        pieces[src][1].discard(e)
+        pieces[dst][0].update(e)
+        pieces[dst][1].add(e)
+    return g, EdgeDecomposition(tuple(Piece(frozenset(vs), frozenset(es)) for vs, es in pieces))
+
+
+def test_transitive_partition_agrees_with_reference():
+    rng = random.Random(31)
+    answers = []
+    for _ in range(120):
+        g, part = _random_partition_case(rng)
+        expected = reference_transitive(
+            lambda i, length: reference_partition_window(g, part.parts, i, length), len(part.parts)
+        )
+        assert is_transitive_partition(g, part) == expected
+        answers.append(expected)
+    assert any(answers) and not all(answers)
+
+
+def test_transitive_decomposition_agrees_with_reference():
+    rng = random.Random(37)
+    answers = []
+    for _ in range(80):
+        g, dec = _random_decomposition_case(rng)
+        expected = reference_transitive(
+            lambda i, length: reference_decomposition_window(dec.pieces, i, length), len(dec.pieces)
+        )
+        assert is_transitive_decomposition(g, dec) == expected
+        answers.append(expected)
+    assert any(answers) and not all(answers)
+
+
+def _degree_preserving_swap(rng: random.Random, g: Graph) -> Graph:
+    edges = g.edges()
+    for _ in range(30):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            return Graph.from_edges(g.n, kept + [(a, d), (c, b)])
+    return g
+
+
+def test_prepared_anchor_agrees_with_permutation_oracle():
+    rng = random.Random(41)
+    answers = []
+    for _ in range(50):
+        n = rng.randint(4, 7)
+        g1 = random_graph(rng, n, rng.uniform(0.3, 0.7))
+        prepared = prepare(g1)
+        for _ in range(3):
+            g2 = g1
+            if g1.edge_count >= 2:
+                for _ in range(rng.randint(0, 2)):
+                    g2 = _degree_preserving_swap(rng, g2)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g2 = _relabel_graph(g2, perm)
+            assert sorted(g2.degrees()) == sorted(g1.degrees())
+            expected = perm_isomorphic(g1, g2)
+            assert match(prepared, g2) == expected == isomorphic(g1, g2)
+            answers.append(expected)
+    assert any(answers) and not all(answers)
