@@ -584,7 +584,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.handler(args)
-    except BudgetExceededError as err:
+    except (BudgetExceededError, RecursionError) as err:
+        # The recursive searches nest one frame per chosen vertex or pair, so
+        # a deep enough instance runs out of stack before it runs out of nodes.
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))
         return 3
     except ValueError as err:

@@ -189,18 +189,20 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
     order = tuple(order) if order is not None else tuple(range(g.n))
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     edges = g.edges()
+    # Each chord as its sorted pair of circle positions.  Positions are
+    # distinct, so chords sharing an endpoint share a position and fail both
+    # strict interleavings below.
+    spans = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in edges]
     crossings = []
-    for i, (a, b) in enumerate(edges):
-        pa, pb = sorted((pos[a], pos[b]))
-        for c, dd in edges[i + 1 :]:
-            if {a, b} & {c, dd}:
-                continue
-            inside_c = pa < pos[c] < pb
-            inside_d = pa < pos[dd] < pb
-            if inside_c != inside_d:
-                crossings.append(((a, b), (c, dd)))
+    for i, (pa, pb) in enumerate(spans):
+        e = edges[i]
+        for f, (pc, pd) in zip(edges[i + 1 :], spans[i + 1 :]):
+            if pa < pc < pb < pd or pc < pa < pd < pb:
+                crossings.append((e, f))
     return AbstractDrawing(g, crossings)
 
 

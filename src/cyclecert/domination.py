@@ -10,9 +10,12 @@ that always branches on the lowest-id uncovered vertex with candidates in
 ascending id; the paired variant branches on dominating vertex pairs (edges
 of the graph) instead, since a paired set is exactly a disjoint union of
 edges whose endpoints dominate everything.  Exact maximums over minimal
-sets sweep subsets in descending popcount and stop at the first size that
-admits a minimal set.  Both are budget-guarded: blowing the node or time
-budget raises, it never degrades to a wrong answer.
+sets try sizes in descending order, each by a branch-and-bound that decides
+the vertices in id order and prunes on irredundance (a member that has lost
+every private neighbor never gets one back), on decided vertices left
+undominated, and on the count; the first size that admits a minimal set is
+the answer.  Both are budget-guarded: blowing the node or time budget
+raises, it never degrades to a wrong answer.
 
 The prefix-pruned searches look for a valid set whose per-part counts,
 accumulated part by part around a cyclically ordered partition, stay
@@ -36,7 +39,7 @@ from typing import Iterable, Optional
 
 from .cyclic_core import RationalLike, as_fraction
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 from .structures import (
     CyclicSymmetry,
     VertexPartition,
@@ -314,6 +317,11 @@ def _paired_min_search(g: Graph, budget: SearchBudget) -> tuple[int, int]:
     edges = g.edges()
     pair_mask = [(1 << u) | (1 << v) for u, v in edges]
     pair_cover = [g.closed_mask(u) | g.closed_mask(v) for u, v in edges]
+    # reach[u]: ascending ids of the edges whose pair dominates u
+    reach: list[list[int]] = [[] for _ in range(g.n)]
+    for e, cover in enumerate(pair_cover):
+        for u in iter_bits(cover):
+            reach[u].append(e)
     delta = max(g.degrees())
     cap = 2 * delta
     lb_pairs = paired_lower_bound(g) // 2
@@ -328,12 +336,9 @@ def _paired_min_search(g: Graph, budget: SearchBudget) -> tuple[int, int]:
         if uncovered.bit_count() > (k2 - used) * cap:
             return None
         u = (uncovered & -uncovered).bit_length() - 1
-        ubit = 1 << u
         exc = excluded
-        for e in range(len(edges)):
+        for e in reach[u]:
             if exc >> e & 1:
-                continue
-            if not pair_cover[e] & ubit:
                 continue
             if pair_mask[e] & chosen:
                 continue
@@ -374,27 +379,70 @@ def min_parameter(
     )
 
 
-def _popcount_masks(n: int, k: int):
-    """All n-bit masks of popcount k, ascending (Gosper's hack)."""
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        c = mask & -mask
-        r = mask + c
-        mask = (((r ^ mask) >> 2) // c) | r
+def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int]:
+    """Largest minimal set as (witness_mask, size), sizes tried from |V| down.
+
+    Each size is an in/out branch-and-bound over the vertices in id order,
+    "in" before "out", on an explicit stack.  Each node carries the chosen
+    mask and the vertices dominated exactly once and at least twice.  rows
+    is symmetric (w watches v exactly when v watches w), so member u keeps a
+    private neighbor exactly while rows[u] meets the once-dominated mask.
+    Three prunes, all sound:
+
+    * irredundance: adding v can only take private neighbors from members
+      that share a watcher with v; one left without any kills the branch,
+      since adding vertices never gives a private neighbor back;
+    * sealed vertices: a vertex whose whole row is decided and meets no
+      member can never be dominated;
+    * count: the chosen members plus the undecided vertices must reach k.
+    """
+    n = len(rows)
+    near = []  # members that share a watcher with v
+    for v in range(n):
+        m = 0
+        for w in iter_bits(rows[v]):
+            m |= rows[w]
+        near.append(m)
+    sealed = [0] * n  # vertices whose row is wholly decided once v is
+    for w in range(n):
+        sealed[rows[w].bit_length() - 1] |= 1 << w
+
+    for k in range(n, 0, -1):
+        stack = [(0, 0, 0, 0, 0)]  # next vertex, chosen, size, once, more
+        while stack:
+            v, chosen, size, once, more = stack.pop()
+            budget.tick()
+            if v == n:
+                return chosen, k
+            # "out" is pushed first so that "in" is explored first; every
+            # vertex sealed at v has v in its row, so only "out" can leave
+            # one undominated.
+            if size + n - v - 1 >= k and not sealed[v] & ~(once | more):
+                stack.append((v + 1, chosen, size, once, more))
+            if size < k:
+                row = rows[v]
+                more_in = more | (once & row)
+                once_in = (once | row) & ~more_in
+                chosen_in = chosen | 1 << v
+                for u in iter_bits(chosen_in & near[v]):
+                    if not rows[u] & once_in:
+                        break
+                else:
+                    stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
+    raise ValueError("no valid set of any size exists")
 
 
 def max_minimal_parameter(
     g: Graph, variant: Variant, budget: Optional[SearchBudget] = None
 ) -> SolveReport:
-    """Exact maximum size of a minimal (total) dominating set.
+    """Exact maximum size of a minimal (total) dominating set, with witness.
 
-    Sweeps subsets in descending popcount; the first size admitting a
-    minimal set is the answer, since smaller sizes cannot beat it.
+    A set is minimal exactly when it dominates and every member has a
+    private neighbor.  Sizes are tried from |V| down, each by an exact
+    branch-and-bound that prunes on irredundance, undominated sealed
+    vertices and the count; the first size that admits a minimal set is the
+    answer, since smaller sizes cannot beat it.  The search is iterative, so
+    large graphs exhaust the budget instead of the recursion limit.
     """
     if variant not in (Variant.DOMINATING, Variant.TOTAL):
         raise ValueError("upper parameters are defined for dominating/total only")
@@ -404,25 +452,10 @@ def max_minimal_parameter(
         rows = list(g.adj)
     else:
         rows = [g.closed_mask(v) for v in range(g.n)]
-
-    def minimal_valid(mask: int) -> bool:
-        have_private = 0
-        for w in range(g.n):
-            a = rows[w] & mask
-            if a == 0:
-                return False
-            if a.bit_count() == 1:
-                have_private |= a
-        return mask & ~have_private == 0
-
-    for k in range(g.n, 0, -1):
-        for mask in _popcount_masks(g.n, k):
-            budget.tick()
-            if minimal_valid(mask):
-                return SolveReport(
-                    value=k, witness=tuple(_bits(mask)), nodes_explored=budget.nodes
-                )
-    raise ValueError("no valid set of any size exists")
+    mask, size = _max_minimal_search(rows, budget)
+    return SolveReport(
+        value=size, witness=tuple(_bits(mask)), nodes_explored=budget.nodes
+    )
 
 
 def _variant_final_check(g: Graph, variant: Variant, chosen: int) -> bool:

@@ -118,6 +118,20 @@ def test_domination_solve_budget_exceeded(capsys):
     assert code == 3 and doc["error"] == "budget exceeded"
 
 
+def test_domination_solve_too_deep_for_the_stack_is_budget_exceeded(capsys):
+    # the minimum search recurses once per chosen vertex, and C3300 needs 1100
+    code, doc = run(capsys, "domination", "solve", "--graph", "cycle:3300")
+    assert code == 3 and doc["error"] == "budget exceeded"
+    assert "recursion" in doc["detail"]
+
+
+def test_domination_solve_max_minimal_long_cycle_is_budget_exceeded(capsys):
+    code, doc = run(capsys, "domination", "solve", "--graph", "cycle:3300",
+                    "--mode", "max-minimal", "--budget-nodes", "1000")
+    assert code == 3 and doc == {"error": "budget exceeded",
+                                 "detail": "node budget 1000 exceeded"}
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CYCLECERT_BUDGET_NODES", "1")
     code, doc = run(capsys, "domination", "solve", "--graph", "torus:4:4",

@@ -154,6 +154,33 @@ def test_convex_matches_float_geometry_random():
         assert set(d.crossings) == geometry_convex_crossings(g, order)
 
 
+def set_rule_convex_crossings(g: Graph, order: list[int]) -> list:
+    """Chord pairs with no shared endpoint whose ends strictly interleave,
+    found by intersecting endpoint sets, in edge-pair order."""
+    pos = {v: i for i, v in enumerate(order)}
+    edges = g.edges()
+    out = []
+    for i, (a, b) in enumerate(edges):
+        pa, pb = sorted((pos[a], pos[b]))
+        for c, dd in edges[i + 1 :]:
+            if {a, b} & {c, dd}:
+                continue
+            if (pa < pos[c] < pb) != (pa < pos[dd] < pb):
+                out.append(((a, b), (c, dd)))
+    return out
+
+
+def test_convex_matches_set_rule_random():
+    rng = random.Random(302)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]))
+        order = list(range(n))
+        rng.shuffle(order)
+        want = AbstractDrawing(g, set_rule_convex_crossings(g, order)).crossings
+        assert convex_drawing(g, order).crossings == want
+
+
 def test_convex_order_must_be_permutation():
     with pytest.raises(ValueError):
         convex_drawing(cycle(4), [0, 1, 2, 2])

@@ -246,6 +246,45 @@ def test_max_minimal_matches_brute_on_small_graphs(variant):
             assert is_minimal_total_dominating(g, witness)
 
 
+def test_max_minimal_matches_brute_on_random_graphs():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        for variant in ("dominating", "total"):
+            want = brute_max_minimal_parameter(g, variant)
+            if want is None:
+                with pytest.raises(ValueError):
+                    max_minimal_parameter(g, Variant(variant))
+                continue
+            report = max_minimal_parameter(g, Variant(variant))
+            assert report.value == want == len(report.witness)
+            if variant == "dominating":
+                assert is_minimal_dominating(g, report.witness)
+            else:
+                assert is_minimal_total_dominating(g, report.witness)
+
+
+def test_upper_total_c4xc6_within_two_million_nodes():
+    g = cartesian_cycles(4, 6)
+    report = max_minimal_parameter(g, Variant.TOTAL, SearchBudget(max_nodes=2_000_000))
+    assert report.value == 12
+    assert is_minimal_total_dominating(g, report.witness)
+
+
+def test_max_minimal_on_a_long_cycle_exhausts_the_budget_not_the_stack():
+    with pytest.raises(BudgetExceededError):
+        max_minimal_parameter(cycle(3300), Variant.TOTAL, SearchBudget(max_nodes=1000))
+
+
+def test_paired_c5xc10_node_count_and_witness_are_pinned():
+    budget = SearchBudget()
+    report = min_parameter(cartesian_cycles(5, 10), Variant.PAIRED, budget)
+    assert report.value == 14
+    assert budget.nodes == report.nodes_explored == 20_684
+    assert report.witness == (0, 1, 3, 4, 6, 7, 22, 25, 28, 29, 32, 35, 38, 39)
+
+
 def test_max_minimal_rejects_paired():
     with pytest.raises(ValueError):
         max_minimal_parameter(cycle(4), Variant.PAIRED)
