@@ -35,12 +35,13 @@ from .cyclic_core import (
     verify_certificate,
 )
 from .domination import (
+    _PAPER_VALUES,
     SearchBudget,
     Variant,
+    _solve_paper_value,
     decide_parameter_via_prefix,
     max_minimal_parameter,
     min_parameter,
-    paired_value_c5,
     prefix_pruned_search,
     rd_prefix_pruned_search,
 )
@@ -231,27 +232,9 @@ def _cmd_domination_solve(args: argparse.Namespace) -> tuple[Any, int]:
     }, 0
 
 
-def _cmd_domination_verify_pair(args: argparse.Namespace) -> tuple[Any, int]:
+def _cmd_domination_verify(args: argparse.Namespace) -> tuple[Any, int]:
     budget = _budget(args, nodes=100_000_000, seconds=600.0)
-    g = cartesian_cycles(5, args.n)
-    report = min_parameter(g, Variant.PAIRED, budget)
-    expected = paired_value_c5(args.n)
-    match = report.value == expected
-    return {
-        "n": args.n,
-        "solved": report.value,
-        "expected": expected,
-        "match": match,
-        "witness": list(report.witness),
-        "nodes_explored": report.nodes_explored,
-    }, 0 if match else 1
-
-
-def _cmd_domination_verify_upper_total(args: argparse.Namespace) -> tuple[Any, int]:
-    budget = _budget(args, nodes=100_000_000, seconds=600.0)
-    g = cartesian_cycles(4, args.n)
-    report = max_minimal_parameter(g, Variant.TOTAL, budget)
-    expected = 2 * args.n
+    report, expected = _solve_paper_value(args.suite, args.n, budget)
     match = report.value == expected
     return {
         "n": args.n,
@@ -385,12 +368,12 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[Any, int]:
     return graph_to_json(g), 0
 
 
-def _reproduce_t1(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
+def _reproduce_paper_values(suite: str, quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
+    row = _PAPER_VALUES[suite]
     results = []
-    for n in (3, 4) if quick else (3, 4, 5, 6):
+    for n in row.quick if quick else row.columns:
         budget = _budget(budget_args, nodes=100_000_000, seconds=600.0)
-        report = min_parameter(cartesian_cycles(5, n), Variant.PAIRED, budget)
-        expected = paired_value_c5(n)
+        report, expected = _solve_paper_value(suite, n, budget)
         results.append(
             {
                 "n": n,
@@ -401,25 +384,7 @@ def _reproduce_t1(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, in
             }
         )
     ok = all(r["match"] for r in results)
-    return {"suite": "t1", "results": results, "ok": ok}, 0 if ok else 1
-
-
-def _reproduce_n4(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
-    results = []
-    for n in (3,) if quick else (3, 4, 5):
-        budget = _budget(budget_args, nodes=100_000_000, seconds=600.0)
-        report = max_minimal_parameter(cartesian_cycles(4, n), Variant.TOTAL, budget)
-        results.append(
-            {
-                "n": n,
-                "value": report.value,
-                "expected": 2 * n,
-                "match": report.value == 2 * n,
-                "witness": list(report.witness),
-            }
-        )
-    ok = all(r["match"] for r in results)
-    return {"suite": "n4", "results": results, "ok": ok}, 0 if ok else 1
+    return {"suite": suite, "results": results, "ok": ok}, 0 if ok else 1
 
 
 def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
@@ -457,11 +422,9 @@ def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[Any, int]:
-    if args.suite == "t1":
-        return _reproduce_t1(args.quick, args)
-    if args.suite == "n4":
-        return _reproduce_n4(args.quick, args)
-    return _reproduce_structures(args.quick, args)
+    if args.suite == "structures":
+        return _reproduce_structures(args.quick, args)
+    return _reproduce_paper_values(args.suite, args.quick, args)
 
 
 # --- parser -----------------------------------------------------------------
@@ -500,11 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = dom.add_parser("verify-pair", help="paired value on the 5xN torus vs closed form")
     p.add_argument("--n", type=int, required=True)
     _add_budget_flags(p)
-    p.set_defaults(handler=_cmd_domination_verify_pair)
+    p.set_defaults(handler=_cmd_domination_verify, suite="t1")
     p = dom.add_parser("verify-upper-total", help="largest minimal total set on 4xN torus vs 2n")
     p.add_argument("--n", type=int, required=True)
     _add_budget_flags(p)
-    p.set_defaults(handler=_cmd_domination_verify_upper_total)
+    p.set_defaults(handler=_cmd_domination_verify, suite="n4")
     p = dom.add_parser("corollary", help="prefix-pruned search or size decision")
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True, help="columns:m:n or a partition JSON file")

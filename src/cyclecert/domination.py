@@ -17,16 +17,19 @@ undominated, and on the count; the first size that admits a minimal set is
 the answer.  Both are budget-guarded: blowing the node or time budget
 raises, it never degrades to a wrong answer.
 
-The prefix-pruned searches look for a valid set whose per-part counts,
-accumulated part by part around a cyclically ordered partition, stay
-strictly under j * bound / t for every prefix length j.  The rotation is
-pinned at part 0; this loses nothing exactly when a verified cyclic shift
-symmetry maps each part onto the next, which is why the searches insist on
-one.  Combining a positive search at h + eps with a negative search at
-h - eps decides whether the minimum equals h without ever reporting the
-minimum itself; the re-domination variant plays the same game with
-redundant-domination counts against the target (k+1) * h - |V| on a
-k-regular graph.
+The corollary searches share one part-by-part prefix engine.  It decides
+the parts of a cyclically ordered partition in order, keeps a weight per
+part, and requires every prefix of the weights to stay strictly under
+j * bound / t for prefix length j.  The rotation is pinned at part 0; this
+loses nothing exactly when a verified cyclic shift symmetry maps each part
+onto the next, which is why the searches insist on one.  With the weight of
+a part taken as the number of chosen vertices in it, a positive search at
+h + eps and a negative search at h - eps decide whether the minimum equals
+h without ever reporting the minimum itself.  With the weight taken as the
+redundant domination of its vertices, the same engine plays that game
+against the target (k+1) * h - |V| on a k-regular graph.  Weights only
+rise as vertices join, so each step re-checks just the prefixes that
+changed, and the search runs on an explicit stack.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Callable, Iterable, Optional
 
 from .cyclic_core import RationalLike, as_fraction
 from .errors import BudgetExceededError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, cartesian_cycles, iter_bits
 from .structures import (
     CyclicSymmetry,
     VertexPartition,
@@ -116,15 +120,6 @@ def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _reject_isolated(g: Graph) -> None:
     for v in range(g.n):
         if g.adj[v] == 0:
@@ -135,7 +130,7 @@ def is_dominating(g: Graph, ds: Iterable[int]) -> bool:
     """Every vertex is in the set or adjacent to a member."""
     mask = _mask_of(g, ds)
     covered = 0
-    for v in _bits(mask):
+    for v in iter_bits(mask):
         covered |= g.closed_mask(v)
     return covered == g.full_mask
 
@@ -145,7 +140,7 @@ def is_total_dominating(g: Graph, s: Iterable[int]) -> bool:
     _reject_isolated(g)
     mask = _mask_of(g, s)
     covered = 0
-    for v in _bits(mask):
+    for v in iter_bits(mask):
         covered |= g.adj[v]
     return covered == g.full_mask
 
@@ -375,7 +370,7 @@ def min_parameter(
     else:
         mask, size = _cover_min_search(g, variant, budget)
     return SolveReport(
-        value=size, witness=tuple(_bits(mask)), nodes_explored=budget.nodes
+        value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
     )
 
 
@@ -454,114 +449,166 @@ def max_minimal_parameter(
         rows = [g.closed_mask(v) for v in range(g.n)]
     mask, size = _max_minimal_search(rows, budget)
     return SolveReport(
-        value=size, witness=tuple(_bits(mask)), nodes_explored=budget.nodes
+        value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
     )
 
 
-def _variant_final_check(g: Graph, variant: Variant, chosen: int) -> bool:
-    members = _bits(chosen)
-    if variant is Variant.DOMINATING:
-        return is_dominating(g, members)
-    if variant is Variant.TOTAL:
-        return is_total_dominating(g, members)
-    return is_paired_dominating(g, members)
+_VALIDATORS = {
+    Variant.DOMINATING: is_dominating,
+    Variant.TOTAL: is_total_dominating,
+    Variant.PAIRED: is_paired_dominating,
+}
 
 
-@dataclass
-class _PrefixStats:
-    nodes: int = 0
-    prefix_prunes: int = 0
+def _epsilon(epsilon: RationalLike) -> Fraction:
+    eps = as_fraction(epsilon)
+    if not Fraction(0) < eps < Fraction(1):
+        raise ValueError("epsilon must satisfy 0 < eps < 1")
+    return eps
 
 
-def _prefix_search(
+def _checked_parts(
+    g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
+) -> tuple[list[list[int]], list[int]]:
+    """The parts as ascending vertex lists and each vertex's part index,
+    once the partition and its cyclic shift symmetry verify."""
+    validate_partition(g, partition)
+    problems = cyclic_symmetry_violations(g, partition, symmetry)
+    if problems:
+        raise ValueError(f"cyclic symmetry does not verify: {problems[0]}")
+    parts = [sorted(p) for p in partition.parts]
+    part_of = [0] * g.n
+    for j, verts in enumerate(parts):
+        for v in verts:
+            part_of[v] = j
+    return parts, part_of
+
+
+def _part_prefix_search(
+    parts: list[list[int]],
+    part_of: list[int],
+    rows: list[int],
+    lifts: list[list[int]],
+    base: list[int],
+    bound: Fraction,
+    members: Optional[list[int]],
+    valid: Callable[[int], bool],
+    budget: SearchBudget,
+) -> Optional[int]:
+    """First chosen mask whose part-weight prefixes stay strictly under
+    q * bound / t for every prefix length q, rotation pinned at part 0.
+
+    Parts are decided in order, each by its subsets in ascending order with
+    one budget tick per subset, depth first on an explicit stack.  Weights
+    start at base, and choosing v raises each part listed in lifts[v] by one
+    (a part listed twice rises by two).  Weights only rise, so a prefix at
+    the bound kills the branch, and after a subset of part j only the
+    prefixes up to j + 1 that contain a raised part, plus prefix j + 1 itself,
+    need a look.  A vertex whose cover row is wholly decided must be
+    covered; with member rows given, a member whose member row is wholly
+    decided must have a chosen neighbor.  valid has the last word on a leaf.
+    """
+    t = len(parts)
+
+    def sealed_at(rows: list[int]) -> list[int]:
+        # a vertex is sealed at the last part its row reaches
+        sealed = [0] * t
+        for u, row in enumerate(rows):
+            sealed[max(part_of[v] for v in iter_bits(row))] |= 1 << u
+        return sealed
+
+    sealed = sealed_at(rows)
+    sealed_members = sealed_at(members) if members is not None else None
+    # The prefix sums P_0..P_t live in one integer, a field of `width` bits
+    # each, offset by `off` so that no field goes negative or carries into
+    # the next; choosing v adds rise[v], which raises every prefix that
+    # contains a part in lifts[v].
+    off = -sum(b for b in base if b < 0)
+    width = (off + sum(b for b in base if b > 0) + sum(map(len, lifts))).bit_length()
+    field_mask = (1 << width) - 1
+    ones = sum(1 << q * width for q in range(t + 1))
+    above = [ones >> (p + 1) * width << (p + 1) * width for p in range(t)]
+    rise = [sum(above[p] for p in lift) for lift in lifts]
+    lowest = [min(lift, default=t) for lift in lifts]
+    start = sum(off + s << q * width for q, s in enumerate(accumulate(base, initial=0)))
+    # P_q * t < q * bound exactly when field q is at most cap[q]
+    cap = [
+        off + _ceil_div(q * bound.numerator, t * bound.denominator) - 1
+        for q in range(t + 1)
+    ]
+    stack = [(0, iter(range(1 << len(parts[0]))), 0, 0, start)]
+    while stack:
+        j, subs, chosen, covered, prefixes = stack[-1]
+        verts = parts[j]
+        for sub in subs:
+            budget.tick()
+            add, sums, lo = 0, prefixes, j
+            while sub:
+                low = sub & -sub
+                v = verts[low.bit_length() - 1]
+                add |= 1 << v
+                sums += rise[v]
+                if lowest[v] < lo:
+                    lo = lowest[v]
+                sub ^= low
+            q = lo + 1
+            while q <= j + 1 and sums >> q * width & field_mask <= cap[q]:
+                q += 1
+            if q <= j + 1:
+                continue
+            new_covered = covered
+            for v in iter_bits(add):
+                new_covered |= rows[v]
+            if sealed[j] & ~new_covered:
+                continue
+            new_chosen = chosen | add
+            if sealed_members is not None and any(
+                not members[u] & new_chosen
+                for u in iter_bits(sealed_members[j] & new_chosen)
+            ):
+                continue
+            if j + 1 < t:
+                stack.append(
+                    (j + 1, iter(range(1 << len(parts[j + 1]))), new_chosen, new_covered, sums)
+                )
+                break
+            if valid(new_chosen):
+                return new_chosen
+        else:
+            stack.pop()
+    return None
+
+
+def _size_search(
     g: Graph,
     partition: VertexPartition,
     symmetry: CyclicSymmetry,
     variant: Variant,
     bound: Fraction,
     budget: SearchBudget,
-    stats: Optional[_PrefixStats] = None,
 ) -> Optional[frozenset[int]]:
     """First valid set whose part-count prefixes stay strictly under
     j * bound / t, rotation pinned at part 0."""
-    validate_partition(g, partition)
-    problems = cyclic_symmetry_violations(g, partition, symmetry)
-    if problems:
-        raise ValueError(f"cyclic symmetry does not verify: {problems[0]}")
+    parts, part_of = _checked_parts(g, partition, symmetry)
     if variant in (Variant.TOTAL, Variant.PAIRED):
         _reject_isolated(g)
-    stats = stats if stats is not None else _PrefixStats()
-    parts = [sorted(p) for p in partition.parts]
-    t = len(parts)
-    # count * t < (j + 1) * bound, cross-multiplied by bound's denominator
-    t_den = t * bound.denominator
     if variant is Variant.TOTAL:
-        cover = list(g.adj)
+        rows = list(g.adj)
     else:
-        cover = [g.closed_mask(v) for v in range(g.n)]
-
-    decided = 0
-    decided_prefix = []
-    for p in parts:
-        decided |= _mask_of(g, p)
-        decided_prefix.append(decided)
-    # Vertices whose whole relevant neighborhood is decided once part j is.
-    sealed_cover: list[list[int]] = []
-    sealed_member: list[list[int]] = []
-    for j in range(t):
-        sealed_cover.append(
-            [u for u in range(g.n)
-             if cover[u] & ~decided_prefix[j] == 0
-             and (j == 0 or cover[u] & ~decided_prefix[j - 1] != 0)]
-        )
-        sealed_member.append(
-            [u for u in range(g.n)
-             if g.adj[u] & ~decided_prefix[j] == 0
-             and (j == 0 or g.adj[u] & ~decided_prefix[j - 1] != 0)]
-        )
-
-    def rec(j: int, chosen: int, covered: int, count: int) -> Optional[int]:
-        if j == t:
-            if _variant_final_check(g, variant, chosen):
-                return chosen
-            return None
-        verts = parts[j]
-        for sub in range(1 << len(verts)):
-            budget.tick()
-            stats.nodes += 1
-            add = 0
-            picked = sub
-            while picked:
-                low = picked & -picked
-                add |= 1 << verts[low.bit_length() - 1]
-                picked ^= low
-            new_count = count + sub.bit_count()
-            if not new_count * t_den < (j + 1) * bound.numerator:
-                stats.prefix_prunes += 1
-                continue
-            new_chosen = chosen | add
-            new_covered = covered
-            for v in _bits(add):
-                new_covered |= cover[v]
-            dead = False
-            for u in sealed_cover[j]:
-                if not new_covered >> u & 1:
-                    dead = True
-                    break
-            if not dead and variant is Variant.PAIRED:
-                for u in sealed_member[j]:
-                    if new_chosen >> u & 1 and g.adj[u] & new_chosen == 0:
-                        dead = True
-                        break
-            if dead:
-                continue
-            got = rec(j + 1, new_chosen, new_covered, new_count)
-            if got is not None:
-                return got
-        return None
-
-    got = rec(0, 0, 0, 0)
-    return frozenset(_bits(got)) if got is not None else None
+        rows = [g.closed_mask(v) for v in range(g.n)]
+    validator = _VALIDATORS[variant]
+    got = _part_prefix_search(
+        parts,
+        part_of,
+        rows,
+        [[j] for j in part_of],
+        [0] * len(parts),
+        bound,
+        list(g.adj) if variant is Variant.PAIRED else None,
+        lambda chosen: validator(g, iter_bits(chosen)),
+        budget,
+    )
+    return frozenset(iter_bits(got)) if got is not None else None
 
 
 def prefix_pruned_search(
@@ -578,10 +625,8 @@ def prefix_pruned_search(
     By the rotation theorem (applied through the verified shift symmetry)
     such a set exists exactly when some valid set has size at most h.
     """
-    eps = as_fraction(epsilon)
-    if not Fraction(0) < eps < Fraction(1):
-        raise ValueError("epsilon must satisfy 0 < eps < 1")
-    return _prefix_search(
+    eps = _epsilon(epsilon)
+    return _size_search(
         g, partition, symmetry, variant, as_fraction(h) + eps, budget or SearchBudget()
     )
 
@@ -600,15 +645,13 @@ def decide_parameter_via_prefix(
     A hit under h + eps shows the minimum is at most h; no hit under h - eps
     shows it exceeds h - 1.
     """
-    eps = as_fraction(epsilon)
-    if not Fraction(0) < eps < Fraction(1):
-        raise ValueError("epsilon must satisfy 0 < eps < 1")
+    eps = _epsilon(epsilon)
     budget = budget or SearchBudget()
     hf = as_fraction(h)
-    upper = _prefix_search(g, partition, symmetry, variant, hf + eps, budget)
+    upper = _size_search(g, partition, symmetry, variant, hf + eps, budget)
     if upper is None:
         return False
-    lower = _prefix_search(g, partition, symmetry, variant, hf - eps, budget)
+    lower = _size_search(g, partition, symmetry, variant, hf - eps, budget)
     return lower is None
 
 
@@ -624,105 +667,73 @@ def rd_prefix_pruned_search(
     j * (target + eps) / t, where target = (k+1) * h - |V| on a k-regular graph.
 
     Such a set exists exactly when some dominating set has size at most h,
-    because total redundancy on a k-regular graph is (k+1)|D| - |V|.
+    because total redundancy on a k-regular graph is (k+1)|D| - |V|.  Part p
+    weighs the redundancy of its vertices, -|part p| plus one for each
+    chosen closed neighbor of each of them.
     """
-    eps = as_fraction(epsilon)
-    if not Fraction(0) < eps < Fraction(1):
-        raise ValueError("epsilon must satisfy 0 < eps < 1")
+    eps = _epsilon(epsilon)
     budget = budget or SearchBudget()
-    validate_partition(g, partition)
-    problems = cyclic_symmetry_violations(g, partition, symmetry)
-    if problems:
-        raise ValueError(f"cyclic symmetry does not verify: {problems[0]}")
+    parts, part_of = _checked_parts(g, partition, symmetry)
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError("the redundancy search needs a regular graph")
     k = degs.pop()
-    target = as_fraction((k + 1) * h - g.n)
-    bound = target + eps
-    parts = [sorted(p) for p in partition.parts]
-    t = len(parts)
-    t_den = t * bound.denominator
-    full = g.full_mask
     closed = [g.closed_mask(v) for v in range(g.n)]
+    got = _part_prefix_search(
+        parts,
+        part_of,
+        closed,
+        [[part_of[u] for u in iter_bits(row)] for row in closed],
+        [-len(p) for p in parts],
+        as_fraction((k + 1) * h - g.n) + eps,
+        None,
+        lambda chosen: is_dominating(g, iter_bits(chosen)),
+        budget,
+    )
+    return frozenset(iter_bits(got)) if got is not None else None
 
-    decided = 0
-    decided_prefix = []
-    for p in parts:
-        decided |= _mask_of(g, p)
-        decided_prefix.append(decided)
-    sealed_cover = []
-    for j in range(t):
-        sealed_cover.append(
-            [u for u in range(g.n)
-             if closed[u] & ~decided_prefix[j] == 0
-             and (j == 0 or closed[u] & ~decided_prefix[j - 1] != 0)]
-        )
-    part_prefix_vertices = []
-    acc: list[int] = []
-    for p in parts:
-        acc = acc + p
-        part_prefix_vertices.append(list(acc))
 
-    def rd_lower_bounds_ok(chosen: int, upto: int) -> bool:
-        # Redundancy only grows as the set grows, so a partial sum already
-        # at the bound kills the branch.
-        for p in range(1, upto + 1):
-            lb = sum((closed[u] & chosen).bit_count() - 1 for u in part_prefix_vertices[p - 1])
-            if not lb * t_den < p * bound.numerator:
-                return False
-        return True
+@dataclass(frozen=True)
+class _PaperValue:
+    """A headline value of the paper: the solver's answer on C_rows x C_n."""
 
-    def rec(j: int, chosen: int, covered: int) -> Optional[int]:
-        if j == t:
-            if covered != full:
-                return None
-            if is_dominating(g, _bits(chosen)) and rd_lower_bounds_ok(chosen, t):
-                return chosen
-            return None
-        verts = parts[j]
-        for sub in range(1 << len(verts)):
-            budget.tick()
-            add = 0
-            picked = sub
-            while picked:
-                low = picked & -picked
-                add |= 1 << verts[low.bit_length() - 1]
-                picked ^= low
-            new_chosen = chosen | add
-            new_covered = covered
-            for v in _bits(add):
-                new_covered |= closed[v]
-            dead = False
-            for u in sealed_cover[j]:
-                if not new_covered >> u & 1:
-                    dead = True
-                    break
-            if dead:
-                continue
-            if not rd_lower_bounds_ok(new_chosen, j + 1):
-                continue
-            got = rec(j + 1, new_chosen, new_covered)
-            if got is not None:
-                return got
-        return None
+    rows: int
+    variant: Variant
+    solver: str  # "min" or "max-minimal", as the CLI's --mode
+    expected: Callable[[int], int]
+    columns: tuple[int, ...]
+    quick: tuple[int, ...]
 
-    got = rec(0, 0, 0)
-    return frozenset(_bits(got)) if got is not None else None
+
+# By suite name: t1 is the paired closed form on C5 x Cn, n4 the upper total
+# value 2n on C4 x Cn.
+_PAPER_VALUES = {
+    "t1": _PaperValue(5, Variant.PAIRED, "min", paired_value_c5, (3, 4, 5, 6), (3, 4)),
+    "n4": _PaperValue(4, Variant.TOTAL, "max-minimal", lambda n: 2 * n, (3, 4, 5), (3,)),
+}
+
+
+def _solve_paper_value(
+    suite: str, n: int, budget: Optional[SearchBudget]
+) -> tuple[SolveReport, int]:
+    """Solve the suite's torus with n columns; return the report and the
+    paper's value."""
+    row = _PAPER_VALUES[suite]
+    # the solver is looked up by name at call time, so wrappers of the
+    # module's solvers see these calls too
+    solve = min_parameter if row.solver == "min" else max_minimal_parameter
+    report = solve(cartesian_cycles(row.rows, n), row.variant, budget)
+    return report, row.expected(n)
 
 
 def verify_paired_c5(n: int, budget: Optional[SearchBudget] = None) -> bool:
     """Solve paired domination on the C_5 x C_n torus and compare to the
     closed form."""
-    from .graphs import cartesian_cycles
-
-    report = min_parameter(cartesian_cycles(5, n), Variant.PAIRED, budget)
-    return report.value == paired_value_c5(n)
+    report, expected = _solve_paper_value("t1", n, budget)
+    return report.value == expected
 
 
 def verify_upper_total_c4(n: int, budget: Optional[SearchBudget] = None) -> bool:
     """Solve the upper total domination number of C_4 x C_n and compare to 2n."""
-    from .graphs import cartesian_cycles
-
-    report = max_minimal_parameter(cartesian_cycles(4, n), Variant.TOTAL, budget)
-    return report.value == 2 * n
+    report, expected = _solve_paper_value("n4", n, budget)
+    return report.value == expected

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from cyclecert.cli import main
+from cyclecert.domination import is_minimal_total_dominating, is_paired_dominating
 from cyclecert.formats import dump_json, emit_graph_text
-from cyclecert.graphs import cycle
+from cyclecert.graphs import cartesian_cycles, cycle
 
 
 def run(capsys, *argv):
@@ -153,6 +154,14 @@ def test_domination_verify_upper_total(capsys):
     assert code == 0 and doc["match"] and doc["solved"] == 6
 
 
+def test_domination_verify_upper_total_four_columns(capsys):
+    code, doc = run(capsys, "domination", "verify-upper-total", "--n", "4")
+    assert code == 0 and doc["match"] is True
+    assert doc["n"] == 4 and doc["solved"] == 8 and doc["expected"] == 8
+    assert len(doc["witness"]) == 8
+    assert is_minimal_total_dominating(cartesian_cycles(4, 4), doc["witness"])
+
+
 def test_domination_corollary_decide(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
                     "--partition", "columns:3:3", "--shift", "columns:3:3",
@@ -285,3 +294,24 @@ def test_reproduce_structures_quick(capsys):
     code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick")
     assert code == 0 and doc["ok"]
     assert all(r["ok"] for r in doc["results"])
+
+
+def test_reproduce_t1_quick(capsys):
+    code, doc = run(capsys, "reproduce", "--suite", "t1", "--quick")
+    assert code == 0 and doc["suite"] == "t1" and doc["ok"] is True
+    assert [r["n"] for r in doc["results"]] == [3, 4]
+    assert [r["value"] for r in doc["results"]] == [4, 6]
+    assert [r["expected"] for r in doc["results"]] == [4, 6]
+    for r in doc["results"]:
+        assert r["match"] is True
+        assert len(r["witness"]) == r["value"]
+        assert is_paired_dominating(cartesian_cycles(5, r["n"]), r["witness"])
+
+
+def test_reproduce_n4_quick(capsys):
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--quick")
+    assert code == 0 and doc["suite"] == "n4" and doc["ok"] is True
+    [r] = doc["results"]
+    assert r["n"] == 3 and r["value"] == 6 and r["expected"] == 6 and r["match"] is True
+    assert len(r["witness"]) == 6
+    assert is_minimal_total_dominating(cartesian_cycles(4, 3), r["witness"])

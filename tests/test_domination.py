@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from cyclecert.errors import BudgetExceededError
 from cyclecert.graphs import (
     Graph,
     cartesian_cycles,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
@@ -406,6 +408,149 @@ def test_prefix_search_epsilon_range():
         prefix_pruned_search(g, p, sigma, Variant.DOMINATING, 3, epsilon=F(3, 2))
     with pytest.raises(ValueError):
         decide_parameter_via_prefix(g, p, sigma, Variant.DOMINATING, 3, epsilon=F(0))
+
+
+def test_prefix_search_on_singleton_parts_of_a_long_cycle_does_not_recurse():
+    n = 1500
+    g = cycle(n)
+    parts = VertexPartition(tuple(frozenset({v}) for v in range(n)))
+    shift = CyclicSymmetry(tuple((v + 1) % n for v in range(n)))
+    start = time.monotonic()
+    try:
+        found = prefix_pruned_search(
+            g, parts, shift, Variant.DOMINATING, 500, budget=SearchBudget(max_nodes=5000)
+        )
+    except BudgetExceededError:
+        pass
+    else:
+        assert found is not None and len(found) <= 500 and is_dominating(g, found)
+    assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "n,variant,h,nodes",
+    [
+        (5, "dominating", 5, 4_772),
+        (6, "dominating", 7, 23_182),
+        (5, "paired", 8, 9_841),
+        (6, "paired", 8, 24_770),
+    ],
+)
+def test_decide_via_prefix_node_counts_are_pinned(n, variant, h, nodes):
+    g, p, sigma = torus_setup(5, n)
+    budget = SearchBudget()
+    assert decide_parameter_via_prefix(g, p, sigma, Variant(variant), h, budget=budget)
+    assert budget.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "n,variant,h,nodes,witness",
+    [
+        (5, "dominating", 5, 4_516, [0, 8, 11, 19, 22]),
+        (6, "dominating", 7, 14_446, [0, 5, 9, 13, 22, 23, 26]),
+        (5, "paired", 8, 305, [1, 2, 9, 12, 14, 17, 19, 24]),
+        (6, "paired", 8, 22_594, [0, 1, 3, 4, 14, 17, 20, 23]),
+    ],
+)
+def test_prefix_search_node_counts_and_witnesses_are_pinned(n, variant, h, nodes, witness):
+    g, p, sigma = torus_setup(5, n)
+    budget = SearchBudget()
+    found = prefix_pruned_search(g, p, sigma, Variant(variant), h, budget=budget)
+    assert sorted(found) == witness
+    assert budget.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "n,h,nodes,witness",
+    [
+        (5, 5, 4_516, [0, 8, 11, 19, 22]),
+        (5, 4, 1_856, None),
+        (6, 7, 27_279, [0, 9, 10, 13, 22, 23, 26]),
+        (6, 6, 8_736, None),
+    ],
+)
+def test_rd_prefix_search_node_counts_and_witnesses_are_pinned(n, h, nodes, witness):
+    g, p, sigma = torus_setup(5, n)
+    budget = SearchBudget()
+    found = rd_prefix_pruned_search(g, p, sigma, h, budget=budget)
+    assert (sorted(found) if found is not None else None) == witness
+    assert budget.nodes == nodes
+
+
+def reference_rd_search(g, partition, h, epsilon, budget):
+    """The redundancy search with every prefix rescanned at every node."""
+    k = g.degrees()[0]
+    bound = F((k + 1) * h - g.n) + epsilon
+    parts = [sorted(p) for p in partition.parts]
+    t = len(parts)
+    closed = [g.closed_mask(v) for v in range(g.n)]
+    sealed = []
+    decided = 0
+    for part in parts:
+        before = decided
+        decided |= sum(1 << v for v in part)
+        sealed.append([u for u in range(g.n) if not closed[u] & ~decided and closed[u] & ~before])
+
+    def prefixes_ok(chosen, upto):
+        acc = 0
+        for q in range(upto):
+            acc += sum((closed[u] & chosen).bit_count() - 1 for u in parts[q])
+            if not acc * t < (q + 1) * bound:
+                return False
+        return True
+
+    def rec(j, chosen, covered):
+        if j == t:
+            members = [v for v in range(g.n) if chosen >> v & 1]
+            if covered == g.full_mask and is_dominating(g, members) and prefixes_ok(chosen, t):
+                return chosen
+            return None
+        for sub in range(1 << len(parts[j])):
+            budget.tick()
+            add = sum(1 << v for i, v in enumerate(parts[j]) if sub >> i & 1)
+            new_covered = covered
+            for v in parts[j]:
+                if add >> v & 1:
+                    new_covered |= closed[v]
+            if any(not new_covered >> u & 1 for u in sealed[j]):
+                continue
+            if not prefixes_ok(chosen | add, j + 1):
+                continue
+            got = rec(j + 1, chosen | add, new_covered)
+            if got is not None:
+                return got
+        return None
+
+    got = rec(0, 0, 0)
+    return None if got is None else [v for v in range(g.n) if got >> v & 1]
+
+
+def test_rd_prefix_search_matches_the_full_rescan_on_random_instances():
+    rng = random.Random(2024)
+    for _ in range(60):
+        if rng.random() < 0.4:
+            m, n = rng.randint(3, 4), rng.randint(3, 5)
+            g, p, sigma = torus_setup(m, n)
+        else:
+            n = rng.choice([8, 9, 10, 12])
+            strides = rng.sample(range(1, n // 2 + 1), rng.randint(1, 2))
+            g = circulant(n, strides)
+            t = rng.choice([d for d in range(2, n + 1) if n % d == 0 and n // d <= 5])
+            if rng.random() < 0.5:  # residues mod t, shifted by one
+                p = VertexPartition(tuple(frozenset(range(j, n, t)) for j in range(t)))
+                sigma = CyclicSymmetry(tuple((v + 1) % n for v in range(n)))
+            else:  # consecutive blocks, shifted by a block
+                size = n // t
+                p = VertexPartition(tuple(frozenset(range(j * size, (j + 1) * size)) for j in range(t)))
+                sigma = CyclicSymmetry(tuple((v + size) % n for v in range(n)))
+        # the searches turn from refuting to finding at the domination number
+        h = min_parameter(g, Variant.DOMINATING).value + rng.choice([-1, 0, 1])
+        eps = rng.choice([F(1, 2), F(1, 3), F(3, 4)])
+        want_budget, got_budget = SearchBudget(), SearchBudget()
+        want = reference_rd_search(g, p, h, eps, want_budget)
+        found = rd_prefix_pruned_search(g, p, sigma, h, eps, got_budget)
+        assert (sorted(found) if found is not None else None) == want
+        assert got_budget.nodes == want_budget.nodes
 
 
 # --- reports ---------------------------------------------------------------------
