@@ -548,7 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         doc, code = args.handler(args)
     except (BudgetExceededError, RecursionError) as err:
-        # The recursive searches nest one frame per chosen vertex or pair, so
+        # structures.find_transitive_partition nests one frame per class, so
         # a deep enough instance runs out of stack before it runs out of nodes.
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))
         return 3

@@ -5,14 +5,16 @@ adjacent to it), total dominating (every vertex has a neighbor in the set,
 so the host graph must have no isolated vertices), and paired dominating
 (dominating, and the induced subgraph on the set has a perfect matching).
 
-Exact minimums come from iterative size deepening over a branch-and-bound
-that always branches on the lowest-id uncovered vertex with candidates in
-ascending id; the paired variant branches on dominating vertex pairs (edges
-of the graph) instead, since a paired set is exactly a disjoint union of
-edges whose endpoints dominate everything.  Exact maximums over minimal
-sets try sizes in descending order, each by a branch-and-bound that decides
-the vertices in id order and prunes on irredundance (a member that has lost
-every private neighbor never gets one back), on decided vertices left
+Exact minimums come from one item-cover search: iterative deepening over
+the number of items, each depth a branch-and-bound on an explicit stack
+that always branches on the lowest-id uncovered vertex and tries the items
+covering it in ascending id.  An item is a vertex for dominating and total
+sets and an edge for paired ones, since a paired set is exactly a disjoint
+union of edges whose endpoints dominate everything; choosing an edge rules
+out every edge that meets it.  Exact maximums over minimal sets try sizes
+in descending order, each by a branch-and-bound that decides the vertices
+in id order and prunes on irredundance (a member that has lost every
+private neighbor never gets one back), on decided vertices left
 undominated, and on the count; the first size that admits a minimal set is
 the answer.  Both are budget-guarded: blowing the node or time budget
 raises, it never degrades to a wrong answer.
@@ -108,7 +110,6 @@ class SolveReport:
     value: int
     witness: tuple[int, ...]
     nodes_explored: int
-    pruned_by_prefix: int = 0
 
 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
@@ -150,21 +151,22 @@ def induced_perfect_matching_exists(g: Graph, s: Iterable[int]) -> bool:
     smask = _mask_of(g, s)
     if smask.bit_count() % 2 == 1:
         return False
-
-    def rec(rem: int) -> bool:
+    # depth first over the vertices left to match: the lowest one is matched
+    # to each neighbor left, in ascending id (pushed descending, popped
+    # ascending)
+    stack = [smask]
+    while stack:
+        rem = stack.pop()
         if rem == 0:
             return True
         low = rem & -rem
-        v = low.bit_length() - 1
-        cands = g.adj[v] & rem
+        rem ^= low
+        cands = g.adj[low.bit_length() - 1] & rem
         while cands:
-            wbit = cands & -cands
-            if rec(rem & ~low & ~wbit):
-                return True
-            cands ^= wbit
-        return False
-
-    return rec(smask)
+            top = 1 << cands.bit_length() - 1
+            stack.append(rem ^ top)
+            cands ^= top
+    return False
 
 
 def is_paired_dominating(g: Graph, s: Iterable[int]) -> bool:
@@ -260,94 +262,73 @@ def paired_value_c5(n: int) -> int:
     return value + 1 if n % 3 == 2 else value
 
 
-def _cover_min_search(
-    g: Graph, variant: Variant, budget: SearchBudget
-) -> tuple[int, int]:
-    """Iterative deepening cover search for dominating/total variants.
+def _cover_rows(g: Graph, variant: Variant) -> list[int]:
+    """The rows a set of the variant covers V with: open neighborhoods for
+    total, closed ones otherwise.  Raises ValueError on an isolated vertex
+    for total and paired, which no such set can cover."""
+    if variant is not Variant.DOMINATING:
+        _reject_isolated(g)
+    if variant is Variant.TOTAL:
+        return list(g.adj)
+    return [g.closed_mask(v) for v in range(g.n)]
 
-    Returns (witness_mask, size).  Branches on the lowest uncovered vertex;
-    candidate dominators ascend; tried candidates are excluded from later
-    siblings so no set is visited twice.
+
+def _min_cover_search(
+    full: int,
+    items: list[int],
+    covers: list[int],
+    reach: list[int],
+    blocks: list[int],
+    cap: int,
+    sizes: range,
+    budget: SearchBudget,
+) -> int:
+    """Vertex mask of the first union of k items that covers full, for the
+    smallest k in sizes.
+
+    Item e adds the vertices items[e] to the set and covers covers[e];
+    reach[u] holds the items whose cover holds u, and blocks[e] the items
+    that choosing e rules out below it; no item covers more than cap.  For
+    each k, a depth-first search on per-depth arrays branches on the lowest
+    uncovered vertex, tries its items in ascending id with one budget tick
+    per node, and forbids each tried item to the siblings after it, so no
+    union is visited twice.
     """
-    full = g.full_mask
-    if variant is Variant.DOMINATING:
-        cover = [g.closed_mask(v) for v in range(g.n)]
-    else:
-        cover = list(g.adj)
-    cap = max(m.bit_count() for m in cover) if g.n else 1
-    lb = _ceil_div(g.n, cap) if g.n else 0
-
-    def rec(k: int, chosen: int, covered: int, excluded: int, size: int) -> Optional[int]:
-        budget.tick()
-        if covered == full:
-            return chosen
-        if size == k:
-            return None
-        uncovered = full & ~covered
-        if uncovered.bit_count() > (k - size) * cap:
-            return None
-        u = (uncovered & -uncovered).bit_length() - 1
-        cands = cover[u] & ~excluded
-        exc = excluded
-        while cands:
-            cbit = cands & -cands
-            c = cbit.bit_length() - 1
-            got = rec(k, chosen | cbit, covered | cover[c], exc, size + 1)
-            if got is not None:
-                return got
-            exc |= cbit
-            cands ^= cbit
-        return None
-
-    for k in range(lb, g.n + 1):
-        got = rec(k, 0, 0, 0, 0)
-        if got is not None:
-            return got, got.bit_count()
+    tick = budget.tick
+    for k in sizes:
+        picked = [0] * k  # the item chosen at each depth above the node
+        covered = [0] * (k + 1)
+        forbid = [0] * (k + 1)
+        cands = [0] * k  # the items a node at each depth has left to try
+        d = 0
+        while True:
+            tick()
+            left = full & ~covered[d]
+            if not left:
+                chosen = 0
+                for e in picked[:d]:
+                    chosen |= items[e]
+                return chosen
+            # at depth k the room (k - d) * cap is 0, so this stops there too
+            if left.bit_count() <= (k - d) * cap:
+                c = reach[(left & -left).bit_length() - 1] & ~forbid[d]
+            else:
+                c = 0
+            while not c and d:
+                d -= 1
+                c = cands[d]
+            if not c:
+                break  # no union of k items covers
+            bit = c & -c
+            e = bit.bit_length() - 1
+            cands[d] = c ^ bit
+            f = forbid[d] | bit
+            forbid[d] = f
+            picked[d] = e
+            d += 1
+            covered[d] = covered[d - 1] | covers[e]
+            forbid[d] = f | blocks[e]
     raise ValueError("no valid set of any size exists")
-
-
-def _paired_min_search(g: Graph, budget: SearchBudget) -> tuple[int, int]:
-    """Iterative deepening over disjoint dominating edge unions."""
-    full = g.full_mask
-    edges = g.edges()
-    pair_mask = [(1 << u) | (1 << v) for u, v in edges]
-    pair_cover = [g.closed_mask(u) | g.closed_mask(v) for u, v in edges]
-    # reach[u]: ascending ids of the edges whose pair dominates u
-    reach: list[list[int]] = [[] for _ in range(g.n)]
-    for e, cover in enumerate(pair_cover):
-        for u in iter_bits(cover):
-            reach[u].append(e)
-    delta = max(g.degrees())
-    cap = 2 * delta
-    lb_pairs = paired_lower_bound(g) // 2
-
-    def rec(k2: int, chosen: int, covered: int, excluded: int, used: int) -> Optional[int]:
-        budget.tick()
-        if covered == full:
-            return chosen
-        if used == k2:
-            return None
-        uncovered = full & ~covered
-        if uncovered.bit_count() > (k2 - used) * cap:
-            return None
-        u = (uncovered & -uncovered).bit_length() - 1
-        exc = excluded
-        for e in reach[u]:
-            if exc >> e & 1:
-                continue
-            if pair_mask[e] & chosen:
-                continue
-            got = rec(k2, chosen | pair_mask[e], covered | pair_cover[e], exc, used + 1)
-            if got is not None:
-                return got
-            exc |= 1 << e
-        return None
-
-    for k2 in range(lb_pairs, g.n // 2 + 1):
-        got = rec(k2, 0, 0, 0, 0)
-        if got is not None:
-            return got, got.bit_count()
-    raise ValueError("no paired dominating set exists")
 
 
 def min_parameter(
@@ -355,22 +336,42 @@ def min_parameter(
 ) -> SolveReport:
     """Exact minimum size of a set of the given variant, with witness.
 
-    Deterministic branch-and-bound; sizes are tried in ascending order (even
-    only, for paired), so the first witness found is optimal.  Raises
-    BudgetExceededError when the budget runs out and ValueError when no set
-    of the variant exists at all.
+    One item-cover search serves all three variants.  An item is a vertex
+    for dominating and total, covering its closed or open neighborhood, and
+    an edge for paired, covering both closed neighborhoods and ruling out
+    every edge that meets it.  Item counts are tried in ascending order, so
+    the first witness found is optimal.  Raises BudgetExceededError when the
+    budget runs out and ValueError when no set of the variant exists at all.
     """
     budget = budget or SearchBudget()
     if g.n == 0:
         return SolveReport(value=0, witness=(), nodes_explored=0)
-    if variant in (Variant.TOTAL, Variant.PAIRED):
-        _reject_isolated(g)
+    rows = _cover_rows(g, variant)
     if variant is Variant.PAIRED:
-        mask, size = _paired_min_search(g, budget)
+        edges = g.edges()
+        at = [0] * g.n  # the edges at each vertex
+        for e, (u, v) in enumerate(edges):
+            at[u] |= 1 << e
+            at[v] |= 1 << e
+        items = [(1 << u) | (1 << v) for u, v in edges]
+        covers = [rows[u] | rows[v] for u, v in edges]
+        # rows are symmetric: edge uv covers w exactly when w's row meets uv
+        reach = [0] * g.n
+        for w, row in enumerate(rows):
+            for u in iter_bits(row):
+                reach[w] |= at[u]
+        blocks = [at[u] | at[v] for u, v in edges]
+        cap = 2 * max(g.degrees())
+        sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
     else:
-        mask, size = _cover_min_search(g, variant, budget)
+        # rows are symmetric, so the vertices whose row holds u are rows[u]
+        items = blocks = [1 << v for v in range(g.n)]
+        covers = reach = rows
+        cap = max(row.bit_count() for row in rows)
+        sizes = range(_ceil_div(g.n, cap), g.n + 1)
+    mask = _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
     return SolveReport(
-        value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
+        value=mask.bit_count(), witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
     )
 
 
@@ -442,12 +443,7 @@ def max_minimal_parameter(
     if variant not in (Variant.DOMINATING, Variant.TOTAL):
         raise ValueError("upper parameters are defined for dominating/total only")
     budget = budget or SearchBudget()
-    if variant is Variant.TOTAL:
-        _reject_isolated(g)
-        rows = list(g.adj)
-    else:
-        rows = [g.closed_mask(v) for v in range(g.n)]
-    mask, size = _max_minimal_search(rows, budget)
+    mask, size = _max_minimal_search(_cover_rows(g, variant), budget)
     return SolveReport(
         value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
     )
@@ -590,12 +586,7 @@ def _size_search(
     """First valid set whose part-count prefixes stay strictly under
     j * bound / t, rotation pinned at part 0."""
     parts, part_of = _checked_parts(g, partition, symmetry)
-    if variant in (Variant.TOTAL, Variant.PAIRED):
-        _reject_isolated(g)
-    if variant is Variant.TOTAL:
-        rows = list(g.adj)
-    else:
-        rows = [g.closed_mask(v) for v in range(g.n)]
+    rows = _cover_rows(g, variant)
     validator = _VALIDATORS[variant]
     got = _part_prefix_search(
         parts,

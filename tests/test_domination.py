@@ -101,6 +101,10 @@ def test_empty_set_dominates_nothing():
     assert induced_perfect_matching_exists(cycle(3), set())
 
 
+def test_paired_validator_on_a_long_cycle_does_not_recurse():
+    assert is_paired_dominating(cycle(4000), range(4000))
+
+
 def test_vertex_out_of_range_rejected():
     with pytest.raises(ValueError):
         is_dominating(cycle(3), {5})
@@ -285,6 +289,36 @@ def test_paired_c5xc10_node_count_and_witness_are_pinned():
     assert report.value == 14
     assert budget.nodes == report.nodes_explored == 20_684
     assert report.witness == (0, 1, 3, 4, 6, 7, 22, 25, 28, 29, 32, 35, 38, 39)
+
+
+@pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
+    (6, 8, Variant.DOMINATING, 12, 87_236, (0, 1, 2, 3, 13, 18, 23, 28, 31, 33, 36, 46)),
+    (5, 8, Variant.TOTAL, 11, 2_770, (0, 1, 2, 12, 13, 16, 23, 26, 27, 37, 38)),
+])
+def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
+    budget = SearchBudget()
+    report = min_parameter(cartesian_cycles(rows, n), variant, budget)
+    assert report.value == value
+    assert budget.nodes == report.nodes_explored == nodes
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize("n, variant, value", [
+    (3300, Variant.DOMINATING, 1100),
+    (3300, Variant.TOTAL, 1650),
+    (4400, Variant.PAIRED, 2200),
+])
+def test_min_parameter_on_a_long_cycle_does_not_recurse(n, variant, value):
+    g = cycle(n)
+    report = min_parameter(g, variant)
+    assert report.value == value == len(report.witness)
+    if variant is Variant.PAIRED:
+        assert is_paired_dominating(g, report.witness)
+
+
+def test_min_parameter_on_a_long_cycle_exhausts_the_budget_not_the_stack():
+    with pytest.raises(BudgetExceededError):
+        min_parameter(cycle(3300), Variant.DOMINATING, SearchBudget(max_nodes=1000))
 
 
 def test_max_minimal_rejects_paired():
@@ -560,5 +594,4 @@ def test_solve_report_fields():
     report = min_parameter(cycle(5), Variant.DOMINATING)
     assert report.value == 2
     assert report.nodes_explored > 0
-    assert report.pruned_by_prefix == 0
     assert report.witness == tuple(sorted(report.witness))
