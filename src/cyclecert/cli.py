@@ -145,6 +145,8 @@ def _load_json(path: str) -> Any:
         raise ValueError(f"cannot read {path!r}: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{path!r} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError(f"{path!r} nests too deeply to parse") from None
 
 
 def _graph(args: argparse.Namespace):
@@ -388,7 +390,7 @@ def _reproduce_paper_values(suite: str, quick: bool, budget_args: argparse.Names
 
 
 def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
-    del budget_args
+    cap = _budget(budget_args, nodes=1_000_000).max_nodes
     results = []
 
     def record(name: str, ok: bool) -> None:
@@ -398,24 +400,27 @@ def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple
     for m, n in pairs:
         g = complete_bipartite(m, n)
         dec = star_decomposition_bipartite(m, n)
-        record(f"star decomposition of K_{m},{n} is transitive", is_transitive_decomposition(g, dec))
+        record(
+            f"star decomposition of K_{m},{n} is transitive",
+            is_transitive_decomposition(g, dec, iso_budget=cap),
+        )
     if not quick:
         g13 = complete(13)
         record(
             "star decomposition of K_13 is transitive",
-            is_transitive_decomposition(g13, star_decomposition_complete(13)),
+            is_transitive_decomposition(g13, star_decomposition_complete(13), iso_budget=cap),
         )
     for m, n in [(3, 3)] if quick else [(3, 3), (3, 4), (4, 3), (4, 4)]:
         g = cartesian_cycles(m, n)
         record(
             f"column partition of the {m}x{n} torus is transitive",
-            is_transitive_partition(g, columns_partition(m, n)),
+            is_transitive_partition(g, columns_partition(m, n), iso_budget=cap),
         )
     g23 = complete_bipartite(2, 3)
     for t in (2, 3) if quick else (2, 3, 4, 5):
         record(
             f"K_2,3 has no transitive partition into {t} classes",
-            find_transitive_partition(g23, t) is None,
+            find_transitive_partition(g23, t, candidate_budget=cap, iso_budget=cap) is None,
         )
     ok = all(r["ok"] for r in results)
     return {"suite": "structures", "results": results, "ok": ok}, 0 if ok else 1
@@ -547,9 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.handler(args)
-    except (BudgetExceededError, RecursionError) as err:
-        # structures.find_transitive_partition nests one frame per class, so
-        # a deep enough instance runs out of stack before it runs out of nodes.
+    except BudgetExceededError as err:
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))
         return 3
     except ValueError as err:

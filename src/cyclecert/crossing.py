@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .cyclic_core import Direction, RationalLike, RotationCertificate, as_fraction, find_rotation
 from .graphs import Graph, norm_edge
 from .structures import EdgeDecomposition, validate_decomposition
-from .tiles import Tile, canonical_periodic_decomposition, tile_close
+from .tiles import Tile, canonical_periodic_decomposition
 
 __all__ = [
     "Parity",
@@ -242,10 +242,9 @@ def periodic_prefix_certificate(
     The drawing's graph must equal the closure of the tile exactly; the
     canonical period decomposition supplies the pieces.
     """
-    closed = tile_close(tile, t)
+    closed, decomposition = canonical_periodic_decomposition(tile, t)
     if d.graph != closed:
         raise ValueError("drawing graph is not the closure of the tile")
-    _, decomposition = canonical_periodic_decomposition(tile, t)
     return prefix_cr_certificate(d, decomposition, h, Direction.BELOW, epsilon)
 
 

@@ -11,12 +11,12 @@ that always branches on the lowest-id uncovered vertex and tries the items
 covering it in ascending id.  An item is a vertex for dominating and total
 sets and an edge for paired ones, since a paired set is exactly a disjoint
 union of edges whose endpoints dominate everything; choosing an edge rules
-out every edge that meets it.  Exact maximums over minimal sets try sizes
-in descending order, each by a branch-and-bound that decides the vertices
-in id order and prunes on irredundance (a member that has lost every
-private neighbor never gets one back), on decided vertices left
-undominated, and on the count; the first size that admits a minimal set is
-the answer.  Both are budget-guarded: blowing the node or time budget
+out every edge that meets it.  Exact maximums over minimal sets come from
+one branch-and-bound pass that decides the vertices in id order and keeps
+the largest minimal set found so far as a bar that only rises; it prunes on
+irredundance (a member that has lost every private neighbor never gets one
+back), on decided vertices left undominated, and on a count that cannot
+beat the bar.  Both are budget-guarded: blowing the node or time budget
 raises, it never degrades to a wrong answer.
 
 The corollary searches share one part-by-part prefix engine.  It decides
@@ -361,14 +361,13 @@ def min_parameter(
             for u in iter_bits(row):
                 reach[w] |= at[u]
         blocks = [at[u] | at[v] for u, v in edges]
-        cap = 2 * max(g.degrees())
         sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
     else:
         # rows are symmetric, so the vertices whose row holds u are rows[u]
         items = blocks = [1 << v for v in range(g.n)]
         covers = reach = rows
-        cap = max(row.bit_count() for row in rows)
-        sizes = range(_ceil_div(g.n, cap), g.n + 1)
+        sizes = range(_ceil_div(g.n, max(row.bit_count() for row in rows)), g.n + 1)
+    cap = max(c.bit_count() for c in covers)  # no item covers more
     mask = _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
     return SolveReport(
         value=mask.bit_count(), witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
@@ -376,10 +375,13 @@ def min_parameter(
 
 
 def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int]:
-    """Largest minimal set as (witness_mask, size), sizes tried from |V| down.
+    """Largest minimal set as (witness_mask, size), in one pass.
 
-    Each size is an in/out branch-and-bound over the vertices in id order,
-    "in" before "out", on an explicit stack.  Each node carries the chosen
+    One in/out branch-and-bound over the vertices in id order, "in" before
+    "out", depth first on an explicit stack with one budget tick per node.
+    The bar is the size of the largest minimal set found so far; it only
+    rises, and a leaf replaces the witness only when it beats the bar, which
+    may have risen since the leaf was pushed.  Each node carries the chosen
     mask and the vertices dominated exactly once and at least twice.  rows
     is symmetric (w watches v exactly when v watches w), so member u keeps a
     private neighbor exactly while rows[u] meets the once-dominated mask.
@@ -390,7 +392,11 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
       since adding vertices never gives a private neighbor back;
     * sealed vertices: a vertex whose whole row is decided and meets no
       member can never be dominated;
-    * count: the chosen members plus the undecided vertices must reach k.
+    * count: the chosen members plus the undecided vertices must beat the
+      bar.
+
+    The witness is the first largest set in depth-first order: every leaf
+    before it is smaller, so the bar never cuts the path to it.
     """
     n = len(rows)
     near = []  # members that share a watcher with v
@@ -403,29 +409,33 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     for w in range(n):
         sealed[rows[w].bit_length() - 1] |= 1 << w
 
-    for k in range(n, 0, -1):
-        stack = [(0, 0, 0, 0, 0)]  # next vertex, chosen, size, once, more
-        while stack:
-            v, chosen, size, once, more = stack.pop()
-            budget.tick()
-            if v == n:
-                return chosen, k
-            # "out" is pushed first so that "in" is explored first; every
-            # vertex sealed at v has v in its row, so only "out" can leave
-            # one undominated.
-            if size + n - v - 1 >= k and not sealed[v] & ~(once | more):
-                stack.append((v + 1, chosen, size, once, more))
-            if size < k:
-                row = rows[v]
-                more_in = more | (once & row)
-                once_in = (once | row) & ~more_in
-                chosen_in = chosen | 1 << v
-                for u in iter_bits(chosen_in & near[v]):
-                    if not rows[u] & once_in:
-                        break
-                else:
-                    stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
-    raise ValueError("no valid set of any size exists")
+    best, witness = 0, None
+    stack = [(0, 0, 0, 0, 0)]  # next vertex, chosen, size, once, more
+    while stack:
+        v, chosen, size, once, more = stack.pop()
+        budget.tick()
+        if v == n:
+            if size > best:
+                best, witness = size, chosen
+            continue
+        # "out" is pushed first so that "in" is explored first; every
+        # vertex sealed at v has v in its row, so only "out" can leave
+        # one undominated.
+        if size + n - v - 1 > best and not sealed[v] & ~(once | more):
+            stack.append((v + 1, chosen, size, once, more))
+        if size + n - v > best:
+            row = rows[v]
+            more_in = more | (once & row)
+            once_in = (once | row) & ~more_in
+            chosen_in = chosen | 1 << v
+            for u in iter_bits(chosen_in & near[v]):
+                if not rows[u] & once_in:
+                    break
+            else:
+                stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
+    if witness is None:
+        raise ValueError("no valid set of any size exists")
+    return witness, best
 
 
 def max_minimal_parameter(
@@ -434,11 +444,13 @@ def max_minimal_parameter(
     """Exact maximum size of a minimal (total) dominating set, with witness.
 
     A set is minimal exactly when it dominates and every member has a
-    private neighbor.  Sizes are tried from |V| down, each by an exact
-    branch-and-bound that prunes on irredundance, undominated sealed
-    vertices and the count; the first size that admits a minimal set is the
-    answer, since smaller sizes cannot beat it.  The search is iterative, so
-    large graphs exhaust the budget instead of the recursion limit.
+    private neighbor.  One exact branch-and-bound pass prunes on
+    irredundance, undominated sealed vertices and a count that cannot beat
+    the largest minimal set found so far; the witness is the first largest
+    set in its depth-first order.  The search is iterative, so large graphs
+    exhaust the budget instead of the recursion limit.  Raises ValueError
+    when no minimal set exists (the empty graph, or an isolated vertex for
+    total).
     """
     if variant not in (Variant.DOMINATING, Variant.TOTAL):
         raise ValueError("upper parameters are defined for dominating/total only")

@@ -298,38 +298,38 @@ def find_transitive_partition(
         return None
     size = g.n // t
     budget = candidate_budget
-    all_vs = set(range(g.n))
 
     def class_fingerprint(vs: frozenset[int]) -> tuple:
         return _fingerprint(_window_graph(_mask(vs), g.adj))
 
-    def extend(chosen: list[frozenset[int]], remaining: set[int]):
-        nonlocal budget
-        if len(chosen) == t:
+    # Depth first on an explicit stack: stack[d] yields the candidates for
+    # class d, and chosen holds the classes picked above it.
+    chosen: list[frozenset[int]] = []
+    remaining = set(range(g.n))
+    stack = [(frozenset((0,) + rest) for rest in combinations(range(1, g.n), size - 1))]
+    while stack:
+        for cls in stack[-1]:
+            if not chosen:
+                fp0 = class_fingerprint(cls)  # every class must match class 0
+            elif class_fingerprint(cls) != fp0:
+                continue
+            if len(chosen) < t - 1:
+                chosen.append(cls)
+                remaining -= cls
+                stack.append(frozenset(c) for c in combinations(sorted(remaining), size))
+                break
             budget -= 1
             if budget < 0:
                 raise BudgetExceededError("partition search candidate budget exceeded")
-            if t >= 3 and min(chosen[1]) > min(chosen[-1]):
-                return None
-            candidate = VertexPartition(tuple(chosen))
+            if t >= 3 and min(chosen[1]) > min(cls):
+                continue
+            candidate = VertexPartition((*chosen, cls))
             if is_transitive_partition(g, candidate, iso_budget=iso_budget):
                 return candidate
-            return None
-        fp0 = class_fingerprint(chosen[0])
-        for picked in combinations(sorted(remaining), size):
-            cls = frozenset(picked)
-            if class_fingerprint(cls) != fp0:
-                continue
-            found = extend(chosen + [cls], remaining - cls)
-            if found is not None:
-                return found
-        return None
-
-    for rest in combinations(range(1, g.n), size - 1):
-        cls0 = frozenset((0,) + rest)
-        found = extend([cls0], all_vs - cls0)
-        if found is not None:
-            return found
+        else:
+            stack.pop()
+            if chosen:
+                remaining |= chosen.pop()
     return None
 
 

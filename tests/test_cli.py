@@ -90,6 +90,13 @@ def test_certify_verify_roundtrip(capsys, tmp_path):
     assert code == 1
 
 
+def test_certify_verify_deeply_nested_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, doc = run(capsys, "certify", "verify", "--list", "1", "--certificate", str(path))
+    assert code == 2 and doc["error"] == "invalid input"
+
+
 def test_certify_verify_equality_doc(capsys, tmp_path):
     code, doc = run(capsys, "certify", "sum", "--list", "0,0,4,0", "--h", "4",
                     "--direction", "equality")
@@ -294,6 +301,14 @@ def test_reproduce_structures_quick(capsys):
     code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick")
     assert code == 0 and doc["ok"]
     assert all(r["ok"] for r in doc["results"])
+
+
+def test_reproduce_structures_honours_the_node_budget(capsys):
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--budget-nodes", "1")
+    assert code == 3 and doc["error"] == "budget exceeded"
+    # the quick instances stay within one isomorphism node and no candidate
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "1")
+    assert code == 0 and doc["ok"]
 
 
 def test_reproduce_t1_quick(capsys):

@@ -321,6 +321,83 @@ def test_min_parameter_on_a_long_cycle_exhausts_the_budget_not_the_stack():
         min_parameter(cycle(3300), Variant.DOMINATING, SearchBudget(max_nodes=1000))
 
 
+@pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
+    (4, 5, Variant.TOTAL, 10, 14_274, tuple(range(10))),
+    (4, 6, Variant.TOTAL, 12, 76_987, tuple(range(12))),
+    (5, 5, Variant.DOMINATING, 10, 91_907, (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)),
+])
+def test_max_minimal_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
+    budget = SearchBudget()
+    report = max_minimal_parameter(cartesian_cycles(rows, n), variant, budget)
+    assert report.value == value
+    assert budget.nodes == report.nodes_explored == nodes
+    assert report.witness == witness
+
+
+def reference_max_minimal_search(rows, budget):
+    """The search with one branch-and-bound per size, tried from |V| down."""
+    n = len(rows)
+    near = []
+    for v in range(n):
+        m = 0
+        for w in range(n):
+            if rows[v] >> w & 1:
+                m |= rows[w]
+        near.append(m)
+    sealed = [0] * n
+    for w in range(n):
+        sealed[rows[w].bit_length() - 1] |= 1 << w
+    for k in range(n, 0, -1):
+        stack = [(0, 0, 0, 0, 0)]
+        while stack:
+            v, chosen, size, once, more = stack.pop()
+            budget.tick()
+            if v == n:
+                return chosen, k
+            if size + n - v - 1 >= k and not sealed[v] & ~(once | more):
+                stack.append((v + 1, chosen, size, once, more))
+            if size < k:
+                more_in = more | (once & rows[v])
+                once_in = (once | rows[v]) & ~more_in
+                chosen_in = chosen | 1 << v
+                if all(rows[u] & once_in for u in range(n) if (chosen_in & near[v]) >> u & 1):
+                    stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
+    raise ValueError("no valid set of any size exists")
+
+
+def test_max_minimal_matches_the_per_size_search_on_random_graphs():
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(1000):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.7, 0.9]))
+        for variant in (Variant.DOMINATING, Variant.TOTAL):
+            if variant is Variant.TOTAL and 0 in g.adj or n == 0:
+                refused += 1
+                with pytest.raises(ValueError):
+                    max_minimal_parameter(g, variant)
+                continue
+            if variant is Variant.TOTAL:
+                rows = list(g.adj)
+            else:
+                rows = [g.closed_mask(v) for v in range(n)]
+            mask, size = reference_max_minimal_search(rows, SearchBudget())
+            report = max_minimal_parameter(g, variant)
+            assert report.value == size
+            assert report.witness == tuple(v for v in range(n) if mask >> v & 1)
+    assert refused > 0
+
+
+def test_paired_capacity_is_the_largest_pair_cover():
+    # adjacent vertices of circulant(16; 1,2) share neighbours, so no pair
+    # covers more than 6 vertices, below 2 * max degree = 8
+    budget = SearchBudget()
+    report = min_parameter(circulant(16, [1, 2]), Variant.PAIRED, budget)
+    assert report.value == 6
+    assert budget.nodes == report.nodes_explored == 16
+    assert report.witness == (0, 1, 2, 4, 9, 11)
+
+
 def test_max_minimal_rejects_paired():
     with pytest.raises(ValueError):
         max_minimal_parameter(cycle(4), Variant.PAIRED)

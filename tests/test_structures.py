@@ -33,6 +33,7 @@ from cyclecert.tiles import Tile, canonical_periodic_decomposition, tile_close, 
 from conftest import perm_isomorphic, random_graph
 
 import random
+from itertools import combinations
 
 
 # --- isomorphism backend ------------------------------------------------------
@@ -349,6 +350,14 @@ def test_isomorphic_on_relabelled_long_cycle():
     assert isomorphic(cycle(1200), relabelled)
 
 
+def test_find_transitive_partition_into_1200_classes_exhausts_the_budget_not_the_stack():
+    # singleton classes nest 1,200 deep; the perfect matching is not
+    # transitive, so every candidate is refused and the budget runs out
+    g = Graph.from_edges(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+    with pytest.raises(BudgetExceededError):
+        find_transitive_partition(g, 1200, candidate_budget=3)
+
+
 def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
     # both graphs are 2-regular, so refinement cannot tell them apart
     halves = Graph.from_edges(1200, [(i, i + 1 if i % 600 != 599 else i - 599) for i in range(1200)])
@@ -525,3 +534,66 @@ def test_prepared_anchor_agrees_with_permutation_oracle():
             assert match(prepared, g2) == expected == isomorphic(g1, g2)
             answers.append(expected)
     assert any(answers) and not all(answers)
+
+
+def reference_find_transitive_partition(g, t, candidate_budget):
+    """The partition search with one recursive call per class."""
+    if g.n % t != 0:
+        return None
+    size = g.n // t
+    budget = candidate_budget
+
+    def class_fingerprint(vs):
+        degs = sorted((g.adj[v] & sum(1 << u for u in vs)).bit_count() for v in vs)
+        return (len(vs), sum(degs) // 2, tuple(degs))
+
+    def extend(chosen, remaining):
+        nonlocal budget
+        if len(chosen) == t:
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceededError("over budget")
+            if t >= 3 and min(chosen[1]) > min(chosen[-1]):
+                return None
+            candidate = VertexPartition(tuple(chosen))
+            return candidate if is_transitive_partition(g, candidate) else None
+        fp0 = class_fingerprint(chosen[0])
+        for picked in combinations(sorted(remaining), size):
+            cls = frozenset(picked)
+            if class_fingerprint(cls) == fp0:
+                found = extend(chosen + [cls], remaining - cls)
+                if found is not None:
+                    return found
+        return None
+
+    for rest in combinations(range(1, g.n), size - 1):
+        cls0 = frozenset((0,) + rest)
+        found = extend([cls0], set(range(g.n)) - cls0)
+        if found is not None:
+            return found
+    return None
+
+
+def _search_outcome(search, g, t, candidate_budget):
+    try:
+        found = search(g, t, candidate_budget=candidate_budget)
+    except BudgetExceededError:
+        return "over budget"
+    return None if found is None else found.parts
+
+
+def test_find_transitive_partition_agrees_with_the_recursive_search():
+    rng = random.Random(43)
+    cases = [(cycle(6), 3), (cycle(8), 4), (cartesian_cycles(3, 3), 3), (complete_bipartite(2, 3), 5)]
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        cases.append((g, rng.choice([d for d in range(2, n + 1) if n % d == 0])))
+    outcomes = []
+    for g, t in cases:
+        candidate_budget = rng.choice([1, 3, 10, 1_000_000])
+        want = _search_outcome(reference_find_transitive_partition, g, t, candidate_budget)
+        got = _search_outcome(find_transitive_partition, g, t, candidate_budget)
+        assert got == want
+        outcomes.append("found" if isinstance(want, tuple) else want)
+    assert {"found", None, "over budget"} <= set(outcomes)
