@@ -2,7 +2,8 @@
 
 Every command prints exactly one JSON document on stdout and exits 0 when
 the object was found or the property verified, 1 when it was refuted or no
-object exists, 2 on malformed input, 3 when a search blew its budget.
+object exists, 2 on malformed input (a usage error included), 3 when a
+search blew its budget.  The document is one compact line.
 Budgets default to 10^7 nodes and 60 seconds, overridable by the
 CYCLECERT_BUDGET_NODES / CYCLECERT_BUDGET_SECONDS environment variables and
 per-run flags; the long-running verification commands default higher.
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from .crossing import (
     Parity,
@@ -435,8 +436,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[Any, int]:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become ValueError, so they exit 2 with a JSON error like
+    any other malformed input instead of printing usage to stderr."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclecert",
         description="rotation certificates for cyclic sums and their graph corollaries",
     )
@@ -548,9 +557,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         doc, code = args.handler(args)
     except BudgetExceededError as err:
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))

@@ -207,7 +207,7 @@ def _scaled(cl: CyclicList, h: Fraction) -> tuple[list[int], int, int]:
     D is the lcm of their denominators."""
     values = cl.values
     dens = [v.denominator for v in values]
-    d = lcm(h.denominator, *dens)
+    d = lcm(h.denominator, *set(dens))
     return [v.numerator * (d // q) for v, q in zip(values, dens)], h.numerator * (d // h.denominator), d
 
 

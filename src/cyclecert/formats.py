@@ -82,14 +82,26 @@ def certificate_from_json(doc: Any) -> tuple[RotationCertificate, Fraction]:
         k = doc["k"]
         n = doc["n"]
         h = fraction_from_json(doc["h"])
-        prefix = tuple(fraction_from_json(p) for p in doc["prefix"])
+        raw = doc["prefix"]
     except KeyError as missing:
         raise ValueError(f"certificate document lacks field {missing}") from None
+    if not isinstance(raw, list):
+        raise ValueError(f"prefix must be a list of num/den objects, got {raw!r}")
+    # The well-formed entry is tested inline, as the table runs to 10^5
+    # entries; anything else goes to fraction_from_json, which words the error.
+    prefix = []
+    for p in raw:
+        if type(p) is dict and len(p) == 2:
+            num, den = p.get("num"), p.get("den")
+            if type(num) is int and type(den) is int and den > 0:
+                prefix.append(Fraction(num, den))
+                continue
+        prefix.append(fraction_from_json(p))
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n != len(prefix):
         raise ValueError("n must match the prefix table length")
-    return RotationCertificate(direction=direction, k=k, prefix_sums=prefix), h
+    return RotationCertificate(direction=direction, k=k, prefix_sums=tuple(prefix)), h
 
 
 def equality_to_json(eq: EqualityCertificate, bound: BoundSpec) -> dict[str, Any]:
@@ -121,10 +133,36 @@ def graph_to_json(g: Graph) -> dict[str, Any]:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
+def _int(value: Any, what: str) -> int:
+    # type() rather than isinstance(): True is an int but not a vertex id
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value: Any, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return [_int(v, what) for v in value]
+
+
+def _edge(value: Any, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be a [u, v] pair, got {value!r}")
+    return _int(value[0], what), _int(value[1], what)
+
+
+def _list(doc: dict[str, Any], key: str) -> list[Any]:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def graph_from_json(obj: Any) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("inline graph must be an object with n and edges")
-    return Graph.from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
+    return Graph.from_edges(_int(obj["n"], "n"), [_edge(e, "edge") for e in _list(obj, "edges")])
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -206,10 +244,7 @@ def partition_to_json(p: VertexPartition) -> dict[str, Any]:
 def partition_from_json(doc: Any) -> VertexPartition:
     if not isinstance(doc, dict) or "parts" not in doc:
         raise ValueError("partition document must be an object with parts")
-    parts = doc["parts"]
-    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
-        raise ValueError("parts must be a list of vertex lists")
-    return VertexPartition(tuple(frozenset(int(v) for v in p) for p in parts))
+    return VertexPartition(tuple(frozenset(_int_list(p, "vertex")) for p in _list(doc, "parts")))
 
 
 def decomposition_to_json(d: EdgeDecomposition) -> dict[str, Any]:
@@ -228,13 +263,13 @@ def decomposition_from_json(doc: Any) -> EdgeDecomposition:
     if not isinstance(doc, dict) or "pieces" not in doc:
         raise ValueError("decomposition document must be an object with pieces")
     pieces = []
-    for obj in doc["pieces"]:
+    for obj in _list(doc, "pieces"):
         if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
             raise ValueError("each piece needs vertices and edges")
         pieces.append(
             Piece(
-                vertices=frozenset(int(v) for v in obj["vertices"]),
-                edges=frozenset(norm_edge(int(u), int(v)) for u, v in obj["edges"]),
+                vertices=frozenset(_int_list(obj["vertices"], "vertex")),
+                edges=frozenset(norm_edge(*_edge(e, "edge")) for e in _list(obj, "edges")),
             )
         )
     return EdgeDecomposition(tuple(pieces))
@@ -264,18 +299,14 @@ def drawing_from_json(doc: Any, base_dir: Optional[str] = None) -> AbstractDrawi
         g = parse_graph_spec(field, base_dir)
     else:
         g = graph_from_json(field)
-    crossings = doc["crossings"]
-    if not isinstance(crossings, list):
-        raise ValueError("crossings must be a list of edge pairs")
     pairs = []
-    for item in crossings:
-        try:
-            (a, b) = item
-            pairs.append(((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))))
-        except (TypeError, ValueError, IndexError):
-            raise ValueError(f"bad crossing entry {item!r}") from None
+    for item in _list(doc, "crossings"):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"bad crossing entry {item!r}")
+        pairs.append((_edge(item[0], "crossing edge"), _edge(item[1], "crossing edge")))
     return AbstractDrawing(g, pairs)
 
 
 def dump_json(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """One compact line: without an indent, json.dumps runs its C encoder."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"

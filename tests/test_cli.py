@@ -90,6 +90,55 @@ def test_certify_verify_roundtrip(capsys, tmp_path):
     assert code == 1
 
 
+def test_certify_verify_accepts_an_indented_certificate(capsys, tmp_path):
+    # files written when dump_json still indented by two must keep verifying
+    code, doc = run(capsys, "certify", "sum", "--list", "0,1/2,4,-3/7", "--h", "5")
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    code, doc = run(capsys, "certify", "verify", "--list", "0,1/2,4,-3/7",
+                    "--certificate", str(path))
+    assert code == 0 and doc["verified"]
+
+
+_CERT = {"direction": "below", "k": 1, "n": 1, "h": {"num": 5, "den": 1}, "prefix": 5}
+_EQUALITY = {
+    "h": {"num": 4, "den": 1},
+    "epsilon": {"num": 1, "den": 2},
+    "below": {"direction": "below", "k": 1, "n": 1, "h": {"num": 9, "den": 2}, "prefix": None},
+    "above": {"direction": "above", "k": 1, "n": 1, "h": {"num": 7, "den": 2}, "prefix": None},
+}
+_MALFORMED = {
+    "certificate prefix is a number": (
+        _CERT, ["certify", "verify", "--list", "4", "--certificate"]),
+    "equality prefix is null": (
+        _EQUALITY, ["certify", "verify", "--list", "4", "--certificate"]),
+    "partition part holds a list": (
+        {"parts": [[0, [1]], [2, 3]]}, ["partition", "check", "--graph", "cycle:4", "--partition"]),
+    "decomposition pieces is a number": (
+        {"pieces": 5}, ["decomposition", "check", "--graph", "cycle:4", "--decomposition"]),
+    "inline graph edge is a number": (
+        {"graph": {"n": 4, "edges": [5]}, "crossings": []}, ["drawing", "check", "--drawing"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_json_files_are_input_errors(capsys, tmp_path, case):
+    content, argv = _MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(dump_json(content), encoding="utf-8")
+    code, doc = run(capsys, *argv, str(path))
+    assert code == 2 and doc["error"] == "invalid input"
+
+
+def test_usage_errors_are_input_errors(capsys):
+    code, doc = run(capsys, "certify", "sum", "--list", "1,2")
+    assert code == 2 and doc["error"] == "invalid input" and "--h" in doc["detail"]
+    code, doc = run(capsys, "domination", "verify-pair", "--n", "x")
+    assert code == 2 and doc["error"] == "invalid input"
+    code, doc = run(capsys, "sideways")
+    assert code == 2 and doc["error"] == "invalid input"
+
+
 def test_certify_verify_deeply_nested_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -1,10 +1,18 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from cyclecert.crossing import AbstractDrawing, convex_drawing
-from cyclecert.cyclic_core import BoundSpec, Direction, equality_certificate, find_rotation
+from cyclecert.cyclic_core import (
+    BoundSpec,
+    Direction,
+    equality_certificate,
+    find_rotation,
+    total,
+    verify_certificate,
+)
 from cyclecert.formats import (
     certificate_from_json,
     certificate_to_json,
@@ -76,6 +84,88 @@ def test_certificate_parse_rejects_bad_direction():
     doc["direction"] = "sideways"
     with pytest.raises(ValueError):
         certificate_from_json(doc)
+
+
+def test_dump_json_is_one_line_that_parses_back():
+    cert = find_rotation([0, F(1, 2), 4, F(-3, 7)], 5, Direction.BELOW)
+    doc = {"found": True, "certificate": certificate_to_json(cert, F(5)), "note": "a\nb"}
+    text = dump_json(doc)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == doc
+
+
+def _one_entry_certificate(entry):
+    return {"direction": "below", "k": 1, "n": 1, "h": {"num": 5, "den": 1}, "prefix": [entry]}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"num": 1, "den": 2},
+        {"num": 2, "den": 4},
+        {"num": -6, "den": 3},
+        {"num": 0, "den": 7},
+        {"num": 1, "den": 0},
+        {"num": 1, "den": -2},
+        {"num": -2, "den": -4},
+        {"num": True, "den": 2},
+        {"num": 1, "den": True},
+        {"num": 1.5, "den": 2},
+        {"num": 1, "den": 2.0},
+        {"num": 1, "den": 2, "extra": 0},
+        {"num": 1},
+        {"den": 2},
+        {"num": 1, "denominator": 2},
+        {},
+        1.5,
+        3,
+        None,
+        [1, 2],
+    ],
+    ids=repr,
+)
+def test_prefix_reader_agrees_with_fraction_from_json(entry):
+    try:
+        want = fraction_from_json(entry)
+    except ValueError:
+        want = None
+    try:
+        cert, _ = certificate_from_json(_one_entry_certificate(entry))
+        got = cert.prefix_sums[0]
+    except ValueError:
+        got = None
+    assert got == want
+    if want is not None:
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_prefix_reader_normalizes_unreduced_entries():
+    cert, _ = certificate_from_json(_one_entry_certificate({"num": 2, "den": 4}))
+    assert cert.prefix_sums == (F(1, 2),)
+
+
+@pytest.mark.parametrize("prefix", [5, None, "1/2", {"num": 1, "den": 2}])
+def test_certificate_parse_rejects_a_prefix_that_is_not_a_list(prefix):
+    doc = _one_entry_certificate({"num": 1, "den": 2})
+    doc["prefix"] = prefix
+    with pytest.raises(ValueError):
+        certificate_from_json(doc)
+
+
+def _mixed_list(rng, n):
+    dens = (1, 2, 3, 4, 5, 6, 8, 12)
+    return [F(rng.randint(-50, 50), rng.choice(dens)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+def test_large_certificates_survive_the_json_round_trip(n):
+    xs = _mixed_list(random.Random(n), n)
+    s = total(xs)
+    for h, direction in ((s + 1, Direction.BELOW), (s - 1, Direction.ABOVE)):
+        cert = find_rotation(xs, h, direction)
+        back = certificate_from_json(json.loads(dump_json(certificate_to_json(cert, h))))
+        assert back == (cert, h)
+        assert verify_certificate(xs, back[1], back[0])
 
 
 def test_equality_roundtrip():
@@ -166,6 +256,9 @@ def test_partition_parse_rejects_bad_shape():
         partition_from_json({"parts": "nope"})
     with pytest.raises(ValueError):
         partition_from_json([])
+    for part in ([0, [1]], [0, "1"], [0, 1.0], [0, True], 5):
+        with pytest.raises(ValueError):
+            partition_from_json({"parts": [part, [2, 3]]})
 
 
 def test_decomposition_roundtrip():
@@ -184,6 +277,10 @@ def test_decomposition_parse_rejects_missing_fields():
         decomposition_from_json({"pieces": [{"vertices": [0, 1]}]})
     with pytest.raises(ValueError):
         decomposition_from_json({})
+    for pieces in (5, [5], [{"vertices": 5, "edges": []}], [{"vertices": [0, 1], "edges": [[0]]}],
+                   [{"vertices": [0, 1], "edges": 7}], [{"vertices": [0, 1], "edges": [[0, "1"]]}]):
+        with pytest.raises(ValueError):
+            decomposition_from_json({"pieces": pieces})
 
 
 def test_drawing_roundtrip_inline_graph():
@@ -219,3 +316,16 @@ def test_drawing_rejects_bad_crossing_entries():
         drawing_from_json({"graph": "cycle:4", "crossings": [[[0, 1]]]})
     with pytest.raises(ValueError):
         drawing_from_json({"graph": "cycle:4", "crossings": "nope"})
+    with pytest.raises(ValueError):
+        drawing_from_json({"graph": "cycle:4", "crossings": [[[0, 1], 5]]})
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [{"n": 4, "edges": [5]}, {"n": 4, "edges": 5}, {"n": 4, "edges": [[0, 1, 2]]},
+     {"n": "4", "edges": []}, {"n": 4, "edges": [[0, None]]}, {"n": 4}],
+    ids=repr,
+)
+def test_inline_graph_rejects_bad_shapes(graph):
+    with pytest.raises(ValueError):
+        drawing_from_json({"graph": graph, "crossings": []})
