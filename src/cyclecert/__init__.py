@@ -28,7 +28,7 @@ from .cyclic_core import (
     total,
     verify_certificate,
 )
-from .errors import BudgetExceededError, IsomorphismBudgetError
+from .errors import BudgetExceededError, SearchBudget
 from .graphs import (
     Graph,
     cartesian_cycles,
@@ -59,7 +59,6 @@ from .structures import (
 )
 from .tiles import Tile, canonical_periodic_decomposition, tile_close, tile_concat, tile_power
 from .domination import (
-    SearchBudget,
     SolveReport,
     Variant,
     decide_parameter_via_prefix,

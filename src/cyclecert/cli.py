@@ -4,9 +4,10 @@ Every command prints exactly one JSON document on stdout and exits 0 when
 the object was found or the property verified, 1 when it was refuted or no
 object exists, 2 on malformed input (a usage error included), 3 when a
 search blew its budget.  The document is one compact line.
-Budgets default to 10^7 nodes and 60 seconds, overridable by the
-CYCLECERT_BUDGET_NODES / CYCLECERT_BUDGET_SECONDS environment variables and
-per-run flags; the long-running verification commands default higher.
+Every search of a command runs under one `SearchBudget` built from
+--budget-nodes and --budget-seconds.  Both default to 10^7 nodes and 60
+seconds; the structure commands default to 10^6 nodes, and the long-running
+verification commands to 10^8 nodes and 600 seconds per instance.
 """
 
 from __future__ import annotations
@@ -79,39 +80,15 @@ from .structures import (
 __all__ = ["main"]
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
 def _budget(args: argparse.Namespace, nodes: int = 10_000_000, seconds: float = 60.0) -> SearchBudget:
-    n = args.budget_nodes if args.budget_nodes is not None else _env_int("CYCLECERT_BUDGET_NODES", nodes)
-    s = args.budget_seconds if args.budget_seconds is not None else _env_float("CYCLECERT_BUDGET_SECONDS", seconds)
+    n = args.budget_nodes if args.budget_nodes is not None else nodes
+    s = args.budget_seconds if args.budget_seconds is not None else seconds
     return SearchBudget(max_nodes=n, max_seconds=s)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None, help="search node cap")
     p.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
-
-
-def _rational(text: str) -> Fraction:
-    return as_fraction(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -175,9 +152,9 @@ def _shift_arg(text: str) -> CyclicSymmetry:
 
 def _cmd_certify_sum(args: argparse.Namespace) -> tuple[Any, int]:
     xs = _rational_list(args.list)
-    h = _rational(args.h)
+    h = as_fraction(args.h)
     if args.direction == "equality":
-        bound = BoundSpec(h=h, epsilon=_rational(args.epsilon))
+        bound = BoundSpec(h=h, epsilon=as_fraction(args.epsilon))
         eq = equality_certificate(xs, bound)
         if eq is None:
             return {"found": False, "total": str(total(xs)), "h": str(h)}, 1
@@ -254,7 +231,7 @@ def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
     partition = _partition_arg(args.partition)
     shift = _shift_arg(args.shift)
     budget = _budget(args)
-    eps = _rational(args.epsilon)
+    eps = as_fraction(args.epsilon)
     if args.rd:
         found = rd_prefix_pruned_search(g, partition, shift, args.h, eps, budget)
         if args.mode == "search":
@@ -286,8 +263,7 @@ def _cmd_partition_check(args: argparse.Namespace) -> tuple[Any, int]:
     doc: dict[str, Any] = {"valid": True, "parts": len(partition.parts)}
     ok = True
     if args.transitive:
-        budget = _budget(args, nodes=1_000_000)
-        transitive = is_transitive_partition(g, partition, iso_budget=budget.max_nodes)
+        transitive = is_transitive_partition(g, partition, _budget(args, nodes=1_000_000))
         doc["transitive"] = transitive
         ok = transitive
     return doc, 0 if ok else 1
@@ -295,10 +271,7 @@ def _cmd_partition_check(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_partition_find(args: argparse.Namespace) -> tuple[Any, int]:
     g = _graph(args)
-    budget = _budget(args, nodes=1_000_000)
-    found = find_transitive_partition(
-        g, args.t, candidate_budget=budget.max_nodes, iso_budget=budget.max_nodes
-    )
+    found = find_transitive_partition(g, args.t, _budget(args, nodes=1_000_000))
     if found is None:
         return {"found": False, "t": args.t}, 1
     return {"found": True, "t": args.t, **partition_to_json(found)}, 0
@@ -311,8 +284,7 @@ def _cmd_decomposition_check(args: argparse.Namespace) -> tuple[Any, int]:
     doc: dict[str, Any] = {"valid": True, "pieces": len(decomposition.pieces)}
     ok = True
     if args.transitive:
-        budget = _budget(args, nodes=1_000_000)
-        transitive = is_transitive_decomposition(g, decomposition, iso_budget=budget.max_nodes)
+        transitive = is_transitive_decomposition(g, decomposition, _budget(args, nodes=1_000_000))
         doc["transitive"] = transitive
         ok = transitive
     return doc, 0 if ok else 1
@@ -350,12 +322,12 @@ def _cmd_drawing_parity(args: argparse.Namespace) -> tuple[Any, int]:
 def _cmd_drawing_certify(args: argparse.Namespace) -> tuple[Any, int]:
     d = drawing_from_json(_load_json(args.drawing), base_dir=os.path.dirname(os.path.abspath(args.drawing)))
     decomposition = decomposition_from_json(_load_json(args.pieces))
-    h = _rational(args.h)
+    h = as_fraction(args.h)
+    eps = as_fraction(args.epsilon)
     direction = Direction(args.direction)
-    cert = prefix_cr_certificate(d, decomposition, h, direction, _rational(args.epsilon))
+    cert = prefix_cr_certificate(d, decomposition, h, direction, eps)
     if cert is None:
         return {"found": False, "cr_total": cr_total(d), "h": str(h)}, 1
-    eps = _rational(args.epsilon)
     bound = h + eps if direction is Direction.BELOW else h - eps
     return {"found": True, "certificate": certificate_to_json(cert, bound)}, 0
 
@@ -391,7 +363,9 @@ def _reproduce_paper_values(suite: str, quick: bool, budget_args: argparse.Names
 
 
 def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
-    cap = _budget(budget_args, nodes=1_000_000).max_nodes
+    def budget() -> SearchBudget:
+        return _budget(budget_args, nodes=1_000_000)
+
     results = []
 
     def record(name: str, ok: bool) -> None:
@@ -403,25 +377,25 @@ def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple
         dec = star_decomposition_bipartite(m, n)
         record(
             f"star decomposition of K_{m},{n} is transitive",
-            is_transitive_decomposition(g, dec, iso_budget=cap),
+            is_transitive_decomposition(g, dec, budget()),
         )
     if not quick:
         g13 = complete(13)
         record(
             "star decomposition of K_13 is transitive",
-            is_transitive_decomposition(g13, star_decomposition_complete(13), iso_budget=cap),
+            is_transitive_decomposition(g13, star_decomposition_complete(13), budget()),
         )
     for m, n in [(3, 3)] if quick else [(3, 3), (3, 4), (4, 3), (4, 4)]:
         g = cartesian_cycles(m, n)
         record(
             f"column partition of the {m}x{n} torus is transitive",
-            is_transitive_partition(g, columns_partition(m, n), iso_budget=cap),
+            is_transitive_partition(g, columns_partition(m, n), budget()),
         )
     g23 = complete_bipartite(2, 3)
     for t in (2, 3) if quick else (2, 3, 4, 5):
         record(
             f"K_2,3 has no transitive partition into {t} classes",
-            find_transitive_partition(g23, t, candidate_budget=cap, iso_budget=cap) is None,
+            find_transitive_partition(g23, t, budget()) is None,
         )
     ok = all(r["ok"] for r in results)
     return {"suite": "structures", "results": results, "ok": ok}, 0 if ok else 1

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .cyclic_core import Direction, RationalLike, RotationCertificate, as_fraction, find_rotation
+from .cyclic_core import BoundSpec, Direction, RationalLike, RotationCertificate, find_rotation
 from .graphs import Graph, norm_edge
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
@@ -220,13 +220,11 @@ def prefix_cr_certificate(
     and 0 < eps < 1 the nudged bound is never attained, so existence is
     equivalent to the non-strict bound on the total.
     """
-    eps = as_fraction(epsilon)
-    if not Fraction(0) < eps < Fraction(1):
-        raise ValueError("epsilon must satisfy 0 < eps < 1")
+    bound = BoundSpec(h, epsilon)
     halves = decomposition_weights(d, decomposition).halves()
-    hf = as_fraction(h)
-    bound = hf + eps if direction is Direction.BELOW else hf - eps
-    return find_rotation(halves, bound, direction)
+    if direction is Direction.BELOW:
+        return find_rotation(halves, bound.h + bound.epsilon, direction)
+    return find_rotation(halves, bound.h - bound.epsilon, direction)
 
 
 def periodic_prefix_certificate(

@@ -36,15 +36,15 @@ changed, and the search runs on an explicit stack.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
-from .cyclic_core import RationalLike, as_fraction
-from .errors import BudgetExceededError
+from .cyclic_core import BoundSpec, RationalLike
+# BudgetExceededError is re-exported: callers reach it through this module
+from .errors import BudgetExceededError, SearchBudget
 from .graphs import Graph, cartesian_cycles, iter_bits
 from .structures import (
     CyclicSymmetry,
@@ -84,25 +84,6 @@ class Variant(Enum):
     DOMINATING = "dominating"
     TOTAL = "total"
     PAIRED = "paired"
-
-
-@dataclass
-class SearchBudget:
-    """Node and wall-clock caps shared by the exact searches."""
-
-    max_nodes: int = 10_000_000
-    max_seconds: float = 60.0
-    nodes: int = 0
-    _deadline: Optional[float] = field(default=None, repr=False)
-
-    def tick(self) -> None:
-        if self._deadline is None:
-            self._deadline = time.monotonic() + self.max_seconds
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExceededError(f"node budget {self.max_nodes} exceeded")
-        if self.nodes % 4096 == 0 and time.monotonic() > self._deadline:
-            raise BudgetExceededError(f"time budget {self.max_seconds}s exceeded")
 
 
 @dataclass(frozen=True)
@@ -468,13 +449,6 @@ _VALIDATORS = {
 }
 
 
-def _epsilon(epsilon: RationalLike) -> Fraction:
-    eps = as_fraction(epsilon)
-    if not Fraction(0) < eps < Fraction(1):
-        raise ValueError("epsilon must satisfy 0 < eps < 1")
-    return eps
-
-
 def _checked_parts(
     g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
 ) -> tuple[list[list[int]], list[int]]:
@@ -628,9 +602,9 @@ def prefix_pruned_search(
     By the rotation theorem (applied through the verified shift symmetry)
     such a set exists exactly when some valid set has size at most h.
     """
-    eps = _epsilon(epsilon)
+    bound = BoundSpec(h, epsilon)
     return _size_search(
-        g, partition, symmetry, variant, as_fraction(h) + eps, budget or SearchBudget()
+        g, partition, symmetry, variant, bound.h + bound.epsilon, budget or SearchBudget()
     )
 
 
@@ -648,13 +622,12 @@ def decide_parameter_via_prefix(
     A hit under h + eps shows the minimum is at most h; no hit under h - eps
     shows it exceeds h - 1.
     """
-    eps = _epsilon(epsilon)
+    bound = BoundSpec(h, epsilon)
     budget = budget or SearchBudget()
-    hf = as_fraction(h)
-    upper = _size_search(g, partition, symmetry, variant, hf + eps, budget)
+    upper = _size_search(g, partition, symmetry, variant, bound.h + bound.epsilon, budget)
     if upper is None:
         return False
-    lower = _size_search(g, partition, symmetry, variant, hf - eps, budget)
+    lower = _size_search(g, partition, symmetry, variant, bound.h - bound.epsilon, budget)
     return lower is None
 
 
@@ -674,7 +647,7 @@ def rd_prefix_pruned_search(
     weighs the redundancy of its vertices, -|part p| plus one for each
     chosen closed neighbor of each of them.
     """
-    eps = _epsilon(epsilon)
+    bound = BoundSpec(h, epsilon)
     budget = budget or SearchBudget()
     parts, part_of = _checked_parts(g, partition, symmetry)
     degs = set(g.degrees())
@@ -688,7 +661,7 @@ def rd_prefix_pruned_search(
         closed,
         [[part_of[u] for u in iter_bits(row)] for row in closed],
         [-len(p) for p in parts],
-        as_fraction((k + 1) * h - g.n) + eps,
+        (k + 1) * bound.h - g.n + bound.epsilon,
         None,
         lambda chosen: is_dominating(g, iter_bits(chosen)),
         budget,

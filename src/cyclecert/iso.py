@@ -22,23 +22,24 @@ candidate image must carry the same color and reproduce the adjacency
 pattern against everything already mapped, which one bitmask comparison
 checks.
 
-The search counts candidate assignments as nodes and raises
-IsomorphismBudgetError past the cap, so "unknown" is never conflated with
-"not isomorphic".  Exactness over speed: no hashing shortcuts decide the
-positive answer, only an explicit bijection does.
+The search counts candidate assignments as nodes of the caller's
+`SearchBudget`, inline, and settles them with the budget once per call,
+which also reads its clock.  Past either cap it raises BudgetExceededError,
+so "unknown" is never conflated with "not isomorphic".  Exactness over
+speed: no hashing shortcuts decide the positive answer, only an explicit
+bijection does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import IsomorphismBudgetError
+from .errors import SearchBudget
 from .graphs import Graph, iter_bits
 
-__all__ = ["isomorphic", "prepare", "match", "PreparedGraph", "DEFAULT_ISO_BUDGET"]
-
-DEFAULT_ISO_BUDGET = 1_000_000
+__all__ = ["isomorphic", "prepare", "match", "PreparedGraph"]
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
@@ -100,20 +101,29 @@ def prepare(g: Graph) -> PreparedGraph:
     )
 
 
-def match(p: PreparedGraph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET) -> bool:
+def match(p: PreparedGraph, g2: Graph, budget: Optional[SearchBudget] = None) -> bool:
     """Decide whether g2 is isomorphic to the prepared graph.
 
-    Raises IsomorphismBudgetError when the backtracker exceeds node_budget
-    candidate placements.
+    Every candidate placement is one node of budget; raises
+    BudgetExceededError when the budget runs out.
     """
+    budget = budget or SearchBudget()
+    found, nodes = _search(p, g2, budget.max_nodes - budget.nodes)
+    budget.charge(nodes)
+    return found
+
+
+def _search(p: PreparedGraph, g2: Graph, limit: int) -> tuple[bool, int]:
+    """The answer and the nodes spent; past limit nodes it stops and reports
+    limit + 1, which the budget refuses."""
     if g2.n != p.n or g2.edge_count != p.edge_count:
-        return False
+        return False, 0
     nbrs = _neighbor_lists(g2)
     cols = [len(nb) for nb in nbrs]
     if sorted(cols) != p.degree_sequence:
-        return False
+        return False, 0
     if p.n == 0:
-        return True
+        return True, 0
     for table, histogram in p.rounds:
         cols = [
             table.get((cols[v], tuple(sorted([cols[u] for u in nb]))), -1)
@@ -121,7 +131,7 @@ def match(p: PreparedGraph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET)
         ]
         # A signature g1 never produced maps to -1, which no g1 color is.
         if sorted(cols) != histogram:
-            return False
+            return False, 0
     by_color: dict[int, list[int]] = {}
     for w, c in enumerate(cols):
         by_color.setdefault(c, []).append(w)
@@ -145,10 +155,8 @@ def match(p: PreparedGraph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET)
             if used >> w & 1:
                 continue
             nodes += 1
-            if nodes > node_budget:
-                raise IsomorphismBudgetError(
-                    f"isomorphism search exceeded {node_budget} nodes"
-                )
+            if nodes > limit:
+                return False, nodes
             if adj2[w] & used != want:
                 continue
             image[order[depth]] = w
@@ -156,22 +164,21 @@ def match(p: PreparedGraph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET)
             resume[depth] = k + 1
             depth += 1
             if depth == n:
-                return True
+                return True, nodes
             start = 0
             break
         else:
             depth -= 1
             if depth < 0:
-                return False
+                return False, nodes
             used ^= 1 << image[order[depth]]
             start = resume[depth]
 
 
-def isomorphic(g1: Graph, g2: Graph, *, node_budget: int = DEFAULT_ISO_BUDGET) -> bool:
+def isomorphic(g1: Graph, g2: Graph, budget: Optional[SearchBudget] = None) -> bool:
     """Decide whether two graphs are isomorphic (declared vertex sets included).
 
     Isolated vertices count: graphs of unequal order are never isomorphic.
-    Raises IsomorphismBudgetError when the backtracker exceeds node_budget
-    candidate placements.
+    Raises BudgetExceededError when the budget runs out.
     """
-    return match(prepare(g1), g2, node_budget=node_budget)
+    return match(prepare(g1), g2, budget)

@@ -21,10 +21,16 @@ rows of its own edges.  Each window is then relabelled to 0..k-1 straight
 from the bitmasks.
 
 Pairwise isomorphism of each length class is established by comparing every
-window against the first (isomorphism is an equivalence relation), after a
-cheap fingerprint screen.  The first window is prepared once per length
-(`iso.prepare`) and the others are matched against it (`iso.match`); the
-positive answer still always rests on explicit bijections.
+window against the first (isomorphism is an equivalence relation).  The
+first window is prepared once per length (`iso.prepare`) and the others are
+matched against it (`iso.match`), which refuses at once on a different
+order, edge count or degree sequence; the positive answer still always rests
+on explicit bijections.
+
+The transitivity checks and the partition search take one optional
+`SearchBudget`, shared by all the isomorphism nodes under the call and, in
+the partition search, by one node per class tried.  Running out of it
+raises BudgetExceededError.
 
 `find_transitive_partition` searches cyclically ordered partitions of the
 vertex set into t classes up to rotation and reflection.  Since
@@ -38,9 +44,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import SearchBudget
 from .graphs import Graph, iter_bits, norm_edge
-from .iso import DEFAULT_ISO_BUDGET, match, prepare
+from .iso import match, prepare
 
 __all__ = [
     "VertexPartition",
@@ -216,16 +222,12 @@ def _window_graph(mask: int, rows: Sequence[int]) -> Graph:
     return Graph(len(adj), tuple(adj))
 
 
-def _fingerprint(g: Graph) -> tuple:
-    return (g.n, g.edge_count, tuple(sorted(g.degrees())))
-
-
 # A part in the window test: its vertex bitmask, and the (vertex, row) pairs
 # it adds to the adjacency rows of every window that takes it in.
 _Part = tuple[int, list[tuple[int, int]]]
 
 
-def _windows_all_isomorphic(n: int, parts: list[_Part], iso_budget: int) -> bool:
+def _windows_all_isomorphic(n: int, parts: list[_Part], budget: SearchBudget) -> bool:
     t = len(parts)
     masks = [0] * t
     rows = [[0] * n for _ in range(t)]
@@ -239,31 +241,28 @@ def _windows_all_isomorphic(n: int, parts: list[_Part], iso_budget: int) -> bool
                 acc[v] |= row
             windows.append(_window_graph(masks[i], acc))
         anchor = windows[0]
-        fp = _fingerprint(anchor)
-        if any(_fingerprint(w) != fp for w in windows[1:]):
-            return False
         prepared = None
         for w in windows[1:]:
             if w == anchor:
                 continue
             if prepared is None:
                 prepared = prepare(anchor)
-            if not match(prepared, w, node_budget=iso_budget):
+            if not match(prepared, w, budget):
                 return False
     return True
 
 
 def is_transitive_partition(
-    g: Graph, partition: VertexPartition, *, iso_budget: int = DEFAULT_ISO_BUDGET
+    g: Graph, partition: VertexPartition, budget: Optional[SearchBudget] = None
 ) -> bool:
     """Window test over induced subgraphs for every length 1..t."""
     validate_partition(g, partition)
     parts = [(_mask(p), [(v, g.adj[v]) for v in p]) for p in partition.parts]
-    return _windows_all_isomorphic(g.n, parts, iso_budget)
+    return _windows_all_isomorphic(g.n, parts, budget or SearchBudget())
 
 
 def is_transitive_decomposition(
-    g: Graph, decomposition: EdgeDecomposition, *, iso_budget: int = DEFAULT_ISO_BUDGET
+    g: Graph, decomposition: EdgeDecomposition, budget: Optional[SearchBudget] = None
 ) -> bool:
     """Window test over piece unions for every length 1..t."""
     validate_decomposition(g, decomposition)
@@ -274,33 +273,33 @@ def is_transitive_decomposition(
             piece_rows[u] = piece_rows.get(u, 0) | 1 << v
             piece_rows[v] = piece_rows.get(v, 0) | 1 << u
         parts.append((_mask(piece.vertices), list(piece_rows.items())))
-    return _windows_all_isomorphic(g.n, parts, iso_budget)
+    return _windows_all_isomorphic(g.n, parts, budget or SearchBudget())
 
 
 def find_transitive_partition(
-    g: Graph,
-    t: int,
-    *,
-    candidate_budget: int = 1_000_000,
-    iso_budget: int = DEFAULT_ISO_BUDGET,
+    g: Graph, t: int, budget: Optional[SearchBudget] = None
 ) -> Optional[VertexPartition]:
     """Exhaustive search for a transitive partition into t cyclic classes.
 
     Candidates are deduplicated up to rotation (vertex 0 pinned to class 0)
     and reflection (class 1 anchored below class t-1).  Meant for small
-    graphs; raises BudgetExceededError past candidate_budget candidates.
-    Equal class sizes are forced by single-part windows, so t must divide
-    |V| for any witness to exist.
+    graphs; each class tried is one node of budget, and the window test of
+    each complete candidate spends the same budget.  Equal class sizes are
+    forced by single-part windows, so t must divide |V| for any witness to
+    exist.
     """
     if not 2 <= t <= g.n:
         raise ValueError(f"t must be in 2..{g.n}")
     if g.n % t != 0:
         return None
     size = g.n // t
-    budget = candidate_budget
+    budget = budget or SearchBudget()
 
-    def class_fingerprint(vs: frozenset[int]) -> tuple:
-        return _fingerprint(_window_graph(_mask(vs), g.adj))
+    def class_key(vs: frozenset[int]) -> list[int]:
+        # the sorted degrees inside the class: with the class size fixed,
+        # this is the order, edge count and degree screen of a window
+        mask = _mask(vs)
+        return sorted((g.adj[v] & mask).bit_count() for v in vs)
 
     # Depth first on an explicit stack: stack[d] yields the candidates for
     # class d, and chosen holds the classes picked above it.
@@ -309,22 +308,20 @@ def find_transitive_partition(
     stack = [(frozenset((0,) + rest) for rest in combinations(range(1, g.n), size - 1))]
     while stack:
         for cls in stack[-1]:
+            budget.tick()
             if not chosen:
-                fp0 = class_fingerprint(cls)  # every class must match class 0
-            elif class_fingerprint(cls) != fp0:
+                key0 = class_key(cls)  # every class must match class 0
+            elif class_key(cls) != key0:
                 continue
             if len(chosen) < t - 1:
                 chosen.append(cls)
                 remaining -= cls
                 stack.append(frozenset(c) for c in combinations(sorted(remaining), size))
                 break
-            budget -= 1
-            if budget < 0:
-                raise BudgetExceededError("partition search candidate budget exceeded")
             if t >= 3 and min(chosen[1]) > min(cls):
                 continue
             candidate = VertexPartition((*chosen, cls))
-            if is_transitive_partition(g, candidate, iso_budget=iso_budget):
+            if is_transitive_partition(g, candidate, budget):
                 return candidate
         else:
             stack.pop()

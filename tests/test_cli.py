@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -189,12 +190,10 @@ def test_domination_solve_max_minimal_long_cycle_is_budget_exceeded(capsys):
                                  "detail": "node budget 1000 exceeded"}
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CYCLECERT_BUDGET_NODES", "1")
+def test_budget_flag_overrides_the_default(capsys):
     code, doc = run(capsys, "domination", "solve", "--graph", "torus:4:4",
-                    "--variant", "total")
+                    "--variant", "total", "--budget-nodes", "1")
     assert code == 3
-    # explicit flag wins over the environment
     code, doc = run(capsys, "domination", "solve", "--graph", "torus:4:4",
                     "--variant", "total", "--budget-nodes", "1000000")
     assert code == 0 and doc["value"] == 4
@@ -261,6 +260,28 @@ def test_partition_find(capsys):
     assert code == 0 and doc["found"] and len(doc["parts"]) == 3
     code, doc = run(capsys, "partition", "find", "--graph", "kmn:2:3", "--t", "5")
     assert code == 1 and not doc["found"]
+
+
+def test_partition_find_honours_budget_seconds(capsys):
+    start = time.monotonic()
+    code = main(["partition", "find", "--graph", "cycle:100", "--t", "100",
+                 "--budget-seconds", "1"])
+    out = capsys.readouterr().out
+    assert time.monotonic() - start < 5
+    assert code == 3 and out.count("\n") == 1
+    assert json.loads(out) == {"error": "budget exceeded", "detail": "time budget 1.0s exceeded"}
+
+
+def test_partition_check_transitive_honours_budget_seconds(capsys, tmp_path):
+    # singleton classes of a 100-cycle in order are transitive, but the
+    # window test takes far longer than the budget
+    path = tmp_path / "singletons.json"
+    path.write_text(dump_json({"parts": [[v] for v in range(100)]}), encoding="utf-8")
+    start = time.monotonic()
+    code, doc = run(capsys, "partition", "check", "--graph", "cycle:100",
+                    "--partition", str(path), "--transitive", "--budget-seconds", "0.5")
+    assert time.monotonic() - start < 5
+    assert code == 3 and doc["error"] == "budget exceeded"
 
 
 def test_decomposition_check(capsys, tmp_path):
@@ -358,6 +379,11 @@ def test_reproduce_structures_honours_the_node_budget(capsys):
     # the quick instances stay within one isomorphism node and no candidate
     code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "1")
     assert code == 0 and doc["ok"]
+
+
+def test_reproduce_structures_honours_budget_seconds(capsys):
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--budget-seconds", "0")
+    assert code == 3 and doc == {"error": "budget exceeded", "detail": "time budget 0.0s exceeded"}
 
 
 def test_reproduce_t1_quick(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from cyclecert.errors import BudgetExceededError, IsomorphismBudgetError
+from cyclecert.errors import BudgetExceededError, SearchBudget
 from cyclecert.graphs import (
     Graph,
     cartesian_cycles,
@@ -33,6 +33,7 @@ from cyclecert.tiles import Tile, canonical_periodic_decomposition, tile_close, 
 from conftest import perm_isomorphic, random_graph
 
 import random
+import time
 from itertools import combinations
 
 
@@ -66,8 +67,8 @@ def test_isomorphic_distinguishes_cycle_pair_from_hexagon():
 
 
 def test_isomorphic_budget_raises():
-    with pytest.raises(IsomorphismBudgetError):
-        isomorphic(cycle(12), cycle(12), node_budget=2)
+    with pytest.raises(BudgetExceededError):
+        isomorphic(cycle(12), cycle(12), SearchBudget(max_nodes=2))
 
 
 # --- partition and decomposition validation ------------------------------------
@@ -211,7 +212,42 @@ def test_find_transitive_partition_budget():
     # singleton classes on K_2,3 never verify, so the search must burn
     # through many candidates before concluding; a budget of 1 trips first
     with pytest.raises(BudgetExceededError):
-        find_transitive_partition(complete_bipartite(2, 3), 5, candidate_budget=1)
+        find_transitive_partition(complete_bipartite(2, 3), 5, SearchBudget(max_nodes=1))
+
+
+@pytest.mark.parametrize(
+    "g, t",
+    [
+        # the first candidate is transitive, but its window test alone takes
+        # many seconds
+        (cycle(100), 100),
+        # no half of the star passes the class screen against its complement,
+        # so the search tries about 7 * 10^10 classes and never a candidate
+        (complete_bipartite(1, 39), 2),
+    ],
+)
+def test_find_transitive_partition_honours_the_clock(g, t):
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        find_transitive_partition(g, t, SearchBudget(max_seconds=0.5))
+    assert time.monotonic() - start < 5
+
+
+def test_transitive_decomposition_spends_the_shared_node_budget():
+    g = complete(31)
+    with pytest.raises(BudgetExceededError, match="node budget 100 exceeded"):
+        is_transitive_decomposition(g, star_decomposition_complete(31), SearchBudget(max_nodes=100))
+
+
+def test_one_budget_accumulates_over_two_window_tests():
+    g = cartesian_cycles(4, 4)
+    parts = columns_partition(4, 4)
+    budget = SearchBudget()
+    assert is_transitive_partition(g, parts, budget)
+    once = budget.nodes
+    assert once > 0
+    assert is_transitive_partition(g, parts, budget)
+    assert budget.nodes == 2 * once
 
 
 # --- cyclic shift symmetries -----------------------------------------------------
@@ -351,11 +387,14 @@ def test_isomorphic_on_relabelled_long_cycle():
 
 
 def test_find_transitive_partition_into_1200_classes_exhausts_the_budget_not_the_stack():
-    # singleton classes nest 1,200 deep; the perfect matching is not
-    # transitive, so every candidate is refused and the budget runs out
+    # singleton classes nest 1,200 deep, one node each down to the first
+    # candidate; the perfect matching is not transitive, so every candidate
+    # is refused and the budget runs out a few candidates later
     g = Graph.from_edges(1200, [(2 * i, 2 * i + 1) for i in range(600)])
+    budget = SearchBudget(max_nodes=1205)
     with pytest.raises(BudgetExceededError):
-        find_transitive_partition(g, 1200, candidate_budget=3)
+        find_transitive_partition(g, 1200, budget)
+    assert budget.nodes > 1200
 
 
 def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
@@ -363,7 +402,7 @@ def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
     halves = Graph.from_edges(1200, [(i, i + 1 if i % 600 != 599 else i - 599) for i in range(1200)])
     try:
         assert not isomorphic(cycle(1200), halves)
-    except IsomorphismBudgetError:
+    except BudgetExceededError:
         pass
 
 
@@ -536,29 +575,25 @@ def test_prepared_anchor_agrees_with_permutation_oracle():
     assert any(answers) and not all(answers)
 
 
-def reference_find_transitive_partition(g, t, candidate_budget):
+def reference_find_transitive_partition(g, t, budget):
     """The partition search with one recursive call per class."""
     if g.n % t != 0:
         return None
     size = g.n // t
-    budget = candidate_budget
 
     def class_fingerprint(vs):
         degs = sorted((g.adj[v] & sum(1 << u for u in vs)).bit_count() for v in vs)
         return (len(vs), sum(degs) // 2, tuple(degs))
 
     def extend(chosen, remaining):
-        nonlocal budget
         if len(chosen) == t:
-            budget -= 1
-            if budget < 0:
-                raise BudgetExceededError("over budget")
             if t >= 3 and min(chosen[1]) > min(chosen[-1]):
                 return None
             candidate = VertexPartition(tuple(chosen))
-            return candidate if is_transitive_partition(g, candidate) else None
+            return candidate if is_transitive_partition(g, candidate, budget) else None
         fp0 = class_fingerprint(chosen[0])
         for picked in combinations(sorted(remaining), size):
+            budget.tick()
             cls = frozenset(picked)
             if class_fingerprint(cls) == fp0:
                 found = extend(chosen + [cls], remaining - cls)
@@ -567,6 +602,7 @@ def reference_find_transitive_partition(g, t, candidate_budget):
         return None
 
     for rest in combinations(range(1, g.n), size - 1):
+        budget.tick()
         cls0 = frozenset((0,) + rest)
         found = extend([cls0], set(range(g.n)) - cls0)
         if found is not None:
@@ -574,9 +610,9 @@ def reference_find_transitive_partition(g, t, candidate_budget):
     return None
 
 
-def _search_outcome(search, g, t, candidate_budget):
+def _search_outcome(search, g, t, max_nodes):
     try:
-        found = search(g, t, candidate_budget=candidate_budget)
+        found = search(g, t, SearchBudget(max_nodes=max_nodes))
     except BudgetExceededError:
         return "over budget"
     return None if found is None else found.parts
@@ -591,9 +627,9 @@ def test_find_transitive_partition_agrees_with_the_recursive_search():
         cases.append((g, rng.choice([d for d in range(2, n + 1) if n % d == 0])))
     outcomes = []
     for g, t in cases:
-        candidate_budget = rng.choice([1, 3, 10, 1_000_000])
-        want = _search_outcome(reference_find_transitive_partition, g, t, candidate_budget)
-        got = _search_outcome(find_transitive_partition, g, t, candidate_budget)
+        max_nodes = rng.choice([1, 3, 10, 1_000_000])
+        want = _search_outcome(reference_find_transitive_partition, g, t, max_nodes)
+        got = _search_outcome(find_transitive_partition, g, t, max_nodes)
         assert got == want
         outcomes.append("found" if isinstance(want, tuple) else want)
     assert {"found", None, "over budget"} <= set(outcomes)
