@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import BoundSpec, Direction, RationalLike, RotationCertificate, find_rotation
@@ -84,38 +85,45 @@ class AbstractDrawing:
             self, "crossings", tuple(sorted(_norm_pair(p) for p in crossings))
         )
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        # graph and crossings are frozen, so one scan serves every caller
+        out = []
+        adj, n = self.graph.adj, self.graph.n
+        previous = None
+        for pair in self.crossings:
+            e, f = pair
+            for edge in pair:
+                u, v = edge  # normalized: u <= v
+                if not (0 <= u < v < n and adj[u] >> v & 1):
+                    out.append(Violation("unknown-edge", f"edge {edge} is not in the graph"))
+            if e == f:
+                out.append(Violation("self-pair", f"edge {e} paired with itself"))
+            elif e[0] in f or e[1] in f:
+                shared = e[0] if e[0] in f else e[1]
+                out.append(
+                    Violation("adjacent-pair", f"edges {e} and {f} share vertex {shared}")
+                )
+            # The crossings are sorted, so repeats of a pair are adjacent.
+            if pair == previous:
+                out.append(
+                    Violation("duplicate-pair", f"edges {e} and {f} cross more than once")
+                )
+            previous = pair
+        return tuple(out)
+
 
 def validate_drawing(d: AbstractDrawing) -> list[Violation]:
-    """All good-drawing rule violations, empty when the drawing is clean."""
-    out = []
-    adj, n = d.graph.adj, d.graph.n
-    previous = None
-    for pair in d.crossings:
-        e, f = pair
-        for edge in pair:
-            u, v = edge  # normalized: u <= v
-            if not (0 <= u < v < n and adj[u] >> v & 1):
-                out.append(Violation("unknown-edge", f"edge {edge} is not in the graph"))
-        if e == f:
-            out.append(Violation("self-pair", f"edge {e} paired with itself"))
-        elif e[0] in f or e[1] in f:
-            shared = e[0] if e[0] in f else e[1]
-            out.append(
-                Violation("adjacent-pair", f"edges {e} and {f} share vertex {shared}")
-            )
-        # The crossings are sorted, so repeats of a pair are adjacent.
-        if pair == previous:
-            out.append(
-                Violation("duplicate-pair", f"edges {e} and {f} cross more than once")
-            )
-        previous = pair
-    return out
+    """All good-drawing rule violations, empty when the drawing is clean.
+
+    They are computed once per drawing; each call returns a fresh list.
+    """
+    return list(d._violations)
 
 
 def _require_clean(d: AbstractDrawing) -> None:
-    problems = validate_drawing(d)
-    if problems:
-        raise ValueError(f"invalid drawing: {problems[0]}")
+    if d._violations:
+        raise ValueError(f"invalid drawing: {d._violations[0]}")
 
 
 def cr_total(d: AbstractDrawing) -> int:

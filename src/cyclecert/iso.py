@@ -9,12 +9,21 @@ against every other start) prepares it once and matches the rest.
 every vertex the color of its signature (own color, sorted neighbor colors),
 numbering signatures in order of first appearance, until a round splits no
 color class.  It keeps each round's signature-to-color table and color
-histogram, and the most-constrained-first vertex order (rare colors early,
-then high degree).  `match` replays the rounds on g2 through the stored
-tables; a g2 signature missing from a table, or any histogram that differs,
-refutes isomorphism.  Since g1's colors and stopping round never depend on
-g2, this is the joint refinement of both graphs with color ids shared, and
-it gives the same colors.
+histogram.  `match` replays the rounds on g2 through the stored tables; a
+g2 signature missing from a table, or any histogram that differs, refutes
+isomorphism.  Since g1's colors and stopping round never depend on g2, this
+is the joint refinement of both graphs with color ids shared, and it gives
+the same colors.
+
+`prepare` also fixes the backtracking order, breadth first in the
+connectivity-first manner of VF2++ (Juttner and Madarasi, Discrete Applied
+Mathematics 242, 2018): level by level from the rarest-color,
+highest-degree root, restarting at the next such root for each further
+component.  Within a level it takes first the vertex with the most
+neighbours already placed, then the rarest color, the highest degree, the
+lowest id.  Each placement is thus pinned by as many mapped neighbours as
+the graph allows; sorting by color rarity and degree alone would walk a
+vertex-transitive torus row by row with one back-neighbour per step.
 
 Backtracking then maps vertices of g1 in that order, on an explicit stack so
 that the depth is not limited by the interpreter's recursion limit; a
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .errors import SearchBudget
@@ -84,8 +94,7 @@ def prepare(g: Graph) -> PreparedGraph:
         if len(table) == classes:
             break
         classes = len(table)
-    class_size = Counter(cols)
-    order = sorted(range(g.n), key=lambda v: (class_size[cols[v]], -degrees[v], v))
+    order = _breadth_first_order(nbrs, degrees, cols)
     position = [0] * g.n
     for d, v in enumerate(order):
         position[v] = d
@@ -99,6 +108,48 @@ def prepare(g: Graph) -> PreparedGraph:
         order=order,
         back=back,
     )
+
+
+def _breadth_first_order(nbrs: list[list[int]], degrees: list[int], cols: list[int]) -> list[int]:
+    """Level by level from the rarest-color, highest-degree root, then from
+    the next such root for each further component.  Within a level, most
+    neighbours already placed first, then rarest color, highest degree,
+    lowest id."""
+    n = len(nbrs)
+    class_size = Counter(cols)
+    rarity = [class_size[c] for c in cols]
+    level_of = [-1] * n
+    placed_nbrs = [0] * n
+    placed = [False] * n
+    order: list[int] = []
+    for root in sorted(range(n), key=lambda v: (rarity[v], -degrees[v], v)):
+        if level_of[root] >= 0:
+            continue
+        level_of[root] = 0
+        level = [root]
+        depth = 0
+        while level:
+            # A heap with one entry per change of placed_nbrs: an entry whose
+            # count is out of date, or whose vertex is placed, is skipped.
+            heap = [(-placed_nbrs[v], rarity[v], -degrees[v], v) for v in level]
+            heapify(heap)
+            upcoming = []
+            while heap:
+                count, _, _, v = heappop(heap)
+                if placed[v] or -count != placed_nbrs[v]:
+                    continue
+                placed[v] = True
+                order.append(v)
+                for u in nbrs[v]:
+                    placed_nbrs[u] += 1
+                    if level_of[u] < 0:
+                        level_of[u] = depth + 1
+                        upcoming.append(u)
+                    elif level_of[u] == depth and not placed[u]:
+                        heappush(heap, (-placed_nbrs[u], rarity[u], -degrees[u], u))
+            level = upcoming
+            depth += 1
+    return order
 
 
 def match(p: PreparedGraph, g2: Graph, budget: Optional[SearchBudget] = None) -> bool:

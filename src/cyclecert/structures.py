@@ -12,25 +12,34 @@ partition into parts of unequal size can never be transitive, and the
 length-t window is the whole graph for every start, which the checker uses
 as a free sanity identity.
 
-Windows are grown, not rebuilt: each start keeps one accumulator (a vertex
-bitmask plus adjacency rows on the original ids) and takes in one more part
-per length, so the t windows of a length cost one part each.  A partition
-part brings the full rows of its vertices, and a window's edges are those
-rows masked to the window, which is the induced subgraph; a piece brings the
-rows of its own edges.  Each window is then relabelled to 0..k-1 straight
-from the bitmasks.
+Windows are grown, not rebuilt, and labelled in part order: each start
+keeps a labelling (original id to window label) and the window's adjacency
+rows in those labels, and takes in one more part per length.  A new part
+labels its not-yet-seen vertices in increasing id order after the labels
+already given, then ORs in its edges, each once both ends have labels.  A
+piece brings its own edges; a partition part brings (v, u) for every
+neighbour u of each of its vertices v, so each edge of the induced subgraph
+arrives from whichever side comes second.
 
 Pairwise isomorphism of each length class is established by comparing every
-window against the first (isomorphism is an equivalence relation).  The
-first window is prepared once per length (`iso.prepare`) and the others are
-matched against it (`iso.match`), which refuses at once on a different
-order, edge count or degree sequence; the positive answer still always rests
-on explicit bijections.
+window against the first (isomorphism is an equivalence relation).  Within a
+length the checker keeps the adjacency tuples already shown isomorphic to
+that anchor: the anchor itself and every window matched to it.  A window
+whose labelled adjacency equals one of them is isomorphic to it through the
+explicit bijection phi_j^-1 o phi_i, where phi is the part-order labelling,
+and needs no search; on cyclically symmetric inputs that is most windows
+(every column window of a torus, every singleton window of a cycle).  Only
+the others go to `iso.match` against the anchor, prepared once per length
+(`iso.prepare`), which refuses at once on a different order, edge count or
+degree sequence.  The positive answer therefore always rests on explicit
+bijections.
 
 The transitivity checks and the partition search take one optional
 `SearchBudget`, shared by all the isomorphism nodes under the call and, in
-the partition search, by one node per class tried.  Running out of it
-raises BudgetExceededError.
+the partition search, by one node per class tried.  The budget's clock is
+read at every window built, as well as in each `match`, so a check whose
+windows all come out equal still stops on time.  Running out of it raises
+BudgetExceededError.
 
 `find_transitive_partition` searches cyclically ordered partitions of the
 vertex set into t classes up to rotation and reflection.  Since
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import SearchBudget
 from .graphs import Graph, iter_bits, norm_edge
@@ -209,46 +218,44 @@ def _mask(vertices: Iterable[int]) -> int:
     return mask
 
 
-def _window_graph(mask: int, rows: Sequence[int]) -> Graph:
-    """The graph on the set bits of mask with edges rows[v] & mask, relabelled
-    to 0..k-1 in increasing id order; rows must be symmetric."""
-    pos = {v: i for i, v in enumerate(iter_bits(mask))}
-    adj = []
-    for v in pos:
-        row = 0
-        for u in iter_bits(rows[v] & mask):
-            row |= 1 << pos[u]
-        adj.append(row)
-    return Graph(len(adj), tuple(adj))
-
-
-# A part in the window test: its vertex bitmask, and the (vertex, row) pairs
-# it adds to the adjacency rows of every window that takes it in.
-_Part = tuple[int, list[tuple[int, int]]]
+# A part in the window test: its vertices in increasing id order, and the
+# (a, b) pairs it offers as edges, a always one of its own vertices.  A pair
+# enters a window once b has a label there too.
+_Part = tuple[list[int], list[tuple[int, int]]]
 
 
 def _windows_all_isomorphic(n: int, parts: list[_Part], budget: SearchBudget) -> bool:
     t = len(parts)
-    masks = [0] * t
-    rows = [[0] * n for _ in range(t)]
+    labels = [[-1] * n for _ in range(t)]
+    rows: list[list[int]] = [[] for _ in range(t)]
     for length in range(t):
-        windows = []
-        for i in range(t):
-            part_mask, part_rows = parts[(i + length) % t]
-            masks[i] |= part_mask
-            acc = rows[i]
-            for v, row in part_rows:
-                acc[v] |= row
-            windows.append(_window_graph(masks[i], acc))
-        anchor = windows[0]
+        # the adjacency tuples of this length known to be isomorphic to the
+        # anchor (the start-0 window): the anchor and every window matched
+        known: set[tuple[int, ...]] = set()
         prepared = None
-        for w in windows[1:]:
-            if w == anchor:
-                continue
-            if prepared is None:
-                prepared = prepare(anchor)
-            if not match(prepared, w, budget):
-                return False
+        for i in range(t):
+            vertices, edges = parts[(i + length) % t]
+            label, acc = labels[i], rows[i]
+            for v in vertices:
+                if label[v] < 0:
+                    label[v] = len(acc)
+                    acc.append(0)
+            for a, b in edges:
+                lb = label[b]
+                if lb >= 0:
+                    la = label[a]
+                    acc[la] |= 1 << lb
+                    acc[lb] |= 1 << la
+            budget.charge(0)
+            window = tuple(acc)
+            if not known:
+                anchor = window
+            elif window not in known:
+                if prepared is None:
+                    prepared = prepare(Graph(len(anchor), anchor))
+                if not match(prepared, Graph(len(window), window), budget):
+                    return False
+            known.add(window)
     return True
 
 
@@ -257,7 +264,7 @@ def is_transitive_partition(
 ) -> bool:
     """Window test over induced subgraphs for every length 1..t."""
     validate_partition(g, partition)
-    parts = [(_mask(p), [(v, g.adj[v]) for v in p]) for p in partition.parts]
+    parts = [(sorted(p), [(v, u) for v in p for u in iter_bits(g.adj[v])]) for p in partition.parts]
     return _windows_all_isomorphic(g.n, parts, budget or SearchBudget())
 
 
@@ -266,13 +273,7 @@ def is_transitive_decomposition(
 ) -> bool:
     """Window test over piece unions for every length 1..t."""
     validate_decomposition(g, decomposition)
-    parts = []
-    for piece in decomposition.pieces:
-        piece_rows: dict[int, int] = {}
-        for u, v in piece.edges:
-            piece_rows[u] = piece_rows.get(u, 0) | 1 << v
-            piece_rows[v] = piece_rows.get(v, 0) | 1 << u
-        parts.append((_mask(piece.vertices), list(piece_rows.items())))
+    parts = [(sorted(piece.vertices), list(piece.edges)) for piece in decomposition.pieces]
     return _windows_all_isomorphic(g.n, parts, budget or SearchBudget())
 
 

@@ -258,6 +258,32 @@ def test_weights_reject_invalid_drawing():
         decomposition_weights(d, dec)
 
 
+def test_validate_returns_a_fresh_list_each_call():
+    d = AbstractDrawing(cycle(4), [((0, 1), (1, 2))])
+    first = validate_drawing(d)
+    assert [v.kind for v in first] == ["adjacent-pair"]
+    first.clear()
+    assert [v.kind for v in validate_drawing(d)] == ["adjacent-pair"]
+    clean = AbstractDrawing(two_triangles(), [((0, 2), (1, 3))])
+    validate_drawing(clean).append(first)
+    assert validate_drawing(clean) == []
+
+
+def test_every_caller_refuses_a_bad_drawing_after_validation():
+    g = two_triangles()
+    d = AbstractDrawing(g, [((0, 2), (1, 3)), ((0, 2), (1, 3))])
+    assert validate_drawing(d)  # computed once here, refused below as well
+    dec = EdgeDecomposition((Piece(frozenset(range(6)), frozenset(g.edges())),))
+    a = [(0, 2), (2, 4), (0, 4)]
+    b = [(1, 3), (3, 5), (1, 5)]
+    with pytest.raises(ValueError, match="duplicate-pair"):
+        decomposition_weights(d, dec)
+    with pytest.raises(ValueError, match="duplicate-pair"):
+        prefix_cr_certificate(d, dec, 2)
+    with pytest.raises(ValueError, match="duplicate-pair"):
+        jordan_parity_screen(d, a, b)
+
+
 def test_doubled_weight_list_len():
     w = DoubledWeightList((2, 0, 4))
     assert len(w) == 3 and w.total() == 6

@@ -218,9 +218,9 @@ def test_find_transitive_partition_budget():
 @pytest.mark.parametrize(
     "g, t",
     [
-        # the first candidate is transitive, but its window test alone takes
-        # many seconds
-        (cycle(100), 100),
+        # the first candidate is transitive, but its window test alone builds
+        # 10^6 windows of up to 1,000 vertices
+        (cycle(1000), 1000),
         # no half of the star passes the class screen against its complement,
         # so the search tries about 7 * 10^10 classes and never a candidate
         (complete_bipartite(1, 39), 2),
@@ -240,14 +240,31 @@ def test_transitive_decomposition_spends_the_shared_node_budget():
 
 
 def test_one_budget_accumulates_over_two_window_tests():
-    g = cartesian_cycles(4, 4)
-    parts = columns_partition(4, 4)
+    # about half of the K13 half-star windows differ as labelled and need match
+    g = complete(13)
+    dec = star_decomposition_complete(13)
     budget = SearchBudget()
-    assert is_transitive_partition(g, parts, budget)
+    assert is_transitive_decomposition(g, dec, budget)
     once = budget.nodes
     assert once > 0
-    assert is_transitive_partition(g, parts, budget)
+    assert is_transitive_decomposition(g, dec, budget)
     assert budget.nodes == 2 * once
+
+
+def test_equal_windows_need_no_search():
+    # columns of a torus and singletons of a cycle, labelled in part order,
+    # give the same adjacency at every start, so no window reaches match
+    budget = SearchBudget()
+    assert is_transitive_partition(cartesian_cycles(4, 4), columns_partition(4, 4), budget)
+    singletons = VertexPartition(tuple(frozenset({v}) for v in range(100)))
+    assert is_transitive_partition(cycle(100), singletons, budget)
+    assert budget.nodes == 0
+
+
+def test_equal_windows_still_read_the_clock():
+    singletons = VertexPartition(tuple(frozenset({v}) for v in range(100)))
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        is_transitive_partition(cycle(100), singletons, SearchBudget(max_seconds=0))
 
 
 # --- cyclic shift symmetries -----------------------------------------------------
@@ -395,6 +412,33 @@ def test_find_transitive_partition_into_1200_classes_exhausts_the_budget_not_the
     with pytest.raises(BudgetExceededError):
         find_transitive_partition(g, 1200, budget)
     assert budget.nodes > 1200
+
+
+def test_relabelled_torus_takes_few_nodes_in_breadth_first_order():
+    g = cartesian_cycles(12, 12)
+    for seed in range(20):
+        rng = random.Random(seed)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        budget = SearchBudget()
+        assert isomorphic(g, _relabel_graph(g, perm), budget)
+        assert budget.nodes < 20_000
+
+
+def test_prepare_orders_every_vertex_of_every_component_once():
+    rng = random.Random(47)
+    # a triangle, a path, a star, two isolated vertices, and random graphs
+    g = Graph.from_edges(
+        13, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (6, 8), (6, 9), (6, 10)]
+    )
+    graphs = [g, Graph(0, ())] + [random_graph(rng, rng.randint(1, 12), 0.15) for _ in range(40)]
+    for h in graphs:
+        p = prepare(h)
+        assert sorted(p.order) == list(range(h.n))
+        placed = set()
+        for d, v in enumerate(p.order):
+            assert sorted(p.back[d]) == sorted(u for u in placed if h.has_edge(u, v))
+            placed.add(v)
 
 
 def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
