@@ -4,10 +4,11 @@ Every command prints exactly one JSON document on stdout and exits 0 when
 the object was found or the property verified, 1 when it was refuted or no
 object exists, 2 on malformed input (a usage error included), 3 when a
 search blew its budget.  The document is one compact line.
-Every search of a command runs under one `SearchBudget` built from
---budget-nodes and --budget-seconds.  Both default to 10^7 nodes and 60
-seconds; the structure commands default to 10^6 nodes, and the long-running
-verification commands to 10^8 nodes and 600 seconds per instance.
+`main` builds one `SearchBudget` per call from --budget-nodes and
+--budget-seconds, and every search of the command spends it, so a
+`reproduce` suite shares it across its instances.  Each command declares its
+defaults with its flags: 10^8 nodes and 600 seconds for `verify-pair`,
+`verify-upper-total` and `reproduce`, 10^7 nodes and 60 seconds elsewhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from .crossing import (
     Parity,
@@ -41,7 +42,6 @@ from .domination import (
     SearchBudget,
     Variant,
     _solve_paper_value,
-    decide_parameter_via_prefix,
     max_minimal_parameter,
     min_parameter,
     prefix_pruned_search,
@@ -80,15 +80,9 @@ from .structures import (
 __all__ = ["main"]
 
 
-def _budget(args: argparse.Namespace, nodes: int = 10_000_000, seconds: float = 60.0) -> SearchBudget:
-    n = args.budget_nodes if args.budget_nodes is not None else nodes
-    s = args.budget_seconds if args.budget_seconds is not None else seconds
-    return SearchBudget(max_nodes=n, max_seconds=s)
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None, help="search node cap")
-    p.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
+def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) -> None:
+    p.add_argument("--budget-nodes", type=int, default=nodes, help="search node cap")
+    p.add_argument("--budget-seconds", type=float, default=seconds, help="wall clock cap")
 
 
 def _int_list(text: str) -> list[int]:
@@ -128,22 +122,35 @@ def _load_json(path: str) -> Any:
 
 
 def _graph(args: argparse.Namespace):
-    return parse_graph_spec(args.graph, base_dir=os.getcwd())
+    return parse_graph_spec(args.graph)
+
+
+def _drawing(path: str):
+    """A drawing file; a graph file it names resolves against its folder."""
+    return drawing_from_json(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def _columns(text: str, build: Callable[[int, int], Any]) -> Any:
+    """build(m, n) from the columns:m:n shorthand."""
+    try:
+        _, m, n = text.split(":")
+        rows, cols = int(m), int(n)
+    except ValueError:
+        raise ValueError(f"expected columns:m:n with integers m and n, got {text!r}") from None
+    return build(rows, cols)
 
 
 def _partition_arg(text: str) -> Any:
     """A partition: columns:m:n shorthand or a JSON file path."""
     if text.startswith("columns:"):
-        _, m, n = text.split(":")
-        return columns_partition(int(m), int(n))
+        return _columns(text, columns_partition)
     return partition_from_json(_load_json(text))
 
 
 def _shift_arg(text: str) -> CyclicSymmetry:
     """A shift map: columns:m:n shorthand or an explicit permutation."""
     if text.startswith("columns:"):
-        _, m, n = text.split(":")
-        return column_shift_symmetry(int(m), int(n))
+        return _columns(text, column_shift_symmetry)
     return CyclicSymmetry(tuple(_int_list(text)))
 
 
@@ -197,11 +204,8 @@ def _cmd_certify_verify(args: argparse.Namespace) -> tuple[Any, int]:
 def _cmd_domination_solve(args: argparse.Namespace) -> tuple[Any, int]:
     g = _graph(args)
     variant = Variant(args.variant)
-    budget = _budget(args)
-    if args.mode == "min":
-        report = min_parameter(g, variant, budget)
-    else:
-        report = max_minimal_parameter(g, variant, budget)
+    solve = min_parameter if args.mode == "min" else max_minimal_parameter
+    report = solve(g, variant, args.budget)
     return {
         "graph": args.graph,
         "variant": variant.value,
@@ -213,8 +217,7 @@ def _cmd_domination_solve(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_domination_verify(args: argparse.Namespace) -> tuple[Any, int]:
-    budget = _budget(args, nodes=100_000_000, seconds=600.0)
-    report, expected = _solve_paper_value(args.suite, args.n, budget)
+    report, expected = _solve_paper_value(args.suite, args.n, args.budget)
     match = report.value == expected
     return {
         "n": args.n,
@@ -227,74 +230,65 @@ def _cmd_domination_verify(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
+    variant = Variant(args.variant)
+    if args.rd and variant is not Variant.DOMINATING:
+        raise ValueError("--rd weighs dominating sets only")
     g = _graph(args)
     partition = _partition_arg(args.partition)
     shift = _shift_arg(args.shift)
-    budget = _budget(args)
     eps = as_fraction(args.epsilon)
-    if args.rd:
-        found = rd_prefix_pruned_search(g, partition, shift, args.h, eps, budget)
-        if args.mode == "search":
-            doc = {"h": args.h, "found": found is not None}
-            if found is not None:
-                doc["witness"] = sorted(found)
-            return doc, 0 if found is not None else 1
-        refuted = rd_prefix_pruned_search(g, partition, shift, args.h - 1, eps, budget)
-        decided = found is not None and refuted is None
-        return {"h": args.h, "equals": decided}, 0 if decided else 1
-    variant = Variant(args.variant)
+
+    def search(h: int) -> Optional[frozenset[int]]:
+        if args.rd:
+            return rd_prefix_pruned_search(g, partition, shift, h, eps, args.budget)
+        return prefix_pruned_search(g, partition, shift, variant, h, eps, args.budget)
+
+    found = search(args.h)
     if args.mode == "search":
-        found = prefix_pruned_search(g, partition, shift, variant, args.h, eps, budget)
-        doc = {"h": args.h, "found": found is not None}
+        doc: dict[str, Any] = {"h": args.h, "found": found is not None}
         if found is not None:
             doc["witness"] = sorted(found)
         return doc, 0 if found is not None else 1
-    decided = decide_parameter_via_prefix(g, partition, shift, variant, args.h, eps, budget)
+    # a set at h and none at h - 1; for 0 < eps < 1 the bound h - 1 + eps
+    # admits exactly the sets that h - eps does
+    decided = found is not None and search(args.h - 1) is None
     return {"h": args.h, "equals": decided}, 0 if decided else 1
 
 
 # --- partition / decomposition ---------------------------------------------
 
 
-def _cmd_partition_check(args: argparse.Namespace) -> tuple[Any, int]:
+def _decomposition(path: str):
+    return decomposition_from_json(_load_json(path))
+
+
+def _cmd_structure_check(args: argparse.Namespace) -> tuple[Any, int]:
+    """`partition check` and `decomposition check`: args.check holds the
+    structure's loader, validator, count key and transitivity check."""
+    load, validate, key, is_transitive = args.check
     g = _graph(args)
-    partition = _partition_arg(args.partition)
-    validate_partition(g, partition)
-    doc: dict[str, Any] = {"valid": True, "parts": len(partition.parts)}
-    ok = True
-    if args.transitive:
-        transitive = is_transitive_partition(g, partition, _budget(args, nodes=1_000_000))
-        doc["transitive"] = transitive
-        ok = transitive
-    return doc, 0 if ok else 1
+    structure = load(getattr(args, args.command))  # --partition or --decomposition
+    validate(g, structure)
+    doc: dict[str, Any] = {"valid": True, key: len(getattr(structure, key))}
+    if not args.transitive:
+        return doc, 0
+    doc["transitive"] = is_transitive(g, structure, args.budget)
+    return doc, 0 if doc["transitive"] else 1
 
 
 def _cmd_partition_find(args: argparse.Namespace) -> tuple[Any, int]:
     g = _graph(args)
-    found = find_transitive_partition(g, args.t, _budget(args, nodes=1_000_000))
+    found = find_transitive_partition(g, args.t, args.budget)
     if found is None:
         return {"found": False, "t": args.t}, 1
     return {"found": True, "t": args.t, **partition_to_json(found)}, 0
-
-
-def _cmd_decomposition_check(args: argparse.Namespace) -> tuple[Any, int]:
-    g = _graph(args)
-    decomposition = decomposition_from_json(_load_json(args.decomposition))
-    validate_decomposition(g, decomposition)
-    doc: dict[str, Any] = {"valid": True, "pieces": len(decomposition.pieces)}
-    ok = True
-    if args.transitive:
-        transitive = is_transitive_decomposition(g, decomposition, _budget(args, nodes=1_000_000))
-        doc["transitive"] = transitive
-        ok = transitive
-    return doc, 0 if ok else 1
 
 
 # --- drawing ----------------------------------------------------------------
 
 
 def _cmd_drawing_check(args: argparse.Namespace) -> tuple[Any, int]:
-    d = drawing_from_json(_load_json(args.drawing), base_dir=os.path.dirname(os.path.abspath(args.drawing)))
+    d = _drawing(args.drawing)
     problems = validate_drawing(d)
     if problems:
         return {
@@ -314,14 +308,14 @@ def _cmd_drawing_convex(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_drawing_parity(args: argparse.Namespace) -> tuple[Any, int]:
-    d = drawing_from_json(_load_json(args.drawing), base_dir=os.path.dirname(os.path.abspath(args.drawing)))
+    d = _drawing(args.drawing)
     parity = jordan_parity_screen(d, _edge_list(args.cycle_a), _edge_list(args.cycle_b))
     return {"parity": parity.value}, 0 if parity is Parity.EVEN else 1
 
 
 def _cmd_drawing_certify(args: argparse.Namespace) -> tuple[Any, int]:
-    d = drawing_from_json(_load_json(args.drawing), base_dir=os.path.dirname(os.path.abspath(args.drawing)))
-    decomposition = decomposition_from_json(_load_json(args.pieces))
+    d = _drawing(args.drawing)
+    decomposition = _decomposition(args.pieces)
     h = as_fraction(args.h)
     eps = as_fraction(args.epsilon)
     direction = Direction(args.direction)
@@ -343,11 +337,10 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[Any, int]:
     return graph_to_json(g), 0
 
 
-def _reproduce_paper_values(suite: str, quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
+def _reproduce_paper_values(suite: str, quick: bool, budget: SearchBudget) -> tuple[Any, int]:
     row = _PAPER_VALUES[suite]
     results = []
     for n in row.quick if quick else row.columns:
-        budget = _budget(budget_args, nodes=100_000_000, seconds=600.0)
         report, expected = _solve_paper_value(suite, n, budget)
         results.append(
             {
@@ -362,10 +355,7 @@ def _reproduce_paper_values(suite: str, quick: bool, budget_args: argparse.Names
     return {"suite": suite, "results": results, "ok": ok}, 0 if ok else 1
 
 
-def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple[Any, int]:
-    def budget() -> SearchBudget:
-        return _budget(budget_args, nodes=1_000_000)
-
+def _reproduce_structures(quick: bool, budget: SearchBudget) -> tuple[Any, int]:
     results = []
 
     def record(name: str, ok: bool) -> None:
@@ -377,25 +367,25 @@ def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple
         dec = star_decomposition_bipartite(m, n)
         record(
             f"star decomposition of K_{m},{n} is transitive",
-            is_transitive_decomposition(g, dec, budget()),
+            is_transitive_decomposition(g, dec, budget),
         )
     if not quick:
         g13 = complete(13)
         record(
             "star decomposition of K_13 is transitive",
-            is_transitive_decomposition(g13, star_decomposition_complete(13), budget()),
+            is_transitive_decomposition(g13, star_decomposition_complete(13), budget),
         )
     for m, n in [(3, 3)] if quick else [(3, 3), (3, 4), (4, 3), (4, 4)]:
         g = cartesian_cycles(m, n)
         record(
             f"column partition of the {m}x{n} torus is transitive",
-            is_transitive_partition(g, columns_partition(m, n), budget()),
+            is_transitive_partition(g, columns_partition(m, n), budget),
         )
     g23 = complete_bipartite(2, 3)
     for t in (2, 3) if quick else (2, 3, 4, 5):
         record(
             f"K_2,3 has no transitive partition into {t} classes",
-            find_transitive_partition(g23, t, budget()) is None,
+            find_transitive_partition(g23, t, budget) is None,
         )
     ok = all(r["ok"] for r in results)
     return {"suite": "structures", "results": results, "ok": ok}, 0 if ok else 1
@@ -403,8 +393,8 @@ def _reproduce_structures(quick: bool, budget_args: argparse.Namespace) -> tuple
 
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[Any, int]:
     if args.suite == "structures":
-        return _reproduce_structures(args.quick, args)
-    return _reproduce_paper_values(args.suite, args.quick, args)
+        return _reproduce_structures(args.quick, args.budget)
+    return _reproduce_paper_values(args.suite, args.quick, args.budget)
 
 
 # --- parser -----------------------------------------------------------------
@@ -446,15 +436,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph spec, e.g. torus:5:3 or @file")
     p.add_argument("--variant", choices=[v.value for v in Variant], default="dominating")
     p.add_argument("--mode", choices=["min", "max-minimal"], default="min")
-    _add_budget_flags(p)
+    _add_budget_flags(p, 10_000_000, 60.0)
     p.set_defaults(handler=_cmd_domination_solve)
     p = dom.add_parser("verify-pair", help="paired value on the 5xN torus vs closed form")
     p.add_argument("--n", type=int, required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, 100_000_000, 600.0)
     p.set_defaults(handler=_cmd_domination_verify, suite="t1")
     p = dom.add_parser("verify-upper-total", help="largest minimal total set on 4xN torus vs 2n")
     p.add_argument("--n", type=int, required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, 100_000_000, 600.0)
     p.set_defaults(handler=_cmd_domination_verify, suite="n4")
     p = dom.add_parser("corollary", help="prefix-pruned search or size decision")
     p.add_argument("--graph", required=True)
@@ -464,8 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--epsilon", default="1/2")
     p.add_argument("--mode", choices=["search", "decide"], default="decide")
-    p.add_argument("--rd", action="store_true", help="use redundancy counts instead of sizes")
-    _add_budget_flags(p)
+    p.add_argument("--rd", action="store_true",
+                   help="use redundancy counts instead of sizes (dominating sets only)")
+    _add_budget_flags(p, 10_000_000, 60.0)
     p.set_defaults(handler=_cmd_domination_corollary)
 
     part = sub.add_parser("partition", help="vertex partitions").add_subparsers(
@@ -475,12 +466,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--transitive", action="store_true")
-    _add_budget_flags(p)
-    p.set_defaults(handler=_cmd_partition_check)
+    _add_budget_flags(p, 10_000_000, 60.0)
+    p.set_defaults(handler=_cmd_structure_check,
+                   check=(_partition_arg, validate_partition, "parts", is_transitive_partition))
     p = part.add_parser("find", help="search for a transitive partition into t classes")
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=int, required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, 10_000_000, 60.0)
     p.set_defaults(handler=_cmd_partition_find)
 
     dec = sub.add_parser("decomposition", help="edge decompositions").add_subparsers(
@@ -490,8 +482,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--decomposition", required=True, help="decomposition JSON file")
     p.add_argument("--transitive", action="store_true")
-    _add_budget_flags(p)
-    p.set_defaults(handler=_cmd_decomposition_check)
+    _add_budget_flags(p, 10_000_000, 60.0)
+    p.set_defaults(handler=_cmd_structure_check,
+                   check=(_decomposition, validate_decomposition, "pieces", is_transitive_decomposition))
 
     draw = sub.add_parser("drawing", help="combinatorial drawings").add_subparsers(
         dest="subcommand", required=True
@@ -524,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="re-run a verification suite")
     p.add_argument("--suite", choices=["t1", "n4", "structures"], required=True)
     p.add_argument("--quick", action="store_true", help="smaller instances only")
-    _add_budget_flags(p)
+    _add_budget_flags(p, 100_000_000, 600.0)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -533,6 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if hasattr(args, "budget_nodes"):
+            args.budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
         doc, code = args.handler(args)
     except BudgetExceededError as err:
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))

@@ -46,12 +46,7 @@ from .cyclic_core import BoundSpec, RationalLike
 # BudgetExceededError is re-exported: callers reach it through this module
 from .errors import BudgetExceededError, SearchBudget
 from .graphs import Graph, cartesian_cycles, iter_bits
-from .structures import (
-    CyclicSymmetry,
-    VertexPartition,
-    cyclic_symmetry_violations,
-    validate_partition,
-)
+from .structures import CyclicSymmetry, VertexPartition, cyclic_symmetry_violations
 
 __all__ = [
     "Variant",
@@ -90,7 +85,7 @@ class Variant(Enum):
 class SolveReport:
     value: int
     witness: tuple[int, ...]
-    nodes_explored: int
+    nodes_explored: int  # this solve's nodes, also on a budget shared with other searches
 
 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
@@ -325,6 +320,7 @@ def min_parameter(
     budget runs out and ValueError when no set of the variant exists at all.
     """
     budget = budget or SearchBudget()
+    start = budget.nodes
     if g.n == 0:
         return SolveReport(value=0, witness=(), nodes_explored=0)
     rows = _cover_rows(g, variant)
@@ -351,7 +347,7 @@ def min_parameter(
     cap = max(c.bit_count() for c in covers)  # no item covers more
     mask = _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
     return SolveReport(
-        value=mask.bit_count(), witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
+        value=mask.bit_count(), witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes - start
     )
 
 
@@ -436,9 +432,10 @@ def max_minimal_parameter(
     if variant not in (Variant.DOMINATING, Variant.TOTAL):
         raise ValueError("upper parameters are defined for dominating/total only")
     budget = budget or SearchBudget()
+    start = budget.nodes
     mask, size = _max_minimal_search(_cover_rows(g, variant), budget)
     return SolveReport(
-        value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes
+        value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes - start
     )
 
 
@@ -453,8 +450,8 @@ def _checked_parts(
     g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
 ) -> tuple[list[list[int]], list[int]]:
     """The parts as ascending vertex lists and each vertex's part index,
-    once the partition and its cyclic shift symmetry verify."""
-    validate_partition(g, partition)
+    once the partition and its cyclic shift symmetry verify (the symmetry
+    check validates the partition first)."""
     problems = cyclic_symmetry_violations(g, partition, symmetry)
     if problems:
         raise ValueError(f"cyclic symmetry does not verify: {problems[0]}")

@@ -85,41 +85,33 @@ def tile_power(q: Tile, t: int) -> Tile:
     return out
 
 
-def _closure_edges(q: Tile, t: int) -> tuple[int, set[tuple[int, int]]]:
+def _closure(q: Tile, t: int) -> tuple[Graph, list[tuple[set[int], list[tuple[int, int]]]]]:
+    """The closure of Q^t and its pieces as (vertices, edges).
+
+    Piece i is copy i (offset i * |V(q)|) plus the join bundle from copy i to
+    copy i+1 (mod t); its vertex set is copy i plus the bundle endpoints.  A
+    repeated join is a parallel edge, which `Graph.from_edges` refuses.
+    """
     if t < 2:
         raise ValueError("closing needs t >= 2 copies")
-    row = tile_power(q, t)
-    edges = set(row.graph.edges())
-    for j in range(q.width):
-        _join(edges, row.left[j], row.right[j])
-    return row.graph.n, edges
+    n0 = q.graph.n
+    pieces = []
+    for i in range(t):
+        base, nxt = i * n0, (i + 1) % t * n0
+        edges = [norm_edge(u + base, v + base) for u, v in q.graph.edges()]
+        edges += [norm_edge(base + r, nxt + l) for r, l in zip(q.right, q.left)]
+        pieces.append((set(range(base, base + n0)).union(nxt + l for l in q.left), edges))
+    return Graph.from_edges(t * n0, [e for _, edges in pieces for e in edges]), pieces
 
 
 def tile_close(q: Tile, t: int) -> Graph:
     """Cyclic closure of Q^t: the outer boundaries are joined as well."""
-    n, edges = _closure_edges(q, t)
-    return Graph.from_edges(n, sorted(edges))
+    return _closure(q, t)[0]
 
 
 def canonical_periodic_decomposition(q: Tile, t: int) -> tuple[Graph, EdgeDecomposition]:
-    """The closure of Q^t plus its decomposition into copy-plus-bundle pieces.
-
-    Piece i (copy offsets i * |V(q)|) holds copy i's internal edges and the
-    join bundle from copy i to copy i+1 (mod t); its vertex set is copy i
-    plus the bundle endpoints.
-    """
-    closure = tile_close(q, t)
-    n0 = q.graph.n
-    pieces = []
-    for i in range(t):
-        base = i * n0
-        nxt = ((i + 1) % t) * n0
-        verts = set(range(base, base + n0))
-        edges = {norm_edge(u + base, v + base) for u, v in q.graph.edges()}
-        for j in range(q.width):
-            u = base + q.right[j]
-            v = nxt + q.left[j]
-            edges.add(norm_edge(u, v))
-            verts.add(v)
-        pieces.append(Piece(vertices=frozenset(verts), edges=frozenset(edges)))
-    return closure, EdgeDecomposition(tuple(pieces))
+    """The closure of Q^t plus its decomposition into copy-plus-bundle pieces."""
+    closure, pieces = _closure(q, t)
+    return closure, EdgeDecomposition(
+        tuple(Piece(vertices=frozenset(verts), edges=frozenset(edges)) for verts, edges in pieces)
+    )

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from cyclecert.cli import main
-from cyclecert.domination import is_minimal_total_dominating, is_paired_dominating
+from cyclecert.domination import is_dominating, is_minimal_total_dominating, is_paired_dominating
 from cyclecert.formats import dump_json, emit_graph_text
 from cyclecert.graphs import cartesian_cycles, cycle
 
@@ -242,6 +242,37 @@ def test_domination_corollary_rd(capsys):
     assert code == 0 and doc["equals"]
 
 
+def test_domination_corollary_rd_search_prints_what_it_finds(capsys):
+    code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                    "--partition", "columns:3:3", "--shift", "columns:3:3",
+                    "--h", "3", "--rd", "--mode", "search")
+    assert code == 0 and doc["h"] == 3 and doc["found"] is True
+    assert len(doc["witness"]) <= 3
+    assert is_dominating(cartesian_cycles(3, 3), doc["witness"])
+    code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                    "--partition", "columns:3:3", "--shift", "columns:3:3",
+                    "--h", "2", "--rd", "--mode", "search")
+    assert code == 1 and doc == {"h": 2, "found": False}
+
+
+@pytest.mark.parametrize("extra", [["--h", "4"], ["--h", "3", "--mode", "search"]])
+def test_domination_corollary_rd_refuses_variants_other_than_dominating(capsys, extra):
+    # the redundancy search weighs dominating sets only; gamma_pr(C3xC3) = 4
+    code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                    "--partition", "columns:3:3", "--shift", "columns:3:3",
+                    "--rd", "--variant", "paired", *extra)
+    assert code == 2 and doc["error"] == "invalid input" and "--rd" in doc["detail"]
+
+
+def test_malformed_columns_shorthand_is_input_error(capsys):
+    code, doc = run(capsys, "partition", "check", "--graph", "torus:3:3",
+                    "--partition", "columns:3")
+    assert code == 2 and doc["error"] == "invalid input" and "columns:m:n" in doc["detail"]
+    code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                    "--partition", "columns:3:3", "--shift", "columns:x:3", "--h", "3")
+    assert code == 2 and doc["error"] == "invalid input" and "columns:m:n" in doc["detail"]
+
+
 def test_domination_corollary_bad_shift_is_input_error(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
                     "--partition", "columns:3:3", "--shift", "0,1,2,3,4,5,6,7,8",
@@ -253,6 +284,12 @@ def test_partition_check_and_transitive(capsys):
     code, doc = run(capsys, "partition", "check", "--graph", "torus:3:3",
                     "--partition", "columns:3:3", "--transitive")
     assert code == 0 and doc["valid"] and doc["transitive"]
+
+
+def test_partition_check_without_transitive_prints_only_validity(capsys):
+    code, doc = run(capsys, "partition", "check", "--graph", "torus:3:3",
+                    "--partition", "columns:3:3")
+    assert code == 0 and doc == {"valid": True, "parts": 3}
 
 
 def test_partition_find(capsys):
@@ -306,6 +343,9 @@ def test_decomposition_check(capsys, tmp_path):
     code, doc = run(capsys, "decomposition", "check", "--graph", "kmn:2:3",
                     "--decomposition", str(path), "--transitive")
     assert code == 0 and doc["valid"] and doc["transitive"]
+    code, doc = run(capsys, "decomposition", "check", "--graph", "kmn:2:3",
+                    "--decomposition", str(path))
+    assert code == 0 and doc == {"valid": True, "pieces": 2}
 
 
 def test_drawing_check_valid_and_invalid(capsys, tmp_path):
@@ -360,6 +400,10 @@ def test_drawing_certify(capsys, tmp_path):
     code, doc = run(capsys, "drawing", "certify", "--drawing", str(drawing),
                     "--pieces", str(pieces), "--h", "0")
     assert code == 0 and doc["found"]
+    # no crossings at all, so no rotation keeps the prefixes under -1/2
+    code, doc = run(capsys, "drawing", "certify", "--drawing", str(drawing),
+                    "--pieces", str(pieces), "--h", "-1")
+    assert code == 1 and doc == {"found": False, "cr_total": 0, "h": "-1"}
 
 
 def test_generate_text_matches_library(capsys):
@@ -394,6 +438,16 @@ def test_reproduce_structures_honours_the_node_budget(capsys):
 def test_reproduce_structures_honours_budget_seconds(capsys):
     code, doc = run(capsys, "reproduce", "--suite", "structures", "--budget-seconds", "0")
     assert code == 3 and doc == {"error": "budget exceeded", "detail": "time budget 0.0s exceeded"}
+
+
+def test_reproduce_spends_one_budget_across_its_instances(capsys):
+    # the three n4 instances spend 383, 2,979 and 14,274 nodes: each fits
+    # in 15,000, all three do not
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "15000")
+    assert code == 3 and doc == {"error": "budget exceeded",
+                                 "detail": "node budget 15000 exceeded"}
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "17636")
+    assert code == 0 and doc["ok"] is True
 
 
 def test_reproduce_t1_quick(capsys):

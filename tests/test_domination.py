@@ -398,6 +398,21 @@ def test_paired_capacity_is_the_largest_pair_cover():
     assert report.witness == (0, 1, 2, 4, 9, 11)
 
 
+@pytest.mark.parametrize("solve, variant", [
+    (min_parameter, Variant.TOTAL),
+    (min_parameter, Variant.PAIRED),
+    (max_minimal_parameter, Variant.TOTAL),
+])
+def test_a_solve_on_a_shared_budget_reports_only_its_own_nodes(solve, variant):
+    g = cartesian_cycles(4, 4)
+    fresh = solve(g, variant, SearchBudget()).nodes_explored
+    shared = SearchBudget()
+    first = solve(g, variant, shared)
+    second = solve(g, variant, shared)
+    assert first.nodes_explored == second.nodes_explored == fresh > 0
+    assert shared.nodes == 2 * fresh
+
+
 def test_max_minimal_rejects_paired():
     with pytest.raises(ValueError):
         max_minimal_parameter(cycle(4), Variant.PAIRED)

@@ -373,6 +373,34 @@ def test_column_tile_closes_to_torus():
     assert mapped == expected
 
 
+_CLOSABLE_TILES = {
+    "edge": Tile(Graph.from_edges(2, [(0, 1)]), (0,), (1,)),
+    "triangle column": Tile(cycle(3), (0, 1, 2), (0, 1, 2)),
+    "twisted path": Tile(Graph.from_edges(3, [(0, 1), (1, 2)]), (0, 2), (2, 0)),
+    "square rung": Tile(cycle(4), (0, 1), (3, 2)),
+    "point": Tile(Graph.from_edges(1, []), (0,), (0,)),
+}
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+@pytest.mark.parametrize("name", list(_CLOSABLE_TILES))
+def test_tile_close_is_the_power_plus_the_outer_joins(name, t):
+    q = _CLOSABLE_TILES[name]
+    row = tile_power(q, t)
+    outer = [(row.right[j], row.left[j]) for j in range(q.width)]
+    try:
+        expected = Graph.from_edges(row.graph.n, row.graph.edges() + outer)
+    except ValueError:
+        # with two copies an outer join can repeat an inner one
+        with pytest.raises(ValueError, match="parallel"):
+            tile_close(q, t)
+        return
+    assert tile_close(q, t) == expected
+    g, dec = canonical_periodic_decomposition(q, t)
+    assert g == tile_close(q, t)
+    validate_decomposition(g, dec)
+
+
 def test_canonical_periodic_decomposition_matches_closure():
     g, dec = canonical_periodic_decomposition(edge_tile(), 4)
     assert g == tile_close(edge_tile(), 4)
