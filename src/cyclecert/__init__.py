@@ -48,6 +48,7 @@ from .structures import (
     column_shift_symmetry,
     columns_partition,
     cyclic_symmetry_violations,
+    find_shift,
     find_transitive_partition,
     is_transitive_decomposition,
     is_transitive_partition,

@@ -9,12 +9,15 @@ search blew its budget.  The document is one compact line.
 `reproduce` suite shares it across its instances.  Each command declares its
 defaults with its flags: 10^8 nodes and 600 seconds for `verify-pair`,
 `verify-upper-total` and `reproduce`, 10^7 nodes and 60 seconds elsewhere.
+A negative node cap, or a time cap that is negative, infinite or NaN, is
+malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -68,6 +71,7 @@ from .structures import (
     CyclicSymmetry,
     column_shift_symmetry,
     columns_partition,
+    find_shift,
     find_transitive_partition,
     is_transitive_decomposition,
     is_transitive_partition,
@@ -235,7 +239,14 @@ def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
         raise ValueError("--rd weighs dominating sets only")
     g = _graph(args)
     partition = _partition_arg(args.partition)
-    shift = _shift_arg(args.shift)
+    if args.shift is not None:
+        shift = _shift_arg(args.shift)
+    else:
+        shift = find_shift(g, partition, args.budget)
+        if shift is None:
+            raise ValueError(
+                "no automorphism carries each part onto the next, so --shift cannot be derived"
+            )
     eps = as_fraction(args.epsilon)
 
     def search(h: int) -> Optional[frozenset[int]]:
@@ -449,7 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = dom.add_parser("corollary", help="prefix-pruned search or size decision")
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True, help="columns:m:n or a partition JSON file")
-    p.add_argument("--shift", required=True, help="columns:m:n or a comma permutation")
+    p.add_argument("--shift", default=None,
+                   help="columns:m:n or a comma permutation; found from the partition when omitted")
     p.add_argument("--variant", choices=[v.value for v in Variant], default="dominating")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--epsilon", default="1/2")
@@ -527,6 +539,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if hasattr(args, "budget_nodes"):
+            if args.budget_nodes < 0:
+                raise ValueError(f"--budget-nodes must be at least 0, got {args.budget_nodes}")
+            if not (math.isfinite(args.budget_seconds) and args.budget_seconds >= 0):
+                raise ValueError(
+                    f"--budget-seconds must be a finite number at least 0, got {args.budget_seconds}"
+                )
             args.budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
         doc, code = args.handler(args)
     except BudgetExceededError as err:

@@ -15,6 +15,13 @@ isomorphism.  Since g1's colors and stopping round never depend on g2, this
 is the joint refinement of both graphs with color ids shared, and it gives
 the same colors.
 
+Both sides may carry initial vertex colors, which enter round 0 as
+(degree, color) pairs in place of the degrees; an isomorphism found then
+maps every vertex to one of the same initial color.  `structures.find_shift`
+colors one graph by part index on one side and by part index minus one on
+the other, so that a match is an automorphism carrying each part onto the
+next.
+
 `prepare` also fixes the backtracking order, breadth first in the
 connectivity-first manner of VF2++ (Juttner and Madarasi, Discrete Applied
 Mathematics 242, 2018): level by level from the rarest-color,
@@ -29,11 +36,13 @@ Backtracking then maps vertices of g1 in that order, on an explicit stack so
 that the depth is not limited by the interpreter's recursion limit; a
 candidate image must carry the same color and reproduce the adjacency
 pattern against everything already mapped, which one bitmask comparison
-checks.
+checks.  `find_mapping` returns the bijection itself; `match` only says
+whether there is one.
 
 The search counts candidate assignments as nodes of the caller's
-`SearchBudget`, inline, and settles them with the budget once per call,
-which also reads its clock.  Past either cap it raises BudgetExceededError,
+`SearchBudget`, inline, and settles them with the budget every 4096 nodes
+and at the end of the call, which also reads its clock; a single long
+search thus stops on time.  Past either cap it raises BudgetExceededError,
 so "unknown" is never conflated with "not isomorphic".  Exactness over
 speed: no hashing shortcuts decide the positive answer, only an explicit
 bijection does.
@@ -44,12 +53,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import SearchBudget
 from .graphs import Graph, iter_bits
 
-__all__ = ["isomorphic", "prepare", "match", "PreparedGraph"]
+__all__ = ["isomorphic", "prepare", "match", "find_mapping", "PreparedGraph"]
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
@@ -63,25 +72,33 @@ def _neighbor_lists(g: Graph) -> list[list[int]]:
 class PreparedGraph:
     """The g1 side of an isomorphism test, reusable against any number of g2.
 
-    `rounds` holds (signature-to-color table, sorted colors) per refinement
-    round, the sorted colors standing for the color histogram; `back[d]` lists the vertices before position d of `order` that are
-    adjacent to order[d].
+    `initial` is the sorted round-0 colors: the degrees, or (degree, color)
+    pairs when initial colors are given.  `rounds` holds (signature-to-color
+    table, sorted colors) per refinement round, the sorted colors standing
+    for the color histogram; `back[d]` lists the vertices before position d
+    of `order` that are adjacent to order[d].
     """
 
     n: int
     edge_count: int
-    degree_sequence: list[int]
+    initial: list
     rounds: tuple[tuple[dict, list[int]], ...]
     colors: list[int]
     order: list[int]
     back: list[list[int]]
 
 
-def prepare(g: Graph) -> PreparedGraph:
-    """Refine g to a fixed point and fix its backtracking order."""
+def _initial_colors(degrees: list[int], colors: Optional[Sequence[int]]) -> list:
+    return degrees if colors is None else list(zip(degrees, colors, strict=True))
+
+
+def prepare(g: Graph, colors: Optional[Sequence[int]] = None) -> PreparedGraph:
+    """Refine g to a fixed point and fix its backtracking order; colors[v],
+    if given, is the initial color of vertex v."""
     nbrs = _neighbor_lists(g)
     degrees = [len(nb) for nb in nbrs]
-    cols = degrees
+    cols = _initial_colors(degrees, colors)
+    initial = sorted(cols)
     classes = len(set(cols))
     rounds = []
     while True:
@@ -102,7 +119,7 @@ def prepare(g: Graph) -> PreparedGraph:
     return PreparedGraph(
         n=g.n,
         edge_count=g.edge_count,
-        degree_sequence=sorted(degrees),
+        initial=initial,
         rounds=tuple(rounds),
         colors=cols,
         order=order,
@@ -152,29 +169,50 @@ def _breadth_first_order(nbrs: list[list[int]], degrees: list[int], cols: list[i
     return order
 
 
-def match(p: PreparedGraph, g2: Graph, budget: Optional[SearchBudget] = None) -> bool:
-    """Decide whether g2 is isomorphic to the prepared graph.
+def match(
+    p: PreparedGraph,
+    g2: Graph,
+    budget: Optional[SearchBudget] = None,
+    colors: Optional[Sequence[int]] = None,
+) -> bool:
+    """Decide whether g2, with initial colors if given, is isomorphic to the
+    prepared graph.
 
     Every candidate placement is one node of budget; raises
     BudgetExceededError when the budget runs out.
     """
+    return find_mapping(p, g2, budget, colors) is not None
+
+
+def find_mapping(
+    p: PreparedGraph,
+    g2: Graph,
+    budget: Optional[SearchBudget] = None,
+    colors: Optional[Sequence[int]] = None,
+) -> Optional[list[int]]:
+    """An isomorphism from the prepared graph onto g2 as a list of images,
+    or None when there is none; budget as in `match`."""
     budget = budget or SearchBudget()
-    found, nodes = _search(p, g2, budget.max_nodes - budget.nodes)
+    image, nodes = _search(p, g2, colors, budget)
     budget.charge(nodes)
-    return found
+    return image
 
 
-def _search(p: PreparedGraph, g2: Graph, limit: int) -> tuple[bool, int]:
-    """The answer and the nodes spent; past limit nodes it stops and reports
-    limit + 1, which the budget refuses."""
+def _search(
+    p: PreparedGraph, g2: Graph, colors: Optional[Sequence[int]], budget: SearchBudget
+) -> tuple[Optional[list[int]], int]:
+    """The images of a bijection, or None, and the nodes not yet charged.
+
+    Every 4096 nodes, and at the first node past the cap, it charges the
+    nodes so far, which reads the clock and raises past either cap."""
     if g2.n != p.n or g2.edge_count != p.edge_count:
-        return False, 0
+        return None, 0
     nbrs = _neighbor_lists(g2)
-    cols = [len(nb) for nb in nbrs]
-    if sorted(cols) != p.degree_sequence:
-        return False, 0
+    cols = _initial_colors([len(nb) for nb in nbrs], colors)
+    if sorted(cols) != p.initial:
+        return None, 0
     if p.n == 0:
-        return True, 0
+        return [], 0
     for table, histogram in p.rounds:
         cols = [
             table.get((cols[v], tuple(sorted([cols[u] for u in nb]))), -1)
@@ -182,7 +220,7 @@ def _search(p: PreparedGraph, g2: Graph, limit: int) -> tuple[bool, int]:
         ]
         # A signature g1 never produced maps to -1, which no g1 color is.
         if sorted(cols) != histogram:
-            return False, 0
+            return None, 0
     by_color: dict[int, list[int]] = {}
     for w, c in enumerate(cols):
         by_color.setdefault(c, []).append(w)
@@ -193,6 +231,7 @@ def _search(p: PreparedGraph, g2: Graph, limit: int) -> tuple[bool, int]:
     resume = [0] * n  # per depth: index of the next candidate to try
     used = 0
     nodes = 0
+    checkpoint = min(budget.max_nodes - budget.nodes, 4096)
     depth = 0
     start = 0
     while True:
@@ -206,8 +245,10 @@ def _search(p: PreparedGraph, g2: Graph, limit: int) -> tuple[bool, int]:
             if used >> w & 1:
                 continue
             nodes += 1
-            if nodes > limit:
-                return False, nodes
+            if nodes > checkpoint:
+                budget.charge(nodes)
+                nodes = 0
+                checkpoint = min(budget.max_nodes - budget.nodes, 4096)
             if adj2[w] & used != want:
                 continue
             image[order[depth]] = w
@@ -215,13 +256,13 @@ def _search(p: PreparedGraph, g2: Graph, limit: int) -> tuple[bool, int]:
             resume[depth] = k + 1
             depth += 1
             if depth == n:
-                return True, nodes
+                return image, nodes
             start = 0
             break
         else:
             depth -= 1
             if depth < 0:
-                return False, nodes
+                return None, nodes
             used ^= 1 << image[order[depth]]
             start = resume[depth]
 

@@ -1,5 +1,5 @@
-"""Cyclically ordered vertex partitions and edge decompositions, with the
-window-isomorphism test for transitivity.
+"""Cyclically ordered vertex partitions and edge decompositions, and their
+transitivity: one verified shift automorphism, or else the window test.
 
 A decomposition (or partition) carries its parts in a fixed cyclic order.
 The window w(i, len) is the union of `len` consecutive parts starting at
@@ -9,17 +9,34 @@ edge decompositions a window is the graph (union of piece vertex sets,
 union of piece edge sets); for vertex partitions it is the subgraph induced
 on the union of the parts.  Single-part windows are compared too, so a
 partition into parts of unequal size can never be transitive, and the
-length-t window is the whole graph for every start, which the checker uses
-as a free sanity identity.
+length-t window is the whole graph for every start.
 
-Windows are grown, not rebuilt, and labelled in part order: each start
-keeps a labelling (original id to window label) and the window's adjacency
-rows in those labels, and takes in one more part per length.  A new part
-labels its not-yet-seen vertices in increasing id order after the labels
-already given, then ORs in its edges, each once both ends have labels.  A
-piece brings its own edges; a partition part brings (v, u) for every
-neighbour u of each of its vertices v, so each edge of the induced subgraph
-arrives from whichever side comes second.
+The shift path comes first.  An automorphism sigma of g with
+sigma(V_i) = V_{i+1} for every part i (for a decomposition: carrying the
+vertex and edge sets of piece i onto those of piece i+1) maps window (i, len)
+onto window (j, len) through sigma^(j-i), so one sigma proves all t^2 window
+isomorphisms at once.  `find_shift` looks for one with a single colored
+`iso` search of the structure against itself: every vertex is colored by
+its part index on one side and by its part index minus one on the other.
+A decomposition is searched as its incidence graph, with a node per vertex,
+a node per edge colored by its piece, and a node per piece adjacent to the
+piece's declared vertices.  The round-0 (degree, color) histograms of both
+sides are compared before anything is refined, so a structure that cannot
+have a shift costs O(|V|) here.  The sigma found counts only after
+`cyclic_symmetry_violations` re-checks it, so a positive answer rests on an
+explicit, checked bijection.
+
+The window test runs only when no shift exists: on every negative, and on a
+transitive structure without a cyclic automorphism (a triangle with a
+pendant edge, split into two edges, is one).  `transitive_by_windows` runs
+it alone.  Windows are grown, not rebuilt, and labelled in part order: each
+start keeps a labelling (original id to window label) and the window's
+adjacency rows in those labels, and takes in one more part per length.  A
+new part labels its not-yet-seen vertices in increasing id order after the
+labels already given, then ORs in its edges, each once both ends have
+labels.  A piece brings its own edges; a partition part brings (v, u) for
+every neighbour u of each of its vertices v, so each edge of the induced
+subgraph arrives from whichever side comes second.
 
 Pairwise isomorphism of each length class is established by comparing every
 window against the first (isomorphism is an equivalence relation).  Within a
@@ -27,35 +44,34 @@ length the checker keeps the adjacency tuples already shown isomorphic to
 that anchor: the anchor itself and every window matched to it.  A window
 whose labelled adjacency equals one of them is isomorphic to it through the
 explicit bijection phi_j^-1 o phi_i, where phi is the part-order labelling,
-and needs no search; on cyclically symmetric inputs that is most windows
-(every column window of a torus, every singleton window of a cycle).  Only
-the others go to `iso.match` against the anchor, prepared once per length
-(`iso.prepare`), which refuses at once on a different order, edge count or
-degree sequence.  The positive answer therefore always rests on explicit
-bijections.
+and needs no search.  Of the others, one whose degree sequence differs from
+the anchor's is refuted at once; the rest go to `iso.match` against the
+anchor, prepared once per length (`iso.prepare`).
 
 The transitivity checks and the partition search take one optional
-`SearchBudget`, shared by all the isomorphism nodes under the call and, in
-the partition search, by one node per class tried.  The budget's clock is
-read at every window built, as well as in each `match`, so a check whose
-windows all come out equal still stops on time.  Running out of it raises
-BudgetExceededError.
+`SearchBudget`, shared by the shift search, all the isomorphism nodes of the
+window test and, in the partition search, one node per class tried.  The
+budget's clock is read at every window built, as well as in each search, so
+a check whose windows all come out equal still stops on time.  Running out
+of it raises BudgetExceededError.
 
 `find_transitive_partition` searches cyclically ordered partitions of the
-vertex set into t classes up to rotation and reflection.  Since
-single-part windows force equal class sizes, only t dividing |V| can ever
-succeed, and the enumeration walks equal-size classes only.
+vertex set into t classes up to rotation and reflection, and tries each
+complete candidate as above: shift first, windows when there is none.
+Since single-part windows force equal class sizes, only t dividing |V| can
+ever succeed, and the enumeration walks equal-size classes only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import SearchBudget
 from .graphs import Graph, iter_bits, norm_edge
-from .iso import match, prepare
+from .iso import find_mapping, match, prepare
 
 __all__ = [
     "VertexPartition",
@@ -70,6 +86,8 @@ __all__ = [
     "circulant14_decomposition",
     "is_transitive_partition",
     "is_transitive_decomposition",
+    "find_shift",
+    "transitive_by_windows",
     "find_transitive_partition",
     "column_shift_symmetry",
     "cyclic_symmetry_violations",
@@ -120,6 +138,9 @@ class CyclicSymmetry:
             raise ValueError("sigma must be a permutation of 0..n-1")
 
 
+Structure = Union[VertexPartition, EdgeDecomposition]
+
+
 def validate_partition(g: Graph, partition: VertexPartition) -> None:
     """Raise ValueError unless the parts cover V(g) disjointly."""
     seen: set[int] = set()
@@ -152,6 +173,13 @@ def validate_decomposition(g: Graph, decomposition: EdgeDecomposition) -> None:
             seen.add(e)
     if len(seen) != g.edge_count:
         raise ValueError("piece edges do not cover every edge")
+
+
+def _validate(g: Graph, structure: Structure) -> None:
+    if isinstance(structure, VertexPartition):
+        validate_partition(g, structure)
+    else:
+        validate_decomposition(g, structure)
 
 
 def columns_partition(m: int, n: int) -> VertexPartition:
@@ -224,15 +252,20 @@ def _mask(vertices: Iterable[int]) -> int:
 _Part = tuple[list[int], list[tuple[int, int]]]
 
 
-def _windows_all_isomorphic(n: int, parts: list[_Part], budget: SearchBudget) -> bool:
+def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget) -> bool:
+    parts: list[_Part]
+    if isinstance(structure, VertexPartition):
+        parts = [(sorted(p), [(v, u) for v in p for u in iter_bits(g.adj[v])]) for p in structure.parts]
+    else:
+        parts = [(sorted(piece.vertices), list(piece.edges)) for piece in structure.pieces]
     t = len(parts)
-    labels = [[-1] * n for _ in range(t)]
+    labels = [[-1] * g.n for _ in range(t)]
     rows: list[list[int]] = [[] for _ in range(t)]
     for length in range(t):
         # the adjacency tuples of this length known to be isomorphic to the
         # anchor (the start-0 window): the anchor and every window matched
         known: set[tuple[int, ...]] = set()
-        prepared = None
+        degrees = prepared = None
         for i in range(t):
             vertices, edges = parts[(i + length) % t]
             label, acc = labels[i], rows[i]
@@ -251,6 +284,12 @@ def _windows_all_isomorphic(n: int, parts: list[_Part], budget: SearchBudget) ->
             if not known:
                 anchor = window
             elif window not in known:
+                # a different order or degree sequence refutes before the
+                # anchor is prepared
+                if degrees is None:
+                    degrees = sorted(row.bit_count() for row in anchor)
+                if sorted(row.bit_count() for row in window) != degrees:
+                    return False
                 if prepared is None:
                     prepared = prepare(Graph(len(anchor), anchor))
                 if not match(prepared, Graph(len(window), window), budget):
@@ -259,22 +298,107 @@ def _windows_all_isomorphic(n: int, parts: list[_Part], budget: SearchBudget) ->
     return True
 
 
+def _incidence_graph(g: Graph, decomposition: EdgeDecomposition) -> tuple[Graph, list[int], list[int]]:
+    """The incidence graph of a decomposition, and its node colors by piece
+    index and by piece index minus one.
+
+    Nodes 0..n-1 are the vertices (color -1 on both sides), then come one
+    node per edge, adjacent to its ends and colored by its piece i, then one
+    node per piece, adjacent to the piece's declared vertices and colored
+    t + i.
+    """
+    pieces = decomposition.pieces
+    t = len(pieces)
+    rows = [0] * g.n
+    colors, shifted = [-1] * g.n, [-1] * g.n
+    for i, piece in enumerate(pieces):
+        for u, v in piece.edges:
+            bit = 1 << len(rows)
+            rows[u] |= bit
+            rows[v] |= bit
+            rows.append(1 << u | 1 << v)
+        colors += [i] * len(piece.edges)
+        shifted += [(i - 1) % t] * len(piece.edges)
+    for i, piece in enumerate(pieces):
+        bit = 1 << len(rows)
+        for v in piece.vertices:
+            rows[v] |= bit
+        rows.append(_mask(piece.vertices))
+    colors += [t + i for i in range(t)]
+    shifted += [t + (i - 1) % t for i in range(t)]
+    return Graph(len(rows), tuple(rows)), colors, shifted
+
+
+def find_shift(
+    g: Graph, structure: Structure, budget: Optional[SearchBudget] = None
+) -> Optional[CyclicSymmetry]:
+    """An automorphism of g carrying part i onto part i+1 (for a
+    decomposition: the vertices and edges of piece i onto those of piece
+    i+1) for every i, or None when there is none.
+
+    One colored isomorphism search of the structure against itself, colored
+    by part index on one side and by part index minus one on the other; a
+    decomposition is searched as its incidence graph.  The sigma it returns
+    has passed `cyclic_symmetry_violations`.  Raises BudgetExceededError when
+    the budget runs out.
+    """
+    _validate(g, structure)
+    return _find_shift(g, structure, budget or SearchBudget())
+
+
+def _find_shift(g: Graph, structure: Structure, budget: SearchBudget) -> Optional[CyclicSymmetry]:
+    if isinstance(structure, VertexPartition):
+        h = g
+        t = len(structure.parts)
+        colors = [0] * g.n
+        for i, part in enumerate(structure.parts):
+            for v in part:
+                colors[v] = i
+        shifted = [(c - 1) % t for c in colors]
+    else:
+        h, colors, shifted = _incidence_graph(g, structure)
+    # the round-0 histograms, so that a structure without a shift costs
+    # O(|V|) before any refinement
+    degrees = [row.bit_count() for row in h.adj]
+    if Counter(zip(degrees, colors)) != Counter(zip(degrees, shifted)):
+        return None
+    image = find_mapping(prepare(h, colors), h, budget, shifted)
+    if image is None:
+        return None
+    shift = CyclicSymmetry(tuple(image[: g.n]))
+    return None if cyclic_symmetry_violations(g, structure, shift) else shift
+
+
+def transitive_by_windows(
+    g: Graph, structure: Structure, budget: Optional[SearchBudget] = None
+) -> bool:
+    """The window test alone: for every length 1..t, all t windows are
+    pairwise isomorphic."""
+    _validate(g, structure)
+    return _windows_all_isomorphic(g, structure, budget or SearchBudget())
+
+
+def _is_transitive(g: Graph, structure: Structure, budget: SearchBudget) -> bool:
+    """A shift, or else the window test, on a structure already validated."""
+    return _find_shift(g, structure, budget) is not None or _windows_all_isomorphic(
+        g, structure, budget
+    )
+
+
 def is_transitive_partition(
     g: Graph, partition: VertexPartition, budget: Optional[SearchBudget] = None
 ) -> bool:
-    """Window test over induced subgraphs for every length 1..t."""
+    """A verified shift, or else the window test over induced subgraphs."""
     validate_partition(g, partition)
-    parts = [(sorted(p), [(v, u) for v in p for u in iter_bits(g.adj[v])]) for p in partition.parts]
-    return _windows_all_isomorphic(g.n, parts, budget or SearchBudget())
+    return _is_transitive(g, partition, budget or SearchBudget())
 
 
 def is_transitive_decomposition(
     g: Graph, decomposition: EdgeDecomposition, budget: Optional[SearchBudget] = None
 ) -> bool:
-    """Window test over piece unions for every length 1..t."""
+    """A verified shift, or else the window test over piece unions."""
     validate_decomposition(g, decomposition)
-    parts = [(sorted(piece.vertices), list(piece.edges)) for piece in decomposition.pieces]
-    return _windows_all_isomorphic(g.n, parts, budget or SearchBudget())
+    return _is_transitive(g, decomposition, budget or SearchBudget())
 
 
 def find_transitive_partition(
@@ -284,10 +408,10 @@ def find_transitive_partition(
 
     Candidates are deduplicated up to rotation (vertex 0 pinned to class 0)
     and reflection (class 1 anchored below class t-1).  Meant for small
-    graphs; each class tried is one node of budget, and the window test of
-    each complete candidate spends the same budget.  Equal class sizes are
-    forced by single-part windows, so t must divide |V| for any witness to
-    exist.
+    graphs; each class tried is one node of budget, and each complete
+    candidate is checked for a shift, then by the window test if it has
+    none, on the same budget.  Equal class sizes are forced by single-part
+    windows, so t must divide |V| for any witness to exist.
     """
     if not 2 <= t <= g.n:
         raise ValueError(f"t must be in 2..{g.n}")
@@ -341,10 +465,12 @@ def column_shift_symmetry(m: int, n: int) -> CyclicSymmetry:
 
 
 def cyclic_symmetry_violations(
-    g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
+    g: Graph, structure: Structure, symmetry: CyclicSymmetry
 ) -> list[str]:
-    """All of sigma's failures: non-automorphism edges, then non-shifted parts."""
-    validate_partition(g, partition)
+    """All of sigma's failures: non-automorphism edges, then parts not
+    carried onto the next part (for a decomposition: pieces whose vertex or
+    edge set is not carried onto the next piece's)."""
+    _validate(g, structure)
     sigma = symmetry.sigma
     if len(sigma) != g.n:
         return [f"permutation length {len(sigma)} does not match {g.n} vertices"]
@@ -354,17 +480,27 @@ def cyclic_symmetry_violations(
             out.append(
                 f"automorphism: edge ({u}, {v}) maps to non-edge ({sigma[u]}, {sigma[v]})"
             )
-    t = len(partition.parts)
-    for i, part in enumerate(partition.parts):
-        image = frozenset(sigma[v] for v in part)
-        succ = partition.parts[(i + 1) % t]
-        if image != succ:
-            out.append(f"shift: part {i} does not map onto part {(i + 1) % t}")
+    if isinstance(structure, VertexPartition):
+        parts = structure.parts
+        for i, part in enumerate(parts):
+            j = (i + 1) % len(parts)
+            if frozenset(sigma[v] for v in part) != parts[j]:
+                out.append(f"shift: part {i} does not map onto part {j}")
+        return out
+    pieces = structure.pieces
+    for i, piece in enumerate(pieces):
+        j = (i + 1) % len(pieces)
+        succ = pieces[j]
+        if frozenset(sigma[v] for v in piece.vertices) != succ.vertices:
+            out.append(f"shift: the vertices of piece {i} do not map onto piece {j}")
+        image = {norm_edge(sigma[u], sigma[v]) for u, v in piece.edges}
+        if image != {norm_edge(u, v) for u, v in succ.edges}:
+            out.append(f"shift: the edges of piece {i} do not map onto piece {j}")
     return out
 
 
 def verify_cyclic_symmetry(
-    g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
+    g: Graph, structure: Structure, symmetry: CyclicSymmetry
 ) -> bool:
     """True when sigma is an automorphism carrying every part to the next."""
-    return not cyclic_symmetry_violations(g, partition, symmetry)
+    return not cyclic_symmetry_violations(g, structure, symmetry)

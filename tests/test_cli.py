@@ -6,7 +6,7 @@ import pytest
 from cyclecert.cli import main
 from cyclecert.domination import is_dominating, is_minimal_total_dominating, is_paired_dominating
 from cyclecert.formats import dump_json, emit_graph_text
-from cyclecert.graphs import cartesian_cycles, cycle
+from cyclecert.graphs import Graph, cartesian_cycles, cycle
 
 
 def run(capsys, *argv):
@@ -190,6 +190,23 @@ def test_domination_solve_max_minimal_long_cycle_is_budget_exceeded(capsys):
                                  "detail": "node budget 1000 exceeded"}
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--budget-seconds", "nan"),
+        ("--budget-seconds", "inf"),
+        ("--budget-seconds", "-1"),
+        ("--budget-nodes", "-5"),
+    ],
+)
+def test_bad_budget_caps_are_input_errors(capsys, flag, value):
+    # a NaN deadline is never reached, so it would switch the clock off
+    start = time.monotonic()
+    code, doc = run(capsys, "partition", "find", "--graph", "kmn:3:10", "--t", "13", flag, value)
+    assert time.monotonic() - start < 5
+    assert code == 2 and doc["error"] == "invalid input" and flag in doc["detail"]
+
+
 def test_budget_flag_overrides_the_default(capsys):
     code, doc = run(capsys, "domination", "solve", "--graph", "torus:4:4",
                     "--variant", "total", "--budget-nodes", "1")
@@ -273,6 +290,23 @@ def test_malformed_columns_shorthand_is_input_error(capsys):
     assert code == 2 and doc["error"] == "invalid input" and "columns:m:n" in doc["detail"]
 
 
+def test_domination_corollary_derives_the_shift(capsys):
+    code, given = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                      "--partition", "columns:3:3", "--shift", "columns:3:3", "--h", "3")
+    code_derived, derived = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                                "--partition", "columns:3:3", "--h", "3")
+    assert code == code_derived == 0 and derived == given == {"h": 3, "equals": True}
+
+
+def test_domination_corollary_without_a_shift_is_input_error(capsys, tmp_path):
+    # parts of sizes 4 and 5 cannot be carried onto each other
+    path = tmp_path / "halves.json"
+    path.write_text(dump_json({"parts": [[0, 1, 2, 3], [4, 5, 6, 7, 8]]}), encoding="utf-8")
+    code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                    "--partition", str(path), "--h", "3")
+    assert code == 2 and doc["error"] == "invalid input" and "--shift" in doc["detail"]
+
+
 def test_domination_corollary_bad_shift_is_input_error(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
                     "--partition", "columns:3:3", "--shift", "0,1,2,3,4,5,6,7,8",
@@ -300,8 +334,9 @@ def test_partition_find(capsys):
 
 
 def test_partition_find_honours_budget_seconds(capsys):
+    # 12!/2 candidate orders of the 13 singleton classes, each refuted
     start = time.monotonic()
-    code = main(["partition", "find", "--graph", "cycle:1000", "--t", "1000",
+    code = main(["partition", "find", "--graph", "kmn:3:10", "--t", "13",
                  "--budget-seconds", "1"])
     out = capsys.readouterr().out
     assert time.monotonic() - start < 5
@@ -310,15 +345,29 @@ def test_partition_find_honours_budget_seconds(capsys):
 
 
 def test_partition_check_transitive_honours_budget_seconds(capsys, tmp_path):
-    # singleton classes of a 1000-cycle in order are transitive, but the
-    # window test builds 10^6 windows, far more than the budget allows
+    # a 1000-cycle with the chord 0-500 has no shift of its singleton
+    # classes, as two vertices have degree 3; every window up to length 500
+    # is a path, and the window test builds 500,000 of them before a chord
+    # refutes it, far more than the budget allows
+    graph = tmp_path / "chord.txt"
+    graph.write_text(emit_graph_text(Graph.from_edges(1000, cycle(1000).edges() + [(0, 500)])))
+    path = tmp_path / "singletons.json"
+    path.write_text(dump_json({"parts": [[v] for v in range(1000)]}), encoding="utf-8")
+    start = time.monotonic()
+    code, doc = run(capsys, "partition", "check", "--graph", f"@{graph}",
+                    "--partition", str(path), "--transitive", "--budget-seconds", "0.5")
+    assert time.monotonic() - start < 5
+    assert code == 3 and doc["error"] == "budget exceeded"
+
+
+def test_partition_check_transitive_answers_on_the_singletons_of_cycle_1000(capsys, tmp_path):
     path = tmp_path / "singletons.json"
     path.write_text(dump_json({"parts": [[v] for v in range(1000)]}), encoding="utf-8")
     start = time.monotonic()
     code, doc = run(capsys, "partition", "check", "--graph", "cycle:1000",
-                    "--partition", str(path), "--transitive", "--budget-seconds", "0.5")
-    assert time.monotonic() - start < 5
-    assert code == 3 and doc["error"] == "budget exceeded"
+                    "--partition", str(path), "--transitive")
+    assert time.monotonic() - start < 2
+    assert code == 0 and doc == {"valid": True, "parts": 1000, "transitive": True}
 
 
 def test_partition_check_transitive_answers_on_the_singletons_of_cycle_100(capsys, tmp_path):
@@ -430,9 +479,12 @@ def test_reproduce_structures_quick(capsys):
 def test_reproduce_structures_honours_the_node_budget(capsys):
     code, doc = run(capsys, "reproduce", "--suite", "structures", "--budget-nodes", "1")
     assert code == 3 and doc["error"] == "budget exceeded"
-    # the quick instances stay within one isomorphism node and no candidate
-    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "1")
+    # the quick instances spend 32 nodes in their shift searches and try no
+    # candidate partition
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "32")
     assert code == 0 and doc["ok"]
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "31")
+    assert code == 3 and doc == {"error": "budget exceeded", "detail": "node budget 31 exceeded"}
 
 
 def test_reproduce_structures_honours_budget_seconds(capsys):

@@ -10,7 +10,7 @@ from cyclecert.graphs import (
     cycle,
     norm_edge,
 )
-from cyclecert.iso import isomorphic, match, prepare
+from cyclecert.iso import find_mapping, isomorphic, match, prepare
 from cyclecert.structures import (
     CyclicSymmetry,
     EdgeDecomposition,
@@ -20,11 +20,13 @@ from cyclecert.structures import (
     column_shift_symmetry,
     columns_partition,
     cyclic_symmetry_violations,
+    find_shift,
     find_transitive_partition,
     is_transitive_decomposition,
     is_transitive_partition,
     star_decomposition_bipartite,
     star_decomposition_complete,
+    transitive_by_windows,
     validate_decomposition,
     validate_partition,
     verify_cyclic_symmetry,
@@ -69,6 +71,27 @@ def test_isomorphic_distinguishes_cycle_pair_from_hexagon():
 def test_isomorphic_budget_raises():
     with pytest.raises(BudgetExceededError):
         isomorphic(cycle(12), cycle(12), SearchBudget(max_nodes=2))
+
+
+def test_one_long_match_reads_the_clock():
+    # both graphs are 2-regular, so refinement leaves one color class and the
+    # search backtracks over far more than 10^9 placements
+    halves = Graph.from_edges(1200, [(i, i + 1 if i % 600 != 599 else i - 599) for i in range(1200)])
+    prepared = prepare(cycle(1200))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        match(prepared, halves, SearchBudget(max_nodes=10**9, max_seconds=0.2))
+    assert time.monotonic() - start < 5
+
+
+def test_initial_colors_restrict_the_mapping():
+    # a path 0-1-2: colored ends may not swap, so only the identity is left
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    prepared = prepare(path, [0, 1, 2])
+    assert find_mapping(prepared, path, colors=[0, 1, 2]) == [0, 1, 2]
+    assert find_mapping(prepared, path, colors=[2, 1, 0]) == [2, 1, 0]
+    assert not match(prepared, path, colors=[1, 0, 2])
+    assert match(prepare(path), path)
 
 
 # --- partition and decomposition validation ------------------------------------
@@ -158,15 +181,17 @@ def test_star_decomposition_complete_rejects_even():
         star_decomposition_complete(6)
 
 
-def test_k4_perfect_matchings_are_transitive():
-    g = complete(4)
+def _k4_matchings() -> EdgeDecomposition:
     all_v = frozenset(range(4))
-    dec = EdgeDecomposition((
+    return EdgeDecomposition((
         Piece(all_v, frozenset({(0, 1), (2, 3)})),
         Piece(all_v, frozenset({(0, 2), (1, 3)})),
         Piece(all_v, frozenset({(0, 3), (1, 2)})),
     ))
-    assert is_transitive_decomposition(g, dec)
+
+
+def test_k4_perfect_matchings_are_transitive():
+    assert is_transitive_decomposition(complete(4), _k4_matchings())
 
 
 def test_circulant14_decomposition_is_valid_and_transitive():
@@ -218,9 +243,10 @@ def test_find_transitive_partition_budget():
 @pytest.mark.parametrize(
     "g, t",
     [
-        # the first candidate is transitive, but its window test alone builds
-        # 10^6 windows of up to 1,000 vertices
-        (cycle(1000), 1000),
+        # the 13 singleton classes pass the class screen in every order, so
+        # the search walks 12!/2 candidates; none has a shift, as the degrees
+        # differ, and the window test refutes each one
+        (complete_bipartite(3, 10), 13),
         # no half of the star passes the class screen against its complement,
         # so the search tries about 7 * 10^10 classes and never a candidate
         (complete_bipartite(1, 39), 2),
@@ -240,7 +266,7 @@ def test_transitive_decomposition_spends_the_shared_node_budget():
 
 
 def test_one_budget_accumulates_over_two_window_tests():
-    # about half of the K13 half-star windows differ as labelled and need match
+    # each check spends the same nodes, those of its shift search
     g = complete(13)
     dec = star_decomposition_complete(13)
     budget = SearchBudget()
@@ -255,16 +281,16 @@ def test_equal_windows_need_no_search():
     # columns of a torus and singletons of a cycle, labelled in part order,
     # give the same adjacency at every start, so no window reaches match
     budget = SearchBudget()
-    assert is_transitive_partition(cartesian_cycles(4, 4), columns_partition(4, 4), budget)
+    assert transitive_by_windows(cartesian_cycles(4, 4), columns_partition(4, 4), budget)
     singletons = VertexPartition(tuple(frozenset({v}) for v in range(100)))
-    assert is_transitive_partition(cycle(100), singletons, budget)
+    assert transitive_by_windows(cycle(100), singletons, budget)
     assert budget.nodes == 0
 
 
 def test_equal_windows_still_read_the_clock():
     singletons = VertexPartition(tuple(frozenset({v}) for v in range(100)))
     with pytest.raises(BudgetExceededError, match="time budget"):
-        is_transitive_partition(cycle(100), singletons, SearchBudget(max_seconds=0))
+        transitive_by_windows(cycle(100), singletons, SearchBudget(max_seconds=0))
 
 
 # --- cyclic shift symmetries -----------------------------------------------------
@@ -304,6 +330,70 @@ def test_shift_length_mismatch():
 def test_cyclic_symmetry_rejects_non_permutation():
     with pytest.raises(ValueError):
         CyclicSymmetry((0, 0, 1))
+
+
+# --- shift search ------------------------------------------------------------------
+
+
+def test_recheck_refuses_a_shift_one_part_off():
+    g = cartesian_cycles(3, 5)
+    sigma = column_shift_symmetry(3, 5).sigma
+    by_two = CyclicSymmetry(tuple(sigma[v] for v in sigma))  # an automorphism
+    problems = cyclic_symmetry_violations(g, columns_partition(3, 5), by_two)
+    assert problems == [f"shift: part {i} does not map onto part {(i + 1) % 5}" for i in range(5)]
+    g, dec = complete(7), star_decomposition_complete(7)
+    assert verify_cyclic_symmetry(g, dec, CyclicSymmetry(tuple((v + 1) % 7 for v in range(7))))
+    problems = cyclic_symmetry_violations(g, dec, CyclicSymmetry(tuple((v + 2) % 7 for v in range(7))))
+    assert len(problems) == 14 and all(msg.startswith("shift: the ") for msg in problems)
+
+
+def test_recheck_refuses_a_map_that_moves_a_pieces_edges_wrongly():
+    # every piece declares all four vertices, so any permutation carries the
+    # vertex sets correctly; the identity keeps each matching where it is
+    g, dec = complete(4), _k4_matchings()
+    problems = cyclic_symmetry_violations(g, dec, CyclicSymmetry((0, 1, 2, 3)))
+    assert problems == [
+        f"shift: the edges of piece {i} do not map onto piece {(i + 1) % 3}" for i in range(3)
+    ]
+    shift = find_shift(g, dec)
+    assert shift is not None and verify_cyclic_symmetry(g, dec, shift)
+
+
+def test_cycle_singletons_answer_through_the_rotation():
+    singletons = VertexPartition(tuple(frozenset({v}) for v in range(1000)))
+    start = time.monotonic()
+    assert is_transitive_partition(cycle(1000), singletons)
+    assert time.monotonic() - start < 2
+    shift = find_shift(cycle(1000), singletons)
+    assert shift is not None and shift.sigma == tuple((v + 1) % 1000 for v in range(1000))
+
+
+def test_one_part_is_transitive_through_an_automorphism():
+    g = complete_bipartite(2, 3)
+    whole = VertexPartition((frozenset(range(5)),))
+    assert find_shift(g, whole) is not None
+    assert is_transitive_partition(g, whole)
+    dec = EdgeDecomposition((Piece(frozenset(range(5)), frozenset(g.edges())),))
+    assert find_shift(g, dec) is not None
+    assert is_transitive_decomposition(g, dec)
+
+
+def test_negatives_have_no_shift_and_stay_negative():
+    g = complete_bipartite(2, 3)
+    sides = VertexPartition((frozenset({0, 1}), frozenset({2, 3, 4})))
+    assert find_shift(g, sides) is None
+    assert not is_transitive_partition(g, sides)
+    assert find_transitive_partition(complete_bipartite(3, 4), 7) is None
+
+
+def test_transitive_without_a_shift_falls_back_to_the_windows():
+    # a triangle 0-1-2 with a pendant edge 0-3, split into the edges {1, 2}
+    # and {0, 3}: both one-part windows are an edge, but no automorphism
+    # swaps the parts, as their degrees in g differ
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    parts = VertexPartition((frozenset({1, 2}), frozenset({0, 3})))
+    assert find_shift(g, parts) is None
+    assert is_transitive_partition(g, parts)
 
 
 # --- tiles -----------------------------------------------------------------------
@@ -613,6 +703,40 @@ def test_transitive_decomposition_agrees_with_reference():
         assert is_transitive_decomposition(g, dec) == expected
         answers.append(expected)
     assert any(answers) and not all(answers)
+
+
+def test_shift_partition_agrees_with_reference():
+    # the cases of test_transitive_partition_agrees_with_reference
+    rng = random.Random(31)
+    shifts = 0
+    for _ in range(120):
+        g, part = _random_partition_case(rng)
+        expected = reference_transitive(
+            lambda i, length: reference_partition_window(g, part.parts, i, length), len(part.parts)
+        )
+        shift = find_shift(g, part)
+        if shift is not None:
+            shifts += 1
+            assert expected and verify_cyclic_symmetry(g, part, shift)
+        assert transitive_by_windows(g, part) == expected
+    assert shifts > 0
+
+
+def test_shift_decomposition_agrees_with_reference():
+    # the cases of test_transitive_decomposition_agrees_with_reference
+    rng = random.Random(37)
+    shifts = 0
+    for _ in range(80):
+        g, dec = _random_decomposition_case(rng)
+        expected = reference_transitive(
+            lambda i, length: reference_decomposition_window(dec.pieces, i, length), len(dec.pieces)
+        )
+        shift = find_shift(g, dec)
+        if shift is not None:
+            shifts += 1
+            assert expected and verify_cyclic_symmetry(g, dec, shift)
+        assert transitive_by_windows(g, dec) == expected
+    assert shifts > 0
 
 
 def _degree_preserving_swap(rng: random.Random, g: Graph) -> Graph:
