@@ -547,15 +547,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
             args.budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
         doc, code = args.handler(args)
+        # inside the try: encoding can fail too, say on an integer past
+        # Python's int-to-str digit limit
+        if doc is not None:
+            sys.stdout.write(dump_json(doc))
+        return code
     except BudgetExceededError as err:
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))
         return 3
     except ValueError as err:
         sys.stdout.write(dump_json({"error": "invalid input", "detail": str(err)}))
         return 2
-    if doc is not None:
-        sys.stdout.write(dump_json(doc))
-    return code
 
 
 if __name__ == "__main__":

@@ -1,28 +1,26 @@
 """Exact graph isomorphism by color refinement plus backtracking.
 
-`isomorphic(g1, g2)` is `match(prepare(g1), g2)`: everything that depends
-on g1 alone is computed once, so a caller comparing one graph against many
-(the window test in `structures` compares each window length's anchor
-against every other start) prepares it once and matches the rest.
+One call, `find_mapping(g1, g2)`, returns an isomorphism or None;
+`isomorphic` says only whether there is one.
 
-`prepare` refines g1 by itself: starting from degrees, each round gives
-every vertex the color of its signature (own color, sorted neighbor colors),
-numbering signatures in order of first appearance, until a round splits no
-color class.  It keeps each round's signature-to-color table and color
-histogram.  `match` replays the rounds on g2 through the stored tables; a
-g2 signature missing from a table, or any histogram that differs, refutes
-isomorphism.  Since g1's colors and stopping round never depend on g2, this
-is the joint refinement of both graphs with color ids shared, and it gives
-the same colors.
+Both graphs are refined together, in one loop: starting from degrees, each
+round gives every vertex the color of its signature (own color, sorted
+neighbor colors).  A table shared by both sides numbers g1's signatures in
+order of first appearance; a g2 signature missing from it gets -1, which no
+g1 color is.  Any round whose sorted colors differ between the sides refutes
+isomorphism, and the loop stops once a round splits no color class of g1.
+g1's colors and stopping round thus never depend on g2.
 
 Both sides may carry initial vertex colors, which enter round 0 as
 (degree, color) pairs in place of the degrees; an isomorphism found then
-maps every vertex to one of the same initial color.  `structures.find_shift`
-colors one graph by part index on one side and by part index minus one on
-the other, so that a match is an automorphism carrying each part onto the
-next.
+maps every vertex to one of the same initial color, and a round-0 histogram
+that differs refutes before anything is refined.  `structures.find_shift`
+matches one graph against itself, colored by part index on one side and by
+part index minus one on the other, so that a match is an automorphism
+carrying each part onto the next; g2 is then g1, and its neighbour lists
+are built once.
 
-`prepare` also fixes the backtracking order, breadth first in the
+The backtracking order is fixed from g1, breadth first in the
 connectivity-first manner of VF2++ (Juttner and Madarasi, Discrete Applied
 Mathematics 242, 2018): level by level from the rarest-color,
 highest-degree root, restarting at the next such root for each further
@@ -36,8 +34,7 @@ Backtracking then maps vertices of g1 in that order, on an explicit stack so
 that the depth is not limited by the interpreter's recursion limit; a
 candidate image must carry the same color and reproduce the adjacency
 pattern against everything already mapped, which one bitmask comparison
-checks.  `find_mapping` returns the bijection itself; `match` only says
-whether there is one.
+checks.
 
 The search counts candidate assignments as nodes of the caller's
 `SearchBudget`, inline, and settles them with the budget every 4096 nodes
@@ -51,14 +48,13 @@ bijection does.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .errors import SearchBudget
 from .graphs import Graph, iter_bits
 
-__all__ = ["isomorphic", "prepare", "match", "find_mapping", "PreparedGraph"]
+__all__ = ["isomorphic", "find_mapping"]
 
 
 def _neighbor_lists(g: Graph) -> list[list[int]]:
@@ -68,67 +64,44 @@ def _neighbor_lists(g: Graph) -> list[list[int]]:
     return [list(iter_bits(row)) for row in g.adj]
 
 
-@dataclass(frozen=True)
-class PreparedGraph:
-    """The g1 side of an isomorphism test, reusable against any number of g2.
-
-    `initial` is the sorted round-0 colors: the degrees, or (degree, color)
-    pairs when initial colors are given.  `rounds` holds (signature-to-color
-    table, sorted colors) per refinement round, the sorted colors standing
-    for the color histogram; `back[d]` lists the vertices before position d
-    of `order` that are adjacent to order[d].
-    """
-
-    n: int
-    edge_count: int
-    initial: list
-    rounds: tuple[tuple[dict, list[int]], ...]
-    colors: list[int]
-    order: list[int]
-    back: list[list[int]]
-
-
 def _initial_colors(degrees: list[int], colors: Optional[Sequence[int]]) -> list:
     return degrees if colors is None else list(zip(degrees, colors, strict=True))
 
 
-def prepare(g: Graph, colors: Optional[Sequence[int]] = None) -> PreparedGraph:
-    """Refine g to a fixed point and fix its backtracking order; colors[v],
-    if given, is the initial color of vertex v."""
-    nbrs = _neighbor_lists(g)
-    degrees = [len(nb) for nb in nbrs]
-    cols = _initial_colors(degrees, colors)
-    initial = sorted(cols)
-    classes = len(set(cols))
-    rounds = []
-    while True:
-        table: dict[tuple, int] = {}
-        cols = [
-            table.setdefault((cols[v], tuple(sorted([cols[u] for u in nb]))), len(table))
-            for v, nb in enumerate(nbrs)
-        ]
-        rounds.append((table, sorted(cols)))
-        if len(table) == classes:
-            break
-        classes = len(table)
-    order = _breadth_first_order(nbrs, degrees, cols)
-    position = [0] * g.n
-    for d, v in enumerate(order):
-        position[v] = d
-    back = [[u for u in nbrs[v] if position[u] < d] for d, v in enumerate(order)]
-    return PreparedGraph(
-        n=g.n,
-        edge_count=g.edge_count,
-        initial=initial,
-        rounds=tuple(rounds),
-        colors=cols,
-        order=order,
-        back=back,
-    )
+def isomorphic(g1: Graph, g2: Graph, budget: Optional[SearchBudget] = None) -> bool:
+    """Decide whether two graphs are isomorphic (declared vertex sets included).
+
+    Isolated vertices count: graphs of unequal order are never isomorphic.
+    Every candidate placement is one node of budget; raises
+    BudgetExceededError when the budget runs out.
+    """
+    return find_mapping(g1, g2, budget) is not None
 
 
-def _breadth_first_order(nbrs: list[list[int]], degrees: list[int], cols: list[int]) -> list[int]:
-    """Level by level from the rarest-color, highest-degree root, then from
+def find_mapping(
+    g1: Graph,
+    g2: Graph,
+    budget: Optional[SearchBudget] = None,
+    colors1: Optional[Sequence[int]] = None,
+    colors2: Optional[Sequence[int]] = None,
+) -> Optional[list[int]]:
+    """An isomorphism from g1 onto g2 as a list of images, or None when there
+    is none.  colors1[v] and colors2[w], if given, are the initial colors of
+    the vertices of g1 and g2, and the isomorphism keeps them; budget as in
+    `isomorphic`."""
+    budget = budget or SearchBudget()
+    image, nodes = _search(g1, g2, colors1, colors2, budget)
+    budget.charge(nodes)
+    return image
+
+
+def _breadth_first_order(
+    nbrs: list[list[int]], degrees: list[int], cols: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """The backtracking order, and per position d the neighbours of order[d]
+    placed before it.
+
+    Level by level from the rarest-color, highest-degree root, then from
     the next such root for each further component.  Within a level, most
     neighbours already placed first, then rarest color, highest degree,
     lowest id."""
@@ -139,6 +112,7 @@ def _breadth_first_order(nbrs: list[list[int]], degrees: list[int], cols: list[i
     placed_nbrs = [0] * n
     placed = [False] * n
     order: list[int] = []
+    back: list[list[int]] = []
     for root in sorted(range(n), key=lambda v: (rarity[v], -degrees[v], v)):
         if level_of[root] >= 0:
             continue
@@ -157,6 +131,7 @@ def _breadth_first_order(nbrs: list[list[int]], degrees: list[int], cols: list[i
                     continue
                 placed[v] = True
                 order.append(v)
+                back.append([u for u in nbrs[v] if placed[u]])
                 for u in nbrs[v]:
                     placed_nbrs[u] += 1
                     if level_of[u] < 0:
@@ -166,67 +141,56 @@ def _breadth_first_order(nbrs: list[list[int]], degrees: list[int], cols: list[i
                         heappush(heap, (-placed_nbrs[u], rarity[u], -degrees[u], u))
             level = upcoming
             depth += 1
-    return order
-
-
-def match(
-    p: PreparedGraph,
-    g2: Graph,
-    budget: Optional[SearchBudget] = None,
-    colors: Optional[Sequence[int]] = None,
-) -> bool:
-    """Decide whether g2, with initial colors if given, is isomorphic to the
-    prepared graph.
-
-    Every candidate placement is one node of budget; raises
-    BudgetExceededError when the budget runs out.
-    """
-    return find_mapping(p, g2, budget, colors) is not None
-
-
-def find_mapping(
-    p: PreparedGraph,
-    g2: Graph,
-    budget: Optional[SearchBudget] = None,
-    colors: Optional[Sequence[int]] = None,
-) -> Optional[list[int]]:
-    """An isomorphism from the prepared graph onto g2 as a list of images,
-    or None when there is none; budget as in `match`."""
-    budget = budget or SearchBudget()
-    image, nodes = _search(p, g2, colors, budget)
-    budget.charge(nodes)
-    return image
+    return order, back
 
 
 def _search(
-    p: PreparedGraph, g2: Graph, colors: Optional[Sequence[int]], budget: SearchBudget
+    g1: Graph,
+    g2: Graph,
+    colors1: Optional[Sequence[int]],
+    colors2: Optional[Sequence[int]],
+    budget: SearchBudget,
 ) -> tuple[Optional[list[int]], int]:
     """The images of a bijection, or None, and the nodes not yet charged.
 
     Every 4096 nodes, and at the first node past the cap, it charges the
     nodes so far, which reads the clock and raises past either cap."""
-    if g2.n != p.n or g2.edge_count != p.edge_count:
+    if g2.n != g1.n or g2.edge_count != g1.edge_count:
         return None, 0
-    nbrs = _neighbor_lists(g2)
-    cols = _initial_colors([len(nb) for nb in nbrs], colors)
-    if sorted(cols) != p.initial:
+    degrees = [row.bit_count() for row in g1.adj]
+    cols1 = _initial_colors(degrees, colors1)
+    cols2 = _initial_colors([row.bit_count() for row in g2.adj], colors2)
+    if sorted(cols1) != sorted(cols2):
         return None, 0
-    if p.n == 0:
+    n = g1.n
+    if n == 0:
         return [], 0
-    for table, histogram in p.rounds:
-        cols = [
-            table.get((cols[v], tuple(sorted([cols[u] for u in nb]))), -1)
-            for v, nb in enumerate(nbrs)
+    nbrs1 = _neighbor_lists(g1)
+    nbrs2 = nbrs1 if g2 is g1 else _neighbor_lists(g2)
+    classes = len(set(cols1))
+    while True:
+        table: dict[tuple, int] = {}
+        cols1 = [
+            table.setdefault((cols1[v], tuple(sorted([cols1[u] for u in nb]))), len(table))
+            for v, nb in enumerate(nbrs1)
         ]
         # A signature g1 never produced maps to -1, which no g1 color is.
-        if sorted(cols) != histogram:
+        cols2 = [
+            table.get((cols2[v], tuple(sorted([cols2[u] for u in nb]))), -1)
+            for v, nb in enumerate(nbrs2)
+        ]
+        if sorted(cols1) != sorted(cols2):
             return None, 0
+        if len(table) == classes:
+            break
+        classes = len(table)
+    order, back = _breadth_first_order(nbrs1, degrees, cols1)
     by_color: dict[int, list[int]] = {}
-    for w, c in enumerate(cols):
+    for w, c in enumerate(cols2):
         by_color.setdefault(c, []).append(w)
 
-    n, order, back, adj2 = p.n, p.order, p.back, g2.adj
-    candidates = [by_color[p.colors[v]] for v in order]
+    adj2 = g2.adj
+    candidates = [by_color[cols1[v]] for v in order]
     image = [0] * n
     resume = [0] * n  # per depth: index of the next candidate to try
     used = 0
@@ -266,11 +230,3 @@ def _search(
             used ^= 1 << image[order[depth]]
             start = resume[depth]
 
-
-def isomorphic(g1: Graph, g2: Graph, budget: Optional[SearchBudget] = None) -> bool:
-    """Decide whether two graphs are isomorphic (declared vertex sets included).
-
-    Isolated vertices count: graphs of unequal order are never isomorphic.
-    Raises BudgetExceededError when the budget runs out.
-    """
-    return match(prepare(g1), g2, budget)

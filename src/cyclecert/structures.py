@@ -20,11 +20,11 @@ isomorphisms at once.  `find_shift` looks for one with a single colored
 its part index on one side and by its part index minus one on the other.
 A decomposition is searched as its incidence graph, with a node per vertex,
 a node per edge colored by its piece, and a node per piece adjacent to the
-piece's declared vertices.  The round-0 (degree, color) histograms of both
-sides are compared before anything is refined, so a structure that cannot
-have a shift costs O(|V|) here.  The sigma found counts only after
-`cyclic_symmetry_violations` re-checks it, so a positive answer rests on an
-explicit, checked bijection.
+piece's declared vertices.  `iso` compares the round-0 (degree, color)
+histograms of both sides before anything is refined, so a structure that
+cannot have a shift costs O(|V|) there.  The sigma found counts only after the
+checks of `cyclic_symmetry_violations` pass on it, so a positive answer
+rests on an explicit, checked bijection.
 
 The window test runs only when no shift exists: on every negative, and on a
 transitive structure without a cyclic automorphism (a triangle with a
@@ -45,8 +45,8 @@ that anchor: the anchor itself and every window matched to it.  A window
 whose labelled adjacency equals one of them is isomorphic to it through the
 explicit bijection phi_j^-1 o phi_i, where phi is the part-order labelling,
 and needs no search.  Of the others, one whose degree sequence differs from
-the anchor's is refuted at once; the rest go to `iso.match` against the
-anchor, prepared once per length (`iso.prepare`).
+the anchor's is refuted at once; the rest go to `iso.isomorphic` against the
+anchor, which refines the anchor afresh for each such window.
 
 The transitivity checks and the partition search take one optional
 `SearchBudget`, shared by the shift search, all the isomorphism nodes of the
@@ -64,14 +64,13 @@ ever succeed, and the enumeration walks equal-size classes only.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
 from .errors import SearchBudget
 from .graphs import Graph, iter_bits, norm_edge
-from .iso import find_mapping, match, prepare
+from .iso import find_mapping, isomorphic
 
 __all__ = [
     "VertexPartition",
@@ -265,7 +264,7 @@ def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget
         # the adjacency tuples of this length known to be isomorphic to the
         # anchor (the start-0 window): the anchor and every window matched
         known: set[tuple[int, ...]] = set()
-        degrees = prepared = None
+        degrees = None
         for i in range(t):
             vertices, edges = parts[(i + length) % t]
             label, acc = labels[i], rows[i]
@@ -284,15 +283,12 @@ def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget
             if not known:
                 anchor = window
             elif window not in known:
-                # a different order or degree sequence refutes before the
-                # anchor is prepared
+                # a different order or degree sequence refutes without a search
                 if degrees is None:
                     degrees = sorted(row.bit_count() for row in anchor)
                 if sorted(row.bit_count() for row in window) != degrees:
                     return False
-                if prepared is None:
-                    prepared = prepare(Graph(len(anchor), anchor))
-                if not match(prepared, Graph(len(window), window), budget):
+                if not isomorphic(Graph(len(anchor), anchor), Graph(len(window), window), budget):
                     return False
             known.add(window)
     return True
@@ -357,16 +353,11 @@ def _find_shift(g: Graph, structure: Structure, budget: SearchBudget) -> Optiona
         shifted = [(c - 1) % t for c in colors]
     else:
         h, colors, shifted = _incidence_graph(g, structure)
-    # the round-0 histograms, so that a structure without a shift costs
-    # O(|V|) before any refinement
-    degrees = [row.bit_count() for row in h.adj]
-    if Counter(zip(degrees, colors)) != Counter(zip(degrees, shifted)):
-        return None
-    image = find_mapping(prepare(h, colors), h, budget, shifted)
+    image = find_mapping(h, h, budget, colors, shifted)
     if image is None:
         return None
     shift = CyclicSymmetry(tuple(image[: g.n]))
-    return None if cyclic_symmetry_violations(g, structure, shift) else shift
+    return None if _symmetry_violations(g, structure, shift.sigma) else shift
 
 
 def transitive_by_windows(
@@ -471,7 +462,11 @@ def cyclic_symmetry_violations(
     carried onto the next part (for a decomposition: pieces whose vertex or
     edge set is not carried onto the next piece's)."""
     _validate(g, structure)
-    sigma = symmetry.sigma
+    return _symmetry_violations(g, structure, symmetry.sigma)
+
+
+def _symmetry_violations(g: Graph, structure: Structure, sigma: tuple[int, ...]) -> list[str]:
+    """`cyclic_symmetry_violations` on a structure already validated."""
     if len(sigma) != g.n:
         return [f"permutation length {len(sigma)} does not match {g.n} vertices"]
     out = []

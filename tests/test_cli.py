@@ -52,6 +52,13 @@ def test_certify_sum_zero_denominator_is_input_error(capsys):
     assert code == 2 and doc["error"] == "invalid input"
 
 
+def test_certificate_too_large_to_encode_is_input_error(capsys):
+    # 10^5000 has more digits than Python converts from int to str, so the
+    # certificate is found but cannot be written as JSON
+    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "1e5000")
+    assert code == 2 and doc["error"] == "invalid input" and "digits" in doc["detail"]
+
+
 def test_certify_sum_equality_refused_off_total(capsys):
     # |1/4 - 0| < eps, but the total is not 0
     code, doc = run(capsys, "certify", "sum", "--list=1/4", "--h=0", "--direction=equality")

@@ -10,7 +10,7 @@ from cyclecert.graphs import (
     cycle,
     norm_edge,
 )
-from cyclecert.iso import find_mapping, isomorphic, match, prepare
+from cyclecert.iso import _breadth_first_order, find_mapping, isomorphic
 from cyclecert.structures import (
     CyclicSymmetry,
     EdgeDecomposition,
@@ -31,6 +31,7 @@ from cyclecert.structures import (
     validate_partition,
     verify_cyclic_symmetry,
 )
+from cyclecert import structures
 from cyclecert.tiles import Tile, canonical_periodic_decomposition, tile_close, tile_concat, tile_power
 from conftest import perm_isomorphic, random_graph
 
@@ -77,21 +78,19 @@ def test_one_long_match_reads_the_clock():
     # both graphs are 2-regular, so refinement leaves one color class and the
     # search backtracks over far more than 10^9 placements
     halves = Graph.from_edges(1200, [(i, i + 1 if i % 600 != 599 else i - 599) for i in range(1200)])
-    prepared = prepare(cycle(1200))
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match="time budget"):
-        match(prepared, halves, SearchBudget(max_nodes=10**9, max_seconds=0.2))
+        isomorphic(cycle(1200), halves, SearchBudget(max_nodes=10**9, max_seconds=0.2))
     assert time.monotonic() - start < 5
 
 
 def test_initial_colors_restrict_the_mapping():
     # a path 0-1-2: colored ends may not swap, so only the identity is left
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    prepared = prepare(path, [0, 1, 2])
-    assert find_mapping(prepared, path, colors=[0, 1, 2]) == [0, 1, 2]
-    assert find_mapping(prepared, path, colors=[2, 1, 0]) == [2, 1, 0]
-    assert not match(prepared, path, colors=[1, 0, 2])
-    assert match(prepare(path), path)
+    assert find_mapping(path, path, None, [0, 1, 2], [0, 1, 2]) == [0, 1, 2]
+    assert find_mapping(path, path, None, [0, 1, 2], [2, 1, 0]) == [2, 1, 0]
+    assert find_mapping(path, path, None, [0, 1, 2], [1, 0, 2]) is None
+    assert find_mapping(path, path) is not None
 
 
 # --- partition and decomposition validation ------------------------------------
@@ -359,6 +358,15 @@ def test_recheck_refuses_a_map_that_moves_a_pieces_edges_wrongly():
     assert shift is not None and verify_cyclic_symmetry(g, dec, shift)
 
 
+def test_a_positive_check_validates_its_structure_once(monkeypatch):
+    # the shift's re-check runs on the structure the check already validated
+    calls = []
+    validate = structures.validate_decomposition
+    monkeypatch.setattr(structures, "validate_decomposition", lambda *a: calls.append(a) or validate(*a))
+    assert is_transitive_decomposition(complete(13), star_decomposition_complete(13))
+    assert len(calls) == 1
+
+
 def test_cycle_singletons_answer_through_the_rotation():
     singletons = VertexPartition(tuple(frozenset({v}) for v in range(1000)))
     start = time.monotonic()
@@ -532,6 +540,40 @@ def test_find_transitive_partition_into_1200_classes_exhausts_the_budget_not_the
     assert budget.nodes > 1200
 
 
+def _k4_tile_closure(t: int):
+    return canonical_periodic_decomposition(Tile(complete(4), (0, 1), (2, 3)), t)
+
+
+def _singletons(n: int) -> VertexPartition:
+    return VertexPartition(tuple(frozenset({v}) for v in range(n)))
+
+
+@pytest.mark.parametrize(
+    "check, make, nodes",
+    [
+        (find_shift, lambda: (complete(13), star_decomposition_complete(13)), 104),
+        (find_shift, lambda: (complete(31), star_decomposition_complete(31)), 527),
+        (find_shift, lambda: _k4_tile_closure(8), 178),
+        (find_shift, lambda: _k4_tile_closure(16), 373),
+        (find_shift, lambda: (cycle(400), _singletons(400)), 400),
+        (transitive_by_windows, lambda: (complete(13), star_decomposition_complete(13)), 810),
+        (transitive_by_windows, lambda: (complete(31), star_decomposition_complete(31)), 12_150),
+        (transitive_by_windows, lambda: (circulant(32, [1, 4]), circulant14_decomposition(8)), 8_134),
+        (find_transitive_partition, lambda: (complete_bipartite(3, 4), 7), 1_957),
+        (find_transitive_partition, lambda: (cycle(12), 4), 16),
+    ],
+    ids=[
+        "shift-K13", "shift-K31", "shift-K4-tiles-8", "shift-K4-tiles-16", "shift-C400",
+        "windows-K13", "windows-K31", "windows-circulant32", "partition-K34-7", "partition-C12-4",
+    ],
+)
+def test_search_order_is_pinned_by_exact_node_counts(check, make, nodes):
+    # node counts are deterministic: a change here is a change of search order
+    budget = SearchBudget()
+    check(*make(), budget)
+    assert budget.nodes == nodes
+
+
 def test_relabelled_torus_takes_few_nodes_in_breadth_first_order():
     g = cartesian_cycles(12, 12)
     for seed in range(20):
@@ -543,7 +585,7 @@ def test_relabelled_torus_takes_few_nodes_in_breadth_first_order():
         assert budget.nodes < 20_000
 
 
-def test_prepare_orders_every_vertex_of_every_component_once():
+def test_breadth_first_order_places_every_vertex_of_every_component_once():
     rng = random.Random(47)
     # a triangle, a path, a star, two isolated vertices, and random graphs
     g = Graph.from_edges(
@@ -551,12 +593,16 @@ def test_prepare_orders_every_vertex_of_every_component_once():
     )
     graphs = [g, Graph(0, ())] + [random_graph(rng, rng.randint(1, 12), 0.15) for _ in range(40)]
     for h in graphs:
-        p = prepare(h)
-        assert sorted(p.order) == list(range(h.n))
-        placed = set()
-        for d, v in enumerate(p.order):
-            assert sorted(p.back[d]) == sorted(u for u in placed if h.has_edge(u, v))
-            placed.add(v)
+        nbrs = [[u for u in range(h.n) if h.has_edge(u, v)] for v in range(h.n)]
+        degrees = [len(nb) for nb in nbrs]
+        # the order holds for any coloring: the degrees, or random colors
+        for cols in (degrees, [rng.randint(0, 2) for _ in range(h.n)]):
+            order, back = _breadth_first_order(nbrs, degrees, cols)
+            assert sorted(order) == list(range(h.n))
+            placed = set()
+            for d, v in enumerate(order):
+                assert sorted(back[d]) == sorted(u for u in placed if h.has_edge(u, v))
+                placed.add(v)
 
 
 def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
@@ -568,7 +614,7 @@ def test_isomorphic_on_long_cycle_against_two_halves_never_recurses():
         pass
 
 
-# --- prepared anchors and grown windows against a reference from the definition --
+# --- grown windows against a reference from the definition ----------------------
 
 
 def _relabelled_window(vertices, edges) -> Graph:
@@ -749,13 +795,12 @@ def _degree_preserving_swap(rng: random.Random, g: Graph) -> Graph:
     return g
 
 
-def test_prepared_anchor_agrees_with_permutation_oracle():
+def test_isomorphic_on_degree_preserving_swaps_agrees_with_permutation_oracle():
     rng = random.Random(41)
     answers = []
     for _ in range(50):
         n = rng.randint(4, 7)
         g1 = random_graph(rng, n, rng.uniform(0.3, 0.7))
-        prepared = prepare(g1)
         for _ in range(3):
             g2 = g1
             if g1.edge_count >= 2:
@@ -766,7 +811,10 @@ def test_prepared_anchor_agrees_with_permutation_oracle():
             g2 = _relabel_graph(g2, perm)
             assert sorted(g2.degrees()) == sorted(g1.degrees())
             expected = perm_isomorphic(g1, g2)
-            assert match(prepared, g2) == expected == isomorphic(g1, g2)
+            image = find_mapping(g1, g2)
+            assert isomorphic(g1, g2) == expected == (image is not None)
+            if image is not None:
+                assert sorted(g2.edges()) == sorted(norm_edge(image[u], image[v]) for u, v in g1.edges())
             answers.append(expected)
     assert any(answers) and not all(answers)
 
