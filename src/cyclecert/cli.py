@@ -32,6 +32,7 @@ from .crossing import (
     validate_drawing,
 )
 from .cyclic_core import (
+    HALF,
     BoundSpec,
     Direction,
     as_fraction,
@@ -247,12 +248,11 @@ def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
             raise ValueError(
                 "no automorphism carries each part onto the next, so --shift cannot be derived"
             )
-    eps = as_fraction(args.epsilon)
 
     def search(h: int) -> Optional[frozenset[int]]:
         if args.rd:
-            return rd_prefix_pruned_search(g, partition, shift, h, eps, args.budget)
-        return prefix_pruned_search(g, partition, shift, variant, h, eps, args.budget)
+            return rd_prefix_pruned_search(g, partition, shift, h, args.budget)
+        return prefix_pruned_search(g, partition, shift, variant, h, args.budget)
 
     found = search(args.h)
     if args.mode == "search":
@@ -260,8 +260,8 @@ def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
         if found is not None:
             doc["witness"] = sorted(found)
         return doc, 0 if found is not None else 1
-    # a set at h and none at h - 1; for 0 < eps < 1 the bound h - 1 + eps
-    # admits exactly the sets that h - eps does
+    # a set under h + 1/2 and none under (h - 1) + 1/2, the rule of
+    # decide_parameter_via_prefix, here for the redundancy search too
     decided = found is not None and search(args.h - 1) is None
     return {"h": args.h, "equals": decided}, 0 if decided else 1
 
@@ -327,13 +327,11 @@ def _cmd_drawing_parity(args: argparse.Namespace) -> tuple[Any, int]:
 def _cmd_drawing_certify(args: argparse.Namespace) -> tuple[Any, int]:
     d = _drawing(args.drawing)
     decomposition = _decomposition(args.pieces)
-    h = as_fraction(args.h)
-    eps = as_fraction(args.epsilon)
     direction = Direction(args.direction)
-    cert = prefix_cr_certificate(d, decomposition, h, direction, eps)
+    cert = prefix_cr_certificate(d, decomposition, args.h, direction)
     if cert is None:
-        return {"found": False, "cr_total": cr_total(d), "h": str(h)}, 1
-    bound = h + eps if direction is Direction.BELOW else h - eps
+        return {"found": False, "cr_total": cr_total(d), "h": str(args.h)}, 1
+    bound = args.h + HALF if direction is Direction.BELOW else args.h - HALF
     return {"found": True, "certificate": certificate_to_json(cert, bound)}, 0
 
 
@@ -464,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="columns:m:n or a comma permutation; found from the partition when omitted")
     p.add_argument("--variant", choices=[v.value for v in Variant], default="dominating")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--epsilon", default="1/2")
     p.add_argument("--mode", choices=["search", "decide"], default="decide")
     p.add_argument("--rd", action="store_true",
                    help="use redundancy counts instead of sizes (dominating sets only)")
@@ -516,9 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = draw.add_parser("certify", help="prefix certificate on piece weights")
     p.add_argument("--drawing", required=True)
     p.add_argument("--pieces", required=True, help="decomposition JSON file")
-    p.add_argument("--h", required=True)
+    p.add_argument("--h", type=int, required=True, help="integer crossing bound")
     p.add_argument("--direction", choices=["below", "above"], default="below")
-    p.add_argument("--epsilon", default="1/2")
     p.set_defaults(handler=_cmd_drawing_certify)
 
     p = sub.add_parser("generate", help="emit a graph from a spec")

@@ -10,9 +10,11 @@ Splitting the edges into pieces spreads each crossing over the pieces that
 own its two edges: 2 to the piece owning both, else 1 and 1.  The doubled
 weights always sum to twice the crossing count, so their halves sum to the
 crossing count exactly, and running the rotation machinery on the halves
-turns a global crossing bound into a per-piece prefix certificate.  For
-graphs closed up from t copies of a tile, the canonical period
-decomposition makes those halves one number per copy.
+turns a global crossing bound into a per-piece prefix certificate.  The
+bound is an int h (else ValueError) nudged by 1/2 toward the side it
+certifies; for an integer count every nudge in (0, 1) answers alike.  For
+graphs closed up from t copies of a tile, the canonical period decomposition
+makes those halves one number per copy.
 
 The parity screen is the classical closed-curve obstruction: two
 vertex-disjoint cycles drawn in the plane must cross an even number of
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cyclic_core import BoundSpec, Direction, RationalLike, RotationCertificate, find_rotation
+from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
 from .graphs import Graph, norm_edge
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
@@ -217,30 +219,26 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
 def prefix_cr_certificate(
     d: AbstractDrawing,
     decomposition: EdgeDecomposition,
-    h: RationalLike,
+    h: int,
     direction: Direction = Direction.BELOW,
-    epsilon: RationalLike = Fraction(1, 2),
 ) -> Optional[RotationCertificate]:
-    """Rotation certificate on the half-weights against h nudged by epsilon.
+    """Rotation certificate on the half-weights against h nudged by 1/2.
 
-    BELOW certifies crossing count <= h (strict against h + eps), ABOVE
-    certifies crossing count >= h (strict against h - eps).  For integer h
-    and 0 < eps < 1 the nudged bound is never attained, so existence is
-    equivalent to the non-strict bound on the total.
+    BELOW certifies crossing count <= h (strict against h + 1/2), ABOVE
+    certifies crossing count >= h (strict against h - 1/2).  For an int h
+    the nudged bound is never attained, so existence is equivalent to the
+    non-strict bound on the total.
     """
-    bound = BoundSpec(h, epsilon)
+    h = integer_bound(h)
     halves = decomposition_weights(d, decomposition).halves()
-    if direction is Direction.BELOW:
-        return find_rotation(halves, bound.h + bound.epsilon, direction)
-    return find_rotation(halves, bound.h - bound.epsilon, direction)
+    return find_rotation(halves, h + HALF if direction is Direction.BELOW else h - HALF, direction)
 
 
 def periodic_prefix_certificate(
     d: AbstractDrawing,
     tile: Tile,
     t: int,
-    h: RationalLike,
-    epsilon: RationalLike = Fraction(1, 2),
+    h: int,
 ) -> Optional[RotationCertificate]:
     """Certify cr <= h for a drawing of the closed t-fold tiling, one piece
     per copy.
@@ -251,7 +249,7 @@ def periodic_prefix_certificate(
     closed, decomposition = canonical_periodic_decomposition(tile, t)
     if d.graph != closed:
         raise ValueError("drawing graph is not the closure of the tile")
-    return prefix_cr_certificate(d, decomposition, h, Direction.BELOW, epsilon)
+    return prefix_cr_certificate(d, decomposition, h, Direction.BELOW)
 
 
 def _check_cycle(g: Graph, edges: Iterable[Sequence[int]], label: str) -> set[int]:

@@ -148,6 +148,16 @@ class BoundSpec:
             raise ValueError("epsilon must satisfy 0 < eps < 1")
 
 
+HALF = Fraction(1, 2)
+
+
+def integer_bound(h: object) -> int:
+    """h itself when it is an int and not a bool; ValueError otherwise."""
+    if isinstance(h, bool) or not isinstance(h, int):
+        raise ValueError(f"h must be an integer, got {h!r}")
+    return h
+
+
 @dataclass(frozen=True)
 class RotationCertificate:
     """A start k plus the prefix-sum table that witnesses one strict direction.

@@ -26,12 +26,14 @@ j * bound / t for prefix length j.  The rotation is pinned at part 0; this
 loses nothing exactly when a verified cyclic shift symmetry maps each part
 onto the next, which is why the searches insist on one.  With the weight of
 a part taken as the number of chosen vertices in it, a positive search at
-h + eps and a negative search at h - eps decide whether the minimum equals
+h + 1/2 and a negative search at h - 1/2 decide whether the minimum equals
 h without ever reporting the minimum itself.  With the weight taken as the
 redundant domination of its vertices, the same engine plays that game
-against the target (k+1) * h - |V| on a k-regular graph.  Weights only
-rise as vertices join, so each step re-checks just the prefixes that
-changed, and the search runs on an explicit stack.
+against the target (k+1) * h - |V| on a k-regular graph.  On integer
+weights every nudge in (0, 1) answers alike, so h must be an int (else
+ValueError) and the nudge is 1/2.  Weights only rise as vertices join, so
+each step re-checks just the prefixes that changed, and the search runs on
+an explicit stack.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
-from .cyclic_core import BoundSpec, RationalLike
+from .cyclic_core import HALF, integer_bound
 # BudgetExceededError is re-exported: callers reach it through this module
 from .errors import BudgetExceededError, SearchBudget
 from .graphs import Graph, cartesian_cycles, iter_bits
@@ -591,17 +593,15 @@ def prefix_pruned_search(
     symmetry: CyclicSymmetry,
     variant: Variant,
     h: int,
-    epsilon: RationalLike = Fraction(1, 2),
     budget: Optional[SearchBudget] = None,
 ) -> Optional[frozenset[int]]:
-    """A valid set with all part-count prefixes strictly under j*(h+eps)/t.
+    """A valid set with all part-count prefixes strictly under j*(h+1/2)/t.
 
     By the rotation theorem (applied through the verified shift symmetry)
     such a set exists exactly when some valid set has size at most h.
     """
-    bound = BoundSpec(h, epsilon)
     return _size_search(
-        g, partition, symmetry, variant, bound.h + bound.epsilon, budget or SearchBudget()
+        g, partition, symmetry, variant, integer_bound(h) + HALF, budget or SearchBudget()
     )
 
 
@@ -611,21 +611,18 @@ def decide_parameter_via_prefix(
     symmetry: CyclicSymmetry,
     variant: Variant,
     h: int,
-    epsilon: RationalLike = Fraction(1, 2),
     budget: Optional[SearchBudget] = None,
 ) -> bool:
     """Decide min-parameter == h from two prefix searches, values never computed.
 
-    A hit under h + eps shows the minimum is at most h; no hit under h - eps
-    shows it exceeds h - 1.
+    A hit under h + 1/2 shows the minimum is at most h; no hit under
+    (h - 1) + 1/2 shows it exceeds h - 1.
     """
-    bound = BoundSpec(h, epsilon)
+    h = integer_bound(h)
     budget = budget or SearchBudget()
-    upper = _size_search(g, partition, symmetry, variant, bound.h + bound.epsilon, budget)
-    if upper is None:
+    if _size_search(g, partition, symmetry, variant, h + HALF, budget) is None:
         return False
-    lower = _size_search(g, partition, symmetry, variant, bound.h - bound.epsilon, budget)
-    return lower is None
+    return _size_search(g, partition, symmetry, variant, h - HALF, budget) is None
 
 
 def rd_prefix_pruned_search(
@@ -633,18 +630,17 @@ def rd_prefix_pruned_search(
     partition: VertexPartition,
     symmetry: CyclicSymmetry,
     h: int,
-    epsilon: RationalLike = Fraction(1, 2),
     budget: Optional[SearchBudget] = None,
 ) -> Optional[frozenset[int]]:
     """Dominating set whose redundant-domination prefixes stay strictly under
-    j * (target + eps) / t, where target = (k+1) * h - |V| on a k-regular graph.
+    j * (target + 1/2) / t, where target = (k+1) * h - |V| on a k-regular graph.
 
     Such a set exists exactly when some dominating set has size at most h,
     because total redundancy on a k-regular graph is (k+1)|D| - |V|.  Part p
     weighs the redundancy of its vertices, -|part p| plus one for each
     chosen closed neighbor of each of them.
     """
-    bound = BoundSpec(h, epsilon)
+    h = integer_bound(h)
     budget = budget or SearchBudget()
     parts, part_of = _checked_parts(g, partition, symmetry)
     degs = set(g.degrees())
@@ -658,7 +654,7 @@ def rd_prefix_pruned_search(
         closed,
         [[part_of[u] for u in iter_bits(row)] for row in closed],
         [-len(p) for p in parts],
-        (k + 1) * bound.h - g.n + bound.epsilon,
+        (k + 1) * h - g.n + HALF,
         None,
         lambda chosen: is_dominating(g, iter_bits(chosen)),
         budget,

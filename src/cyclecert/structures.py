@@ -44,9 +44,10 @@ length the checker keeps the adjacency tuples already shown isomorphic to
 that anchor: the anchor itself and every window matched to it.  A window
 whose labelled adjacency equals one of them is isomorphic to it through the
 explicit bijection phi_j^-1 o phi_i, where phi is the part-order labelling,
-and needs no search.  Of the others, one whose degree sequence differs from
-the anchor's is refuted at once; the rest go to `iso.isomorphic` against the
-anchor, which refines the anchor afresh for each such window.
+and needs no search.  The others go to `iso.isomorphic` against the anchor,
+which refutes a different order, edge count or degree histogram before it
+refines anything, and otherwise refines the anchor afresh for each such
+window.
 
 The transitivity checks and the partition search take one optional
 `SearchBudget`, shared by the shift search, all the isomorphism nodes of the
@@ -264,7 +265,6 @@ def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget
         # the adjacency tuples of this length known to be isomorphic to the
         # anchor (the start-0 window): the anchor and every window matched
         known: set[tuple[int, ...]] = set()
-        degrees = None
         for i in range(t):
             vertices, edges = parts[(i + length) % t]
             label, acc = labels[i], rows[i]
@@ -283,11 +283,6 @@ def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget
             if not known:
                 anchor = window
             elif window not in known:
-                # a different order or degree sequence refutes without a search
-                if degrees is None:
-                    degrees = sorted(row.bit_count() for row in anchor)
-                if sorted(row.bit_count() for row in window) != degrees:
-                    return False
                 if not isomorphic(Graph(len(anchor), anchor), Graph(len(window), window), budget):
                     return False
             known.add(window)

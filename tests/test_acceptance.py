@@ -150,28 +150,39 @@ def test_criterion_05_private_neighbor_criterion_vs_removal_on_all_small_graphs(
     samples = []
     for n in range(2, 8):
         pair_bits = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        m_edges = len(pair_bits)
-        graph_ids = np.arange(1 << m_edges, dtype=np.int64)
-        adj = np.zeros((1 << m_edges, n), dtype=np.uint8)
+        graph_ids = np.arange(1 << len(pair_bits), dtype=np.uint32)
+        # rows[w][g] is the neighbourhood of w in graph g, as a bitmask
+        rows = np.zeros((n, len(graph_ids)), dtype=np.uint16)
         for b, (u, v) in enumerate(pair_bits):
-            has = ((graph_ids >> b) & 1).astype(np.uint8)
-            adj[:, u] |= has << v
-            adj[:, v] |= has << u
+            has = ((graph_ids >> b) & 1).astype(np.uint16)
+            rows[u] |= has << v
+            rows[v] |= has << u
+        # rows w and w + 1 packed into one 2n-bit key per graph (a lone last
+        # row pairs with itself), so each lookup below reads two rows
+        keys = [rows[w] | rows[min(w + 1, n - 1)] << n for w in range(0, n, 2)]
+        nbhd = np.arange(1 << n)
         for mask in range(1, 1 << n):
-            a = adj & np.uint8(mask)
-            td = (a != 0).all(axis=1)
-            if not td.any():
-                continue
-            all_private = np.ones(len(adj), dtype=bool)
-            all_removal = np.ones(len(adj), dtype=bool)
+            # what one row with neighbourhood r says about the set `mask`:
+            # bit v if it is a private neighbour of member v, bit n + v if
+            # removing v leaves it undominated, bit 2n if it is undominated
+            a = nbhd & mask
+            row_bits = (a == 0).astype(np.uint16) << 2 * n
             for v in range(n):
                 if not (mask >> v) & 1:
                     continue
-                bitv = np.uint8(1 << v)
-                has_private = (a == bitv).any(axis=1)
-                removal_breaks = ((a & ~bitv) == 0).any(axis=1)
-                all_private &= has_private
-                all_removal &= removal_breaks
+                bitv = 1 << v
+                row_bits |= ((a == bitv) * bitv).astype(np.uint16)
+                row_bits |= (((a & ~bitv) == 0) * (bitv << n)).astype(np.uint16)
+            pair_table = (row_bits[:, None] | row_bits[None, :]).ravel()
+            # OR over all rows of each graph
+            seen = pair_table[keys[0]]
+            for key in keys[1:]:
+                seen |= pair_table[key]
+            td = seen >> 2 * n == 0
+            if not td.any():
+                continue
+            all_private = seen & mask == mask
+            all_removal = seen >> n & mask == mask
             bad = td & (all_private != all_removal)
             disagreements += int(bad.sum())
             pairs += int(td.sum())
@@ -191,6 +202,7 @@ def test_criterion_05_private_neighbor_criterion_vs_removal_on_all_small_graphs(
         assert is_minimal_total_dominating(g, s) == expect
         rechecked += 1
     elapsed = time.monotonic() - t0
+    assert pairs == 111_228_266 and rechecked == 200
     print(f"PASS criterion 5: {pairs} (graph, total set) pairs on up to 7 vertices, "
           f"0 disagreements, {rechecked} production rechecks, {elapsed:.1f}s")
 

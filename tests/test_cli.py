@@ -5,8 +5,9 @@ import pytest
 
 from cyclecert.cli import main
 from cyclecert.domination import is_dominating, is_minimal_total_dominating, is_paired_dominating
-from cyclecert.formats import dump_json, emit_graph_text
+from cyclecert.formats import decomposition_to_json, dump_json, emit_graph_text
 from cyclecert.graphs import Graph, cartesian_cycles, cycle
+from cyclecert.structures import circulant14_decomposition
 
 
 def run(capsys, *argv):
@@ -460,6 +461,48 @@ def test_drawing_certify(capsys, tmp_path):
     code, doc = run(capsys, "drawing", "certify", "--drawing", str(drawing),
                     "--pieces", str(pieces), "--h", "-1")
     assert code == 1 and doc == {"found": False, "cr_total": 0, "h": "-1"}
+
+
+def _circulant12_drawing_and_fans(capsys, tmp_path):
+    """The convex drawing of circulant(12; 1, 4), 36 crossings, and its 12 fans."""
+    drawing, pieces = tmp_path / "d.json", tmp_path / "p.json"
+    code, doc = run(capsys, "drawing", "convex", "--graph", "circulant:12:1,4")
+    assert code == 0 and doc["cr_total"] == 36
+    drawing.write_text(dump_json(doc), encoding="utf-8")
+    pieces.write_text(dump_json(decomposition_to_json(circulant14_decomposition(3))),
+                      encoding="utf-8")
+    return ["drawing", "certify", "--drawing", str(drawing), "--pieces", str(pieces)]
+
+
+@pytest.mark.parametrize("h,direction,expected", [
+    ("36", "below", 0), ("35", "below", 1), ("36", "above", 0), ("37", "above", 1),
+    # nudged by 1/2, 357/10 would certify 36 crossings as at most 35.7
+    ("357/10", "below", 2), ("36.0", "below", 2), ("36/1", "above", 2),
+])
+def test_drawing_certify_takes_an_integer_h(capsys, tmp_path, h, direction, expected):
+    argv = _circulant12_drawing_and_fans(capsys, tmp_path)
+    code = main([*argv, "--h", h, "--direction", direction])
+    out = capsys.readouterr().out
+    assert code == expected and out.count("\n") == 1
+    doc = json.loads(out)
+    if expected == 2:
+        assert doc["error"] == "invalid input" and "--h" in doc["detail"]
+    else:
+        assert doc["found"] is (expected == 0)
+
+
+@pytest.mark.parametrize("command", ["corollary", "drawing certify"])
+def test_epsilon_is_no_option_of_the_integer_bounds(capsys, tmp_path, command):
+    # `certify sum --direction equality --epsilon` keeps it: there it is
+    # written into the certificate (test_certify_sum_equality)
+    if command == "corollary":
+        argv = ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3",
+                "--shift", "columns:3:3", "--h", "3"]
+    else:
+        argv = [*_circulant12_drawing_and_fans(capsys, tmp_path), "--h", "36"]
+    assert run(capsys, *argv)[0] == 0
+    code, doc = run(capsys, *argv, "--epsilon", "1/2")
+    assert code == 2 and doc["error"] == "invalid input" and "--epsilon" in doc["detail"]
 
 
 def test_generate_text_matches_library(capsys):

@@ -319,11 +319,28 @@ def test_prefix_certificate_above_direction():
     assert prefix_cr_certificate(d, dec, 12 * k + 1, Direction.ABOVE) is None
 
 
-def test_prefix_certificate_epsilon_validated():
+@pytest.mark.parametrize("h", [F(5, 2), F(2), True])
+@pytest.mark.parametrize("direction", [Direction.BELOW, Direction.ABOVE])
+def test_prefix_certificate_takes_an_integer_h_only(h, direction):
+    # the crossing count is 0 here; a nudged non-integer h would certify
+    # a bound that is not the one asked for
     d = convex_drawing(cycle(4))
     dec = EdgeDecomposition((Piece(frozenset(range(4)), frozenset(cycle(4).edges())),))
-    with pytest.raises(ValueError):
-        prefix_cr_certificate(d, dec, 1, Direction.BELOW, epsilon=2)
+    with pytest.raises(ValueError, match="h must be an integer"):
+        prefix_cr_certificate(d, dec, h, direction)
+
+
+def test_crossing_certificates_take_no_epsilon_and_no_fractional_h():
+    d = convex_drawing(cycle(4))
+    dec = EdgeDecomposition((Piece(frozenset(range(4)), frozenset(cycle(4).edges())),))
+    with pytest.raises(TypeError):
+        prefix_cr_certificate(d, dec, 1, Direction.BELOW, epsilon=F(1, 2))
+    tile = Tile(Graph.from_edges(2, [(0, 1)]), (0,), (1,))
+    d8 = AbstractDrawing(cycle(8), [])
+    with pytest.raises(TypeError):
+        periodic_prefix_certificate(d8, tile, 4, 0, epsilon=F(1, 2))
+    with pytest.raises(ValueError, match="h must be an integer"):
+        periodic_prefix_certificate(d8, tile, 4, F(1, 2))
 
 
 def test_embedding_certificate_at_zero():
