@@ -10,15 +10,23 @@ search blew its budget.  The document is one compact line.
 defaults with its flags: 10^8 nodes and 600 seconds for `verify-pair`,
 `verify-upper-total` and `reproduce`, 10^7 nodes and 60 seconds elsewhere.
 A negative node cap, or a time cap that is negative, infinite or NaN, is
-malformed input.
+malformed input.  Integer flags take plain decimal digits with an optional
+sign, nothing else that `int()` would read.
+
+The argparse tree is built once per process, on the first call of `main`,
+and reused by every later call.  It holds no library function: handlers look
+those up at call time, so rebinding a library name in this module takes effect
+on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -85,8 +93,16 @@ from .structures import (
 __all__ = ["main"]
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag: ASCII digits with an optional sign.  `int()` alone
+    would also take underscores, other scripts' digits and padding."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer in decimal digits, got {text!r}")
+    return int(text)
+
+
 def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) -> None:
-    p.add_argument("--budget-nodes", type=int, default=nodes, help="search node cap")
+    p.add_argument("--budget-nodes", type=_int_arg, default=nodes, help="search node cap")
     p.add_argument("--budget-seconds", type=float, default=seconds, help="wall clock cap")
 
 
@@ -163,10 +179,13 @@ def _shift_arg(text: str) -> CyclicSymmetry:
 
 
 def _cmd_certify_sum(args: argparse.Namespace) -> tuple[Any, int]:
+    if args.epsilon is not None and args.direction != "equality":
+        raise ValueError(f"--epsilon belongs to --direction equality alone, not {args.direction}")
     xs = _rational_list(args.list)
     h = as_fraction(args.h)
     if args.direction == "equality":
-        bound = BoundSpec(h=h, epsilon=as_fraction(args.epsilon))
+        epsilon = HALF if args.epsilon is None else as_fraction(args.epsilon)
+        bound = BoundSpec(h=h, epsilon=epsilon)
         eq = equality_certificate(xs, bound)
         if eq is None:
             return {"found": False, "total": str(total(xs)), "h": str(h)}, 1
@@ -274,9 +293,14 @@ def _decomposition(path: str):
 
 
 def _cmd_structure_check(args: argparse.Namespace) -> tuple[Any, int]:
-    """`partition check` and `decomposition check`: args.check holds the
-    structure's loader, validator, count key and transitivity check."""
-    load, validate, key, is_transitive = args.check
+    """`partition check` and `decomposition check`."""
+    # chosen per call, not stored in the cached parser, so that a rebound
+    # module name is the one called
+    load, validate, key, is_transitive = (
+        (_partition_arg, validate_partition, "parts", is_transitive_partition)
+        if args.command == "partition"
+        else (_decomposition, validate_decomposition, "pieces", is_transitive_decomposition)
+    )
     g = _graph(args)
     structure = load(getattr(args, args.command))  # --partition or --decomposition
     validate(g, structure)
@@ -417,7 +441,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cyclecert",
         description="rotation certificates for cyclic sums and their graph corollaries",
@@ -431,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", required=True, help="comma-separated rationals, e.g. 1,3/2,-2")
     p.add_argument("--h", required=True, help="bound, a rational like 5/2")
     p.add_argument("--direction", choices=["below", "above", "equality"], default="below")
-    p.add_argument("--epsilon", default="1/2", help="nudge for equality certificates")
+    p.add_argument("--epsilon", default=None,
+                   help="nudge for equality certificates only, 1/2 when omitted")
     p.set_defaults(handler=_cmd_certify_sum)
     p = certify.add_parser("verify", help="check a stored certificate against a list")
     p.add_argument("--list", required=True)
@@ -448,11 +474,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p, 10_000_000, 60.0)
     p.set_defaults(handler=_cmd_domination_solve)
     p = dom.add_parser("verify-pair", help="paired value on the 5xN torus vs closed form")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     _add_budget_flags(p, 100_000_000, 600.0)
     p.set_defaults(handler=_cmd_domination_verify, suite="t1")
     p = dom.add_parser("verify-upper-total", help="largest minimal total set on 4xN torus vs 2n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     _add_budget_flags(p, 100_000_000, 600.0)
     p.set_defaults(handler=_cmd_domination_verify, suite="n4")
     p = dom.add_parser("corollary", help="prefix-pruned search or size decision")
@@ -461,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default=None,
                    help="columns:m:n or a comma permutation; found from the partition when omitted")
     p.add_argument("--variant", choices=[v.value for v in Variant], default="dominating")
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--h", type=_int_arg, required=True)
     p.add_argument("--mode", choices=["search", "decide"], default="decide")
     p.add_argument("--rd", action="store_true",
                    help="use redundancy counts instead of sizes (dominating sets only)")
@@ -476,11 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--transitive", action="store_true")
     _add_budget_flags(p, 10_000_000, 60.0)
-    p.set_defaults(handler=_cmd_structure_check,
-                   check=(_partition_arg, validate_partition, "parts", is_transitive_partition))
+    p.set_defaults(handler=_cmd_structure_check)
     p = part.add_parser("find", help="search for a transitive partition into t classes")
     p.add_argument("--graph", required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_arg, required=True)
     _add_budget_flags(p, 10_000_000, 60.0)
     p.set_defaults(handler=_cmd_partition_find)
 
@@ -492,8 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition", required=True, help="decomposition JSON file")
     p.add_argument("--transitive", action="store_true")
     _add_budget_flags(p, 10_000_000, 60.0)
-    p.set_defaults(handler=_cmd_structure_check,
-                   check=(_decomposition, validate_decomposition, "pieces", is_transitive_decomposition))
+    p.set_defaults(handler=_cmd_structure_check)
 
     draw = sub.add_parser("drawing", help="combinatorial drawings").add_subparsers(
         dest="subcommand", required=True
@@ -513,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = draw.add_parser("certify", help="prefix certificate on piece weights")
     p.add_argument("--drawing", required=True)
     p.add_argument("--pieces", required=True, help="decomposition JSON file")
-    p.add_argument("--h", type=int, required=True, help="integer crossing bound")
+    p.add_argument("--h", type=_int_arg, required=True, help="integer crossing bound")
     p.add_argument("--direction", choices=["below", "above"], default="below")
     p.set_defaults(handler=_cmd_drawing_certify)
 
@@ -533,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if hasattr(args, "budget_nodes"):
             if args.budget_nodes < 0:
                 raise ValueError(f"--budget-nodes must be at least 0, got {args.budget_nodes}")

@@ -1,8 +1,10 @@
+import argparse
 import json
 import time
 
 import pytest
 
+from cyclecert import cli
 from cyclecert.cli import main
 from cyclecert.domination import is_dominating, is_minimal_total_dominating, is_paired_dominating
 from cyclecert.formats import decomposition_to_json, dump_json, emit_graph_text
@@ -39,6 +41,21 @@ def test_certify_sum_equality(capsys):
                     "--direction", "equality", "--epsilon", "1/4")
     assert code == 0
     assert doc["equality"]["epsilon"] == {"num": 1, "den": 4}
+
+
+def test_certify_sum_equality_takes_half_when_epsilon_is_omitted(capsys):
+    code, doc = run(capsys, "certify", "sum", "--list", "0,0,4,0", "--h", "4",
+                    "--direction", "equality")
+    assert code == 0 and doc["equality"]["epsilon"] == {"num": 1, "den": 2}
+
+
+@pytest.mark.parametrize("direction", ["below", "above"])
+@pytest.mark.parametrize("epsilon", ["x", "1/4", "1/2"])
+def test_certify_sum_epsilon_belongs_to_equality_alone(capsys, direction, epsilon):
+    # a valid value is refused too: a rotation certificate records no nudge
+    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "5",
+                    "--direction", direction, "--epsilon", epsilon)
+    assert code == 2 and doc["error"] == "invalid input" and "--epsilon" in doc["detail"]
 
 
 def test_certify_sum_bad_rational_is_input_error(capsys):
@@ -212,6 +229,21 @@ def test_bad_budget_caps_are_input_errors(capsys, flag, value):
     start = time.monotonic()
     code, doc = run(capsys, "partition", "find", "--graph", "kmn:3:10", "--t", "13", flag, value)
     assert time.monotonic() - start < 5
+    assert code == 2 and doc["error"] == "invalid input" and flag in doc["detail"]
+
+
+@pytest.mark.parametrize("value", ["3_0", "\u0663", " 3"])
+@pytest.mark.parametrize("argv, flag", [
+    (["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3",
+      "--mode", "search"], "--h"),
+    (["domination", "verify-pair"], "--n"),
+    (["domination", "verify-upper-total"], "--n"),
+    (["partition", "find", "--graph", "cycle:6"], "--t"),
+    (["domination", "solve", "--graph", "torus:3:3"], "--budget-nodes"),
+])
+def test_integer_flags_take_plain_decimal_digits(capsys, argv, flag, value):
+    # int() would read 3_0 as 30 and the Arabic-Indic digit as 3
+    code, doc = run(capsys, *argv, flag, value)
     assert code == 2 and doc["error"] == "invalid input" and flag in doc["detail"]
 
 
@@ -477,7 +509,7 @@ def _circulant12_drawing_and_fans(capsys, tmp_path):
 @pytest.mark.parametrize("h,direction,expected", [
     ("36", "below", 0), ("35", "below", 1), ("36", "above", 0), ("37", "above", 1),
     # nudged by 1/2, 357/10 would certify 36 crossings as at most 35.7
-    ("357/10", "below", 2), ("36.0", "below", 2), ("36/1", "above", 2),
+    ("357/10", "below", 2), ("36.0", "below", 2), ("36/1", "above", 2), ("3_6", "below", 2),
 ])
 def test_drawing_certify_takes_an_integer_h(capsys, tmp_path, h, direction, expected):
     argv = _circulant12_drawing_and_fans(capsys, tmp_path)
@@ -571,3 +603,56 @@ def test_reproduce_n4_quick(capsys):
     assert r["n"] == 3 and r["value"] == 6 and r["expected"] == 6 and r["match"] is True
     assert len(r["witness"]) == 6
     assert is_minimal_total_dominating(cartesian_cycles(4, 3), r["witness"])
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    calls = [
+        ["certify", "sum", "--list", "1,2", "--h", "4"],
+        ["certify", "sum", "--list", "1,2", "--h", "3", "--direction", "equality"],
+        ["sideways"],
+        ["generate", "--graph", "cycle:4", "--format", "json"],
+        ["partition", "check", "--graph", "torus:3:3", "--partition", "columns:3:3"],
+        ["domination", "solve", "--graph", "torus:3:3"],
+        ["drawing", "convex", "--graph", "cycle:5"],
+    ]
+    run(capsys, *calls[0])
+    assert built, "the first call builds the parser"
+    built.clear()
+    for i in range(1, 50):
+        run(capsys, *calls[i % len(calls)])
+    assert built == []
+
+
+def test_calls_in_one_process_share_no_state(capsys, monkeypatch):
+    code, doc = run(capsys, "certify", "sum", "--list", "1,2")
+    assert code == 2
+    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "4")
+    assert code == 0 and doc["found"]
+    # each verify command keeps its own suite: the paired value of C5xC3 is
+    # 4, the upper total of C4xC3 is 6
+    for _ in range(2):
+        code, doc = run(capsys, "domination", "verify-pair", "--n", "3")
+        assert code == 0 and doc["expected"] == 4
+        code, doc = run(capsys, "domination", "verify-upper-total", "--n", "3")
+        assert code == 0 and doc["expected"] == 6
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "15000")
+    assert code == 3
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--quick")
+    assert code == 0 and doc["ok"] is True
+    # the parser is built by now; the handler must still find the rebinding
+    checked = []
+    real = cli.is_transitive_partition
+    monkeypatch.setattr(cli, "is_transitive_partition",
+                        lambda *args: checked.append(args) or real(*args))
+    code, doc = run(capsys, "partition", "check", "--graph", "torus:3:3",
+                    "--partition", "columns:3:3", "--transitive")
+    assert code == 0 and doc["transitive"] is True and len(checked) == 1
