@@ -7,11 +7,12 @@ search blew its budget.  The document is one compact line.
 `main` builds one `SearchBudget` per call from --budget-nodes and
 --budget-seconds, and every search of the command spends it, so a
 `reproduce` suite shares it across its instances.  Each command declares its
-defaults with its flags: 10^8 nodes and 600 seconds for `verify-pair`,
-`verify-upper-total` and `reproduce`, 10^7 nodes and 60 seconds elsewhere.
-A negative node cap, or a time cap that is negative, infinite or NaN, is
-malformed input.  Integer flags take plain decimal digits with an optional
-sign, nothing else that `int()` would read.
+defaults with its flags: 10^8 nodes and 600 seconds for `reproduce`, 10^7
+nodes and 60 seconds elsewhere.  A negative node cap is malformed input.
+Integer flags, and the integers inside specs and lists, go through
+`formats.parse_int`: plain decimal digits with an optional sign, nothing
+else that `int()` would read.  --budget-seconds takes plain decimals such
+as 10 or 0.5, so a negative, infinite or NaN time cap is a usage error.
 
 The argparse tree is built once per process, on the first call of `main`,
 and reused by every later call.  It holds no library function: handlers look
@@ -24,12 +25,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NoReturn, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from .crossing import (
     Parity,
@@ -72,13 +72,12 @@ from .formats import (
     equality_to_json,
     graph_to_json,
     parse_graph_spec,
+    parse_int,
     partition_from_json,
     partition_to_json,
 )
 from .graphs import cartesian_cycles, complete, complete_bipartite
 from .structures import (
-    CyclicSymmetry,
-    column_shift_symmetry,
     columns_partition,
     find_shift,
     find_transitive_partition,
@@ -94,23 +93,28 @@ __all__ = ["main"]
 
 
 def _int_arg(text: str) -> int:
-    """An integer flag: ASCII digits with an optional sign.  `int()` alone
-    would also take underscores, other scripts' digits and padding."""
-    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"expected an integer in decimal digits, got {text!r}")
-    return int(text)
+    """An integer flag, read by `parse_int`."""
+    try:
+        return parse_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _seconds_arg(text: str) -> float:
+    """A time cap: plain decimal digits with an optional fraction, nothing
+    else that `float()` would read (a sign, an exponent, nan, inf, 1_0)."""
+    if re.fullmatch(r"[0-9]+(\.[0-9]+)?", text) is None:
+        raise argparse.ArgumentTypeError(f"expected seconds like 10 or 0.5, got {text!r}")
+    return float(text)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) -> None:
     p.add_argument("--budget-nodes", type=_int_arg, default=nodes, help="search node cap")
-    p.add_argument("--budget-seconds", type=float, default=seconds, help="wall clock cap")
+    p.add_argument("--budget-seconds", type=_seconds_arg, default=seconds, help="wall clock cap")
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+    return [parse_int(tok.strip(), f"in {text!r}: ") for tok in text.split(",") if tok.strip()]
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -126,7 +130,8 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
         parts = tok.split("-")
         if len(parts) != 2:
             raise ValueError(f"expected edges like 0-1,1-2, got {tok!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = (parse_int(end.strip(), f"in edge {tok!r}: ") for end in parts)
+        edges.append((u, v))
     return edges
 
 
@@ -151,28 +156,16 @@ def _drawing(path: str):
     return drawing_from_json(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _columns(text: str, build: Callable[[int, int], Any]) -> Any:
-    """build(m, n) from the columns:m:n shorthand."""
-    try:
-        _, m, n = text.split(":")
-        rows, cols = int(m), int(n)
-    except ValueError:
-        raise ValueError(f"expected columns:m:n with integers m and n, got {text!r}") from None
-    return build(rows, cols)
-
-
 def _partition_arg(text: str) -> Any:
     """A partition: columns:m:n shorthand or a JSON file path."""
-    if text.startswith("columns:"):
-        return _columns(text, columns_partition)
-    return partition_from_json(_load_json(text))
-
-
-def _shift_arg(text: str) -> CyclicSymmetry:
-    """A shift map: columns:m:n shorthand or an explicit permutation."""
-    if text.startswith("columns:"):
-        return _columns(text, column_shift_symmetry)
-    return CyclicSymmetry(tuple(_int_list(text)))
+    if not text.startswith("columns:"):
+        return partition_from_json(_load_json(text))
+    try:
+        _, m, n = text.split(":")
+        rows, cols = parse_int(m), parse_int(n)
+    except ValueError:
+        raise ValueError(f"expected columns:m:n with integers m and n, got {text!r}") from None
+    return columns_partition(rows, cols)
 
 
 # --- certify ---------------------------------------------------------------
@@ -240,33 +233,17 @@ def _cmd_domination_solve(args: argparse.Namespace) -> tuple[Any, int]:
     }, 0
 
 
-def _cmd_domination_verify(args: argparse.Namespace) -> tuple[Any, int]:
-    report, expected = _solve_paper_value(args.suite, args.n, args.budget)
-    match = report.value == expected
-    return {
-        "n": args.n,
-        "solved": report.value,
-        "expected": expected,
-        "match": match,
-        "witness": list(report.witness),
-        "nodes_explored": report.nodes_explored,
-    }, 0 if match else 1
-
-
 def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
     variant = Variant(args.variant)
     if args.rd and variant is not Variant.DOMINATING:
         raise ValueError("--rd weighs dominating sets only")
     g = _graph(args)
     partition = _partition_arg(args.partition)
-    if args.shift is not None:
-        shift = _shift_arg(args.shift)
-    else:
-        shift = find_shift(g, partition, args.budget)
-        if shift is None:
-            raise ValueError(
-                "no automorphism carries each part onto the next, so --shift cannot be derived"
-            )
+    shift = find_shift(g, partition, args.budget)
+    if shift is None:
+        raise ValueError(
+            "the partition has no shift: no automorphism carries each part onto the next"
+        )
 
     def search(h: int) -> Optional[frozenset[int]]:
         if args.rd:
@@ -370,10 +347,11 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[Any, int]:
     return graph_to_json(g), 0
 
 
-def _reproduce_paper_values(suite: str, quick: bool, budget: SearchBudget) -> tuple[Any, int]:
-    row = _PAPER_VALUES[suite]
+def _reproduce_paper_values(
+    suite: str, columns: Sequence[int], budget: SearchBudget
+) -> tuple[Any, int]:
     results = []
-    for n in row.quick if quick else row.columns:
+    for n in columns:
         report, expected = _solve_paper_value(suite, n, budget)
         results.append(
             {
@@ -426,8 +404,12 @@ def _reproduce_structures(quick: bool, budget: SearchBudget) -> tuple[Any, int]:
 
 def _cmd_reproduce(args: argparse.Namespace) -> tuple[Any, int]:
     if args.suite == "structures":
+        if args.n is not None:
+            raise ValueError("--n goes with --suite t1 or n4")
         return _reproduce_structures(args.quick, args.budget)
-    return _reproduce_paper_values(args.suite, args.quick, args.budget)
+    row = _PAPER_VALUES[args.suite]
+    columns = (args.n,) if args.n is not None else row.quick if args.quick else row.columns
+    return _reproduce_paper_values(args.suite, columns, args.budget)
 
 
 # --- parser -----------------------------------------------------------------
@@ -473,19 +455,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["min", "max-minimal"], default="min")
     _add_budget_flags(p, 10_000_000, 60.0)
     p.set_defaults(handler=_cmd_domination_solve)
-    p = dom.add_parser("verify-pair", help="paired value on the 5xN torus vs closed form")
-    p.add_argument("--n", type=_int_arg, required=True)
-    _add_budget_flags(p, 100_000_000, 600.0)
-    p.set_defaults(handler=_cmd_domination_verify, suite="t1")
-    p = dom.add_parser("verify-upper-total", help="largest minimal total set on 4xN torus vs 2n")
-    p.add_argument("--n", type=_int_arg, required=True)
-    _add_budget_flags(p, 100_000_000, 600.0)
-    p.set_defaults(handler=_cmd_domination_verify, suite="n4")
     p = dom.add_parser("corollary", help="prefix-pruned search or size decision")
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True, help="columns:m:n or a partition JSON file")
-    p.add_argument("--shift", default=None,
-                   help="columns:m:n or a comma permutation; found from the partition when omitted")
     p.add_argument("--variant", choices=[v.value for v in Variant], default="dominating")
     p.add_argument("--h", type=_int_arg, required=True)
     p.add_argument("--mode", choices=["search", "decide"], default="decide")
@@ -548,7 +520,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="re-run a verification suite")
     p.add_argument("--suite", choices=["t1", "n4", "structures"], required=True)
-    p.add_argument("--quick", action="store_true", help="smaller instances only")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--quick", action="store_true", help="smaller instances only")
+    size.add_argument("--n", type=_int_arg, default=None,
+                      help="the t1 or n4 torus with n columns alone, n >= 3")
     _add_budget_flags(p, 100_000_000, 600.0)
     p.set_defaults(handler=_cmd_reproduce)
 
@@ -561,10 +536,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if hasattr(args, "budget_nodes"):
             if args.budget_nodes < 0:
                 raise ValueError(f"--budget-nodes must be at least 0, got {args.budget_nodes}")
-            if not (math.isfinite(args.budget_seconds) and args.budget_seconds >= 0):
-                raise ValueError(
-                    f"--budget-seconds must be a finite number at least 0, got {args.budget_seconds}"
-                )
             args.budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
         doc, code = args.handler(args)
         # inside the try: encoding can fail too, say on an integer past

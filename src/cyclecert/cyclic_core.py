@@ -84,7 +84,10 @@ class PrefixGoal(Enum):
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings, and Fractions to an exact Fraction."""
+    """Coerce ints, 'p/q' strings, and Fractions to an exact Fraction.
+
+    Strings follow `Fraction`'s grammar in ASCII without underscores, which
+    `Fraction` alone would read as digit separators ('1_3' as 13)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -92,6 +95,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "_" in value or not value.isascii():
+            raise ValueError(f"expected a rational in ASCII without underscores, got {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -6,13 +6,16 @@ vertices 0-based.  Graph specs name a family (cycle:n, torus:m:n,
 circulant:n:a,b, complete:n, kmn:m:n) or point at a file with @path;
 JSON drawings may carry either a spec string or an inline graph object.
 Rationals are {"num": p, "den": q} objects so nothing is ever rounded.
-All parsers raise ValueError with a line- or field-specific message.
+Integers in graph files and specs go through `parse_int`: ASCII decimal
+digits with an optional sign.  All parsers raise ValueError with a line- or
+field-specific message.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Any, Optional, Union
 
@@ -35,6 +38,7 @@ __all__ = [
     "equality_from_json",
     "graph_to_json",
     "graph_from_json",
+    "parse_int",
     "parse_graph_text",
     "emit_graph_text",
     "parse_graph_spec",
@@ -165,6 +169,18 @@ def graph_from_json(obj: Any) -> Graph:
     return Graph.from_edges(_int(obj["n"], "n"), [_edge(e, "edge") for e in _list(obj, "edges")])
 
 
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str, where: str = "") -> int:
+    """An integer in ASCII decimal digits with an optional sign, nothing else
+    that `int()` would read: no underscores, padding or other scripts'
+    digits.  `where` prefixes the error message."""
+    if _DECIMAL_INT.fullmatch(text) is None:
+        raise ValueError(f"{where}expected an integer in decimal digits, got {text!r}")
+    return int(text)
+
+
 def parse_graph_text(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
@@ -172,10 +188,7 @@ def parse_graph_text(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"first line must be 'n m', got {lines[0]!r}") from None
+    n, m = (parse_int(tok, f"first line {lines[0]!r}: ") for tok in head)
     if len(lines) - 1 != m:
         raise ValueError(f"header says {m} edges but file has {len(lines) - 1}")
     edges = []
@@ -183,10 +196,8 @@ def parse_graph_text(text: str) -> Graph:
         cols = ln.split()
         if len(cols) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        try:
-            edges.append((int(cols[0]), int(cols[1])))
-        except ValueError:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}") from None
+        u, v = (parse_int(tok, f"edge line {ln!r}: ") for tok in cols)
+        edges.append((u, v))
     return Graph.from_edges(n, edges)
 
 
@@ -194,13 +205,6 @@ def emit_graph_text(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def _int_arg(raw: str, spec: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"bad integer {raw!r} in graph spec {spec!r}") from None
 
 
 def parse_graph_spec(spec: str, base_dir: Optional[str] = None) -> Graph:
@@ -220,17 +224,18 @@ def parse_graph_spec(spec: str, base_dir: Optional[str] = None) -> Graph:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     args = rest.split(":") if rest else []
+    where = f"graph spec {spec!r}: "
     if kind == "cycle" and len(args) == 1:
-        return cycle(_int_arg(args[0], spec))
+        return cycle(parse_int(args[0], where))
     if kind == "torus" and len(args) == 2:
-        return cartesian_cycles(_int_arg(args[0], spec), _int_arg(args[1], spec))
+        return cartesian_cycles(parse_int(args[0], where), parse_int(args[1], where))
     if kind == "circulant" and len(args) == 2:
-        strides = [_int_arg(s, spec) for s in args[1].split(",") if s.strip()]
-        return circulant(_int_arg(args[0], spec), strides)
+        strides = [parse_int(s.strip(), where) for s in args[1].split(",") if s.strip()]
+        return circulant(parse_int(args[0], where), strides)
     if kind == "complete" and len(args) == 1:
-        return complete(_int_arg(args[0], spec))
+        return complete(parse_int(args[0], where))
     if kind == "kmn" and len(args) == 2:
-        return complete_bipartite(_int_arg(args[0], spec), _int_arg(args[1], spec))
+        return complete_bipartite(parse_int(args[0], where), parse_int(args[1], where))
     raise ValueError(
         f"unknown graph spec {spec!r}; expected cycle:n, torus:m:n, "
         "circulant:n:a,b, complete:n, kmn:m:n, or @path"

@@ -6,10 +6,17 @@ import pytest
 
 from cyclecert import cli
 from cyclecert.cli import main
-from cyclecert.domination import is_dominating, is_minimal_total_dominating, is_paired_dominating
+from cyclecert.domination import (
+    Variant,
+    is_dominating,
+    is_minimal_total_dominating,
+    is_paired_dominating,
+    prefix_pruned_search,
+    rd_prefix_pruned_search,
+)
 from cyclecert.formats import decomposition_to_json, dump_json, emit_graph_text
 from cyclecert.graphs import Graph, cartesian_cycles, cycle
-from cyclecert.structures import circulant14_decomposition
+from cyclecert.structures import circulant14_decomposition, column_shift_symmetry, columns_partition
 
 
 def run(capsys, *argv):
@@ -159,10 +166,50 @@ def test_malformed_json_files_are_input_errors(capsys, tmp_path, case):
 def test_usage_errors_are_input_errors(capsys):
     code, doc = run(capsys, "certify", "sum", "--list", "1,2")
     assert code == 2 and doc["error"] == "invalid input" and "--h" in doc["detail"]
-    code, doc = run(capsys, "domination", "verify-pair", "--n", "x")
+    code, doc = run(capsys, "reproduce", "--suite", "t1", "--n", "x")
     assert code == 2 and doc["error"] == "invalid input"
     code, doc = run(capsys, "sideways")
     assert code == 2 and doc["error"] == "invalid input"
+
+
+def _refused(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "invalid input"
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["--list", "1,2", "--h", "1_3"],
+    ["--list", "1_0,2", "--h", "3"],
+    ["--list", "1,2", "--h", "\u0661\u0663"],
+    ["--list", "1,2", "--h", "3", "--direction", "equality", "--epsilon", "1_0"],
+])
+def test_rationals_refuse_underscores_and_other_scripts_digits(capsys, argv):
+    # Fraction alone would answer for h = 13
+    assert "ASCII" in _refused(capsys, "certify", "sum", *argv)["detail"]
+
+
+def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):
+    graph = tmp_path / "ten.txt"
+    graph.write_text("1_0 0\n", encoding="utf-8")
+    drawing = tmp_path / "d.json"
+    drawing.write_text(dump_json({"graph": "cycle:12", "crossings": []}), encoding="utf-8")
+    order = ",".join(["0", "1_0"] + [str(v) for v in range(1, 10)])
+    cases = [
+        ["generate", "--graph", "cycle:1_0", "--format", "json"],
+        ["generate", "--graph", f"@{graph}"],
+        ["partition", "check", "--graph", "torus:3:10", "--partition", "columns:3:1_0"],
+        ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:\u0663",
+         "--h", "3"],
+        ["drawing", "convex", "--graph", "cycle:11", "--order", order],
+        ["drawing", "parity", "--drawing", str(drawing), "--cycle-a", "0-1,1-2,2-0",
+         "--cycle-b", "3-4,4-1_0,1_0-3"],
+    ]
+    for argv in cases:
+        _refused(capsys, *argv)
 
 
 def test_certify_verify_deeply_nested_json_is_input_error(capsys, tmp_path):
@@ -221,11 +268,14 @@ def test_domination_solve_max_minimal_long_cycle_is_budget_exceeded(capsys):
         ("--budget-seconds", "nan"),
         ("--budget-seconds", "inf"),
         ("--budget-seconds", "-1"),
+        ("--budget-seconds", "1_0"),
+        ("--budget-seconds", "1e1"),
         ("--budget-nodes", "-5"),
     ],
 )
 def test_bad_budget_caps_are_input_errors(capsys, flag, value):
-    # a NaN deadline is never reached, so it would switch the clock off
+    # a NaN deadline is never reached, so it would switch the clock off;
+    # float() would read 1_0 and 1e1 as 10
     start = time.monotonic()
     code, doc = run(capsys, "partition", "find", "--graph", "kmn:3:10", "--t", "13", flag, value)
     assert time.monotonic() - start < 5
@@ -236,8 +286,8 @@ def test_bad_budget_caps_are_input_errors(capsys, flag, value):
 @pytest.mark.parametrize("argv, flag", [
     (["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3",
       "--mode", "search"], "--h"),
-    (["domination", "verify-pair"], "--n"),
-    (["domination", "verify-upper-total"], "--n"),
+    (["reproduce", "--suite", "t1"], "--n"),
+    (["reproduce", "--suite", "n4"], "--n"),
     (["partition", "find", "--graph", "cycle:6"], "--t"),
     (["domination", "solve", "--graph", "torus:3:3"], "--budget-nodes"),
 ])
@@ -256,59 +306,81 @@ def test_budget_flag_overrides_the_default(capsys):
     assert code == 0 and doc["value"] == 4
 
 
-def test_domination_verify_pair(capsys):
-    code, doc = run(capsys, "domination", "verify-pair", "--n", "3")
-    assert code == 0 and doc["match"] and doc["solved"] == 4 and doc["expected"] == 4
+def _one_row(capsys, suite, n):
+    code, doc = run(capsys, "reproduce", "--suite", suite, "--n", str(n))
+    assert doc["suite"] == suite and doc["ok"] is (code == 0)
+    [row] = doc["results"]
+    assert set(row) == {"n", "value", "expected", "match", "witness"} and row["n"] == n
+    return code, row
 
 
-def test_domination_verify_upper_total(capsys):
-    code, doc = run(capsys, "domination", "verify-upper-total", "--n", "3")
-    assert code == 0 and doc["match"] and doc["solved"] == 6
+def test_reproduce_t1_at_one_n(capsys):
+    for n, value in [(3, 4), (7, 10)]:
+        code, row = _one_row(capsys, "t1", n)
+        assert code == 0 and row["value"] == row["expected"] == value and row["match"] is True
+        assert len(row["witness"]) == value
+        assert is_paired_dominating(cartesian_cycles(5, n), row["witness"])
 
 
-def test_domination_verify_upper_total_four_columns(capsys):
-    code, doc = run(capsys, "domination", "verify-upper-total", "--n", "4")
-    assert code == 0 and doc["match"] is True
-    assert doc["n"] == 4 and doc["solved"] == 8 and doc["expected"] == 8
-    assert len(doc["witness"]) == 8
-    assert is_minimal_total_dominating(cartesian_cycles(4, 4), doc["witness"])
+def test_reproduce_n4_at_one_n(capsys):
+    for n, value in [(3, 6), (6, 12)]:
+        code, row = _one_row(capsys, "n4", n)
+        assert code == 0 and row["value"] == row["expected"] == value and row["match"] is True
+
+
+def test_reproduce_n4_at_four_columns_prints_a_minimal_total_witness(capsys):
+    code, row = _one_row(capsys, "n4", 4)
+    assert code == 0 and row["value"] == 8 and len(row["witness"]) == 8
+    assert is_minimal_total_dominating(cartesian_cycles(4, 4), row["witness"])
+
+
+def test_reproduce_at_one_n_exits_1_on_a_mismatch(capsys, monkeypatch):
+    real = cli._solve_paper_value
+    monkeypatch.setattr(cli, "_solve_paper_value", lambda *args: (real(*args)[0], 5))
+    code, row = _one_row(capsys, "t1", 3)
+    assert code == 1 and row["value"] == 4 and row["expected"] == 5 and row["match"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "structures", "--n", "3"],
+    ["--suite", "t1", "--n", "3", "--quick"],
+    ["--suite", "n4", "--quick", "--n", "3"],
+    ["--suite", "t1", "--n", "2"],
+    ["--suite", "n4", "--n", "-4"],
+])
+def test_reproduce_n_refuses_other_suites_quick_and_small_n(capsys, argv):
+    _refused(capsys, "reproduce", *argv)
 
 
 def test_domination_corollary_decide(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--h", "3")
+                    "--partition", "columns:3:3", "--h", "3")
     assert code == 0 and doc["equals"]
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--h", "4")
+                    "--partition", "columns:3:3", "--h", "4")
     assert code == 1 and not doc["equals"]
 
 
 def test_domination_corollary_search_witness(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--h", "3", "--mode", "search")
+                    "--partition", "columns:3:3", "--h", "3", "--mode", "search")
     assert code == 0 and doc["found"] and len(doc["witness"]) <= 3
 
 
 def test_domination_corollary_rd(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--h", "3", "--rd")
+                    "--partition", "columns:3:3", "--h", "3", "--rd")
     assert code == 0 and doc["equals"]
 
 
 def test_domination_corollary_rd_search_prints_what_it_finds(capsys):
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--h", "3", "--rd", "--mode", "search")
+                    "--partition", "columns:3:3", "--h", "3", "--rd", "--mode", "search")
     assert code == 0 and doc["h"] == 3 and doc["found"] is True
     assert len(doc["witness"]) <= 3
     assert is_dominating(cartesian_cycles(3, 3), doc["witness"])
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--h", "2", "--rd", "--mode", "search")
+                    "--partition", "columns:3:3", "--h", "2", "--rd", "--mode", "search")
     assert code == 1 and doc == {"h": 2, "found": False}
 
 
@@ -316,8 +388,7 @@ def test_domination_corollary_rd_search_prints_what_it_finds(capsys):
 def test_domination_corollary_rd_refuses_variants_other_than_dominating(capsys, extra):
     # the redundancy search weighs dominating sets only; gamma_pr(C3xC3) = 4
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:3:3",
-                    "--rd", "--variant", "paired", *extra)
+                    "--partition", "columns:3:3", "--rd", "--variant", "paired", *extra)
     assert code == 2 and doc["error"] == "invalid input" and "--rd" in doc["detail"]
 
 
@@ -326,16 +397,30 @@ def test_malformed_columns_shorthand_is_input_error(capsys):
                     "--partition", "columns:3")
     assert code == 2 and doc["error"] == "invalid input" and "columns:m:n" in doc["detail"]
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "columns:x:3", "--h", "3")
+                    "--partition", "columns:x:3", "--h", "3")
     assert code == 2 and doc["error"] == "invalid input" and "columns:m:n" in doc["detail"]
 
 
 def test_domination_corollary_derives_the_shift(capsys):
-    code, given = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                      "--partition", "columns:3:3", "--shift", "columns:3:3", "--h", "3")
-    code_derived, derived = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                                "--partition", "columns:3:3", "--h", "3")
-    assert code == code_derived == 0 and derived == given == {"h": 3, "equals": True}
+    argv = ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3"]
+    assert run(capsys, *argv, "--h", "3") == (0, {"h": 3, "equals": True})
+    assert run(capsys, *argv, "--h", "3", "--mode", "search") == (
+        0, {"h": 3, "found": True, "witness": [2, 5, 8]})
+    assert run(capsys, *argv, "--h", "4", "--variant", "paired") == (0, {"h": 4, "equals": True})
+    assert run(capsys, *argv, "--h", "2", "--variant", "paired") == (1, {"h": 2, "equals": False})
+    # the derived shift finds what the column shift, which carries column i
+    # onto column i + 1, finds through the library
+    for m, n in [(3, 3), (4, 4), (5, 4)]:
+        g, parts, sigma = cartesian_cycles(m, n), columns_partition(m, n), column_shift_symmetry(m, n)
+        argv = ["domination", "corollary", "--graph", f"torus:{m}:{n}",
+                "--partition", f"columns:{m}:{n}", "--mode", "search"]
+        for h in range(2, 9):
+            searches = [(["--variant", v.value], prefix_pruned_search(g, parts, sigma, v, h))
+                        for v in Variant]
+            searches.append((["--rd"], rd_prefix_pruned_search(g, parts, sigma, h)))
+            for flags, found in searches:
+                code, doc = run(capsys, *argv, *flags, "--h", str(h))
+                assert (code, doc.get("witness")) == ((1, None) if found is None else (0, sorted(found)))
 
 
 def test_domination_corollary_without_a_shift_is_input_error(capsys, tmp_path):
@@ -344,14 +429,15 @@ def test_domination_corollary_without_a_shift_is_input_error(capsys, tmp_path):
     path.write_text(dump_json({"parts": [[0, 1, 2, 3], [4, 5, 6, 7, 8]]}), encoding="utf-8")
     code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
                     "--partition", str(path), "--h", "3")
-    assert code == 2 and doc["error"] == "invalid input" and "--shift" in doc["detail"]
+    assert code == 2 and doc["error"] == "invalid input" and "no shift" in doc["detail"]
 
 
 def test_domination_corollary_bad_shift_is_input_error(capsys):
-    code, doc = run(capsys, "domination", "corollary", "--graph", "torus:3:3",
-                    "--partition", "columns:3:3", "--shift", "0,1,2,3,4,5,6,7,8",
-                    "--h", "3")
-    assert code == 2 and doc["error"] == "invalid input"
+    # the shift is always derived, so a --shift flag is a usage error
+    for shift in ["columns:3:3", "0,1,2,3,4,5,6,7,8"]:
+        doc = _refused(capsys, "domination", "corollary", "--graph", "torus:3:3",
+                       "--partition", "columns:3:3", "--shift", shift, "--h", "3")
+        assert "--shift" in doc["detail"]
 
 
 def test_partition_check_and_transitive(capsys):
@@ -529,7 +615,7 @@ def test_epsilon_is_no_option_of_the_integer_bounds(capsys, tmp_path, command):
     # written into the certificate (test_certify_sum_equality)
     if command == "corollary":
         argv = ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3",
-                "--shift", "columns:3:3", "--h", "3"]
+                "--h", "3"]
     else:
         argv = [*_circulant12_drawing_and_fans(capsys, tmp_path), "--h", "36"]
     assert run(capsys, *argv)[0] == 0
@@ -637,13 +723,13 @@ def test_calls_in_one_process_share_no_state(capsys, monkeypatch):
     assert code == 2
     code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "4")
     assert code == 0 and doc["found"]
-    # each verify command keeps its own suite: the paired value of C5xC3 is
-    # 4, the upper total of C4xC3 is 6
+    # each suite keeps its own row: the paired value of C5xC3 is 4, the
+    # upper total of C4xC3 is 6
     for _ in range(2):
-        code, doc = run(capsys, "domination", "verify-pair", "--n", "3")
-        assert code == 0 and doc["expected"] == 4
-        code, doc = run(capsys, "domination", "verify-upper-total", "--n", "3")
-        assert code == 0 and doc["expected"] == 6
+        code, doc = run(capsys, "reproduce", "--suite", "t1", "--n", "3")
+        assert code == 0 and doc["results"][0]["expected"] == 4
+        code, doc = run(capsys, "reproduce", "--suite", "n4", "--n", "3")
+        assert code == 0 and doc["results"][0]["expected"] == 6
     code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "15000")
     assert code == 3
     code, doc = run(capsys, "reproduce", "--suite", "n4", "--quick")

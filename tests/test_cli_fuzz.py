@@ -149,7 +149,7 @@ def test_mutated_argv_gives_one_json_line_and_a_known_exit(capsys, tmp_path):
         ["domination", "solve", "--graph", "torus:3:3", "--variant", "paired", "--mode", "min",
          "--budget-nodes", "100000"],
         ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3",
-         "--shift", "columns:3:3", "--h", "3", "--mode", "search", "--budget-nodes", "100000"],
+         "--h", "3", "--mode", "search", "--budget-nodes", "100000"],
         ["partition", "check", "--graph", "torus:3:3", "--partition", paths["partition"],
          "--transitive"],
         ["partition", "find", "--graph", "cycle:6", "--t", "3", "--budget-nodes", "1000"],

@@ -46,6 +46,20 @@ def test_as_fraction_rejects_zero_denominator_and_junk():
             as_fraction(bad)
 
 
+def test_as_fraction_refuses_underscores_and_other_scripts_digits():
+    # Fraction alone reads 1_3 as 13 and the Arabic-Indic digits as 13
+    for bad in ("1_3", "1/3_0", "1_0.5", "\u0661\u0663", "1/\u0663", "\uff15"):
+        with pytest.raises(ValueError, match="ASCII without underscores"):
+            as_fraction(bad)
+
+
+def test_as_fraction_keeps_the_rest_of_the_fraction_grammar():
+    cases = {"-7/3": F(-7, 3), "+4": F(4), " 5/2 ": F(5, 2), "0.25": F(1, 4), "-1.5e2": F(-150),
+             "3E-1": F(3, 10), ".5": F(1, 2), "12/8": F(3, 2)}
+    for text, value in cases.items():
+        assert as_fraction(text) == value
+
+
 def test_as_fraction_rejects_bool_and_float():
     with pytest.raises(TypeError):
         as_fraction(True)

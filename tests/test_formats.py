@@ -30,6 +30,7 @@ from cyclecert.formats import (
     graph_to_json,
     parse_graph_spec,
     parse_graph_text,
+    parse_int,
     partition_from_json,
     partition_to_json,
 )
@@ -208,6 +209,26 @@ def test_graph_text_rejects_malformed():
         parse_graph_text("3 1\n0 x\n")
     with pytest.raises(ValueError):
         parse_graph_text("3 1\n0 3\n")  # vertex out of range
+
+
+def test_parse_int_takes_ascii_digits_with_an_optional_sign():
+    assert [parse_int(t) for t in ("0", "17", "-4", "+9", "007")] == [0, 17, -4, 9, 7]
+    # int() would read the first four
+    for bad in ("1_0", "\u0663", " 3", "3 ", "", "-", "+-1", "0x10", "1.0"):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_int(bad)
+    with pytest.raises(ValueError, match="^in spec: expected"):
+        parse_int("x", "in spec: ")
+
+
+def test_graph_text_and_specs_take_plain_decimal_digits():
+    for text in ("1_0 0\n", "3 1\n0 1_0\n", "\u0663 0\n"):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_graph_text(text)
+    for spec in ("cycle:1_0", "torus:3:\u0664", "circulant:12:1,4_0", "kmn:2: 3"):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_graph_spec(spec)
+    assert parse_graph_spec("circulant:8:1, 4") == circulant(8, [1, 4])
 
 
 def test_graph_json_roundtrip():
