@@ -17,6 +17,7 @@ from .cyclic_core import (
     Direction,
     EqualityCertificate,
     PrefixGoal,
+    PrefixTable,
     RotationCertificate,
     as_fraction,
     cyclic_list,

@@ -13,6 +13,11 @@ Integer flags, and the integers inside specs and lists, go through
 `formats.parse_int`: plain decimal digits with an optional sign, nothing
 else that `int()` would read.  --budget-seconds takes plain decimals such
 as 10 or 0.5, so a negative, infinite or NaN time cap is a usage error.
+The comma lists (--list, --order, --cycle-a, --cycle-b, and a circulant's
+strides) share one tokenizer, `formats.comma_items`, which refuses an empty
+item such as the middle one of `1,,2`.  `certify verify` hands the list to
+the certificate reader, which refuses a prefix entry that no prefix sum of
+the list can have before it builds the table.
 
 The argparse tree is built once per process, on the first call of `main`,
 and reused by every later call.  It holds no library function: handlers look
@@ -44,6 +49,7 @@ from .cyclic_core import (
     BoundSpec,
     Direction,
     as_fraction,
+    cyclic_list,
     equality_certificate,
     find_rotation,
     total,
@@ -63,6 +69,7 @@ from .errors import BudgetExceededError
 from .formats import (
     certificate_from_json,
     certificate_to_json,
+    comma_items,
     decomposition_from_json,
     drawing_from_json,
     drawing_to_json,
@@ -114,19 +121,16 @@ def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) ->
 
 
 def _int_list(text: str) -> list[int]:
-    return [parse_int(tok.strip(), f"in {text!r}: ") for tok in text.split(",") if tok.strip()]
+    return [parse_int(tok, f"in {text!r}: ") for tok in comma_items(text)]
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [as_fraction(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+    return [as_fraction(tok) for tok in comma_items(text)]
 
 
 def _edge_list(text: str) -> list[tuple[int, int]]:
     edges = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in comma_items(text):
         parts = tok.split("-")
         if len(parts) != 2:
             raise ValueError(f"expected edges like 0-1,1-2, got {tok!r}")
@@ -191,7 +195,7 @@ def _cmd_certify_sum(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_certify_verify(args: argparse.Namespace) -> tuple[Any, int]:
-    xs = _rational_list(args.list)
+    xs = cyclic_list(_rational_list(args.list))
     doc = _load_json(args.certificate)
     # accept the wrapper that `certify sum` emits, so output pipes back in
     if isinstance(doc, dict) and "certificate" in doc:
@@ -199,7 +203,7 @@ def _cmd_certify_verify(args: argparse.Namespace) -> tuple[Any, int]:
     elif isinstance(doc, dict) and "equality" in doc:
         doc = doc["equality"]
     if isinstance(doc, dict) and "below" in doc and "above" in doc:
-        eq, bound = equality_from_json(doc)
+        eq, bound = equality_from_json(doc, xs)
         ok_below = verify_certificate(xs, bound.h + bound.epsilon, eq.below)
         ok_above = verify_certificate(xs, bound.h - bound.epsilon, eq.above)
         matches = total(xs) == bound.h
@@ -210,7 +214,7 @@ def _cmd_certify_verify(args: argparse.Namespace) -> tuple[Any, int]:
             "above_ok": ok_above,
             "total_equals_h": matches,
         }, 0 if verified else 1
-    cert, h = certificate_from_json(doc)
+    cert, h = certificate_from_json(doc, xs)
     verified = verify_certificate(xs, h, cert)
     return {"verified": verified}, 0 if verified else 1
 

@@ -30,8 +30,10 @@ of cycle-lemma statements; subscripts wrap modulo n.
 (n*a_i - H): the slot after the last maximum works for the below direction
 (last minimum for above).  By the cycle lemma (Dvoretzky-Motzkin/Raney)
 that start always works once the total is on the right side of h, so there
-is no second try; the one streamed pass that builds the prefix table also
-re-checks every inequality.  `scan_rotation` is the exhaustive O(n^2)
+is no second try; one pass re-checks every inequality on the running sums,
+which become the certificate's `PrefixTable` as they are: integers over one
+denominator, with no Fraction built per entry.  `verify_certificate` is one
+integer pass over that table.  `scan_rotation` is the exhaustive O(n^2)
 search in Fractions, kept as a reference to test against.
 `prefix_condition_all_starts` finds every per-start witness in O(n) with a
 monotone stack over the doubled running sums.
@@ -42,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice
-from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import accumulate, chain, islice
+from math import gcd, lcm
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -53,12 +55,14 @@ __all__ = [
     "PrefixGoal",
     "CyclicList",
     "BoundSpec",
+    "PrefixTable",
     "RotationCertificate",
     "EqualityCertificate",
     "Block",
     "BlockCover",
     "as_fraction",
     "cyclic_list",
+    "common_denominator",
     "total",
     "scan_rotation",
     "find_rotation",
@@ -163,18 +167,105 @@ def integer_bound(h: object) -> int:
     return h
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class PrefixTable(Sequence[Fraction]):
+    """Prefix sums as integers over one denominator: entry j is scaled[j]/den.
+
+    den is canonical, the lcm of the entries' reduced denominators (the
+    constructor divides out any common factor), so tables of equal value have
+    equal fields.  Indexing and iteration build Fractions on access (a slice
+    is a tuple of them), and a table equals any sequence of the same
+    rationals.
+    """
+
+    scaled: tuple[int, ...]
+    den: int
+
+    def __post_init__(self) -> None:
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        g = gcd(self.den, *self.scaled)
+        if g != 1:
+            object.__setattr__(self, "scaled", tuple([a // g for a in self.scaled]))
+            object.__setattr__(self, "den", self.den // g)
+
+    @classmethod
+    def over(cls, nums: Sequence[int], dens: Sequence[int], within: Optional[int] = None) -> PrefixTable:
+        """The table of entries nums[j]/dens[j], each den positive.
+
+        Without `within` the entries go over the lcm of their dens, which
+        nothing bounds: n entries over distinct primes cost time and memory
+        quadratic in n.  `within` is the D of a list and h (see
+        `common_denominator`): every prefix sum of that list is an integer
+        over D, so an entry that is not raises ValueError, and no entry is
+        put over more than D, which bounds the cost by that of the list.
+        """
+        distinct = set(dens)
+        if within is not None and any(within % q for q in distinct):
+            # some den does not divide D; only an unreduced entry can be right
+            scaled = []
+            for j, (p, q) in enumerate(zip(nums, dens)):
+                a, r = divmod(p * within, q)
+                if r:
+                    raise ValueError(
+                        f"prefix entry {j + 1} is {Fraction(p, q)}, but every prefix sum of the list"
+                        f" is an integer over {within}, the lcm of the denominators of the list and h"
+                    )
+                scaled.append(a)
+            return cls(tuple(scaled), within)
+        d = lcm(*distinct)
+        return cls(tuple([p * (d // q) for p, q in zip(nums, dens)]), d)
+
+    @classmethod
+    def of(cls, values: Iterable[Union[int, Fraction]]) -> PrefixTable:
+        """The table of int or Fraction entries; TypeError on anything else."""
+        values = tuple(values)
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"prefix sums must be ints or Fractions, got {v!r}")
+        return cls.over([v.numerator for v in values], [v.denominator for v in values])
+
+    def __len__(self) -> int:
+        return len(self.scaled)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Fraction, tuple[Fraction, ...]]:
+        if isinstance(index, slice):
+            return tuple(Fraction(a, self.den) for a in self.scaled[index])
+        return Fraction(self.scaled[index], self.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        den = self.den
+        return (Fraction(a, den) for a in self.scaled)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, PrefixTable):
+            return self.den == other.den and self.scaled == other.scaled
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(p == q for p, q in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # the hash of the equal tuple of Fractions
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RotationCertificate:
     """A start k plus the prefix-sum table that witnesses one strict direction.
 
     prefix_sums[j-1] is the sum of the j entries starting at slot k, wrapping
     cyclically; a verifier recomputes the table and re-checks every strict
-    inequality rather than trusting the stored values.
+    inequality rather than trusting the stored values.  Any sequence of int
+    or Fraction entries is taken and stored once as a `PrefixTable`.
     """
 
     direction: Direction
     k: int
-    prefix_sums: tuple[Fraction, ...]
+    prefix_sums: PrefixTable
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.prefix_sums, PrefixTable):
+            object.__setattr__(self, "prefix_sums", PrefixTable.of(self.prefix_sums))
 
     @property
     def n(self) -> int:
@@ -217,13 +308,17 @@ class BlockCover:
         return sum(b.length for b in self.blocks)
 
 
+def common_denominator(xs: Union[CyclicList, Iterable[RationalLike]], h: RationalLike) -> int:
+    """D, the lcm of the denominators of the list's entries and of h: every
+    prefix sum of the list, and h, is an integer over D."""
+    return lcm(as_fraction(h).denominator, *{v.denominator for v in cyclic_list(xs).values})
+
+
 def _scaled(cl: CyclicList, h: Fraction) -> tuple[list[int], int, int]:
-    """(a, H, D): the entries and h as integers a_i = D*x_i and H = D*h, where
-    D is the lcm of their denominators."""
-    values = cl.values
-    dens = [v.denominator for v in values]
-    d = lcm(h.denominator, *set(dens))
-    return [v.numerator * (d // q) for v, q in zip(values, dens)], h.numerator * (d // h.denominator), d
+    """(a, H, D): the entries and h as integers a_i = D*x_i and H = D*h, with
+    D the `common_denominator` of the list and h."""
+    d = common_denominator(cl, h)
+    return [v.numerator * (d // v.denominator) for v in cl.values], h.numerator * (d // h.denominator), d
 
 
 def _rotation(a: Sequence[int], k: int) -> Iterator[int]:
@@ -276,9 +371,9 @@ def find_rotation(
     """O(n) certificate search: start just past the last extreme running sum.
 
     Existence always agrees with scan_rotation; the returned k may differ.
-    The prefix table is built and every inequality re-checked in one pass
-    from that start; a failure there would contradict the cycle lemma and
-    raises RuntimeError.
+    Every inequality is re-checked on the running sums from that start, which
+    then become the prefix table; a failure there would contradict the cycle
+    lemma and raises RuntimeError.
     """
     cl = cyclic_list(xs)
     n = cl.n
@@ -295,15 +390,15 @@ def find_rotation(
         if run >= best:
             best, best_i = run, i
     k = best_i + 1
-    prefixes = []
-    acc = bound = 0
-    for v in _rotation(a, k):
-        acc += v
+    # a list first: tuple() of an iterator of unknown length resizes its
+    # result, which strands small tuples on CPython's per-size free lists
+    prefixes = list(accumulate(_rotation(a, k)))
+    bound = 0
+    for acc in prefixes:
         bound += sh
         if not sn * acc < bound:
             raise RuntimeError(f"internal error: start {k} fails a prefix test the cycle lemma guarantees")
-        prefixes.append(Fraction(acc, d))
-    return RotationCertificate(direction=direction, k=k, prefix_sums=tuple(prefixes))
+    return RotationCertificate(direction=direction, k=k, prefix_sums=PrefixTable(tuple(prefixes), d))
 
 
 def verify_certificate(
@@ -311,29 +406,30 @@ def verify_certificate(
     h: RationalLike,
     cert: RotationCertificate,
 ) -> bool:
-    """Recompute the prefix table at cert.k and re-check every inequality.
+    """Recompute the prefix sums at cert.k in integers, compare each with the
+    table, and re-check every inequality, in one pass.
 
-    A tampered or stale prefix table yields False; a start index outside
-    1..n is malformed input and raises instead.
+    With D the lcm of the denominators of the list and h, every true prefix
+    sum is an integer over D, so a table whose den does not divide D is wrong
+    without a look at its entries.  A tampered or stale table yields False; a
+    start index outside 1..n is malformed input and raises instead.
     """
     cl = cyclic_list(xs)
     n = cl.n
     if not 1 <= cert.k <= n:
         raise ValueError(f"certificate start {cert.k} out of range 1..{n}")
-    if len(cert.prefix_sums) != n:
+    table = cert.prefix_sums
+    if len(table) != n:
         return False
     a, big_h, d = _scaled(cl, as_fraction(h))
+    step, rest = divmod(d, table.den)
+    if rest:
+        return False
     sn, sh = (n, big_h) if cert.direction is Direction.BELOW else (-n, -big_h)
-    acc = bound = 0
-    for v, p in zip(_rotation(a, cert.k), cert.prefix_sums):
-        acc += v
+    bound = 0
+    for acc, p in zip(accumulate(_rotation(a, cert.k)), table.scaled):
         bound += sh
-        if not sn * acc < bound:
-            return False
-        if type(p) is Fraction or type(p) is int:
-            if p.numerator * d != acc * p.denominator:
-                return False
-        elif Fraction(acc, d) != p:
+        if acc != p * step or not sn * acc < bound:
             return False
     return True
 
@@ -349,16 +445,22 @@ def prefix_condition_all_starts(
     start i at least c*j; the vector exists for all starts exactly when the
     total is >= h (dually <= h for LEQ_SOMEWHERE).
     """
-    cl = cyclic_list(xs)
-    n = cl.n
-    a, big_h, _ = _scaled(cl, as_fraction(h))
+    a, big_h, _ = _scaled(cyclic_list(xs), as_fraction(h))
+    witnesses = _least_reaches(a, big_h, goal is PrefixGoal.GEQ_SOMEWHERE)
+    return (False, None) if witnesses is None else (True, witnesses)
+
+
+def _least_reaches(a: Sequence[int], big_h: int, geq: bool) -> Optional[tuple[int, ...]]:
+    """The witness vector of the scaled entries a against H = D*h, or None
+    when the total is on the wrong side of H."""
+    n = len(a)
     # With S_q the running sums of s*(n*a_i - H) over the list read twice,
     # the witness of start p+1 is q - p for the least q > p with S_q >= S_p.
-    sn, sh = (n, big_h) if goal is PrefixGoal.GEQ_SOMEWHERE else (-n, -big_h)
+    sn, sh = (n, big_h) if geq else (-n, -big_h)
     if sn * sum(a) < n * sh:
         # Total on the wrong side: by the cycle lemma some start stays
         # strictly short of the average on every prefix.
-        return False, None
+        return None
     # Since S_{p+n} - S_p = s*n*(A - H) >= 0, every start is answered by q <= p + n.
     witnesses = [0] * n
     open_starts: list[tuple[int, int]] = [(0, 0)]  # (p, S_p), S_p strictly decreasing
@@ -372,7 +474,7 @@ def prefix_condition_all_starts(
             open_starts.append((q, run))
         elif not open_starts:
             break
-    return True, tuple(witnesses)
+    return tuple(witnesses)
 
 
 def greedy_block_cover(
@@ -392,14 +494,12 @@ def greedy_block_cover(
     slot n; from other starts the cover may overshoot.
     """
     cl = cyclic_list(xs)
-    cf = as_fraction(c)
-    ok, gs = prefix_condition_all_starts(cl, cf * cl.n, PrefixGoal.GEQ_SOMEWHERE)
-    if not ok:
+    a, big_h, d = _scaled(cl, as_fraction(c) * cl.n)
+    gs = _least_reaches(a, big_h, True)
+    if gs is None:
         raise ValueError("no qualifying prefix at some start; total is below c * n")
     if not 1 <= start <= cl.n:
         raise ValueError(f"start {start} out of range 1..{cl.n}")
-    assert gs is not None
-    a, _, d = _scaled(cl, Fraction(0))
     blocks = []
     covered = 0
     pos = start
@@ -418,14 +518,15 @@ def equality_certificate(
     """Certify total == bound.h via below(h + eps) plus above(h - eps).
 
     The pair alone only shows |total - h| < eps, so the exact total (the
-    last entry of a full prefix table) is checked as well: None unless
-    total == h.
+    last entry of a full prefix table) is checked as well, in integers: None
+    unless total == h.
     """
     cl = cyclic_list(xs)
     below = find_rotation(cl, bound.h + bound.epsilon, Direction.BELOW)
     if below is None:
         return None
     above = find_rotation(cl, bound.h - bound.epsilon, Direction.ABOVE)
-    if above is None or below.prefix_sums[-1] != bound.h:
+    table = below.prefix_sums
+    if above is None or table.scaled[-1] * bound.h.denominator != bound.h.numerator * table.den:
         return None
     return EqualityCertificate(below=below, above=above)

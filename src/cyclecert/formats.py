@@ -17,14 +17,19 @@ import json
 import os
 import re
 from fractions import Fraction
-from typing import Any, Optional, Union
+from math import gcd
+from typing import Any, Optional, Sequence, Union
 
 from .crossing import AbstractDrawing
 from .cyclic_core import (
     BoundSpec,
+    CyclicList,
     Direction,
     EqualityCertificate,
+    PrefixTable,
+    RationalLike,
     RotationCertificate,
+    common_denominator,
 )
 from .graphs import Graph, cartesian_cycles, circulant, complete, complete_bipartite, cycle, norm_edge
 from .structures import EdgeDecomposition, Piece, VertexPartition
@@ -69,16 +74,32 @@ def fraction_from_json(obj: Any) -> Fraction:
 
 
 def certificate_to_json(cert: RotationCertificate, h: Fraction) -> dict[str, Any]:
+    table = cert.prefix_sums
+    den = table.den
+    prefix = []
+    for p in table.scaled:
+        g = gcd(p, den)
+        prefix.append({"num": p // g, "den": den // g})
     return {
         "direction": cert.direction.value,
         "k": cert.k,
         "n": cert.n,
         "h": fraction_to_json(h),
-        "prefix": [{"num": p.numerator, "den": p.denominator} for p in cert.prefix_sums],
+        "prefix": prefix,
     }
 
 
-def certificate_from_json(doc: Any) -> tuple[RotationCertificate, Fraction]:
+def certificate_from_json(
+    doc: Any, xs: Union[CyclicList, Sequence[RationalLike], None] = None
+) -> tuple[RotationCertificate, Fraction]:
+    """The certificate and h of a document.
+
+    Given the list the certificate is for, a prefix entry that is no integer
+    over the list's D (`common_denominator` of the list and h) is refused
+    with ValueError before the table is built: no prefix sum of the list has
+    it.  Without the list nothing bounds the table's denominator, so a
+    reader of untrusted documents passes it.
+    """
     if not isinstance(doc, dict):
         raise ValueError("certificate document must be an object")
     try:
@@ -93,19 +114,25 @@ def certificate_from_json(doc: Any) -> tuple[RotationCertificate, Fraction]:
         raise ValueError(f"prefix must be a list of num/den objects, got {raw!r}")
     # The well-formed entry is tested inline, as the table runs to 10^5
     # entries; anything else goes to fraction_from_json, which words the error.
-    prefix = []
+    nums = []
+    dens = []
     for p in raw:
         if type(p) is dict and len(p) == 2:
             num, den = p.get("num"), p.get("den")
             if type(num) is int and type(den) is int and den > 0:
-                prefix.append(Fraction(num, den))
+                nums.append(num)
+                dens.append(den)
                 continue
-        prefix.append(fraction_from_json(p))
+        value = fraction_from_json(p)
+        nums.append(value.numerator)
+        dens.append(value.denominator)
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n != len(prefix):
+    if not isinstance(n, int) or isinstance(n, bool) or n != len(nums):
         raise ValueError("n must match the prefix table length")
-    return RotationCertificate(direction=direction, k=k, prefix_sums=tuple(prefix)), h
+    within = None if xs is None else common_denominator(xs, h)
+    table = PrefixTable.over(nums, dens, within)
+    return RotationCertificate(direction=direction, k=k, prefix_sums=table), h
 
 
 def equality_to_json(eq: EqualityCertificate, bound: BoundSpec) -> dict[str, Any]:
@@ -117,15 +144,19 @@ def equality_to_json(eq: EqualityCertificate, bound: BoundSpec) -> dict[str, Any
     }
 
 
-def equality_from_json(doc: Any) -> tuple[EqualityCertificate, BoundSpec]:
+def equality_from_json(
+    doc: Any, xs: Union[CyclicList, Sequence[RationalLike], None] = None
+) -> tuple[EqualityCertificate, BoundSpec]:
+    """The equality certificate and bound of a document; `xs` as for
+    `certificate_from_json`."""
     if not isinstance(doc, dict):
         raise ValueError("equality document must be an object")
     try:
         bound = BoundSpec(
             h=fraction_from_json(doc["h"]), epsilon=fraction_from_json(doc["epsilon"])
         )
-        below, below_h = certificate_from_json(doc["below"])
-        above, above_h = certificate_from_json(doc["above"])
+        below, below_h = certificate_from_json(doc["below"], xs)
+        above, above_h = certificate_from_json(doc["above"], xs)
     except KeyError as missing:
         raise ValueError(f"equality document lacks field {missing}") from None
     if below_h != bound.h + bound.epsilon or above_h != bound.h - bound.epsilon:
@@ -181,6 +212,15 @@ def parse_int(text: str, where: str = "") -> int:
     return int(text)
 
 
+def comma_items(text: str, where: str = "") -> list[str]:
+    """The items of a comma list, each stripped of spaces; an empty item, as in
+    `1,,2` or `1,2,`, is an input error rather than an item to drop."""
+    items = [tok.strip() for tok in text.split(",")]
+    if "" in items:
+        raise ValueError(f"{where}empty item in the comma list {text!r}")
+    return items
+
+
 def parse_graph_text(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
@@ -230,7 +270,7 @@ def parse_graph_spec(spec: str, base_dir: Optional[str] = None) -> Graph:
     if kind == "torus" and len(args) == 2:
         return cartesian_cycles(parse_int(args[0], where), parse_int(args[1], where))
     if kind == "circulant" and len(args) == 2:
-        strides = [parse_int(s.strip(), where) for s in args[1].split(",") if s.strip()]
+        strides = [parse_int(s, where) for s in comma_items(args[1], where)]
         return circulant(parse_int(args[0], where), strides)
     if kind == "complete" and len(args) == 1:
         return complete(parse_int(args[0], where))

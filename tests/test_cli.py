@@ -212,6 +212,44 @@ def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):
         _refused(capsys, *argv)
 
 
+def test_comma_lists_refuse_an_empty_item(capsys, tmp_path):
+    drawing = tmp_path / "d.json"
+    drawing.write_text(dump_json({"graph": "cycle:6", "crossings": []}), encoding="utf-8")
+    parity = ["drawing", "parity", "--drawing", str(drawing)]
+    cases = [
+        ["certify", "sum", "--list=1,,2", "--h=5"],
+        ["certify", "sum", "--list", "1,2,", "--h", "5"],
+        ["certify", "sum", "--list", " , 1", "--h", "5"],
+        ["certify", "verify", "--list", "1,,2", "--certificate", str(drawing)],
+        ["drawing", "convex", "--graph", "cycle:3", "--order", "0,,1,2"],
+        [*parity, "--cycle-a", "0-1,,1-2,2-0", "--cycle-b", "3-4,4-5,5-3"],
+        [*parity, "--cycle-a", "0-1,1-2,2-0", "--cycle-b", "3-4,4-5,5-3,"],
+        ["generate", "--graph", "circulant:12:1,,4,", "--format", "json"],
+    ]
+    for argv in cases:
+        assert "empty item" in _refused(capsys, *argv)["detail"]
+
+
+def test_certify_verify_refuses_an_entry_no_prefix_sum_of_the_list_has(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, doc = run(capsys, "certify", "sum", "--list", "3,-1/2,2,-2", "--h", "4")
+    assert code == 0
+    doc["certificate"]["prefix"][1] = {"num": 3, "den": 4}
+    path.write_text(dump_json(doc), encoding="utf-8")
+    detail = _refused(capsys, "certify", "verify", "--list", "3,-1/2,2,-2", "--certificate", str(path))["detail"]
+    assert "prefix entry 2 is 3/4" in detail
+    # an entry over the list's D that is wrong is read, and fails to verify
+    doc["certificate"]["prefix"][1] = {"num": 1, "den": 2}
+    path.write_text(dump_json(doc), encoding="utf-8")
+    code, out = run(capsys, "certify", "verify", "--list", "3,-1/2,2,-2", "--certificate", str(path))
+    assert (code, out) == (1, {"verified": False})
+
+
+def test_comma_list_items_are_still_stripped_of_spaces(capsys):
+    code, doc = run(capsys, "certify", "sum", "--list", " 1, 2 ", "--h", "5")
+    assert code == 0 and doc["certificate"]["n"] == 2
+
+
 def test_certify_verify_deeply_nested_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from cyclecert.cyclic_core import (
     CyclicList,
     Direction,
     PrefixGoal,
+    PrefixTable,
     RotationCertificate,
     as_fraction,
     cyclic_list,
@@ -225,6 +227,77 @@ def test_verify_accepts_int_entries_in_the_table():
     as_ints = RotationCertificate(direction=cert.direction, k=cert.k, prefix_sums=(1, 2))
     assert verify_certificate([1, 1], 3, as_ints)
     assert not verify_certificate([1, 1], 3, RotationCertificate(cert.direction, cert.k, (1, 3)))
+
+
+# --- the prefix table ----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_lists, st.sampled_from([Direction.BELOW, Direction.ABOVE]))
+def test_table_den_is_the_lcm_of_the_reduced_entry_denominators(xs, direction):
+    s = total(xs)
+    h = s + F(1, 11) if direction is Direction.BELOW else s - F(1, 11)
+    table = find_rotation(xs, h, direction).prefix_sums
+    assert table.den == math.lcm(*(p.denominator for p in table))
+    assert tuple(table) == tuple(F(p, table.den) for p in table.scaled)
+
+
+def test_table_takes_any_exact_sequence_and_keeps_one_canonical_form():
+    table = PrefixTable.of([F(1, 2), F(2, 3), 3])
+    assert (table.scaled, table.den) == ((3, 4, 18), 6)
+    reduced = PrefixTable((2, 4, 6), 4)
+    assert (reduced.scaled, reduced.den) == ((1, 2, 3), 2)
+    # h's denominator 3 enters D = 12, and drops out of the table
+    cert = find_rotation([F(1, 4), F(1, 4)], F(5, 3), Direction.BELOW)
+    assert (cert.prefix_sums.scaled, cert.prefix_sums.den) == ((1, 2), 4)
+    assert cert.prefix_sums == (F(1, 4), F(1, 2))
+    assert cert.prefix_sums == [F(1, 4), F(1, 2)]
+    assert hash(cert.prefix_sums) == hash((F(1, 4), F(1, 2)))
+    assert cert.prefix_sums != (F(1, 4),) and cert.prefix_sums != (F(1, 4), F(1, 3))
+
+
+def test_table_slices_index_like_a_tuple():
+    xs = [F(1, 2), -3, 2, F(1, 3), F(-5, 6), 4]
+    cert = find_rotation(xs, total(xs) + 1, Direction.BELOW)
+    rotated = xs[cert.k - 1:] + xs[:cert.k - 1]
+    want = tuple(sum(rotated[:j], F(0)) for j in range(1, len(xs) + 1))
+    for index in (slice(1, 4), slice(None, None, -1), slice(-2, None), slice(0, 6, 2), slice(4, 2)):
+        assert cert.prefix_sums[index] == want[index]
+    assert cert.prefix_sums[-1] == want[-1] == total(xs)
+    with pytest.raises(IndexError):
+        cert.prefix_sums[6]
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/2"], ids=repr)
+def test_table_refuses_entries_that_are_not_exact(bad):
+    with pytest.raises(TypeError):
+        RotationCertificate(Direction.BELOW, 1, (F(1), bad))
+    with pytest.raises(TypeError):
+        PrefixTable.of([bad])
+
+
+def test_verify_rejects_a_replaced_table_of_fractions():
+    # dataclasses.replace with one entry off, as a doctored certificate would be built
+    xs = [F(1, 2), -3, 2, F(1, 3)]
+    h = total(xs) + 1
+    cert = find_rotation(xs, h, Direction.BELOW)
+    sums = list(cert.prefix_sums)
+    assert verify_certificate(xs, h, dataclasses.replace(cert, prefix_sums=tuple(sums)))
+    sums[-1] += 1
+    doctored = dataclasses.replace(cert, prefix_sums=tuple(sums))
+    assert isinstance(doctored.prefix_sums, PrefixTable) and doctored != cert
+    assert not verify_certificate(xs, h, doctored)
+
+
+def test_verify_rejects_a_table_whose_den_does_not_divide_d():
+    # every true prefix sum of [1/2, 1/3] against h = 1 is a multiple of 1/6
+    cert = find_rotation([F(1, 2), F(1, 3)], 1, Direction.BELOW)
+    assert cert.prefix_sums.den == 6 and verify_certificate([F(1, 2), F(1, 3)], 1, cert)
+    off = RotationCertificate(Direction.BELOW, cert.k, (cert.prefix_sums[0], cert.prefix_sums[1] + F(1, 7)))
+    assert off.prefix_sums.den == 42
+    assert not verify_certificate([F(1, 2), F(1, 3)], 1, off)
+    # D = 1 here, and 1/7 scaled down to D would round to the true sum 0
+    assert not verify_certificate([0, 0], 1, RotationCertificate(Direction.BELOW, 1, (F(1, 7), 0)))
 
 
 def test_randomized_agreement_with_definition():

@@ -1,9 +1,11 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from cyclecert.cli import main
 from cyclecert.crossing import AbstractDrawing, convex_drawing
 from cyclecert.cyclic_core import (
     BoundSpec,
@@ -145,6 +147,62 @@ def test_prefix_reader_normalizes_unreduced_entries():
     assert cert.prefix_sums == (F(1, 2),)
 
 
+def test_prefix_reader_puts_the_entries_over_the_lcm_of_their_denominators():
+    doc = _one_entry_certificate({"num": 1, "den": 2})
+    doc["prefix"] += [{"num": 2, "den": 3}, {"num": 3, "den": 4}]
+    doc["n"] = 3
+    cert, _ = certificate_from_json(doc)
+    assert (cert.prefix_sums.scaled, cert.prefix_sums.den) == ((6, 8, 9), 12)
+    assert cert.prefix_sums == (F(1, 2), F(2, 3), F(3, 4))
+
+
+def _odd_primes(count):
+    primes = []
+    c = 3
+    while len(primes) < count:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 2
+    return primes
+
+
+def test_a_reader_given_the_list_refuses_a_table_over_distinct_primes_in_small_memory():
+    # Over the lcm of its dens this table would take about 29 MB and seconds.
+    n = 4000
+    doc = {"direction": "below", "k": 1, "n": n, "h": {"num": n, "den": 1},
+           "prefix": [{"num": 1, "den": p} for p in _odd_primes(n)]}
+    xs = [0] * n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="prefix entry 1 is 1/3, but every prefix sum"):
+            certificate_from_json(doc, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    with pytest.raises(ValueError, match="prefix entry 1 is 1/3"):
+        equality_from_json({"h": {"num": n, "den": 1}, "epsilon": {"num": 1, "den": 2},
+                            "below": doc, "above": doc}, xs)
+
+
+def test_a_reader_given_the_list_takes_every_entry_that_is_an_integer_over_d():
+    xs = [F(1, 2), 1, F(-1, 2)]  # with h = 4/3, D is 6
+    found = find_rotation(xs, F(4, 3), Direction.BELOW)
+    doc = json.loads(dump_json(certificate_to_json(found, F(4, 3))))
+    for entry in doc["prefix"]:  # dens 4 and 2, and 4 does not divide 6
+        entry["num"] *= 2
+        entry["den"] *= 2
+    cert, h = certificate_from_json(doc, xs)
+    assert cert == found and hash(cert) == hash(found) and cert == certificate_from_json(doc)[0]
+    assert cert.prefix_sums.den == 2 and verify_certificate(xs, h, cert)
+    # 1/4 is no integer over 6; without the list the reader takes it
+    doc["prefix"][0] = {"num": 1, "den": 4}
+    with pytest.raises(ValueError, match="prefix entry 1 is 1/4, but every prefix sum of the list is an integer over 6"):
+        certificate_from_json(doc, xs)
+    cert, h = certificate_from_json(doc)
+    assert cert.prefix_sums.den == 4 and not verify_certificate(xs, h, cert)
+
+
 @pytest.mark.parametrize("prefix", [5, None, "1/2", {"num": 1, "den": 2}])
 def test_certificate_parse_rejects_a_prefix_that_is_not_a_list(prefix):
     doc = _one_entry_certificate({"num": 1, "den": 2})
@@ -167,6 +225,39 @@ def test_large_certificates_survive_the_json_round_trip(n):
         back = certificate_from_json(json.loads(dump_json(certificate_to_json(cert, h))))
         assert back == (cert, h)
         assert verify_certificate(xs, back[1], back[0])
+
+
+def test_a_found_certificate_equals_its_json_round_trip_with_equal_hashes():
+    xs = [F(1, 2), -3, 2, F(1, 3), F(-5, 6), 4]
+    h = total(xs) + F(1, 5)
+    cert = find_rotation(xs, h, Direction.BELOW)
+    doc = json.loads(dump_json(certificate_to_json(cert, h)))
+    back, _ = certificate_from_json(doc)
+    assert back == cert and hash(back) == hash(cert)
+    # unreduced entries read back to the same canonical table
+    for entry in doc["prefix"]:
+        entry["num"] *= 3
+        entry["den"] *= 3
+    again, _ = certificate_from_json(doc)
+    assert (again.prefix_sums.scaled, again.prefix_sums.den) == (cert.prefix_sums.scaled, cert.prefix_sums.den)
+    assert again == cert and hash(again) == hash(cert)
+
+
+def test_certificate_json_writes_each_entry_in_lowest_terms():
+    xs = [F(1, 2), F(1, 2), F(1, 3)]
+    cert = find_rotation(xs, 2, Direction.BELOW)
+    assert cert.prefix_sums.den == 6
+    doc = certificate_to_json(cert, F(2))
+    assert [(p["num"], p["den"]) for p in doc["prefix"]] == [(p.numerator, p.denominator) for p in cert.prefix_sums]
+    assert any(p["den"] != 6 for p in doc["prefix"])
+
+
+def test_certify_sum_output_is_pinned_byte_for_byte(capsys):
+    assert main(["certify", "sum", "--list", "3,-1/2,2,-2", "--h", "4"]) == 0
+    assert capsys.readouterr().out == (
+        '{"found":true,"certificate":{"direction":"below","k":2,"n":4,"h":{"num":4,"den":1},'
+        '"prefix":[{"num":-1,"den":2},{"num":3,"den":2},{"num":-1,"den":2},{"num":5,"den":2}]}}\n'
+    )
 
 
 def test_equality_roundtrip():
@@ -229,6 +320,12 @@ def test_graph_text_and_specs_take_plain_decimal_digits():
         with pytest.raises(ValueError, match="decimal digits"):
             parse_graph_spec(spec)
     assert parse_graph_spec("circulant:8:1, 4") == circulant(8, [1, 4])
+
+
+def test_circulant_strides_refuse_an_empty_item():
+    for spec in ("circulant:12:1,,4", "circulant:12:1,4,", "circulant:12:"):
+        with pytest.raises(ValueError, match="empty item"):
+            parse_graph_spec(spec)
 
 
 def test_graph_json_roundtrip():
