@@ -268,11 +268,13 @@ def _min_cover_search(
     reach[u] holds the items whose cover holds u, and blocks[e] the items
     that choosing e rules out below it; no item covers more than cap.  For
     each k, a depth-first search on per-depth arrays branches on the lowest
-    uncovered vertex, tries its items in ascending id with one budget tick
-    per node, and forbids each tried item to the siblings after it, so no
-    union is visited twice.
+    uncovered vertex, tries its items in ascending id, and forbids each
+    tried item to the siblings after it, so no union is visited twice.
+    Nodes are counted locally and charged to the budget whenever the count
+    passes its room and on every exit.
     """
-    tick = budget.tick
+    nodes = 0
+    room = budget.room()
     for k in sizes:
         picked = [0] * k  # the item chosen at each depth above the node
         covered = [0] * (k + 1)
@@ -280,9 +282,14 @@ def _min_cover_search(
         cands = [0] * k  # the items a node at each depth has left to try
         d = 0
         while True:
-            tick()
+            nodes += 1
+            if nodes > room:
+                budget.charge(nodes)
+                nodes = 0
+                room = budget.room()
             left = full & ~covered[d]
             if not left:
+                budget.charge(nodes)
                 chosen = 0
                 for e in picked[:d]:
                     chosen |= items[e]
@@ -306,6 +313,7 @@ def _min_cover_search(
             d += 1
             covered[d] = covered[d - 1] | covers[e]
             forbid[d] = f | blocks[e]
+    budget.charge(nodes)
     raise ValueError("no valid set of any size exists")
 
 
@@ -357,14 +365,15 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     """Largest minimal set as (witness_mask, size), in one pass.
 
     One in/out branch-and-bound over the vertices in id order, "in" before
-    "out", depth first on an explicit stack with one budget tick per node.
-    The bar is the size of the largest minimal set found so far; it only
-    rises, and a leaf replaces the witness only when it beats the bar, which
-    may have risen since the leaf was pushed.  Each node carries the chosen
-    mask and the vertices dominated exactly once and at least twice.  rows
-    is symmetric (w watches v exactly when v watches w), so member u keeps a
-    private neighbor exactly while rows[u] meets the once-dominated mask.
-    Three prunes, all sound:
+    "out", depth first on an explicit stack.  Nodes are counted locally and
+    charged to the budget whenever the count passes its room and on every
+    exit.  The bar is the size of the largest minimal set found so far; it
+    only rises, and a leaf replaces the witness only when it beats the bar,
+    which may have risen since the leaf was pushed.  Each node carries the
+    chosen mask and the vertices dominated exactly once and at least twice.
+    rows is symmetric (w watches v exactly when v watches w), so member u
+    keeps a private neighbor exactly while rows[u] meets the once-dominated
+    mask.  Three prunes, all sound:
 
     * irredundance: adding v can only take private neighbors from members
       that share a watcher with v; one left without any kills the branch,
@@ -390,9 +399,15 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
 
     best, witness = 0, None
     stack = [(0, 0, 0, 0, 0)]  # next vertex, chosen, size, once, more
+    nodes = 0
+    room = budget.room()
     while stack:
         v, chosen, size, once, more = stack.pop()
-        budget.tick()
+        nodes += 1
+        if nodes > room:
+            budget.charge(nodes)
+            nodes = 0
+            room = budget.room()
         if v == n:
             if size > best:
                 best, witness = size, chosen
@@ -412,6 +427,7 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
                     break
             else:
                 stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
+    budget.charge(nodes)
     if witness is None:
         raise ValueError("no valid set of any size exists")
     return witness, best
@@ -479,15 +495,17 @@ def _part_prefix_search(
     """First chosen mask whose part-weight prefixes stay strictly under
     q * bound / t for every prefix length q, rotation pinned at part 0.
 
-    Parts are decided in order, each by its subsets in ascending order with
-    one budget tick per subset, depth first on an explicit stack.  Weights
-    start at base, and choosing v raises each part listed in lifts[v] by one
-    (a part listed twice rises by two).  Weights only rise, so a prefix at
-    the bound kills the branch, and after a subset of part j only the
-    prefixes up to j + 1 that contain a raised part, plus prefix j + 1 itself,
-    need a look.  A vertex whose cover row is wholly decided must be
-    covered; with member rows given, a member whose member row is wholly
-    decided must have a chosen neighbor.  valid has the last word on a leaf.
+    Parts are decided in order, each by its subsets in ascending order,
+    depth first on an explicit stack; each subset is one node, counted
+    locally and charged to the budget whenever the count passes its room and
+    on every exit.  Weights start at base, and choosing v raises each part
+    listed in lifts[v] by one (a part listed twice rises by two).  Weights
+    only rise, so a prefix at the bound kills the branch, and after a subset
+    of part j only the prefixes up to j + 1 that contain a raised part, plus
+    prefix j + 1 itself, need a look.  A vertex whose cover row is wholly
+    decided must be covered; with member rows given, a member whose member
+    row is wholly decided must have a chosen neighbor.  valid has the last
+    word on a leaf.
     """
     t = len(parts)
 
@@ -518,11 +536,17 @@ def _part_prefix_search(
         for q in range(t + 1)
     ]
     stack = [(0, iter(range(1 << len(parts[0]))), 0, 0, start)]
+    nodes = 0
+    room = budget.room()
     while stack:
         j, subs, chosen, covered, prefixes = stack[-1]
         verts = parts[j]
         for sub in subs:
-            budget.tick()
+            nodes += 1
+            if nodes > room:
+                budget.charge(nodes)
+                nodes = 0
+                room = budget.room()
             add, sums, lo = 0, prefixes, j
             while sub:
                 low = sub & -sub
@@ -554,9 +578,11 @@ def _part_prefix_search(
                 )
                 break
             if valid(new_chosen):
+                budget.charge(nodes)
                 return new_chosen
         else:
             stack.pop()
+    budget.charge(nodes)
     return None
 
 

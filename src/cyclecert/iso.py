@@ -37,12 +37,13 @@ pattern against everything already mapped, which one bitmask comparison
 checks.
 
 The search counts candidate assignments as nodes of the caller's
-`SearchBudget`, inline, and settles them with the budget every 4096 nodes
-and at the end of the call, which also reads its clock; a single long
-search thus stops on time.  Past either cap it raises BudgetExceededError,
-so "unknown" is never conflated with "not isomorphic".  Exactness over
-speed: no hashing shortcuts decide the positive answer, only an explicit
-bijection does.
+`SearchBudget` in a local count, opened with `room()` before the first
+node, which starts the clock.  It settles them with `charge` whenever the
+count passes that room, at most every 4096 nodes, and at the end of the
+call; each settle reads the clock, so a single long search stops on time.
+Past either cap it raises BudgetExceededError, so "unknown" is never
+conflated with "not isomorphic".  Exactness over speed: no hashing
+shortcuts decide the positive answer, only an explicit bijection does.
 """
 
 from __future__ import annotations
@@ -153,8 +154,10 @@ def _search(
 ) -> tuple[Optional[list[int]], int]:
     """The images of a bijection, or None, and the nodes not yet charged.
 
-    Every 4096 nodes, and at the first node past the cap, it charges the
-    nodes so far, which reads the clock and raises past either cap."""
+    The clock starts at the first node.  Whenever the count passes the
+    budget's room, at most every 4096 nodes and at the first node past the
+    cap, it charges the nodes so far, which reads the clock and raises past
+    either cap."""
     if g2.n != g1.n or g2.edge_count != g1.edge_count:
         return None, 0
     degrees = [row.bit_count() for row in g1.adj]
@@ -195,7 +198,7 @@ def _search(
     resume = [0] * n  # per depth: index of the next candidate to try
     used = 0
     nodes = 0
-    checkpoint = min(budget.max_nodes - budget.nodes, 4096)
+    room = budget.room()
     depth = 0
     start = 0
     while True:
@@ -209,10 +212,10 @@ def _search(
             if used >> w & 1:
                 continue
             nodes += 1
-            if nodes > checkpoint:
+            if nodes > room:
                 budget.charge(nodes)
                 nodes = 0
-                checkpoint = min(budget.max_nodes - budget.nodes, 4096)
+                room = budget.room()
             if adj2[w] & used != want:
                 continue
             image[order[depth]] = w

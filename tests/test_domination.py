@@ -1,11 +1,13 @@
 import random
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from cyclecert.domination import (
     SearchBudget,
+    SolveReport,
     Variant,
     decide_parameter_via_prefix,
     epn,
@@ -28,6 +30,7 @@ from cyclecert.domination import (
     verify_paired_c5,
     verify_upper_total_c4,
 )
+from cyclecert import errors
 from cyclecert.errors import BudgetExceededError
 from cyclecert.graphs import (
     Graph,
@@ -37,6 +40,7 @@ from cyclecert.graphs import (
     complete_bipartite,
     cycle,
 )
+from cyclecert.iso import find_mapping
 from cyclecert.structures import (
     CyclicSymmetry,
     VertexPartition,
@@ -429,6 +433,106 @@ def test_time_budget_trips():
             cartesian_cycles(4, 5), Variant.TOTAL,
             SearchBudget(max_nodes=10**9, max_seconds=0.0),
         )
+
+
+@pytest.mark.parametrize("caps", [
+    {"max_nodes": -3},
+    {"max_nodes": True},
+    {"max_nodes": 10.0},
+    {"max_nodes": "10"},
+    {"max_seconds": float("nan")},
+    {"max_seconds": -1},
+    {"max_seconds": -0.5},
+    {"max_seconds": True},
+    {"max_seconds": "1"},
+])
+def test_library_budgets_refuse_what_the_cli_refuses(caps):
+    # a NaN deadline never passes, a negative one lets a short search answer,
+    # and a negative node cap would read as a search that ran out
+    with pytest.raises(ValueError, match=next(iter(caps))):
+        SearchBudget(**caps)
+
+
+@pytest.mark.parametrize("caps", [
+    {"max_nodes": 0},
+    {"max_seconds": 0},
+    {"max_seconds": F(1, 2)},
+    {"max_seconds": float("inf")},
+])
+def test_library_budgets_take_zero_fractions_and_no_time_limit(caps):
+    SearchBudget(**caps)
+
+
+def test_room_starts_the_clock_and_stops_at_the_node_cap():
+    budget = SearchBudget(max_nodes=5000)
+    assert budget.room() == 4096
+    assert budget._deadline is not None
+    budget.charge(4096)
+    assert budget.room() == 904
+
+
+# Each search counts its own nodes and settles with its budget; the second
+# field is its pinned node count, past 4097 so every cap below is reached.
+BUDGETED_SEARCHES = {
+    "min paired C5xC10": (
+        lambda b: min_parameter(cartesian_cycles(5, 10), Variant.PAIRED, b), 20_684),
+    "min total C7xC6": (
+        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 6_224),
+    "max-minimal total C4xC5": (
+        lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 14_274),
+    "decide dominating C5xC5": (
+        lambda b: decide_parameter_via_prefix(
+            *torus_setup(5, 5), Variant.DOMINATING, 5, budget=b), 4_772),
+    "rd C5xC5": (lambda b: rd_prefix_pruned_search(*torus_setup(5, 5), 5, budget=b), 4_516),
+    "iso C200": (lambda b: find_mapping(cycle(200), cycle(200), b), 10_001),
+}
+
+
+@pytest.mark.parametrize("name, cap", [
+    (name, cap)
+    for name, (_, pinned) in BUDGETED_SEARCHES.items()
+    for cap in (0, 1, 4095, 4096, 4097, pinned - 1)
+])
+def test_a_node_cap_raises_at_exactly_the_next_node(name, cap):
+    search, _ = BUDGETED_SEARCHES[name]
+    budget = SearchBudget(max_nodes=cap)
+    with pytest.raises(BudgetExceededError, match=f"node budget {cap} exceeded"):
+        search(budget)
+    assert budget.nodes == cap + 1
+
+
+@pytest.mark.parametrize("name", BUDGETED_SEARCHES)
+def test_a_node_cap_of_the_pinned_count_answers(name):
+    search, pinned = BUDGETED_SEARCHES[name]
+    capped = SearchBudget(max_nodes=pinned)
+    got = search(capped)
+    assert capped.nodes == pinned
+    if isinstance(got, SolveReport):
+        assert got.nodes_explored == pinned
+    assert got == search(SearchBudget())
+
+
+@pytest.mark.parametrize("name", BUDGETED_SEARCHES)
+def test_no_seconds_stop_a_search_past_4096_nodes(name):
+    search, _ = BUDGETED_SEARCHES[name]
+    budget = SearchBudget(max_nodes=10**9, max_seconds=0)
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        search(budget)
+    assert budget.nodes <= 4097
+
+
+@pytest.mark.parametrize("name", BUDGETED_SEARCHES)
+def test_the_clock_starts_before_the_first_node(name, monkeypatch):
+    # the first reading is 0 and every later one 100: a deadline of 50 fixed
+    # before the first node is past at the first settle, by node 4097, while
+    # one fixed at the first settle would be past only at the second
+    readings = iter([0.0])
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: next(readings, 100.0)))
+    search, _ = BUDGETED_SEARCHES[name]
+    budget = SearchBudget(max_seconds=50)
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        search(budget)
+    assert budget.nodes <= 4097
 
 
 # --- closed form and its verification --------------------------------------------
