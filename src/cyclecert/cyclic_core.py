@@ -19,10 +19,15 @@ witness:
   exactly when s = h.
 
 Arithmetic is exact: rationals (`fractions.Fraction`) at the API, exact
-integers inside, and no float mode.  Each call scales once by D, the lcm of
-the denominators of the entries and of h, so a_i = D*x_i and H = D*h are
-integers and the test "p_j < j*h/n" becomes the sign test n*P_j < j*H on
-running sums P_j of a (flipped for the dual direction).
+integers inside, and no float mode.  Each list is scaled once, by D0, the lcm
+of its entries' denominators; a `CyclicList` keeps those integers, and every
+call on it reuses them, multiplying once more only when h's denominator does
+not divide D0.  With D the lcm of D0 and h's denominator, a_i = D*x_i and
+H = D*h are integers and the test "p_j < j*h/n" becomes the sign test
+n*P_j < j*H on running sums P_j of a (flipped for the dual direction).
+`cyclic_list` hands back the same `CyclicList` for the same tuple while
+that tuple is among the last four it was given, so `find_rotation(xs, ...)`
+then `verify_certificate(xs, ...)` on one tuple scale it once.
 Indices are 1-based in every public signature and certificate, in the style
 of cycle-lemma statements; subscripts wrap modulo n.
 
@@ -44,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from functools import cached_property
+from itertools import accumulate, chain, count, islice
 from math import gcd, lcm
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
@@ -110,7 +116,12 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class CyclicList:
-    """A nonempty tuple of exact rationals read cyclically with 1-based slots."""
+    """A nonempty tuple of exact rationals read cyclically with 1-based slots.
+
+    Its entries as integers over D0, the lcm of their denominators, are
+    computed on first use and kept for the life of the list (`integer_form`),
+    so every certificate call on one list converts it once.
+    """
 
     values: tuple[Fraction, ...]
 
@@ -128,19 +139,49 @@ class CyclicList:
         """Entry at 1-based cyclic position i (any integer i is accepted)."""
         return self.values[(i - 1) % len(self.values)]
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(a, D0): D0 the lcm of the entries' denominators, a_i = D0*x_i."""
+        return _integer_form(self.values)
+
+
+def _integer_form(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    d = lcm(*{v.denominator for v in values})
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
+
+
+# The last four tuples given to `cyclic_list`, each with its list, in slots
+# written in turn.  A slot holds its tuple, so the tuple stays alive while its
+# slot does, and a lookup compares identity, not ids.  Each write is one store
+# into a list of fixed length, so threads need no lock.
+_RECENT_SLOTS = 4
+_recent: list[tuple[Optional[tuple], Optional[CyclicList]]] = [(None, None)] * _RECENT_SLOTS
+_turn = count()
+
 
 def cyclic_list(values: Union[CyclicList, Iterable[RationalLike]]) -> CyclicList:
-    """Build a CyclicList, coercing entries; idempotent on CyclicList."""
+    """Build a CyclicList, coercing entries; idempotent on CyclicList.
+
+    A tuple is immutable, so the same tuple gets the same CyclicList, and
+    its integer form, while it is among the last four tuples given here;
+    those four stay alive until newer tuples take their place.  Lists and
+    other iterables are coerced anew on every call.
+    """
     if isinstance(values, CyclicList):
         return values
-    if type(values) is tuple:
-        # A tuple of Fractions is taken as it is; its one type scan is the
-        # constructor's own check.
-        try:
-            return CyclicList(values)
-        except TypeError:
-            pass
-    return CyclicList(tuple(as_fraction(v) for v in values))
+    if type(values) is not tuple:
+        return CyclicList(tuple(as_fraction(v) for v in values))
+    for held, cl in _recent:
+        if held is values:
+            return cl
+    # A tuple of Fractions is taken as it is; its one type scan is the
+    # constructor's own check.
+    try:
+        cl = CyclicList(values)
+    except TypeError:
+        cl = CyclicList(tuple(as_fraction(v) for v in values))
+    _recent[next(_turn) % _RECENT_SLOTS] = (values, cl)
+    return cl
 
 
 @dataclass(frozen=True)
@@ -311,14 +352,18 @@ class BlockCover:
 def common_denominator(xs: Union[CyclicList, Iterable[RationalLike]], h: RationalLike) -> int:
     """D, the lcm of the denominators of the list's entries and of h: every
     prefix sum of the list, and h, is an integer over D."""
-    return lcm(as_fraction(h).denominator, *{v.denominator for v in cyclic_list(xs).values})
+    return lcm(cyclic_list(xs).integer_form[1], as_fraction(h).denominator)
 
 
-def _scaled(cl: CyclicList, h: Fraction) -> tuple[list[int], int, int]:
+def _scaled(cl: CyclicList, h: Fraction) -> tuple[Sequence[int], int, int]:
     """(a, H, D): the entries and h as integers a_i = D*x_i and H = D*h, with
-    D the `common_denominator` of the list and h."""
-    d = common_denominator(cl, h)
-    return [v.numerator * (d // v.denominator) for v in cl.values], h.numerator * (d // h.denominator), d
+    D the `common_denominator` of the list and h.  a is the list's own
+    integer form when h's denominator divides its D0."""
+    a, d = cl.integer_form
+    if d % h.denominator:
+        m = lcm(d, h.denominator) // d
+        a, d = [v * m for v in a], d * m
+    return a, h.numerator * (d // h.denominator), d
 
 
 def _rotation(a: Sequence[int], k: int) -> Iterator[int]:
@@ -328,7 +373,7 @@ def _rotation(a: Sequence[int], k: int) -> Iterator[int]:
 
 def total(xs: Union[CyclicList, Iterable[RationalLike]]) -> Fraction:
     """Exact sum of the list."""
-    a, _, d = _scaled(cyclic_list(xs), Fraction(0))
+    a, d = cyclic_list(xs).integer_form
     return Fraction(sum(a), d)
 
 
@@ -412,10 +457,13 @@ def verify_certificate(
     With D the lcm of the denominators of the list and h, every true prefix
     sum is an integer over D, so a table whose den does not divide D is wrong
     without a look at its entries.  A tampered or stale table yields False; a
-    start index outside 1..n is malformed input and raises instead.
+    start that is not an int, or is outside 1..n, is malformed input and
+    raises ValueError instead.
     """
     cl = cyclic_list(xs)
     n = cl.n
+    if isinstance(cert.k, bool) or not isinstance(cert.k, int):
+        raise ValueError(f"k must be an integer, got {cert.k!r}")
     if not 1 <= cert.k <= n:
         raise ValueError(f"certificate start {cert.k} out of range 1..{n}")
     table = cert.prefix_sums

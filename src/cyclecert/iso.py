@@ -37,8 +37,9 @@ pattern against everything already mapped, which one bitmask comparison
 checks.
 
 The search counts candidate assignments as nodes of the caller's
-`SearchBudget` in a local count, opened with `room()` before the first
-node, which starts the clock.  It settles them with `charge` whenever the
+`SearchBudget` in a local count, opened with `room()` before refinement,
+which starts the clock; each round of refinement reads the clock with a
+charge of no nodes.  It settles them with `charge` whenever the
 count passes that room, at most every 4096 nodes, and at the end of the
 call; each settle reads the clock, so a single long search stops on time.
 Past either cap it raises BudgetExceededError, so "unknown" is never
@@ -154,7 +155,8 @@ def _search(
 ) -> tuple[Optional[list[int]], int]:
     """The images of a bijection, or None, and the nodes not yet charged.
 
-    The clock starts at the first node.  Whenever the count passes the
+    The clock starts before the first round of refinement, and each round
+    reads it, charging no nodes.  Whenever the count passes the
     budget's room, at most every 4096 nodes and at the first node past the
     cap, it charges the nodes so far, which reads the clock and raises past
     either cap."""
@@ -170,8 +172,10 @@ def _search(
         return [], 0
     nbrs1 = _neighbor_lists(g1)
     nbrs2 = nbrs1 if g2 is g1 else _neighbor_lists(g2)
+    room = budget.room()
     classes = len(set(cols1))
     while True:
+        budget.charge(0)
         table: dict[tuple, int] = {}
         cols1 = [
             table.setdefault((cols1[v], tuple(sorted([cols1[u] for u in nb]))), len(table))
@@ -198,7 +202,6 @@ def _search(
     resume = [0] * n  # per depth: index of the next candidate to try
     used = 0
     nodes = 0
-    room = budget.room()
     depth = 0
     start = 0
     while True:

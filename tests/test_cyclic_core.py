@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclecert import cyclic_core
 from cyclecert.cyclic_core import (
     BoundSpec,
     CyclicList,
@@ -15,6 +18,7 @@ from cyclecert.cyclic_core import (
     PrefixTable,
     RotationCertificate,
     as_fraction,
+    common_denominator,
     cyclic_list,
     equality_certificate,
     find_rotation,
@@ -149,6 +153,14 @@ def test_verify_rejects_out_of_range_start():
     bad = RotationCertificate(direction=cert.direction, k=5, prefix_sums=cert.prefix_sums)
     with pytest.raises(ValueError):
         verify_certificate([1, 1], 3, bad)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, F(2)], ids=repr)
+def test_verify_refuses_a_start_that_is_not_an_int(k):
+    cert = find_rotation([1, 1, 1], 4, Direction.BELOW)
+    bad = RotationCertificate(direction=cert.direction, k=k, prefix_sums=cert.prefix_sums)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        verify_certificate([1, 1, 1], 4, bad)
 
 
 def test_verify_rejects_tampered_table():
@@ -444,3 +456,143 @@ def test_equality_certificate_roundtrip(xs, eps):
     assert eq is not None
     assert verify_certificate(xs, h + eps, eq.below)
     assert verify_certificate(xs, h - eps, eq.above)
+
+
+# --- one integer form per list -------------------------------------------------
+
+
+def test_cyclic_list_memoises_tuples_and_never_lists():
+    xs = (F(1, 2), F(-3), F(2, 3))
+    assert cyclic_list(xs) is cyclic_list(xs)
+    assert cyclic_list(xs).values is xs
+    ys = list(xs)
+    assert cyclic_list(ys) is not cyclic_list(ys)
+    assert cyclic_list(ys) == cyclic_list(xs)
+
+
+def test_one_tuple_is_converted_once_across_find_verify_and_equality(monkeypatch):
+    calls = []
+    convert = cyclic_core._integer_form
+    monkeypatch.setattr(cyclic_core, "_integer_form", lambda values: calls.append(values) or convert(values))
+    xs = (F(1, 2), F(-3), F(2), F(1, 3))
+    s = total(xs)
+    cert = find_rotation(xs, s + 1, Direction.BELOW)
+    assert verify_certificate(xs, s + 1, cert)
+    # eps = 1/4: h +- eps is over 12, which D0 = 6 does not divide
+    bound = BoundSpec(h=s, epsilon=F(1, 4))
+    eq = equality_certificate(xs, bound)
+    assert verify_certificate(xs, s + bound.epsilon, eq.below)
+    assert verify_certificate(xs, s - bound.epsilon, eq.above)
+    assert len(calls) == 1 and calls[0] is xs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(mixed_lists, min_size=1, max_size=12), mixed_rationals,
+       st.sampled_from([Direction.BELOW, Direction.ABOVE]))
+def test_the_memo_stays_right_as_tuples_come_and_go(lists, h, direction):
+    # each tuple is dropped before the next is built, so once the memo has
+    # let it go its id is free for a later tuple
+    for values in lists:
+        xs = tuple(values)
+        assert cyclic_list(xs).values is xs
+        got = find_rotation(xs, h, direction)
+        want = scan_rotation(values, h, direction)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert verify_certificate(xs, h, got)
+            assert verify_certificate(values, h, got)
+        del xs
+
+
+def test_a_reused_id_never_hands_back_another_tuples_list():
+    # a list of Fractions keeps its tuple alive, one of ints only a copy of it
+    seen = set()
+    reused = 0
+    for i in range(200):
+        xs = (F(i, 1 + i % 5), F(1), F(-i)) if i % 2 else (i, 1, -i)
+        assert cyclic_list(xs).values == tuple(map(F, xs))
+        assert total(xs) == sum(xs)
+        reused += id(xs) in seen
+        seen.add(id(xs))
+        del xs
+    # a freed tuple's memory goes to the next tuple of its size, so ids
+    # recur once the memo has let their tuples go
+    assert reused
+
+
+def test_an_h_over_a_denominator_the_list_lacks():
+    xs = (F(1, 3), F(-2, 3), F(4, 3))
+    assert cyclic_list(xs).integer_form == ((1, -2, 4), 3)
+    assert common_denominator(xs, F(1, 7)) == 21
+    for h, direction in [(F(1, 7), Direction.ABOVE), (F(22, 7), Direction.BELOW)]:
+        cert = find_rotation(xs, h, direction)
+        assert cert is not None and scan_rotation(xs, h, direction) is not None
+        assert verify_certificate(xs, h, cert) and verify_certificate(list(xs), h, cert)
+        assert find_rotation(xs, h, Direction.ABOVE if direction is Direction.BELOW else Direction.BELOW) is None
+    # the list's own form is left as it was
+    assert cyclic_list(xs).integer_form == ((1, -2, 4), 3)
+    assert total(xs) == 1
+
+
+@pytest.mark.parametrize("xs", [(3, -1, 2, -2), ("3", "-1/2", "2", "-2")], ids=["ints", "strings"])
+def test_tuples_of_ints_and_of_strings_are_memoised_as_fractions(xs):
+    cl = cyclic_list(xs)
+    assert cl is cyclic_list(xs)
+    assert cl.values == tuple(as_fraction(v) for v in xs)
+    assert all(type(v) is F for v in cl.values)
+    h = total(xs) + 1
+    cert = find_rotation(xs, h, Direction.BELOW)
+    assert verify_certificate(xs, h, cert) and verify_certificate(list(xs), h, cert)
+
+
+def test_the_memo_holds_the_last_four_tuples():
+    kept = [tuple([F(i)] * (i % 7 + 1)) for i in range(12)]
+    lists = [cyclic_list(xs) for xs in kept]
+    assert len(cyclic_core._recent) == 4
+    held = [entry[0] for entry in cyclic_core._recent]
+    assert all(any(h is xs for h in held) for xs in kept[-4:])
+    assert all(cyclic_list(xs) is cl for xs, cl in zip(kept[-4:], lists[-4:]))
+    # an older tuple gets a new list
+    assert cyclic_list(kept[0]) is not lists[0]
+
+
+def test_the_memo_is_safe_under_threads():
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(1500):
+                xs = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5)))
+                if cyclic_list(xs).values is not xs or cyclic_list(xs).integer_form[1] != math.lcm(
+                        *(v.denominator for v in xs)):
+                    errors.append(xs)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cyclic_core._recent) == 4
+
+
+def test_a_table_tampered_after_a_find_on_the_same_tuple_is_refused():
+    xs = (F(1, 2), F(-3), F(2), F(1, 3))
+    h = total(xs) + 1
+    cert = find_rotation(xs, h, Direction.BELOW)
+    table = cert.prefix_sums
+    for j in range(len(table)):
+        scaled = list(table.scaled)
+        scaled[j] -= 1
+        doctored = RotationCertificate(cert.direction, cert.k, PrefixTable(tuple(scaled), table.den))
+        assert not verify_certificate(xs, h, doctored)
+    assert verify_certificate(xs, h, cert)

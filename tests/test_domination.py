@@ -535,6 +535,20 @@ def test_the_clock_starts_before_the_first_node(name, monkeypatch):
     assert budget.nodes <= 4097
 
 
+def test_colour_refinement_reads_the_clock():
+    # colours that single out vertex 0 on one side and vertex 5 on the other
+    # take about 500 rounds of refinement on a 1000-cycle, about a second,
+    # before the first node
+    c1 = [int(v == 0) for v in range(1000)]
+    c2 = [int(v == 5) for v in range(1000)]
+    budget = SearchBudget(max_seconds=0.05)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        find_mapping(cycle(1000), cycle(1000), budget, c1, c2)
+    assert budget.nodes == 0
+    assert time.monotonic() - started < 0.5
+
+
 # --- closed form and its verification --------------------------------------------
 
 
