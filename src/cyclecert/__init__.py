@@ -81,8 +81,6 @@ from .domination import (
     rd_graph,
     rd_prefix_pruned_search,
     rd_vertex,
-    verify_paired_c5,
-    verify_upper_total_c4,
 )
 from .crossing import (
     AbstractDrawing,

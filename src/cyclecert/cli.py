@@ -34,7 +34,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from .crossing import (
     Parity,
@@ -56,12 +56,11 @@ from .cyclic_core import (
     verify_certificate,
 )
 from .domination import (
-    _PAPER_VALUES,
     SearchBudget,
     Variant,
-    _solve_paper_value,
     max_minimal_parameter,
     min_parameter,
+    paired_value_c5,
     prefix_pruned_search,
     rd_prefix_pruned_search,
 )
@@ -222,11 +221,17 @@ def _cmd_certify_verify(args: argparse.Namespace) -> tuple[Any, int]:
 # --- domination ------------------------------------------------------------
 
 
+def _solver(mode: str) -> Callable[..., Any]:
+    """The exact solver of a `domination solve --mode`.  The name is read
+    from this module at call time, so a rebound `min_parameter` or
+    `max_minimal_parameter` here is the one called."""
+    return min_parameter if mode == "min" else max_minimal_parameter
+
+
 def _cmd_domination_solve(args: argparse.Namespace) -> tuple[Any, int]:
     g = _graph(args)
     variant = Variant(args.variant)
-    solve = min_parameter if args.mode == "min" else max_minimal_parameter
-    report = solve(g, variant, args.budget)
+    report = _solver(args.mode)(g, variant, args.budget)
     return {
         "graph": args.graph,
         "variant": variant.value,
@@ -351,23 +356,34 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[Any, int]:
     return graph_to_json(g), 0
 
 
-def _reproduce_paper_values(
-    suite: str, columns: Sequence[int], budget: SearchBudget
-) -> tuple[Any, int]:
+# The paper's two domination values, by suite: t1 is the paired value of
+# C5 x Cn, n4 the upper total value of C4 x Cn.  A row holds the torus rows,
+# the variant, the solver's --mode, the paper's value at n, and the n of a
+# full and of a --quick run.
+_PAPER_VALUES = {
+    "t1": (5, Variant.PAIRED, "min", paired_value_c5, (3, 4, 5, 6), (3, 4)),
+    "n4": (4, Variant.TOTAL, "max-minimal", lambda n: 2 * n, (3, 4, 5), (3,)),
+}
+
+
+def _reproduce_paper_values(args: argparse.Namespace) -> tuple[Any, int]:
+    rows, variant, mode, expected, full, quick = _PAPER_VALUES[args.suite]
+    solve = _solver(mode)
     results = []
-    for n in columns:
-        report, expected = _solve_paper_value(suite, n, budget)
+    for n in (args.n,) if args.n is not None else quick if args.quick else full:
+        report = solve(cartesian_cycles(rows, n), variant, args.budget)
+        value = expected(n)
         results.append(
             {
                 "n": n,
                 "value": report.value,
-                "expected": expected,
-                "match": report.value == expected,
+                "expected": value,
+                "match": report.value == value,
                 "witness": list(report.witness),
             }
         )
     ok = all(r["match"] for r in results)
-    return {"suite": suite, "results": results, "ok": ok}, 0 if ok else 1
+    return {"suite": args.suite, "results": results, "ok": ok}, 0 if ok else 1
 
 
 def _reproduce_structures(quick: bool, budget: SearchBudget) -> tuple[Any, int]:
@@ -411,9 +427,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[Any, int]:
         if args.n is not None:
             raise ValueError("--n goes with --suite t1 or n4")
         return _reproduce_structures(args.quick, args.budget)
-    row = _PAPER_VALUES[args.suite]
-    columns = (args.n,) if args.n is not None else row.quick if args.quick else row.columns
-    return _reproduce_paper_values(args.suite, columns, args.budget)
+    return _reproduce_paper_values(args)
 
 
 # --- parser -----------------------------------------------------------------

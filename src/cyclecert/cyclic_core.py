@@ -386,10 +386,22 @@ def _prefixes_from(cl: CyclicList, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _strict_ok(prefixes: Sequence[Fraction], c: Fraction, direction: Direction) -> bool:
+def _signed(
+    direction: Direction, n: int, big_h: Union[int, Fraction]
+) -> tuple[int, Union[int, Fraction]]:
+    """(s*n, s*H) with s = +1 for BELOW and -1 for ABOVE, so that each test
+    reads s*(n*P_j - j*H) < 0.  Anything but a Direction is a TypeError: a
+    string such as "below" must not fall through to the ABOVE branch."""
     if direction is Direction.BELOW:
-        return all(p < c * j for j, p in enumerate(prefixes, start=1))
-    return all(p > c * j for j, p in enumerate(prefixes, start=1))
+        return n, big_h
+    if direction is Direction.ABOVE:
+        return -n, -big_h
+    raise TypeError(f"direction must be a Direction, got {direction!r}")
+
+
+def _strict_ok(prefixes: Sequence[Fraction], c: Fraction, direction: Direction) -> bool:
+    s, sc = _signed(direction, 1, c)
+    return all(s * p < sc * j for j, p in enumerate(prefixes, start=1))
 
 
 def scan_rotation(
@@ -423,8 +435,7 @@ def find_rotation(
     cl = cyclic_list(xs)
     n = cl.n
     a, big_h, d = _scaled(cl, as_fraction(h))
-    # Sign s = +1 (below) or -1 (above): every test is s*(n*P_j - j*H) < 0.
-    sn, sh = (n, big_h) if direction is Direction.BELOW else (-n, -big_h)
+    sn, sh = _signed(direction, n, big_h)
     if not sn * sum(a) < n * sh:
         return None
     # Last maximum of the running sums S_i of s*(n*a_i - H), i = 0..n-1.
@@ -458,7 +469,8 @@ def verify_certificate(
     sum is an integer over D, so a table whose den does not divide D is wrong
     without a look at its entries.  A tampered or stale table yields False; a
     start that is not an int, or is outside 1..n, is malformed input and
-    raises ValueError instead.
+    raises ValueError instead, and a direction that is not a Direction
+    raises TypeError.
     """
     cl = cyclic_list(xs)
     n = cl.n
@@ -466,14 +478,14 @@ def verify_certificate(
         raise ValueError(f"k must be an integer, got {cert.k!r}")
     if not 1 <= cert.k <= n:
         raise ValueError(f"certificate start {cert.k} out of range 1..{n}")
+    a, big_h, d = _scaled(cl, as_fraction(h))
+    sn, sh = _signed(cert.direction, n, big_h)
     table = cert.prefix_sums
     if len(table) != n:
         return False
-    a, big_h, d = _scaled(cl, as_fraction(h))
     step, rest = divmod(d, table.den)
     if rest:
         return False
-    sn, sh = (n, big_h) if cert.direction is Direction.BELOW else (-n, -big_h)
     bound = 0
     for acc, p in zip(accumulate(_rotation(a, cert.k)), table.scaled):
         bound += sh
@@ -493,6 +505,8 @@ def prefix_condition_all_starts(
     start i at least c*j; the vector exists for all starts exactly when the
     total is >= h (dually <= h for LEQ_SOMEWHERE).
     """
+    if goal is not PrefixGoal.GEQ_SOMEWHERE and goal is not PrefixGoal.LEQ_SOMEWHERE:
+        raise TypeError(f"goal must be a PrefixGoal, got {goal!r}")
     a, big_h, _ = _scaled(cyclic_list(xs), as_fraction(h))
     witnesses = _least_reaches(a, big_h, goal is PrefixGoal.GEQ_SOMEWHERE)
     return (False, None) if witnesses is None else (True, witnesses)

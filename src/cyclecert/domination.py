@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Optional
 from .cyclic_core import HALF, integer_bound
 # BudgetExceededError is re-exported: callers reach it through this module
 from .errors import BudgetExceededError, SearchBudget
-from .graphs import Graph, cartesian_cycles, iter_bits
+from .graphs import Graph, iter_bits
 from .structures import CyclicSymmetry, VertexPartition, cyclic_symmetry_violations
 
 __all__ = [
@@ -72,8 +72,6 @@ __all__ = [
     "rd_prefix_pruned_search",
     "paired_lower_bound",
     "paired_value_c5",
-    "verify_paired_c5",
-    "verify_upper_total_c4",
 ]
 
 
@@ -243,11 +241,16 @@ def paired_value_c5(n: int) -> int:
 def _cover_rows(g: Graph, variant: Variant) -> list[int]:
     """The rows a set of the variant covers V with: open neighborhoods for
     total, closed ones otherwise.  Raises ValueError on an isolated vertex
-    for total and paired, which no such set can cover."""
-    if variant is not Variant.DOMINATING:
-        _reject_isolated(g)
+    for total and paired, which no such set can cover, and TypeError on
+    anything but a Variant, so that a string such as "paired" is refused
+    rather than solved as another variant."""
     if variant is Variant.TOTAL:
+        _reject_isolated(g)
         return list(g.adj)
+    if variant is Variant.PAIRED:
+        _reject_isolated(g)
+    elif variant is not Variant.DOMINATING:
+        raise TypeError(f"variant must be a Variant, got {variant!r}")
     return [g.closed_mask(v) for v in range(g.n)]
 
 
@@ -331,9 +334,9 @@ def min_parameter(
     """
     budget = budget or SearchBudget()
     start = budget.nodes
+    rows = _cover_rows(g, variant)
     if g.n == 0:
         return SolveReport(value=0, witness=(), nodes_explored=0)
-    rows = _cover_rows(g, variant)
     if variant is Variant.PAIRED:
         edges = g.edges()
         at = [0] * g.n  # the edges at each vertex
@@ -447,7 +450,7 @@ def max_minimal_parameter(
     when no minimal set exists (the empty graph, or an isolated vertex for
     total).
     """
-    if variant not in (Variant.DOMINATING, Variant.TOTAL):
+    if variant is Variant.PAIRED:
         raise ValueError("upper parameters are defined for dominating/total only")
     budget = budget or SearchBudget()
     start = budget.nodes
@@ -686,49 +689,3 @@ def rd_prefix_pruned_search(
         budget,
     )
     return frozenset(iter_bits(got)) if got is not None else None
-
-
-@dataclass(frozen=True)
-class _PaperValue:
-    """A headline value of the paper: the solver's answer on C_rows x C_n."""
-
-    rows: int
-    variant: Variant
-    solver: str  # "min" or "max-minimal", as the CLI's --mode
-    expected: Callable[[int], int]
-    columns: tuple[int, ...]
-    quick: tuple[int, ...]
-
-
-# By suite name: t1 is the paired closed form on C5 x Cn, n4 the upper total
-# value 2n on C4 x Cn.
-_PAPER_VALUES = {
-    "t1": _PaperValue(5, Variant.PAIRED, "min", paired_value_c5, (3, 4, 5, 6), (3, 4)),
-    "n4": _PaperValue(4, Variant.TOTAL, "max-minimal", lambda n: 2 * n, (3, 4, 5), (3,)),
-}
-
-
-def _solve_paper_value(
-    suite: str, n: int, budget: Optional[SearchBudget]
-) -> tuple[SolveReport, int]:
-    """Solve the suite's torus with n columns; return the report and the
-    paper's value."""
-    row = _PAPER_VALUES[suite]
-    # the solver is looked up by name at call time, so wrappers of the
-    # module's solvers see these calls too
-    solve = min_parameter if row.solver == "min" else max_minimal_parameter
-    report = solve(cartesian_cycles(row.rows, n), row.variant, budget)
-    return report, row.expected(n)
-
-
-def verify_paired_c5(n: int, budget: Optional[SearchBudget] = None) -> bool:
-    """Solve paired domination on the C_5 x C_n torus and compare to the
-    closed form."""
-    report, expected = _solve_paper_value("t1", n, budget)
-    return report.value == expected
-
-
-def verify_upper_total_c4(n: int, budget: Optional[SearchBudget] = None) -> bool:
-    """Solve the upper total domination number of C_4 x C_n and compare to 2n."""
-    report, expected = _solve_paper_value("n4", n, budget)
-    return report.value == expected

@@ -320,15 +320,11 @@ def decomposition_from_json(doc: Any) -> EdgeDecomposition:
     return EdgeDecomposition(tuple(pieces))
 
 
-GraphField = Union[str, dict[str, Any]]
-
-
-def drawing_to_json(d: AbstractDrawing, graph_field: Optional[GraphField] = None) -> dict[str, Any]:
-    """Emit a drawing; the graph is inlined unless a spec string is supplied."""
-    field: GraphField = graph_field if graph_field is not None else graph_to_json(d.graph)
+def drawing_to_json(d: AbstractDrawing) -> dict[str, Any]:
+    """Emit a drawing with its graph inlined."""
     return {
         "surface": "plane",
-        "graph": field,
+        "graph": graph_to_json(d.graph),
         "crossings": [[list(e), list(f)] for e, f in d.crossings],
     }
 

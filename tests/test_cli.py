@@ -373,8 +373,8 @@ def test_reproduce_n4_at_four_columns_prints_a_minimal_total_witness(capsys):
 
 
 def test_reproduce_at_one_n_exits_1_on_a_mismatch(capsys, monkeypatch):
-    real = cli._solve_paper_value
-    monkeypatch.setattr(cli, "_solve_paper_value", lambda *args: (real(*args)[0], 5))
+    rows, variant, mode, _, full, quick = cli._PAPER_VALUES["t1"]
+    monkeypatch.setitem(cli._PAPER_VALUES, "t1", (rows, variant, mode, lambda n: 5, full, quick))
     code, row = _one_row(capsys, "t1", 3)
     assert code == 1 and row["value"] == 4 and row["expected"] == 5 and row["match"] is False
 
@@ -718,6 +718,18 @@ def test_reproduce_t1_quick(capsys):
         assert r["match"] is True
         assert len(r["witness"]) == r["value"]
         assert is_paired_dominating(cartesian_cycles(5, r["n"]), r["witness"])
+
+
+@pytest.mark.parametrize("suite, stdout", [
+    ("t1", '{"suite":"t1","results":[{"n":3,"value":4,"expected":4,"match":true,'
+           '"witness":[0,1,8,11]},{"n":4,"value":6,"expected":6,"match":true,'
+           '"witness":[0,1,4,5,14,15]}],"ok":true}'),
+    ("n4", '{"suite":"n4","results":[{"n":3,"value":6,"expected":6,"match":true,'
+           '"witness":[0,1,2,3,4,5]}],"ok":true}'),
+])
+def test_reproduce_quick_stdout_is_pinned(capsys, suite, stdout):
+    assert main(["reproduce", "--suite", suite, "--quick"]) == 0
+    assert capsys.readouterr().out == stdout + "\n"
 
 
 def test_reproduce_n4_quick(capsys):

@@ -27,8 +27,6 @@ from cyclecert.domination import (
     rd_graph,
     rd_prefix_pruned_search,
     rd_vertex,
-    verify_paired_c5,
-    verify_upper_total_c4,
 )
 from cyclecert import errors
 from cyclecert.errors import BudgetExceededError
@@ -567,15 +565,6 @@ def test_paired_lower_bound_even_and_sound():
     lb = paired_lower_bound(g)
     assert lb % 2 == 0
     assert lb <= min_parameter(g, Variant.PAIRED).value
-
-
-def test_verify_paired_c5_small():
-    assert verify_paired_c5(3)
-    assert verify_paired_c5(4)
-
-
-def test_verify_upper_total_c4_small():
-    assert verify_upper_total_c4(3)
 
 
 # --- prefix-pruned searches -------------------------------------------------------

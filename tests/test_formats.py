@@ -411,7 +411,7 @@ def test_drawing_roundtrip_inline_graph():
 
 def test_drawing_with_spec_string_graph():
     d = convex_drawing(complete(5))
-    doc = drawing_to_json(d, graph_field="complete:5")
+    doc = {**drawing_to_json(d), "graph": "complete:5"}
     clone = drawing_from_json(doc)
     assert clone == d
 
