@@ -4,6 +4,9 @@ Every command prints exactly one JSON document on stdout and exits 0 when
 the object was found or the property verified, 1 when it was refuted or no
 object exists, 2 on malformed input (a usage error included), 3 when a
 search blew its budget.  The document is one compact line.
+Every file a command reads, the graph behind @path included, is one JSON
+document read by `formats.load_json`, and `generate` prints the graph JSON
+that @path reads back.
 `main` builds one `SearchBudget` per call from --budget-nodes and
 --budget-seconds, and every search of the command spends it, so a
 `reproduce` suite shares it across its instances.  Each command declares its
@@ -13,6 +16,7 @@ Integer flags, and the integers inside specs and lists, go through
 `formats.parse_int`: plain decimal digits with an optional sign, nothing
 else that `int()` would read.  --budget-seconds takes plain decimals such
 as 10 or 0.5, so a negative, infinite or NaN time cap is a usage error.
+Rationals take an exponent of at most 4300 in absolute value.
 The comma lists (--list, --order, --cycle-a, --cycle-b, and a circulant's
 strides) share one tokenizer, `formats.comma_items`, which refuses an empty
 item such as the middle one of `1,,2`.  `certify verify` hands the list to
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -73,10 +76,10 @@ from .formats import (
     drawing_from_json,
     drawing_to_json,
     dump_json,
-    emit_graph_text,
     equality_from_json,
     equality_to_json,
     graph_to_json,
+    load_json,
     parse_graph_spec,
     parse_int,
     partition_from_json,
@@ -138,36 +141,25 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _load_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise ValueError(f"cannot read {path!r}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path!r} is not valid JSON: {err}") from None
-    except RecursionError:
-        raise ValueError(f"{path!r} nests too deeply to parse") from None
-
-
 def _graph(args: argparse.Namespace):
     return parse_graph_spec(args.graph)
 
 
 def _drawing(path: str):
-    """A drawing file; a graph file it names resolves against its folder."""
-    return drawing_from_json(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
+    """A drawing file; a graph file it names with @path resolves against its
+    folder."""
+    return drawing_from_json(load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _partition_arg(text: str) -> Any:
     """A partition: columns:m:n shorthand or a JSON file path."""
     if not text.startswith("columns:"):
-        return partition_from_json(_load_json(text))
+        return partition_from_json(load_json(text))
     try:
         _, m, n = text.split(":")
         rows, cols = parse_int(m), parse_int(n)
     except ValueError:
-        raise ValueError(f"expected columns:m:n with integers m and n, got {text!r}") from None
+        raise ValueError(f"expected columns:m:n with m and n in decimal digits, got {text!r}") from None
     return columns_partition(rows, cols)
 
 
@@ -195,7 +187,7 @@ def _cmd_certify_sum(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_certify_verify(args: argparse.Namespace) -> tuple[Any, int]:
     xs = cyclic_list(_rational_list(args.list))
-    doc = _load_json(args.certificate)
+    doc = load_json(args.certificate)
     # accept the wrapper that `certify sum` emits, so output pipes back in
     if isinstance(doc, dict) and "certificate" in doc:
         doc = doc["certificate"]
@@ -275,7 +267,7 @@ def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _decomposition(path: str):
-    return decomposition_from_json(_load_json(path))
+    return decomposition_from_json(load_json(path))
 
 
 def _cmd_structure_check(args: argparse.Namespace) -> tuple[Any, int]:
@@ -349,11 +341,7 @@ def _cmd_drawing_certify(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[Any, int]:
-    g = _graph(args)
-    if args.format == "text":
-        sys.stdout.write(emit_graph_text(g))
-        return None, 0
-    return graph_to_json(g), 0
+    return graph_to_json(_graph(args)), 0
 
 
 # The paper's two domination values, by suite: t1 is the paired value of
@@ -533,7 +521,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a graph from a spec")
     p.add_argument("--graph", required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("reproduce", help="re-run a verification suite")
@@ -558,8 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc, code = args.handler(args)
         # inside the try: encoding can fail too, say on an integer past
         # Python's int-to-str digit limit
-        if doc is not None:
-            sys.stdout.write(dump_json(doc))
+        sys.stdout.write(dump_json(doc))
         return code
     except BudgetExceededError as err:
         sys.stdout.write(dump_json({"error": "budget exceeded", "detail": str(err)}))

@@ -46,6 +46,7 @@ monotone stack over the doubled running sums.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -93,11 +94,18 @@ class PrefixGoal(Enum):
     LEQ_SOMEWHERE = "leq"
 
 
+# Python's int-to-str digit limit: a larger exponent would build, in seconds
+# or minutes, a power of ten that no digit string of that limit can spell.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([+-]?[0-9]+)")
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, and Fractions to an exact Fraction.
 
     Strings follow `Fraction`'s grammar in ASCII without underscores, which
-    `Fraction` alone would read as digit separators ('1_3' as 13)."""
+    `Fraction` alone would read as digit separators ('1_3' as 13), and with an
+    exponent of at most 4300 in absolute value."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -107,6 +115,9 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if "_" in value or not value.isascii():
             raise ValueError(f"expected a rational in ASCII without underscores, got {value!r}")
+        exponent = _EXPONENT.search(value)
+        if exponent is not None and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent past {_MAX_EXPONENT} in absolute value in {value[:40]!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -1,13 +1,13 @@
-"""On-disk formats: certificate/partition/decomposition/drawing JSON, the
-plain-text graph format, and the graph spec mini-language.
+"""On-disk formats: graph, certificate, partition, decomposition and drawing
+JSON, and the graph spec mini-language.
 
-Graph text files say "n m" on the first line and one "u v" edge per line,
-vertices 0-based.  Graph specs name a family (cycle:n, torus:m:n,
-circulant:n:a,b, complete:n, kmn:m:n) or point at a file with @path;
-JSON drawings may carry either a spec string or an inline graph object.
-Rationals are {"num": p, "den": q} objects so nothing is ever rounded.
-Integers in graph files and specs go through `parse_int`: ASCII decimal
-digits with an optional sign.  All parsers raise ValueError with a line- or
+A graph is {"n": n, "edges": [[u, v], ...]}, vertices 0-based.  Graph specs
+name a family (cycle:n, torus:m:n, circulant:n:a,b, complete:n, kmn:m:n) or
+point with @path at a file holding a graph object; JSON drawings may carry
+either a spec string or an inline graph object.  Every file is read by
+`load_json`.  Rationals are {"num": p, "den": q} objects so nothing is ever
+rounded.  Integers in specs go through `parse_int`: ASCII decimal digits
+with an optional sign.  All parsers raise ValueError with a file- or
 field-specific message.
 """
 
@@ -44,8 +44,7 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "parse_int",
-    "parse_graph_text",
-    "emit_graph_text",
+    "load_json",
     "parse_graph_spec",
     "partition_to_json",
     "partition_from_json",
@@ -196,7 +195,7 @@ def _list(doc: dict[str, Any], key: str) -> list[Any]:
 
 def graph_from_json(obj: Any) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("inline graph must be an object with n and edges")
+        raise ValueError("a graph must be an object with n and edges")
     return Graph.from_edges(_int(obj["n"], "n"), [_edge(e, "edge") for e in _list(obj, "edges")])
 
 
@@ -221,34 +220,23 @@ def comma_items(text: str, where: str = "") -> list[str]:
     return items
 
 
-def parse_graph_text(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
-    n, m = (parse_int(tok, f"first line {lines[0]!r}: ") for tok in head)
-    if len(lines) - 1 != m:
-        raise ValueError(f"header says {m} edges but file has {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        cols = ln.split()
-        if len(cols) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        u, v = (parse_int(tok, f"edge line {ln!r}: ") for tok in cols)
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
-
-
-def emit_graph_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+def load_json(path: str) -> Any:
+    """The JSON document in a file; every way of failing to read one is a
+    ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ValueError(f"cannot read {path!r}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path!r} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError(f"{path!r} nests too deeply to parse") from None
 
 
 def parse_graph_spec(spec: str, base_dir: Optional[str] = None) -> Graph:
-    """Resolve a graph spec string: a named family or @path to a graph file."""
+    """Resolve a graph spec string: a named family, or @path to a file holding
+    the graph JSON that `graph_to_json` writes."""
     text = spec.strip()
     if not text:
         raise ValueError("empty graph spec")
@@ -256,11 +244,7 @@ def parse_graph_spec(spec: str, base_dir: Optional[str] = None) -> Graph:
         path = text[1:]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return parse_graph_text(fh.read())
-        except OSError as err:
-            raise ValueError(f"cannot read graph file {path!r}: {err}") from None
+        return graph_from_json(load_json(path))
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     args = rest.split(":") if rest else []

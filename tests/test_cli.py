@@ -14,7 +14,7 @@ from cyclecert.domination import (
     prefix_pruned_search,
     rd_prefix_pruned_search,
 )
-from cyclecert.formats import decomposition_to_json, dump_json, emit_graph_text
+from cyclecert.formats import decomposition_to_json, dump_json, graph_to_json, parse_graph_spec
 from cyclecert.graphs import Graph, cartesian_cycles, cycle
 from cyclecert.structures import circulant14_decomposition, column_shift_symmetry, columns_partition
 
@@ -78,10 +78,11 @@ def test_certify_sum_zero_denominator_is_input_error(capsys):
 
 
 def test_certificate_too_large_to_encode_is_input_error(capsys):
-    # 10^5000 has more digits than Python converts from int to str, so the
-    # certificate is found but cannot be written as JSON
-    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "1e5000")
-    assert code == 2 and doc["error"] == "invalid input" and "digits" in doc["detail"]
+    # 10^4300, the largest power the rational grammar reads, has one digit
+    # more than Python converts from int to str, so the certificate is found
+    # but cannot be written as JSON
+    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "1e4300")
+    assert code == 2 and doc["error"] == "invalid input" and "4300 digits" in doc["detail"]
 
 
 def test_certify_sum_equality_refused_off_total(capsys):
@@ -192,15 +193,26 @@ def test_rationals_refuse_underscores_and_other_scripts_digits(capsys, argv):
     assert "ASCII" in _refused(capsys, "certify", "sum", *argv)["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--list=1", "--h=1e999999999"],
+    ["--list=1", "--h=1e-999999999"],
+    ["--list=1", "--h=1E4301"],
+    ["--list=1", "--h=-1e-4301"],
+    ["--list=1e100000,1", "--h=1"],
+])
+def test_rationals_refuse_an_exponent_past_4300(capsys, argv):
+    # Fraction alone would build 10^|exponent|, for minutes at these sizes
+    start = time.monotonic()
+    assert "exponent" in _refused(capsys, "certify", "sum", *argv)["detail"]
+    assert time.monotonic() - start < 1
+
+
 def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):
-    graph = tmp_path / "ten.txt"
-    graph.write_text("1_0 0\n", encoding="utf-8")
     drawing = tmp_path / "d.json"
     drawing.write_text(dump_json({"graph": "cycle:12", "crossings": []}), encoding="utf-8")
     order = ",".join(["0", "1_0"] + [str(v) for v in range(1, 10)])
     cases = [
-        ["generate", "--graph", "cycle:1_0", "--format", "json"],
-        ["generate", "--graph", f"@{graph}"],
+        ["generate", "--graph", "cycle:1_0"],
         ["partition", "check", "--graph", "torus:3:10", "--partition", "columns:3:1_0"],
         ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:\u0663",
          "--h", "3"],
@@ -209,7 +221,7 @@ def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):
          "--cycle-b", "3-4,4-1_0,1_0-3"],
     ]
     for argv in cases:
-        _refused(capsys, *argv)
+        assert "decimal digits" in _refused(capsys, *argv)["detail"]
 
 
 def test_comma_lists_refuse_an_empty_item(capsys, tmp_path):
@@ -224,7 +236,7 @@ def test_comma_lists_refuse_an_empty_item(capsys, tmp_path):
         ["drawing", "convex", "--graph", "cycle:3", "--order", "0,,1,2"],
         [*parity, "--cycle-a", "0-1,,1-2,2-0", "--cycle-b", "3-4,4-5,5-3"],
         [*parity, "--cycle-a", "0-1,1-2,2-0", "--cycle-b", "3-4,4-5,5-3,"],
-        ["generate", "--graph", "circulant:12:1,,4,", "--format", "json"],
+        ["generate", "--graph", "circulant:12:1,,4,"],
     ]
     for argv in cases:
         assert "empty item" in _refused(capsys, *argv)["detail"]
@@ -513,8 +525,9 @@ def test_partition_check_transitive_honours_budget_seconds(capsys, tmp_path):
     # classes, as two vertices have degree 3; every window up to length 500
     # is a path, and the window test builds 500,000 of them before a chord
     # refutes it, far more than the budget allows
-    graph = tmp_path / "chord.txt"
-    graph.write_text(emit_graph_text(Graph.from_edges(1000, cycle(1000).edges() + [(0, 500)])))
+    graph = tmp_path / "chord.json"
+    chord = Graph.from_edges(1000, cycle(1000).edges() + [(0, 500)])
+    graph.write_text(dump_json(graph_to_json(chord)), encoding="utf-8")
     path = tmp_path / "singletons.json"
     path.write_text(dump_json({"parts": [[v] for v in range(1000)]}), encoding="utf-8")
     start = time.monotonic()
@@ -661,14 +674,26 @@ def test_epsilon_is_no_option_of_the_integer_bounds(capsys, tmp_path, command):
     assert code == 2 and doc["error"] == "invalid input" and "--epsilon" in doc["detail"]
 
 
+GENERATE_SPECS = ("cycle:5", "torus:3:4", "circulant:12:1,4", "complete:5", "kmn:2:3")
+
+
 def test_generate_text_matches_library(capsys):
-    code, out = run(capsys, "generate", "--graph", "cycle:4")
-    assert code == 0 and out == emit_graph_text(cycle(4))
+    # the text `generate` prints is the library's JSON encoding of the graph
+    for spec in GENERATE_SPECS:
+        assert main(["generate", "--graph", spec]) == 0
+        assert capsys.readouterr().out == dump_json(graph_to_json(parse_graph_spec(spec))), spec
 
 
-def test_generate_json(capsys):
-    code, doc = run(capsys, "generate", "--graph", "cycle:4", "--format", "json")
-    assert code == 0 and doc["n"] == 4 and len(doc["edges"]) == 4
+def test_generate_json(capsys, tmp_path):
+    # what `generate` prints, `@path` reads back to the same bytes
+    path = tmp_path / "g.json"
+    for spec in GENERATE_SPECS:
+        assert main(["generate", "--graph", spec]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["n"] == parse_graph_spec(spec).n
+        path.write_text(out, encoding="utf-8")
+        assert main(["generate", "--graph", f"@{path}"]) == 0
+        assert capsys.readouterr().out == out, spec
 
 
 def test_generate_bad_spec_is_input_error(capsys):
@@ -755,7 +780,7 @@ def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
         ["certify", "sum", "--list", "1,2", "--h", "4"],
         ["certify", "sum", "--list", "1,2", "--h", "3", "--direction", "equality"],
         ["sideways"],
-        ["generate", "--graph", "cycle:4", "--format", "json"],
+        ["generate", "--graph", "cycle:4"],
         ["partition", "check", "--graph", "torus:3:3", "--partition", "columns:3:3"],
         ["domination", "solve", "--graph", "torus:3:3"],
         ["drawing", "convex", "--graph", "cycle:5"],

@@ -388,6 +388,9 @@ def test_parity_screen_validates_cycles():
         jordan_parity_screen(d, [(0, 2), (2, 4), (0, 4)], [(0, 2), (2, 4), (0, 4)])
     with pytest.raises(ValueError, match="not in the graph"):
         jordan_parity_screen(d, [(0, 1), (1, 2), (0, 2)], [(1, 3), (3, 5), (1, 5)])
+    with pytest.raises(ValueError, match="vertex 0 has degree 3"):
+        jordan_parity_screen(convex_drawing(complete(7)), [(0, 1), (0, 2), (0, 3)],
+                             [(4, 5), (5, 6), (4, 6)])
 
 
 def test_parity_screen_rejects_disconnected_edge_set():

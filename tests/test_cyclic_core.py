@@ -50,6 +50,10 @@ def test_as_fraction_rejects_zero_denominator_and_junk():
     for bad in ("1/0", " -3/0 ", "x", "1/2/3", ""):
         with pytest.raises(ValueError):
             as_fraction(bad)
+    # Fraction alone would spend minutes building 10^999999999
+    for bad in ("1e4301", "1E-4301", "-2.5e999999999", " 1e+9999 "):
+        with pytest.raises(ValueError, match="exponent past 4300"):
+            as_fraction(bad)
 
 
 def test_as_fraction_refuses_underscores_and_other_scripts_digits():
@@ -61,7 +65,8 @@ def test_as_fraction_refuses_underscores_and_other_scripts_digits():
 
 def test_as_fraction_keeps_the_rest_of_the_fraction_grammar():
     cases = {"-7/3": F(-7, 3), "+4": F(4), " 5/2 ": F(5, 2), "0.25": F(1, 4), "-1.5e2": F(-150),
-             "3E-1": F(3, 10), ".5": F(1, 2), "12/8": F(3, 2)}
+             "3E-1": F(3, 10), ".5": F(1, 2), "12/8": F(3, 2), "1e4300": F(10**4300),
+             "-2e-4300": F(-2, 10**4300)}
     for text, value in cases.items():
         assert as_fraction(text) == value
 
@@ -259,6 +264,8 @@ def test_table_takes_any_exact_sequence_and_keeps_one_canonical_form():
     assert (table.scaled, table.den) == ((3, 4, 18), 6)
     reduced = PrefixTable((2, 4, 6), 4)
     assert (reduced.scaled, reduced.den) == ((1, 2, 3), 2)
+    with pytest.raises(ValueError, match="positive"):
+        PrefixTable((), 0)
     # h's denominator 3 enters D = 12, and drops out of the table
     cert = find_rotation([F(1, 4), F(1, 4)], F(5, 3), Direction.BELOW)
     assert (cert.prefix_sums.scaled, cert.prefix_sums.den) == ((1, 2), 4)

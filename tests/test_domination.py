@@ -175,6 +175,8 @@ def test_rd_vertex_values_on_cycle():
     assert rd_vertex(g, s, 1) == 1
     assert rd_vertex(g, s, 2) == 0
     assert rd_vertex(g, s, 3) == -1  # undominated
+    with pytest.raises(ValueError, match="out of range"):
+        rd_vertex(g, s, 5)
     assert rd_graph(g, s) == sum(rd_vertex(g, s, u) for u in range(5))
 
 
@@ -565,6 +567,7 @@ def test_paired_lower_bound_even_and_sound():
     lb = paired_lower_bound(g)
     assert lb % 2 == 0
     assert lb <= min_parameter(g, Variant.PAIRED).value
+    assert paired_lower_bound(Graph(0, ())) == 0
 
 
 # --- prefix-pruned searches -------------------------------------------------------

@@ -23,7 +23,6 @@ from cyclecert.formats import (
     drawing_from_json,
     drawing_to_json,
     dump_json,
-    emit_graph_text,
     equality_from_json,
     equality_to_json,
     fraction_from_json,
@@ -31,7 +30,6 @@ from cyclecert.formats import (
     graph_from_json,
     graph_to_json,
     parse_graph_spec,
-    parse_graph_text,
     parse_int,
     partition_from_json,
     partition_to_json,
@@ -272,34 +270,35 @@ def test_equality_parse_rejects_inconsistent_bounds():
     bound = BoundSpec(h=4, epsilon=F(1, 4))
     eq = equality_certificate([0, 0, 4, 0], bound)
     doc = equality_to_json(eq, bound)
+    with pytest.raises(ValueError, match="lacks field 'below'"):
+        equality_from_json({key: value for key, value in doc.items() if key != "below"})
+    with pytest.raises(ValueError, match="must be an object"):
+        equality_from_json([doc])
     doc["epsilon"] = fraction_to_json(F(1, 2))
     with pytest.raises(ValueError):
         equality_from_json(doc)
 
 
-def test_graph_text_roundtrip():
-    g = cartesian_cycles(3, 4)
-    assert parse_graph_text(emit_graph_text(g)) == g
+@pytest.mark.parametrize("spec", ["cycle:5", "torus:3:4", "circulant:12:1,4", "complete:5", "kmn:2:3"])
+def test_graph_file_round_trip(tmp_path, spec):
+    g = parse_graph_spec(spec)
+    (tmp_path / "g.json").write_text(dump_json(graph_to_json(g)), encoding="utf-8")
+    assert parse_graph_spec("@g.json", base_dir=str(tmp_path)) == g
 
 
-def test_graph_text_tolerates_comments_and_blanks():
-    text = "# a square\n4 4\n\n0 1\n1 2\n2 3\n0 3\n"
-    assert parse_graph_text(text) == cycle(4)
-
-
-def test_graph_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_graph_text("")
-    with pytest.raises(ValueError):
-        parse_graph_text("3\n0 1\n")
-    with pytest.raises(ValueError):
-        parse_graph_text("3 2\n0 1\n")  # header promises two edges
-    with pytest.raises(ValueError):
-        parse_graph_text("3 1\n0 1 2\n")
-    with pytest.raises(ValueError):
-        parse_graph_text("3 1\n0 x\n")
-    with pytest.raises(ValueError):
-        parse_graph_text("3 1\n0 3\n")  # vertex out of range
+def test_graph_file_rejects_malformed(tmp_path):
+    cases = {
+        "text.txt": ("4 4\n0 1\n1 2\n2 3\n0 3\n", "not valid JSON"),
+        "cut.json": ('{"n": 4, "edges": [[0, 1]', "not valid JSON"),
+        "deep.json": ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+        "list.json": ("[[0, 1]]", "object with n and edges"),
+    }
+    for name, (text, detail) in cases.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=detail):
+            parse_graph_spec(f"@{name}", base_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="cannot read"):
+        parse_graph_spec("@missing.json", base_dir=str(tmp_path))
 
 
 def test_parse_int_takes_ascii_digits_with_an_optional_sign():
@@ -312,10 +311,7 @@ def test_parse_int_takes_ascii_digits_with_an_optional_sign():
         parse_int("x", "in spec: ")
 
 
-def test_graph_text_and_specs_take_plain_decimal_digits():
-    for text in ("1_0 0\n", "3 1\n0 1_0\n", "\u0663 0\n"):
-        with pytest.raises(ValueError, match="decimal digits"):
-            parse_graph_text(text)
+def test_graph_specs_take_plain_decimal_digits():
     for spec in ("cycle:1_0", "torus:3:\u0664", "circulant:12:1,4_0", "kmn:2: 3"):
         with pytest.raises(ValueError, match="decimal digits"):
             parse_graph_spec(spec)
@@ -354,12 +350,12 @@ def test_graph_spec_rejects_unknown():
 
 
 def test_graph_spec_file_reference(tmp_path):
-    path = tmp_path / "square.txt"
-    path.write_text(emit_graph_text(cycle(4)), encoding="utf-8")
+    path = tmp_path / "square.json"
+    path.write_text(dump_json(graph_to_json(cycle(4))), encoding="utf-8")
     assert parse_graph_spec(f"@{path}") == cycle(4)
-    assert parse_graph_spec("@square.txt", base_dir=str(tmp_path)) == cycle(4)
+    assert parse_graph_spec("@square.json", base_dir=str(tmp_path)) == cycle(4)
     with pytest.raises(ValueError):
-        parse_graph_spec("@missing.txt", base_dir=str(tmp_path))
+        parse_graph_spec("@missing.json", base_dir=str(tmp_path))
 
 
 def test_partition_roundtrip_preserves_order():
@@ -418,8 +414,8 @@ def test_drawing_with_spec_string_graph():
 
 def test_drawing_with_file_graph(tmp_path):
     g = cycle(6)
-    (tmp_path / "hexagon.txt").write_text(emit_graph_text(g), encoding="utf-8")
-    doc = {"surface": "plane", "graph": "@hexagon.txt", "crossings": []}
+    (tmp_path / "hexagon.json").write_text(dump_json(graph_to_json(g)), encoding="utf-8")
+    doc = {"surface": "plane", "graph": "@hexagon.json", "crossings": []}
     clone = drawing_from_json(doc, base_dir=str(tmp_path))
     assert clone == AbstractDrawing(g, [])
 

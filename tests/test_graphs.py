@@ -62,6 +62,8 @@ def test_complete_bipartite_structure():
     # left side is 0..m-1, right side m..m+n-1, no edges within a side
     assert not g.has_edge(0, 1) and not g.has_edge(2, 4)
     assert g.has_edge(0, 2) and g.has_edge(1, 4)
+    with pytest.raises(ValueError, match="nonempty"):
+        complete_bipartite(0, 3)
 
 
 def test_torus_structure():
@@ -90,6 +92,8 @@ def test_circulant_structure():
         circulant(8, [5])
     with pytest.raises(ValueError):
         circulant(8, [0])
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        circulant(1, [1])
 
 
 def test_graph_equality_is_labeled():

@@ -91,6 +91,8 @@ def test_initial_colors_restrict_the_mapping():
     assert find_mapping(path, path, None, [0, 1, 2], [2, 1, 0]) == [2, 1, 0]
     assert find_mapping(path, path, None, [0, 1, 2], [1, 0, 2]) is None
     assert find_mapping(path, path) is not None
+    empty = Graph.from_edges(0, [])
+    assert find_mapping(empty, empty) == []
 
 
 # --- partition and decomposition validation ------------------------------------
@@ -106,6 +108,8 @@ def test_validate_partition_rejects_gaps_overlaps_and_strays():
         validate_partition(g, VertexPartition((frozenset({0, 1}), frozenset({2, 3, 4}))))
     with pytest.raises(ValueError):
         VertexPartition((frozenset({0, 1}), frozenset()))
+    with pytest.raises(ValueError, match="at least one part"):
+        VertexPartition(())
     validate_partition(g, VertexPartition((frozenset({0, 1}), frozenset({2, 3}))))
 
 
@@ -126,6 +130,10 @@ def test_validate_decomposition_rules():
         )))
     with pytest.raises(ValueError):  # edges not covered
         validate_decomposition(g, EdgeDecomposition((Piece(all_v, frozenset({(0, 1)})),)))
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        validate_decomposition(g, EdgeDecomposition((Piece(all_v | {4}, frozenset(g.edges())),)))
+    with pytest.raises(ValueError, match="at least one piece"):
+        EdgeDecomposition(())
 
 
 # --- transitivity checks --------------------------------------------------------
@@ -180,6 +188,11 @@ def test_star_decomposition_complete_rejects_even():
         star_decomposition_complete(6)
 
 
+def test_star_decomposition_bipartite_needs_two_nonempty_sides():
+    with pytest.raises(ValueError, match="nonempty"):
+        star_decomposition_bipartite(0, 2)
+
+
 def _k4_matchings() -> EdgeDecomposition:
     all_v = frozenset(range(4))
     return EdgeDecomposition((
@@ -198,6 +211,8 @@ def test_circulant14_decomposition_is_valid_and_transitive():
     g = circulant(4 * k, [1, 4])
     dec = circulant14_decomposition(k)
     validate_decomposition(g, dec)
+    with pytest.raises(ValueError, match="k >= 3"):
+        circulant14_decomposition(2)
     assert len(dec.pieces) == 4 * k
     assert is_transitive_decomposition(g, dec)
 
@@ -301,6 +316,9 @@ def test_column_shift_verifies_on_torus():
     sigma = column_shift_symmetry(3, 4)
     assert verify_cyclic_symmetry(g, p, sigma)
     assert cyclic_symmetry_violations(g, p, sigma) == []
+    for make in (columns_partition, column_shift_symmetry):
+        with pytest.raises(ValueError, match="at least 3"):
+            make(2, 4)
 
 
 def test_shift_violations_report_non_automorphism():
@@ -458,6 +476,8 @@ def test_tile_close_rejects_parallel_closure():
 def test_tile_power_one_is_identity():
     q = tile_power(edge_tile(), 1)
     assert q.graph == edge_tile().graph
+    with pytest.raises(ValueError, match="t >= 1"):
+        tile_power(edge_tile(), 0)
 
 
 def test_column_tile_closes_to_torus():
