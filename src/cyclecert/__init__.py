@@ -57,7 +57,6 @@ from .structures import (
     star_decomposition_complete,
     validate_decomposition,
     validate_partition,
-    verify_cyclic_symmetry,
 )
 from .tiles import Tile, canonical_periodic_decomposition, tile_close, tile_concat, tile_power
 from .domination import (

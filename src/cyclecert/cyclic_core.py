@@ -95,17 +95,20 @@ class PrefixGoal(Enum):
 
 
 # Python's int-to-str digit limit: a larger exponent would build, in seconds
-# or minutes, a power of ten that no digit string of that limit can spell.
+# or minutes, a power of ten that no digit string of that limit can spell,
+# and a numerator or denominator of more digits can be read but not written.
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([+-]?[0-9]+)")
+_TOO_MANY_DIGITS = 10**_MAX_EXPONENT
 
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, and Fractions to an exact Fraction.
 
     Strings follow `Fraction`'s grammar in ASCII without underscores, which
-    `Fraction` alone would read as digit separators ('1_3' as 13), and with an
-    exponent of at most 4300 in absolute value."""
+    `Fraction` alone would read as digit separators ('1_3' as 13), with an
+    exponent of at most 4300 in absolute value, and with a numerator and
+    denominator of at most 4300 digits each."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -119,9 +122,12 @@ def as_fraction(value: RationalLike) -> Fraction:
         if exponent is not None and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(f"exponent past {_MAX_EXPONENT} in absolute value in {value[:40]!r}")
         try:
-            return Fraction(value.strip())
+            got = Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        if abs(got.numerator) >= _TOO_MANY_DIGITS or got.denominator >= _TOO_MANY_DIGITS:
+            raise ValueError(f"more than {_MAX_EXPONENT} digits in {value[:40]!r}")
+        return got
     raise TypeError(f"not an exact rational: {value!r}")
 
 

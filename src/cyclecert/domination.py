@@ -4,6 +4,10 @@ Three set families are supported: dominating (every vertex is in the set or
 adjacent to it), total dominating (every vertex has a neighbor in the set,
 so the host graph must have no isolated vertices), and paired dominating
 (dominating, and the induced subgraph on the set has a perfect matching).
+Every check reads the rows of the members, closed neighborhoods for
+dominating and paired sets and open ones for total: a set covers V when
+their OR is V, and a covering set is minimal exactly when every member is
+the only member of some row (removing it uncovers just those rows).
 
 Exact minimums come from one item-cover search: iterative deepening over
 the number of items, each depth a branch-and-bound on an explicit stack
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, integer_bound
 # BudgetExceededError is re-exported: callers reach it through this module
@@ -103,41 +107,48 @@ def _reject_isolated(g: Graph) -> None:
             raise ValueError(f"vertex {v} is isolated; no such set exists")
 
 
-def is_dominating(g: Graph, ds: Iterable[int]) -> bool:
-    """Every vertex is in the set or adjacent to a member."""
-    mask = _mask_of(g, ds)
+def _cover_rows(g: Graph, variant: Variant) -> list[int]:
+    """The rows a set of the variant covers V with: open neighborhoods for
+    total, closed ones otherwise.  Raises ValueError on an isolated vertex
+    for total and paired, which no such set can cover, and TypeError on
+    anything but a Variant, so that a string such as "paired" is refused
+    rather than solved as another variant."""
+    if variant is Variant.TOTAL:
+        _reject_isolated(g)
+        return list(g.adj)
+    if variant is Variant.PAIRED:
+        _reject_isolated(g)
+    elif variant is not Variant.DOMINATING:
+        raise TypeError(f"variant must be a Variant, got {variant!r}")
+    return [g.closed_mask(v) for v in range(g.n)]
+
+
+def _union(rows: Sequence[int], mask: int) -> int:
+    """OR of the rows of the members of mask."""
     covered = 0
-    for v in iter_bits(mask):
-        covered |= g.closed_mask(v)
-    return covered == g.full_mask
+    while mask:
+        low = mask & -mask
+        covered |= rows[low.bit_length() - 1]
+        mask ^= low
+    return covered
 
 
-def is_total_dominating(g: Graph, s: Iterable[int]) -> bool:
-    """Every vertex (members included) has a neighbor in the set."""
-    _reject_isolated(g)
-    mask = _mask_of(g, s)
-    covered = 0
-    for v in iter_bits(mask):
-        covered |= g.adj[v]
-    return covered == g.full_mask
-
-
-def induced_perfect_matching_exists(g: Graph, s: Iterable[int]) -> bool:
-    """Does the induced subgraph on s admit a perfect matching?"""
-    smask = _mask_of(g, s)
-    if smask.bit_count() % 2 == 1:
+def _matched(adj: Sequence[int], mask: int) -> bool:
+    """Does the subgraph that the adjacency rows induce on mask have a
+    perfect matching?"""
+    if mask.bit_count() % 2 == 1:
         return False
     # depth first over the vertices left to match: the lowest one is matched
     # to each neighbor left, in ascending id (pushed descending, popped
     # ascending)
-    stack = [smask]
+    stack = [mask]
     while stack:
         rem = stack.pop()
         if rem == 0:
             return True
         low = rem & -rem
         rem ^= low
-        cands = g.adj[low.bit_length() - 1] & rem
+        cands = adj[low.bit_length() - 1] & rem
         while cands:
             top = 1 << cands.bit_length() - 1
             stack.append(rem ^ top)
@@ -145,61 +156,84 @@ def induced_perfect_matching_exists(g: Graph, s: Iterable[int]) -> bool:
     return False
 
 
+def is_dominating(g: Graph, ds: Iterable[int]) -> bool:
+    """Every vertex is in the set or adjacent to a member."""
+    return _union(_cover_rows(g, Variant.DOMINATING), _mask_of(g, ds)) == g.full_mask
+
+
+def is_total_dominating(g: Graph, s: Iterable[int]) -> bool:
+    """Every vertex (members included) has a neighbor in the set."""
+    return _union(_cover_rows(g, Variant.TOTAL), _mask_of(g, s)) == g.full_mask
+
+
+def induced_perfect_matching_exists(g: Graph, s: Iterable[int]) -> bool:
+    """Does the induced subgraph on s admit a perfect matching?"""
+    return _matched(g.adj, _mask_of(g, s))
+
+
 def is_paired_dominating(g: Graph, s: Iterable[int]) -> bool:
-    """Dominating, and the set induces a subgraph with a perfect matching."""
-    s = list(s)
-    return is_dominating(g, s) and induced_perfect_matching_exists(g, s)
+    """Dominating, and the set induces a subgraph with a perfect matching;
+    False, not ValueError, when the graph has an isolated vertex."""
+    mask = _mask_of(g, s)
+    return (
+        _union(_cover_rows(g, Variant.DOMINATING), mask) == g.full_mask
+        and _matched(g.adj, mask)
+    )
 
 
-def pn(g: Graph, s: Iterable[int], v: int) -> frozenset[int]:
-    """Private neighbors of v in s: vertices w with N(w) meeting s only at v."""
-    smask = _mask_of(g, s)
+def _private(g: Graph, smask: int, v: int) -> frozenset[int]:
     if not smask >> v & 1:
         raise ValueError(f"vertex {v} is not in the set")
     want = 1 << v
     return frozenset(w for w in range(g.n) if g.adj[w] & smask == want)
 
 
+def pn(g: Graph, s: Iterable[int], v: int) -> frozenset[int]:
+    """Private neighbors of v in s: vertices w with N(w) meeting s only at v."""
+    return _private(g, _mask_of(g, s), v)
+
+
 def epn(g: Graph, s: Iterable[int], v: int) -> frozenset[int]:
     """External private neighbors: pn(v) outside the set."""
     smask = _mask_of(g, s)
-    return frozenset(w for w in pn(g, s, v) if not smask >> w & 1)
+    return frozenset(w for w in _private(g, smask, v) if not smask >> w & 1)
 
 
 def ipn(g: Graph, s: Iterable[int], v: int) -> frozenset[int]:
     """Internal private neighbors: pn(v) inside the set."""
     smask = _mask_of(g, s)
-    return frozenset(w for w in pn(g, s, v) if smask >> w & 1)
+    return frozenset(w for w in _private(g, smask, v) if smask >> w & 1)
+
+
+def _is_minimal(g: Graph, s: Iterable[int], variant: Variant) -> bool:
+    """Private-row test: every member is the only member of some row.
+
+    Rejects a set that does not cover.  Equivalent to the definitional
+    check that no single removal still covers."""
+    rows = _cover_rows(g, variant)
+    smask = _mask_of(g, s)
+    if _union(rows, smask) != g.full_mask:
+        raise ValueError(f"not a {'total ' if variant is Variant.TOTAL else ''}dominating set")
+    have_private = 0
+    for row in rows:
+        a = row & smask
+        if a.bit_count() == 1:
+            have_private |= a
+    return smask == have_private
 
 
 def is_minimal_total_dominating(g: Graph, s: Iterable[int]) -> bool:
-    """Private-neighbor criterion: every member keeps some private neighbor.
+    """Every member keeps a private neighbor in its open neighborhood.
 
-    Rejects input that is not a total dominating set.  Equivalent to the
-    definitional check that no single removal stays total dominating.
-    """
-    s = list(s)
-    if not is_total_dominating(g, s):
-        raise ValueError("not a total dominating set")
-    smask = _mask_of(g, s)
-    have_private = 0
-    for w in range(g.n):
-        a = g.adj[w] & smask
-        if a.bit_count() == 1:
-            have_private |= a
-    return smask & ~have_private == 0
+    Rejects input that is not a total dominating set."""
+    return _is_minimal(g, s, Variant.TOTAL)
 
 
 def is_minimal_dominating(g: Graph, ds: Iterable[int]) -> bool:
-    """Definitional minimality: no single removal is still dominating."""
-    ds = list(ds)
-    if not is_dominating(g, ds):
-        raise ValueError("not a dominating set")
-    dset = set(ds)
-    for v in dset:
-        if is_dominating(g, dset - {v}):
-            return False
-    return True
+    """Every member keeps a private neighbor in its closed neighborhood.
+
+    Rejects input that is not a dominating set."""
+    return _is_minimal(g, ds, Variant.DOMINATING)
 
 
 def rd_vertex(g: Graph, s: Iterable[int], u: int) -> int:
@@ -236,22 +270,6 @@ def paired_value_c5(n: int) -> int:
         raise ValueError("need n >= 3")
     value = _ceil_div(4 * n, 3)
     return value + 1 if n % 3 == 2 else value
-
-
-def _cover_rows(g: Graph, variant: Variant) -> list[int]:
-    """The rows a set of the variant covers V with: open neighborhoods for
-    total, closed ones otherwise.  Raises ValueError on an isolated vertex
-    for total and paired, which no such set can cover, and TypeError on
-    anything but a Variant, so that a string such as "paired" is refused
-    rather than solved as another variant."""
-    if variant is Variant.TOTAL:
-        _reject_isolated(g)
-        return list(g.adj)
-    if variant is Variant.PAIRED:
-        _reject_isolated(g)
-    elif variant is not Variant.DOMINATING:
-        raise TypeError(f"variant must be a Variant, got {variant!r}")
-    return [g.closed_mask(v) for v in range(g.n)]
 
 
 def _min_cover_search(
@@ -346,10 +364,7 @@ def min_parameter(
         items = [(1 << u) | (1 << v) for u, v in edges]
         covers = [rows[u] | rows[v] for u, v in edges]
         # rows are symmetric: edge uv covers w exactly when w's row meets uv
-        reach = [0] * g.n
-        for w, row in enumerate(rows):
-            for u in iter_bits(row):
-                reach[w] |= at[u]
+        reach = [_union(at, row) for row in rows]
         blocks = [at[u] | at[v] for u, v in edges]
         sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
     else:
@@ -390,12 +405,7 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     before it is smaller, so the bar never cuts the path to it.
     """
     n = len(rows)
-    near = []  # members that share a watcher with v
-    for v in range(n):
-        m = 0
-        for w in iter_bits(rows[v]):
-            m |= rows[w]
-        near.append(m)
+    near = [_union(rows, row) for row in rows]  # members that share a watcher with v
     sealed = [0] * n  # vertices whose row is wholly decided once v is
     for w in range(n):
         sealed[rows[w].bit_length() - 1] |= 1 << w
@@ -460,13 +470,6 @@ def max_minimal_parameter(
     )
 
 
-_VALIDATORS = {
-    Variant.DOMINATING: is_dominating,
-    Variant.TOTAL: is_total_dominating,
-    Variant.PAIRED: is_paired_dominating,
-}
-
-
 def _checked_parts(
     g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
 ) -> tuple[list[list[int]], list[int]]:
@@ -492,7 +495,6 @@ def _part_prefix_search(
     base: list[int],
     bound: Fraction,
     members: Optional[list[int]],
-    valid: Callable[[int], bool],
     budget: SearchBudget,
 ) -> Optional[int]:
     """First chosen mask whose part-weight prefixes stay strictly under
@@ -506,9 +508,10 @@ def _part_prefix_search(
     only rise, so a prefix at the bound kills the branch, and after a subset
     of part j only the prefixes up to j + 1 that contain a raised part, plus
     prefix j + 1 itself, need a look.  A vertex whose cover row is wholly
-    decided must be covered; with member rows given, a member whose member
-    row is wholly decided must have a chosen neighbor.  valid has the last
-    word on a leaf.
+    decided must be covered (rows are symmetric, so no later part covers
+    it), hence every leaf covers V.  With member rows given, a member whose
+    member row is wholly decided must have a chosen neighbor, and a leaf
+    must have a perfect matching in the member rows.
     """
     t = len(parts)
 
@@ -564,9 +567,7 @@ def _part_prefix_search(
                 q += 1
             if q <= j + 1:
                 continue
-            new_covered = covered
-            for v in iter_bits(add):
-                new_covered |= rows[v]
+            new_covered = covered | _union(rows, add)
             if sealed[j] & ~new_covered:
                 continue
             new_chosen = chosen | add
@@ -580,7 +581,7 @@ def _part_prefix_search(
                     (j + 1, iter(range(1 << len(parts[j + 1]))), new_chosen, new_covered, sums)
                 )
                 break
-            if valid(new_chosen):
+            if members is None or _matched(members, new_chosen):
                 budget.charge(nodes)
                 return new_chosen
         else:
@@ -601,7 +602,6 @@ def _size_search(
     j * bound / t, rotation pinned at part 0."""
     parts, part_of = _checked_parts(g, partition, symmetry)
     rows = _cover_rows(g, variant)
-    validator = _VALIDATORS[variant]
     got = _part_prefix_search(
         parts,
         part_of,
@@ -610,7 +610,6 @@ def _size_search(
         [0] * len(parts),
         bound,
         list(g.adj) if variant is Variant.PAIRED else None,
-        lambda chosen: validator(g, iter_bits(chosen)),
         budget,
     )
     return frozenset(iter_bits(got)) if got is not None else None
@@ -685,7 +684,6 @@ def rd_prefix_pruned_search(
         [-len(p) for p in parts],
         (k + 1) * h - g.n + HALF,
         None,
-        lambda chosen: is_dominating(g, iter_bits(chosen)),
         budget,
     )
     return frozenset(iter_bits(got)) if got is not None else None

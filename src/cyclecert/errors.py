@@ -29,12 +29,10 @@ class SearchBudget:
     either cap.  The loop charges when its count passes the room, opens a
     new room, and charges what is left on every exit, so the cap still
     raises at node max_nodes + 1 and the clock is read once per 4096 nodes.
-    Cold loops, and loops that call another search on the same budget, use
-    `tick()`, which counts one node and reads the clock every 4096 nodes.
+    A cold loop charges each node as it goes.
 
-    The clock starts at the first room, tick or charge, whichever comes
-    first: a search that opens a room fixes its deadline before its first
-    node.
+    The clock starts at the first room or charge, whichever comes first: a
+    search that opens a room fixes its deadline before its first node.
     """
 
     max_nodes: int = 10_000_000
@@ -54,15 +52,6 @@ class SearchBudget:
         if self._deadline is None:
             self._deadline = time.monotonic() + self.max_seconds
         return min(self.max_nodes - self.nodes, 4096)
-
-    def tick(self) -> None:
-        if self._deadline is None:
-            self._deadline = time.monotonic() + self.max_seconds
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExceededError(f"node budget {self.max_nodes} exceeded")
-        if self.nodes % 4096 == 0 and time.monotonic() > self._deadline:
-            raise BudgetExceededError(f"time budget {self.max_seconds}s exceeded")
 
     def charge(self, nodes: int) -> None:
         now = time.monotonic()

@@ -91,7 +91,6 @@ __all__ = [
     "find_transitive_partition",
     "column_shift_symmetry",
     "cyclic_symmetry_violations",
-    "verify_cyclic_symmetry",
 ]
 
 
@@ -419,7 +418,7 @@ def find_transitive_partition(
     stack = [(frozenset((0,) + rest) for rest in combinations(range(1, g.n), size - 1))]
     while stack:
         for cls in stack[-1]:
-            budget.tick()
+            budget.charge(1)
             if not chosen:
                 key0 = class_key(cls)  # every class must match class 0
             elif class_key(cls) != key0:
@@ -487,10 +486,3 @@ def _symmetry_violations(g: Graph, structure: Structure, sigma: tuple[int, ...])
         if image != {norm_edge(u, v) for u, v in succ.edges}:
             out.append(f"shift: the edges of piece {i} do not map onto piece {j}")
     return out
-
-
-def verify_cyclic_symmetry(
-    g: Graph, structure: Structure, symmetry: CyclicSymmetry
-) -> bool:
-    """True when sigma is an automorphism carrying every part to the next."""
-    return not cyclic_symmetry_violations(g, structure, symmetry)

@@ -78,10 +78,11 @@ def test_certify_sum_zero_denominator_is_input_error(capsys):
 
 
 def test_certificate_too_large_to_encode_is_input_error(capsys):
-    # 10^4300, the largest power the rational grammar reads, has one digit
-    # more than Python converts from int to str, so the certificate is found
-    # but cannot be written as JSON
-    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "1e4300")
+    # each entry has 4300 digits, the most the rational grammar reads, but
+    # the second prefix sum has one digit more than Python converts from int
+    # to str, so the certificate is found but cannot be written as JSON
+    code, doc = run(capsys, "certify", "sum", "--list", "9e4299,9e4299", "--direction", "above",
+                    "--h", "1")
     assert code == 2 and doc["error"] == "invalid input" and "4300 digits" in doc["detail"]
 
 
@@ -205,6 +206,15 @@ def test_rationals_refuse_an_exponent_past_4300(capsys, argv):
     start = time.monotonic()
     assert "exponent" in _refused(capsys, "certify", "sum", *argv)["detail"]
     assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--list=1,2", "--h=1e4300"],
+    ["--list=" + "1" * 4000 + "e4300", "--h=1"],
+])
+def test_rationals_refuse_more_than_4300_digits_on_reading(capsys, argv):
+    # the certificate would be found, and only its JSON refused
+    assert "more than 4300 digits" in _refused(capsys, "certify", "sum", *argv)["detail"]
 
 
 def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):

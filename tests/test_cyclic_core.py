@@ -54,6 +54,11 @@ def test_as_fraction_rejects_zero_denominator_and_junk():
     for bad in ("1e4301", "1E-4301", "-2.5e999999999", " 1e+9999 "):
         with pytest.raises(ValueError, match="exponent past 4300"):
             as_fraction(bad)
+    # read in a millisecond, but past what int-to-str can write back; -2e-4300
+    # is -1/(5 * 10^4299), whose denominator has 4300 digits, and is kept
+    for bad in ("1e4300", "-1e-4300", "1" * 4000 + "e4300", "-1.5e-4300"):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            as_fraction(bad)
 
 
 def test_as_fraction_refuses_underscores_and_other_scripts_digits():
@@ -65,8 +70,8 @@ def test_as_fraction_refuses_underscores_and_other_scripts_digits():
 
 def test_as_fraction_keeps_the_rest_of_the_fraction_grammar():
     cases = {"-7/3": F(-7, 3), "+4": F(4), " 5/2 ": F(5, 2), "0.25": F(1, 4), "-1.5e2": F(-150),
-             "3E-1": F(3, 10), ".5": F(1, 2), "12/8": F(3, 2), "1e4300": F(10**4300),
-             "-2e-4300": F(-2, 10**4300)}
+             "3E-1": F(3, 10), ".5": F(1, 2), "12/8": F(3, 2), "9e4299": F(9 * 10**4299),
+             "-2e-4299": F(-2, 10**4299), "-2e-4300": F(-2, 10**4300)}
     for text, value in cases.items():
         assert as_fraction(text) == value
 

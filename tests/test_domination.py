@@ -79,15 +79,20 @@ SMALL_GRAPHS = [
 
 def test_validators_agree_with_definitions_on_random_sets():
     rng = random.Random(71)
+    isolated = 0
     for _ in range(250):
         n = rng.randint(2, 9)
         g = random_graph(rng, n, 0.45)
         s = {v for v in range(n) if rng.random() < 0.5}
         assert is_dominating(g, s) == brute_is_dominating(g, s)
+        # an isolated vertex makes a paired set impossible: False, not ValueError
+        assert is_paired_dominating(g, s) == brute_is_paired_dominating(g, s)
         if all(g.adj[v] for v in range(n)):
             assert is_total_dominating(g, s) == brute_is_total_dominating(g, s)
-            assert is_paired_dominating(g, s) == brute_is_paired_dominating(g, s)
+        else:
+            isolated += 1
         assert induced_perfect_matching_exists(g, s) == brute_has_perfect_matching(g, s)
+    assert isolated >= 25
 
 
 def test_total_domination_rejects_isolated_vertices():
@@ -119,13 +124,14 @@ def test_private_neighbors_on_star():
     # center 0 with leaves 1..3, set {0, 1}: each leaf sees S only at 0,
     # and that includes the member leaf 1 itself (open neighborhoods)
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    s = {0, 1}
-    assert pn(g, s, 0) == frozenset({1, 2, 3})
-    assert pn(g, s, 1) == frozenset({0})
-    assert epn(g, s, 0) == frozenset({2, 3})
-    assert ipn(g, s, 0) == frozenset({1})
-    assert ipn(g, s, 1) == frozenset({0})
-    assert epn(g, s, 1) == frozenset()
+    # a one-shot generator of the set answers alike: each call reads s once
+    for make in (lambda: {0, 1}, lambda: (v for v in (0, 1))):
+        assert pn(g, make(), 0) == frozenset({1, 2, 3})
+        assert pn(g, make(), 1) == frozenset({0})
+        assert epn(g, make(), 0) == frozenset({2, 3})
+        assert ipn(g, make(), 0) == frozenset({1})
+        assert ipn(g, make(), 1) == frozenset({0})
+        assert epn(g, make(), 1) == frozenset()
 
 
 def test_pn_requires_membership():
@@ -152,7 +158,7 @@ def test_minimal_total_dominating_criterion_matches_removal_test():
 
 
 def test_minimal_total_dominating_rejects_non_td():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a total dominating set"):
         is_minimal_total_dominating(cycle(4), {0})
 
 
@@ -160,8 +166,22 @@ def test_minimal_dominating_definitional():
     g = cycle(6)
     assert is_minimal_dominating(g, {0, 3})
     assert not is_minimal_dominating(g, {0, 1, 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a dominating set"):
         is_minimal_dominating(g, {0})
+    rng = random.Random(41)
+    answers = []
+    while len(answers) < 150:
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, 0.4)
+        s = {v for v in range(n) if rng.random() < 0.6}
+        if not brute_is_dominating(g, s):
+            with pytest.raises(ValueError, match="not a dominating set"):
+                is_minimal_dominating(g, s)
+            continue
+        removal = all(not brute_is_dominating(g, s - {v}) for v in s)
+        assert is_minimal_dominating(g, s) == removal
+        answers.append(removal)
+    assert 25 <= sum(answers) <= 125
 
 
 # --- redundancy counts ----------------------------------------------------------
@@ -355,7 +375,7 @@ def reference_max_minimal_search(rows, budget):
         stack = [(0, 0, 0, 0, 0)]
         while stack:
             v, chosen, size, once, more = stack.pop()
-            budget.tick()
+            budget.charge(1)
             if v == n:
                 return chosen, k
             if size + n - v - 1 >= k and not sealed[v] & ~(once | more):
@@ -484,6 +504,10 @@ BUDGETED_SEARCHES = {
         lambda b: decide_parameter_via_prefix(
             *torus_setup(5, 5), Variant.DOMINATING, 5, budget=b), 4_772),
     "rd C5xC5": (lambda b: rd_prefix_pruned_search(*torus_setup(5, 5), 5, budget=b), 4_516),
+    # the one pinned search whose leaves the matching check refuses
+    "decide paired C5xC7": (
+        lambda b: decide_parameter_via_prefix(
+            *torus_setup(5, 7), Variant.PAIRED, 10, budget=b), 26_842),
     "iso C200": (lambda b: find_mapping(cycle(200), cycle(200), b), 10_001),
 }
 
@@ -759,7 +783,7 @@ def reference_rd_search(g, partition, h, budget):
                 return chosen
             return None
         for sub in range(1 << len(parts[j])):
-            budget.tick()
+            budget.charge(1)
             add = sum(1 << v for i, v in enumerate(parts[j]) if sub >> i & 1)
             new_covered = covered
             for v in parts[j]:
