@@ -140,8 +140,8 @@ def _matched(adj: Sequence[int], mask: int) -> bool:
         return False
     # depth first over the vertices left to match: the lowest one is matched
     # to each neighbor left, in ascending id (pushed descending, popped
-    # ascending)
-    stack = [mask]
+    # ascending); a set of vertices left that was already pushed is skipped
+    stack, seen = [mask], {mask}
     while stack:
         rem = stack.pop()
         if rem == 0:
@@ -151,7 +151,9 @@ def _matched(adj: Sequence[int], mask: int) -> bool:
         cands = adj[low.bit_length() - 1] & rem
         while cands:
             top = 1 << cands.bit_length() - 1
-            stack.append(rem ^ top)
+            if rem ^ top not in seen:
+                seen.add(rem ^ top)
+                stack.append(rem ^ top)
             cands ^= top
     return False
 

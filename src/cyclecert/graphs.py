@@ -8,6 +8,7 @@ construction time; every edge is stored normalized as (u, v) with u < v.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -25,6 +26,12 @@ __all__ = [
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def check_order(count: int) -> None:
+    """Refuse a vertex count past sys.maxsize, as no list can index it."""
+    if count > sys.maxsize:
+        raise ValueError(f"vertex count exceeds sys.maxsize ({sys.maxsize})")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -46,6 +53,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        check_order(n)
         rows = [0] * n
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -94,6 +102,7 @@ def cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3, with edges (i, i+1 mod n)."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
+    check_order(n)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
@@ -101,6 +110,7 @@ def complete(n: int) -> Graph:
     """The clique K_n, n >= 1."""
     if n < 1:
         raise ValueError("a complete graph needs at least 1 vertex")
+    check_order(n)
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -108,6 +118,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
     """K_{m,n}: side U is 0..m-1, side W is m..m+n-1."""
     if m < 1 or n < 1:
         raise ValueError("both sides of a bipartite clique must be nonempty")
+    check_order(m + n)
     return Graph.from_edges(m + n, ((u, m + w) for u in range(m) for w in range(n)))
 
 
@@ -119,6 +130,7 @@ def cartesian_cycles(m: int, n: int) -> Graph:
     """
     if m < 3 or n < 3:
         raise ValueError("both cycle factors need at least 3 vertices")
+    check_order(m * n)
     edges = []
     for i in range(m):
         for j in range(n):
@@ -138,6 +150,7 @@ def circulant(n: int, strides: Iterable[int]) -> Graph:
         raise ValueError("at least one stride is required")
     if n < 2:
         raise ValueError("a circulant needs at least 2 vertices")
+    check_order(n)
     for a in ss:
         if not 1 <= a <= n // 2:
             raise ValueError(f"stride {a} out of range 1..{n // 2}")

@@ -15,10 +15,10 @@ Both sides may carry initial vertex colors, which enter round 0 as
 (degree, color) pairs in place of the degrees; an isomorphism found then
 maps every vertex to one of the same initial color, and a round-0 histogram
 that differs refutes before anything is refined.  `structures.find_shift`
-matches one graph against itself, colored by part index on one side and by
-part index minus one on the other, so that a match is an automorphism
-carrying each part onto the next; g2 is then g1, and its neighbour lists
-are built once.
+matches one graph against itself, each vertex colored by the parts that
+hold it on one side and by those parts minus one on the other, so that a
+match is an automorphism carrying each part onto the next; g2 is then g1,
+and its neighbour lists are built once.
 
 The backtracking order is fixed from g1, breadth first in the
 connectivity-first manner of VF2++ (Juttner and Madarasi, Discrete Applied

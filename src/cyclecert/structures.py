@@ -16,11 +16,13 @@ sigma(V_i) = V_{i+1} for every part i (for a decomposition: carrying the
 vertex and edge sets of piece i onto those of piece i+1) maps window (i, len)
 onto window (j, len) through sigma^(j-i), so one sigma proves all t^2 window
 isomorphisms at once.  `find_shift` looks for one with a single colored
-`iso` search of the structure against itself: every vertex is colored by
-its part index on one side and by its part index minus one on the other.
-A decomposition is searched as its incidence graph, with a node per vertex,
-a node per edge colored by its piece, and a node per piece adjacent to the
-piece's declared vertices.  `iso` compares the round-0 (degree, color)
+`iso` search of the structure against itself.  It reads a structure as a
+list of vertex sets (the parts, or the pieces' declared vertices), plus a
+list of edge sets for a decomposition.  Each vertex is colored by the sets
+that hold it on one side and by those sets minus one (mod t) on the other,
+so a color-keeping match carries every vertex set onto the next.  A
+decomposition's edges become nodes between their ends, colored by piece, so
+the edge sets follow too.  `iso` compares the round-0 (degree, color)
 histograms of both sides before anything is refined, so a structure that
 cannot have a shift costs O(|V|) there.  The sigma found counts only after the
 checks of `cyclic_symmetry_violations` pass on it, so a positive answer
@@ -67,10 +69,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import SearchBudget
-from .graphs import Graph, iter_bits, norm_edge
+from .graphs import Graph, check_order, iter_bits, norm_edge
 from .iso import find_mapping, isomorphic
 
 __all__ = [
@@ -185,6 +187,7 @@ def columns_partition(m: int, n: int) -> VertexPartition:
     """Columns of the C_m x C_n torus (ids i*n + j): part j holds column j."""
     if m < 3 or n < 3:
         raise ValueError("both cycle factors need at least 3 vertices")
+    check_order(m * n)
     return VertexPartition(
         tuple(frozenset(i * n + j for i in range(m)) for j in range(n))
     )
@@ -238,25 +241,23 @@ def circulant14_decomposition(k: int) -> EdgeDecomposition:
     return EdgeDecomposition(tuple(pieces))
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-# A part in the window test: its vertices in increasing id order, and the
-# (a, b) pairs it offers as edges, a always one of its own vertices.  A pair
-# enters a window once b has a label there too.
-_Part = tuple[list[int], list[tuple[int, int]]]
+def _sets(structure: Structure) -> tuple[list[frozenset[int]], Optional[list]]:
+    """The vertex sets of a structure (its parts, or its pieces' declared
+    vertices) and, for a decomposition, its pieces' edge sets."""
+    if isinstance(structure, VertexPartition):
+        return list(structure.parts), None
+    return [p.vertices for p in structure.pieces], [p.edges for p in structure.pieces]
 
 
 def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget) -> bool:
-    parts: list[_Part]
-    if isinstance(structure, VertexPartition):
-        parts = [(sorted(p), [(v, u) for v in p for u in iter_bits(g.adj[v])]) for p in structure.parts]
-    else:
-        parts = [(sorted(piece.vertices), list(piece.edges)) for piece in structure.pieces]
+    # each part as its vertices in increasing id order and the (a, b) pairs
+    # it offers as edges, a one of its own vertices: a partition part offers
+    # (v, u) for every neighbour u of each of its vertices v.  A pair enters
+    # a window once b has a label there too.
+    vertex_sets, edge_sets = _sets(structure)
+    if edge_sets is None:
+        edge_sets = [[(v, u) for v in vs for u in iter_bits(g.adj[v])] for vs in vertex_sets]
+    parts = [(sorted(vs), es) for vs, es in zip(vertex_sets, edge_sets)]
     t = len(parts)
     labels = [[-1] * g.n for _ in range(t)]
     rows: list[list[int]] = [[] for _ in range(t)]
@@ -288,37 +289,6 @@ def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget
     return True
 
 
-def _incidence_graph(g: Graph, decomposition: EdgeDecomposition) -> tuple[Graph, list[int], list[int]]:
-    """The incidence graph of a decomposition, and its node colors by piece
-    index and by piece index minus one.
-
-    Nodes 0..n-1 are the vertices (color -1 on both sides), then come one
-    node per edge, adjacent to its ends and colored by its piece i, then one
-    node per piece, adjacent to the piece's declared vertices and colored
-    t + i.
-    """
-    pieces = decomposition.pieces
-    t = len(pieces)
-    rows = [0] * g.n
-    colors, shifted = [-1] * g.n, [-1] * g.n
-    for i, piece in enumerate(pieces):
-        for u, v in piece.edges:
-            bit = 1 << len(rows)
-            rows[u] |= bit
-            rows[v] |= bit
-            rows.append(1 << u | 1 << v)
-        colors += [i] * len(piece.edges)
-        shifted += [(i - 1) % t] * len(piece.edges)
-    for i, piece in enumerate(pieces):
-        bit = 1 << len(rows)
-        for v in piece.vertices:
-            rows[v] |= bit
-        rows.append(_mask(piece.vertices))
-    colors += [t + i for i in range(t)]
-    shifted += [t + (i - 1) % t for i in range(t)]
-    return Graph(len(rows), tuple(rows)), colors, shifted
-
-
 def find_shift(
     g: Graph, structure: Structure, budget: Optional[SearchBudget] = None
 ) -> Optional[CyclicSymmetry]:
@@ -326,27 +296,45 @@ def find_shift(
     decomposition: the vertices and edges of piece i onto those of piece
     i+1) for every i, or None when there is none.
 
-    One colored isomorphism search of the structure against itself, colored
-    by part index on one side and by part index minus one on the other; a
-    decomposition is searched as its incidence graph.  The sigma it returns
-    has passed `cyclic_symmetry_violations`.  Raises BudgetExceededError when
-    the budget runs out.
+    One colored isomorphism search of the structure against itself: each
+    vertex is colored by the parts that hold it on one side, and by those
+    parts minus one on the other.  A partition is searched on g; in a
+    decomposition each edge becomes a node between its ends, colored by its
+    piece.  The sigma it returns has passed `cyclic_symmetry_violations`.
+    Raises BudgetExceededError when the budget runs out.
     """
     _validate(g, structure)
     return _find_shift(g, structure, budget or SearchBudget())
 
 
 def _find_shift(g: Graph, structure: Structure, budget: SearchBudget) -> Optional[CyclicSymmetry]:
-    if isinstance(structure, VertexPartition):
-        h = g
-        t = len(structure.parts)
-        colors = [0] * g.n
-        for i, part in enumerate(structure.parts):
-            for v in part:
-                colors[v] = i
-        shifted = [(c - 1) % t for c in colors]
-    else:
-        h, colors, shifted = _incidence_graph(g, structure)
+    vertex_sets, edge_sets = _sets(structure)
+    t = len(vertex_sets)
+    # the sets that hold v as a bitmask, numbered in order of first
+    # appearance; minus one (mod t) rotates it by one bit, and a rotated
+    # mask that no vertex has gets -1
+    holders = [0] * g.n
+    for i, vs in enumerate(vertex_sets):
+        bit = 1 << i
+        for v in vs:
+            holders[v] |= bit
+    table: dict[int, int] = {}
+    colors = [table.setdefault(m, len(table)) for m in holders]
+    shifted = [table.get(m >> 1 | (m & 1) << (t - 1), -1) for m in holders]
+    h = g
+    if edge_sets is not None:
+        # edge nodes after the vertices, colored past the vertex codes
+        codes = len(table)
+        rows = [0] * g.n
+        for i, edges in enumerate(edge_sets):
+            for u, v in edges:
+                bit = 1 << len(rows)
+                rows[u] |= bit
+                rows[v] |= bit
+                rows.append(1 << u | 1 << v)
+            colors += [codes + i] * len(edges)
+            shifted += [codes + (i - 1) % t] * len(edges)
+        h = Graph(len(rows), tuple(rows))
     image = find_mapping(h, h, budget, colors, shifted)
     if image is None:
         return None
@@ -408,7 +396,7 @@ def find_transitive_partition(
     def class_key(vs: frozenset[int]) -> list[int]:
         # the sorted degrees inside the class: with the class size fixed,
         # this is the order, edge count and degree screen of a window
-        mask = _mask(vs)
+        mask = sum(1 << v for v in vs)
         return sorted((g.adj[v] & mask).bit_count() for v in vs)
 
     # Depth first on an explicit stack: stack[d] yields the candidates for
@@ -453,8 +441,8 @@ def cyclic_symmetry_violations(
     g: Graph, structure: Structure, symmetry: CyclicSymmetry
 ) -> list[str]:
     """All of sigma's failures: non-automorphism edges, then parts not
-    carried onto the next part (for a decomposition: pieces whose vertex or
-    edge set is not carried onto the next piece's)."""
+    carried onto the next part (for a decomposition: pieces whose vertex
+    set, then pieces whose edge set, is not carried onto the next piece's)."""
     _validate(g, structure)
     return _symmetry_violations(g, structure, symmetry.sigma)
 
@@ -469,20 +457,15 @@ def _symmetry_violations(g: Graph, structure: Structure, sigma: tuple[int, ...])
             out.append(
                 f"automorphism: edge ({u}, {v}) maps to non-edge ({sigma[u]}, {sigma[v]})"
             )
-    if isinstance(structure, VertexPartition):
-        parts = structure.parts
-        for i, part in enumerate(parts):
-            j = (i + 1) % len(parts)
-            if frozenset(sigma[v] for v in part) != parts[j]:
-                out.append(f"shift: part {i} does not map onto part {j}")
-        return out
-    pieces = structure.pieces
-    for i, piece in enumerate(pieces):
-        j = (i + 1) % len(pieces)
-        succ = pieces[j]
-        if frozenset(sigma[v] for v in piece.vertices) != succ.vertices:
-            out.append(f"shift: the vertices of piece {i} do not map onto piece {j}")
-        image = {norm_edge(sigma[u], sigma[v]) for u, v in piece.edges}
-        if image != {norm_edge(u, v) for u, v in succ.edges}:
+    vertex_sets, edge_sets = _sets(structure)
+    t = len(vertex_sets)
+    for i, vs in enumerate(vertex_sets):
+        j = (i + 1) % t
+        if frozenset(sigma[v] for v in vs) != vertex_sets[j]:
+            out.append(f"shift: part {i} does not map onto part {j}")
+    for i, edges in enumerate(edge_sets or ()):
+        j = (i + 1) % t
+        image = {norm_edge(sigma[u], sigma[v]) for u, v in edges}
+        if image != {norm_edge(u, v) for u, v in edge_sets[j]}:
             out.append(f"shift: the edges of piece {i} do not map onto piece {j}")
     return out

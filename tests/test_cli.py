@@ -706,9 +706,21 @@ def test_generate_json(capsys, tmp_path):
         assert capsys.readouterr().out == out, spec
 
 
-def test_generate_bad_spec_is_input_error(capsys):
+def test_generate_bad_spec_is_input_error(capsys, tmp_path):
     code, doc = run(capsys, "generate", "--graph", "blob:9")
     assert code == 2 and doc["error"] == "invalid input"
+    # a vertex count past sys.maxsize is refused before any loop over it
+    huge = str(10**20)
+    big = tmp_path / "big.json"
+    big.write_text(dump_json({"n": 10**20, "edges": []}), encoding="utf-8")
+    specs = [f"cycle:{huge}", f"complete:{huge}", f"kmn:{huge}:1", f"@{big}",
+             f"torus:3:{huge}", f"circulant:{huge}:1"]
+    cases = [["generate", "--graph", spec] for spec in specs] + [
+        ["partition", "check", "--graph", "torus:3:3", "--partition", f"columns:3:{huge}"],
+        ["reproduce", "--suite", "t1", "--n", huge, "--budget-nodes", "10"],
+    ]
+    for argv in cases:
+        assert "exceeds sys.maxsize" in _refused(capsys, *argv)["detail"]
 
 
 def test_reproduce_structures_quick(capsys):
@@ -720,12 +732,12 @@ def test_reproduce_structures_quick(capsys):
 def test_reproduce_structures_honours_the_node_budget(capsys):
     code, doc = run(capsys, "reproduce", "--suite", "structures", "--budget-nodes", "1")
     assert code == 3 and doc["error"] == "budget exceeded"
-    # the quick instances spend 32 nodes in their shift searches and try no
+    # the quick instances spend 28 nodes in their shift searches and try no
     # candidate partition
-    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "32")
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "28")
     assert code == 0 and doc["ok"]
-    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "31")
-    assert code == 3 and doc == {"error": "budget exceeded", "detail": "node budget 31 exceeded"}
+    code, doc = run(capsys, "reproduce", "--suite", "structures", "--quick", "--budget-nodes", "27")
+    assert code == 3 and doc == {"error": "budget exceeded", "detail": "node budget 27 exceeded"}
 
 
 def test_reproduce_structures_honours_budget_seconds(capsys):

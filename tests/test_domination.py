@@ -112,6 +112,16 @@ def test_paired_validator_on_a_long_cycle_does_not_recurse():
     assert is_paired_dominating(cycle(4000), range(4000))
 
 
+def test_matching_search_skips_the_vertex_sets_it_has_explored():
+    # two disjoint K17 have no perfect matching but very many partial ones
+    k = 17
+    g = Graph.from_edges(2 * k, [(u + o, v + o) for o in (0, k) for u in range(k) for v in range(u + 1, k)])
+    start = time.monotonic()
+    assert not induced_perfect_matching_exists(g, range(2 * k))
+    assert not is_paired_dominating(g, range(2 * k))
+    assert time.monotonic() - start < 0.5
+
+
 def test_vertex_out_of_range_rejected():
     with pytest.raises(ValueError):
         is_dominating(cycle(3), {5})

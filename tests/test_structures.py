@@ -359,7 +359,10 @@ def test_recheck_refuses_a_shift_one_part_off():
     g, dec = complete(7), star_decomposition_complete(7)
     assert cyclic_symmetry_violations(g, dec, CyclicSymmetry(tuple((v + 1) % 7 for v in range(7)))) == []
     problems = cyclic_symmetry_violations(g, dec, CyclicSymmetry(tuple((v + 2) % 7 for v in range(7))))
-    assert len(problems) == 14 and all(msg.startswith("shift: the ") for msg in problems)
+    # a piece's vertex set is checked as a part, then come the edge sets
+    assert problems == [f"shift: part {i} does not map onto part {(i + 1) % 7}" for i in range(7)] + [
+        f"shift: the edges of piece {i} do not map onto piece {(i + 1) % 7}" for i in range(7)
+    ]
 
 
 def test_recheck_refuses_a_map_that_moves_a_pieces_edges_wrongly():
@@ -569,10 +572,10 @@ def _singletons(n: int) -> VertexPartition:
 @pytest.mark.parametrize(
     "check, make, nodes",
     [
-        (find_shift, lambda: (complete(13), star_decomposition_complete(13)), 104),
-        (find_shift, lambda: (complete(31), star_decomposition_complete(31)), 527),
-        (find_shift, lambda: _k4_tile_closure(8), 178),
-        (find_shift, lambda: _k4_tile_closure(16), 373),
+        (find_shift, lambda: (complete(13), star_decomposition_complete(13)), 91),
+        (find_shift, lambda: (complete(31), star_decomposition_complete(31)), 496),
+        (find_shift, lambda: _k4_tile_closure(8), 158),
+        (find_shift, lambda: _k4_tile_closure(16), 298),
         (find_shift, lambda: (cycle(400), _singletons(400)), 400),
         (transitive_by_windows, lambda: (complete(13), star_decomposition_complete(13)), 810),
         (transitive_by_windows, lambda: (complete(31), star_decomposition_complete(31)), 12_150),
@@ -801,6 +804,51 @@ def test_shift_decomposition_agrees_with_reference():
             assert expected and not cyclic_symmetry_violations(g, dec, shift)
         assert transitive_by_windows(g, dec) == expected
     assert shifts > 0
+
+
+def _some_permutation_has_no_violations(g: Graph, structure) -> bool:
+    """Is there a permutation sigma with no `cyclic_symmetry_violations`?
+    Extends sigma vertex by vertex, refusing an image that breaks adjacency
+    with the vertices already placed or is not in exactly the vertex sets
+    after those that hold v, and checks each complete sigma."""
+    if isinstance(structure, VertexPartition):
+        vertex_sets = structure.parts
+    else:
+        vertex_sets = tuple(piece.vertices for piece in structure.pieces)
+    t = len(vertex_sets)
+    held = [{i for i, vs in enumerate(vertex_sets) if v in vs} for v in range(g.n)]
+    sigma: list[int] = []
+
+    def extend(used: int) -> bool:
+        v = len(sigma)
+        if v == g.n:
+            return not cyclic_symmetry_violations(g, structure, CyclicSymmetry(tuple(sigma)))
+        # the images of v's neighbours among the vertices already placed
+        want = sum(1 << sigma[u] for u in range(v) if g.adj[v] >> u & 1)
+        after = {(i + 1) % t for i in held[v]}
+        for w in range(g.n):
+            if used >> w & 1 or g.adj[w] & used != want or held[w] != after:
+                continue
+            sigma.append(w)
+            if extend(used | 1 << w):
+                return True
+            sigma.pop()
+        return False
+
+    return extend(0)
+
+
+def test_a_shift_is_found_exactly_when_some_permutation_passes_the_recheck():
+    # the cases of the two reference tests above
+    answers = []
+    for seed, count, make in ((31, 120, _random_partition_case), (37, 80, _random_decomposition_case)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            g, structure = make(rng)
+            exists = _some_permutation_has_no_violations(g, structure)
+            assert (find_shift(g, structure) is not None) == exists
+            answers.append(exists)
+    assert any(answers) and not all(answers)
 
 
 def _degree_preserving_swap(rng: random.Random, g: Graph) -> Graph:
