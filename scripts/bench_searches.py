@@ -1,0 +1,218 @@
+"""Record the exact searches of two checkouts side by side as a BENCH_*.json.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench_searches.py --parent ../parent --out BENCH_25.json
+
+--parent is a checkout of the commit to compare against (a `git clone` of
+it, so that its commit can be read), and --change the checkout under test,
+by default the one this script sits in.  Stdlib only.  The record has four
+parts, each run in fresh interpreters on each tree's `src`:
+
+- search_tori_end_to_end: `perfbench/run.py --workload search-tori` from the
+  root of each checkout, seeds --seed onwards, which side runs first
+  alternating from pair to pair;
+- per_search: nodes and the median seconds of 5 calls of each search (9 for
+  the README's pair) on a fresh budget, graphs built outside the timing,
+  parent and change alternating and the order swapped every run;
+- paired_reach: `min_parameter` paired on C5xCn for n = 3, 4, ... under a
+  --reach-seconds budget, up to the first n that runs out;
+- the README's dominating 5x8 comparison, as two more searches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+# name -> (graph expression, call on g and budget b, timed runs)
+SEARCHES = {
+    "min paired C5xC13": ("cartesian_cycles(5, 13)", "min_parameter(g, Variant.PAIRED, b)", 5),
+    "min total C7xC7": ("cartesian_cycles(7, 7)", "min_parameter(g, Variant.TOTAL, b)", 5),
+    "min dominating C7xC7": ("cartesian_cycles(7, 7)", "min_parameter(g, Variant.DOMINATING, b)", 5),
+    "max-minimal total C4xC6": (
+        "cartesian_cycles(4, 6)", "max_minimal_parameter(g, Variant.TOTAL, b)", 5),
+    "decide dominating C5xC7 h=8": (
+        "(cartesian_cycles(5, 7), columns_partition(5, 7), column_shift_symmetry(5, 7))",
+        "decide_parameter_via_prefix(*g, Variant.DOMINATING, 8, budget=b)", 5),
+    "min dominating C8xC8": ("cartesian_cycles(8, 8)", "min_parameter(g, Variant.DOMINATING, b)", 5),
+    "min dominating C5xC8": ("cartesian_cycles(5, 8)", "min_parameter(g, Variant.DOMINATING, b)", 9),
+    "decide dominating C5xC8 h=10": (
+        "(cartesian_cycles(5, 8), columns_partition(5, 8), column_shift_symmetry(5, 8))",
+        "decide_parameter_via_prefix(*g, Variant.DOMINATING, 10, budget=b)", 9),
+}
+
+CHILD = """
+import json, sys, time
+from cyclecert.domination import *
+from cyclecert.errors import BudgetExceededError
+from cyclecert.graphs import cartesian_cycles
+from cyclecert.structures import column_shift_symmetry, columns_partition
+graph, call, seconds = sys.argv[1], sys.argv[2], float(sys.argv[3])
+g = eval(graph)
+b = SearchBudget(max_nodes=10**9, max_seconds=seconds)
+start = time.perf_counter()
+try:
+    eval(call)
+    decided = True
+except BudgetExceededError:
+    decided = False
+print(json.dumps({"decided": decided, "nodes": b.nodes, "s": time.perf_counter() - start}))
+"""
+
+TORI_METRICS = {
+    "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ops_ok_ratio": "higher",
+    "cert_p50_us": "lower", "cert_p99_us": "lower", "entries_per_s": "higher", "reproduce_s": "lower",
+}
+
+
+def _child(tree: str, graph: str, call: str, seconds: float) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run([sys.executable, "-c", CHILD, graph, call, str(seconds)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _commit(tree: str) -> str | None:
+    try:
+        return subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _quartiles(xs: list[float]) -> list[float]:
+    if len(xs) < 2:
+        return [round(xs[0], 4)] * 3
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return [round(q1, 4), round(q2, 4), round(q3, 4)]
+
+
+def per_search(trees: dict[str, str]) -> dict:
+    out = {}
+    for name, (graph, call, runs) in SEARCHES.items():
+        times: dict[str, list[float]] = {side: [] for side in trees}
+        nodes: dict[str, set[int]] = {side: set() for side in trees}
+        for run in range(runs):
+            order = list(trees) if run % 2 == 0 else list(trees)[::-1]
+            for side in order:
+                got = _child(trees[side], graph, call, 600)
+                times[side].append(got["s"])
+                nodes[side].add(got["nodes"])
+        row = {}
+        for side in trees:
+            (count,) = nodes[side]  # node counts are deterministic
+            median = statistics.median(times[side])
+            row[side] = {"nodes": count, "median_s": round(median, 4),
+                         "runs_s": [round(t, 4) for t in times[side]],
+                         "nodes_per_s": round(count / median)}
+        row["change_vs_parent"] = round(row["change"]["median_s"] / row["parent"]["median_s"] - 1, 3)
+        out[name] = row
+        print(name, json.dumps(row), file=sys.stderr)
+    return out
+
+
+def paired_reach(tree: str, seconds: float) -> dict:
+    rows = []
+    n = 3
+    while True:
+        got = _child(tree, f"cartesian_cycles(5, {n})", "min_parameter(g, Variant.PAIRED, b)", seconds)
+        rows.append({"n": n, "decided": got["decided"], "nodes": got["nodes"], "s": round(got["s"], 3)})
+        print("reach", tree, rows[-1], file=sys.stderr)
+        if not got["decided"]:
+            break
+        n += 1
+    decided = [r for r in rows if r["decided"]]
+    slowest = max(decided, key=lambda r: r["s"])
+    return {"largest_n": decided[-1]["n"] if decided else None, "slowest": slowest, "runs": rows}
+
+
+def search_tori(trees: dict[str, str], seed: int, pairs: int, seconds: float) -> dict:
+    runs = []
+    for i in range(pairs):
+        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
+        pair: dict = {"seed": seed + i, "first": order[0]}
+        for side in order:
+            argv = [sys.executable, "perfbench/run.py", "--workload", "search-tori",
+                    "--seed", str(seed + i), "--seconds", str(seconds), "--trace", "0"]
+            last = subprocess.run(argv, cwd=trees[side], check=True, capture_output=True,
+                                  text=True).stdout.strip().splitlines()[-1]
+            result = json.loads(last)
+            if result["correct"] is not True or result["failed"]:
+                raise SystemExit(f"{side} run of seed {seed + i} not clean: {last}")
+            pair[side] = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+        print("tori", json.dumps(pair), file=sys.stderr)
+        runs.append(pair)
+    summary = {}
+    for metric, better in TORI_METRICS.items():
+        parent = [p["parent"][metric] for p in runs]
+        change = [p["change"][metric] for p in runs]
+        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        summary[metric] = {"better": better, "parent_q1_median_q3": _quartiles(parent),
+                           "change_q1_median_q3": _quartiles(change), "change_better_in_pairs": wins}
+    return {
+        "method": f"python3 perfbench/run.py --workload search-tori --seed S --seconds {seconds:g} "
+                  "--trace 0, from the root of each checkout; which side runs first alternates; "
+                  "every run reported correct with 0 failed operations",
+        "seeds": f"{seed}-{seed + pairs - 1}",
+        "summary": summary,
+        "pairs": runs,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", default=os.path.dirname(HERE))
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--title", default="")
+    parser.add_argument("--seed", type=int, default=301)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=24)
+    parser.add_argument("--reach-seconds", type=float, default=60)
+    args = parser.parse_args()
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    record = {
+        "title": args.title,
+        "parent_commit": _commit(trees["parent"]),
+        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(), "python": platform.python_version()},
+        "per_search": {
+            "method": "each run is one call in a fresh interpreter on that tree's src, on "
+                      "SearchBudget(max_nodes=10**9, max_seconds=600), timed with "
+                      "time.perf_counter, graphs built outside the timing; parent and change "
+                      "alternate and the order is swapped every run",
+            "searches": per_search(trees),
+        },
+        "paired_reach": {
+            "method": f"min_parameter(cartesian_cycles(5, n), Variant.PAIRED) on "
+                      f"SearchBudget(max_nodes=10**9, max_seconds={args.reach_seconds:g}) in a "
+                      "fresh interpreter, n = 3, 4, ... up to the first n that runs out",
+            **{side: paired_reach(tree, args.reach_seconds) for side, tree in trees.items()},
+        },
+        "search_tori_end_to_end": search_tori(trees, args.seed, args.pairs, args.seconds),
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

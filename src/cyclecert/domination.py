@@ -11,10 +11,13 @@ the only member of some row (removing it uncovers just those rows).
 
 Exact minimums come from one item-cover search: iterative deepening over
 the number of items, each depth a branch-and-bound on an explicit stack
-that always branches on the lowest-id uncovered vertex and tries the items
-covering it in ascending id.  An item is a vertex for dominating and total
-sets and an edge for paired ones, since a paired set is exactly a disjoint
-union of edges whose endpoints dominate everything; choosing an edge rules
+that branches on the uncovered vertex with the fewest items left, scanning
+only the vertices that have lost an item (ties to the lowest id; the
+lowest-id uncovered vertex while none has), backtracks at once when that
+vertex has none left, and tries the items covering it in ascending id.
+An item is a vertex for dominating and total sets and an edge for paired
+ones, since a paired set is exactly a disjoint union of edges whose
+endpoints dominate everything; choosing an edge rules
 out every edge that meets it.  Exact maximums over minimal sets come from
 one branch-and-bound pass that decides the vertices in id order and keeps
 the largest minimal set found so far as a bar that only rises; it prunes on
@@ -290,18 +293,27 @@ def _min_cover_search(
     Item e adds the vertices items[e] to the set and covers covers[e];
     reach[u] holds the items whose cover holds u, and blocks[e] the items
     that choosing e rules out below it; no item covers more than cap.  For
-    each k, a depth-first search on per-depth arrays branches on the lowest
-    uncovered vertex, tries its items in ascending id, and forbids each
-    tried item to the siblings after it, so no union is visited twice.
-    Nodes are counted locally and charged to the budget whenever the count
-    passes its room and on every exit.
+    each k, a depth-first search on per-depth arrays tries the items of one
+    uncovered vertex in ascending id and forbids each tried item to the
+    siblings after it, so no union is visited twice.  The vertex is the one
+    with the fewest items left among the uncovered vertices that have lost
+    an item since the root, ties to the lowest id, and the lowest uncovered
+    vertex while none has; the scan stops at a vertex with at most one item
+    left, and a node whose vertex has none is a dead end.  hot[d] holds the
+    vertices that may have lost one: refusing item e takes it from the
+    vertices of covers[e], and choosing e takes blocks[e] from those of
+    shrink[e].  Nodes are counted locally and charged to the budget whenever
+    the count passes its room and on every exit.
     """
+    shrink = [_union(covers, b) for b in blocks]
+    many = len(items) + 1  # more than any vertex has left
     nodes = 0
     room = budget.room()
     for k in sizes:
         picked = [0] * k  # the item chosen at each depth above the node
         covered = [0] * (k + 1)
         forbid = [0] * (k + 1)
+        hot = [0] * (k + 1)  # the vertices with an item forbidden at each depth
         cands = [0] * k  # the items a node at each depth has left to try
         d = 0
         while True:
@@ -318,10 +330,21 @@ def _min_cover_search(
                     chosen |= items[e]
                 return chosen
             # at depth k the room (k - d) * cap is 0, so this stops there too
-            if left.bit_count() <= (k - d) * cap:
-                c = reach[(left & -left).bit_length() - 1] & ~forbid[d]
-            else:
+            if left.bit_count() > (k - d) * cap:
                 c = 0
+            elif scan := hot[d] & left:
+                f = forbid[d]
+                fewest = many
+                while scan:
+                    low = scan & -scan
+                    r = reach[low.bit_length() - 1] & ~f
+                    if (size := r.bit_count()) < fewest:
+                        c, fewest = r, size
+                        if size <= 1:
+                            break
+                    scan ^= low
+            else:
+                c = reach[(left & -left).bit_length() - 1] & ~forbid[d]
             while not c and d:
                 d -= 1
                 c = cands[d]
@@ -332,10 +355,13 @@ def _min_cover_search(
             cands[d] = c ^ bit
             f = forbid[d] | bit
             forbid[d] = f
+            h = hot[d] | covers[e]
+            hot[d] = h
             picked[d] = e
             d += 1
             covered[d] = covered[d - 1] | covers[e]
             forbid[d] = f | blocks[e]
+            hot[d] = h | shrink[e]
     budget.charge(nodes)
     raise ValueError("no valid set of any size exists")
 

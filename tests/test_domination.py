@@ -73,6 +73,12 @@ SMALL_GRAPHS = [
     cartesian_cycles(3, 3),
 ]
 
+VALIDATORS = {
+    Variant.DOMINATING: is_dominating,
+    Variant.TOTAL: is_total_dominating,
+    Variant.PAIRED: is_paired_dominating,
+}
+
 
 # --- validators against set-arithmetic oracles --------------------------------
 
@@ -321,13 +327,14 @@ def test_paired_c5xc10_node_count_and_witness_are_pinned():
     budget = SearchBudget()
     report = min_parameter(cartesian_cycles(5, 10), Variant.PAIRED, budget)
     assert report.value == 14
-    assert budget.nodes == report.nodes_explored == 20_684
-    assert report.witness == (0, 1, 3, 4, 6, 7, 22, 25, 28, 29, 32, 35, 38, 39)
+    assert budget.nodes == report.nodes_explored == 3_378
+    assert report.witness == (0, 1, 3, 6, 13, 16, 28, 29, 31, 32, 34, 35, 38, 48)
+    assert is_paired_dominating(cartesian_cycles(5, 10), report.witness)
 
 
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
-    (6, 8, Variant.DOMINATING, 12, 87_236, (0, 1, 2, 3, 13, 18, 23, 28, 31, 33, 36, 46)),
-    (5, 8, Variant.TOTAL, 11, 2_770, (0, 1, 2, 12, 13, 16, 23, 26, 27, 37, 38)),
+    (6, 8, Variant.DOMINATING, 12, 66_908, (0, 1, 2, 3, 13, 18, 23, 28, 31, 33, 36, 46)),
+    (5, 8, Variant.TOTAL, 11, 1_339, (0, 1, 2, 12, 13, 16, 23, 26, 27, 37, 38)),
 ])
 def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
@@ -335,6 +342,32 @@ def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, va
     assert report.value == value
     assert budget.nodes == report.nodes_explored == nodes
     assert report.witness == witness
+    assert VALIDATORS[variant](cartesian_cycles(rows, n), witness)
+
+
+def test_paired_c5xc19_is_solved_within_half_a_million_nodes():
+    # 126,680 nodes when the search branches on the most constrained vertex
+    g = cartesian_cycles(5, 19)
+    report = min_parameter(g, Variant.PAIRED, SearchBudget(max_nodes=500_000))
+    assert report.value == paired_value_c5(19) == 26
+    assert is_paired_dominating(g, report.witness)
+
+
+@pytest.mark.parametrize("m, n", [(6, 7), (7, 6)])
+@pytest.mark.parametrize("variant, value", [
+    (Variant.DOMINATING, 10),
+    (Variant.TOTAL, 12),
+    (Variant.PAIRED, 12),
+])
+def test_min_parameter_does_not_depend_on_vertex_ids(m, n, variant, value):
+    assert min_parameter(cartesian_cycles(m, n), variant).value == value
+    for seed in range(3):
+        perm = list(range(m * n))
+        random.Random(seed).shuffle(perm)
+        g = Graph.from_edges(m * n, [(perm[u], perm[v]) for u, v in cartesian_cycles(m, n).edges()])
+        report = min_parameter(g, variant)
+        assert report.value == value == len(report.witness)
+        assert VALIDATORS[variant](g, report.witness)
 
 
 @pytest.mark.parametrize("n, variant, value", [
@@ -428,7 +461,7 @@ def test_paired_capacity_is_the_largest_pair_cover():
     budget = SearchBudget()
     report = min_parameter(circulant(16, [1, 2]), Variant.PAIRED, budget)
     assert report.value == 6
-    assert budget.nodes == report.nodes_explored == 16
+    assert budget.nodes == report.nodes_explored == 6
     assert report.witness == (0, 1, 2, 4, 9, 11)
 
 
@@ -504,10 +537,10 @@ def test_room_starts_the_clock_and_stops_at_the_node_cap():
 # Each search counts its own nodes and settles with its budget; the second
 # field is its pinned node count, past 4097 so every cap below is reached.
 BUDGETED_SEARCHES = {
-    "min paired C5xC10": (
-        lambda b: min_parameter(cartesian_cycles(5, 10), Variant.PAIRED, b), 20_684),
+    "min paired C5xC13": (
+        lambda b: min_parameter(cartesian_cycles(5, 13), Variant.PAIRED, b), 12_562),
     "min total C7xC6": (
-        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 6_224),
+        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 4_793),
     "max-minimal total C4xC5": (
         lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 14_274),
     "decide dominating C5xC5": (
