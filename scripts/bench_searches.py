@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_searches.py --parent ../parent --out BENCH_25.json
+    python3 scripts/bench_searches.py --parent ../parent --out BENCH_26.json
 
 --parent is a checkout of the commit to compare against (a `git clone` of
 it, so that its commit can be read), and --change the checkout under test,
@@ -42,6 +42,16 @@ SEARCHES = {
     "decide dominating C5xC7 h=8": (
         "(cartesian_cycles(5, 7), columns_partition(5, 7), column_shift_symmetry(5, 7))",
         "decide_parameter_via_prefix(*g, Variant.DOMINATING, 8, budget=b)", 5),
+    "decide paired C5xC7 h=10": (
+        "(cartesian_cycles(5, 7), columns_partition(5, 7), column_shift_symmetry(5, 7))",
+        "decide_parameter_via_prefix(*g, Variant.PAIRED, 10, budget=b)", 5),
+    "rd C5xC8 h=10": (
+        "(cartesian_cycles(5, 8), columns_partition(5, 8), column_shift_symmetry(5, 8))",
+        "rd_prefix_pruned_search(*g, 10, budget=b)", 5),
+    # 3 runs: the old part-by-part prefix engine takes about 11 s on this one
+    "decide dominating C7xC7 h=12": (
+        "(cartesian_cycles(7, 7), columns_partition(7, 7), column_shift_symmetry(7, 7))",
+        "decide_parameter_via_prefix(*g, Variant.DOMINATING, 12, budget=b)", 3),
     "min dominating C8xC8": ("cartesian_cycles(8, 8)", "min_parameter(g, Variant.DOMINATING, b)", 5),
     "min dominating C5xC8": ("cartesian_cycles(5, 8)", "min_parameter(g, Variant.DOMINATING, b)", 9),
     "decide dominating C5xC8 h=10": (
@@ -52,7 +62,7 @@ SEARCHES = {
 CHILD = """
 import json, sys, time
 from cyclecert.domination import *
-from cyclecert.errors import BudgetExceededError
+from cyclecert.errors import BudgetExceededError  # older trees leave it out of domination.__all__
 from cyclecert.graphs import cartesian_cycles
 from cyclecert.structures import column_shift_symmetry, columns_partition
 graph, call, seconds = sys.argv[1], sys.argv[2], float(sys.argv[3])

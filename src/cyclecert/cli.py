@@ -61,6 +61,7 @@ from .cyclic_core import (
 from .domination import (
     SearchBudget,
     Variant,
+    _decided,
     max_minimal_parameter,
     min_parameter,
     paired_value_c5,
@@ -251,15 +252,13 @@ def _cmd_domination_corollary(args: argparse.Namespace) -> tuple[Any, int]:
             return rd_prefix_pruned_search(g, partition, shift, h, args.budget)
         return prefix_pruned_search(g, partition, shift, variant, h, args.budget)
 
-    found = search(args.h)
     if args.mode == "search":
+        found = search(args.h)
         doc: dict[str, Any] = {"h": args.h, "found": found is not None}
         if found is not None:
             doc["witness"] = sorted(found)
         return doc, 0 if found is not None else 1
-    # a set under h + 1/2 and none under (h - 1) + 1/2, the rule of
-    # decide_parameter_via_prefix, here for the redundancy search too
-    decided = found is not None and search(args.h - 1) is None
+    decided = _decided(search, args.h)
     return {"h": args.h, "equals": decided}, 0 if decided else 1
 
 

@@ -26,21 +26,23 @@ back), on decided vertices left undominated, and on a count that cannot
 beat the bar.  Both are budget-guarded: blowing the node or time budget
 raises, it never degrades to a wrong answer.
 
-The corollary searches share one part-by-part prefix engine.  It decides
-the parts of a cyclically ordered partition in order, keeps a weight per
-part, and requires every prefix of the weights to stay strictly under
+The corollary searches run on the same item-cover search, with the
+prefix inequality of a cyclically ordered partition as a side constraint:
+a weight per part, and every prefix of the weights strictly under
 j * bound / t for prefix length j.  The rotation is pinned at part 0; this
 loses nothing exactly when a verified cyclic shift symmetry maps each part
-onto the next, which is why the searches insist on one.  With the weight of
-a part taken as the number of chosen vertices in it, a positive search at
-h + 1/2 and a negative search at h - 1/2 decide whether the minimum equals
-h without ever reporting the minimum itself.  With the weight taken as the
-redundant domination of its vertices, the same engine plays that game
-against the target (k+1) * h - |V| on a k-regular graph.  On integer
-weights every nudge in (0, 1) answers alike, so h must be an int (else
-ValueError) and the nudge is 1/2.  Weights only rise as vertices join, so
-each step re-checks just the prefixes that changed, and the search runs on
-an explicit stack.
+onto the next, which is why the searches insist on one, and it holds in
+any search order.  The slacks of all the prefixes are packed in one
+integer, so one subtraction tests an item against every cap, and weights
+only rise as items join, so an item that breaks a cap stays forbidden
+below that node.  With the weight of a part taken as the number of chosen
+vertices in it, a positive search at h + 1/2 and a negative search at
+h - 1/2 decide whether the minimum equals h without ever reporting the
+minimum itself.  With the weight taken as the redundant domination of its
+vertices, the same search plays that game against the target
+(k+1) * h - |V| on a k-regular graph.  On integer weights every nudge in
+(0, 1) answers alike, so h must be an int (else ValueError) and the nudge
+is 1/2.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, integer_bound
 # BudgetExceededError is re-exported: callers reach it through this module
@@ -60,6 +62,7 @@ from .structures import CyclicSymmetry, VertexPartition, cyclic_symmetry_violati
 __all__ = [
     "Variant",
     "SearchBudget",
+    "BudgetExceededError",
     "SolveReport",
     "is_dominating",
     "is_total_dominating",
@@ -286,9 +289,10 @@ def _min_cover_search(
     cap: int,
     sizes: range,
     budget: SearchBudget,
-) -> int:
-    """Vertex mask of the first union of k items that covers full, for the
-    smallest k in sizes.
+    prefix: Optional[tuple[list[int], int, int]] = None,
+) -> Optional[int]:
+    """Vertex mask of the first union of at most k items that covers full,
+    for the smallest k in sizes; None when no k in sizes has one.
 
     Item e adds the vertices items[e] to the set and covers covers[e];
     reach[u] holds the items whose cover holds u, and blocks[e] the items
@@ -304,7 +308,14 @@ def _min_cover_search(
     vertices of covers[e], and choosing e takes blocks[e] from those of
     shrink[e].  Nodes are counted locally and charged to the budget whenever
     the count passes its room and on every exit.
+
+    prefix, when given, is (rise, start, guards): packed slacks that start
+    at start and fall by rise[e] as item e joins, valid while every guard
+    bit stays set.  A node refuses the items of its vertex whose rise clears
+    a guard, and they stay forbidden below it, where the slacks are only
+    lower.
     """
+    rise, start, guards = prefix or ([], 0, 0)
     shrink = [_union(covers, b) for b in blocks]
     many = len(items) + 1  # more than any vertex has left
     nodes = 0
@@ -314,6 +325,7 @@ def _min_cover_search(
         covered = [0] * (k + 1)
         forbid = [0] * (k + 1)
         hot = [0] * (k + 1)  # the vertices with an item forbidden at each depth
+        slack = [start] * (k + 1)
         cands = [0] * k  # the items a node at each depth has left to try
         d = 0
         while True:
@@ -345,6 +357,16 @@ def _min_cover_search(
                     scan ^= low
             else:
                 c = reach[(left & -left).bit_length() - 1] & ~forbid[d]
+            if guards and c:
+                if d:
+                    slack[d] = slack[d - 1] - rise[picked[d - 1]]
+                refused, s = 0, slack[d]
+                for e in iter_bits(c):
+                    if (s - rise[e]) & guards != guards:
+                        refused |= 1 << e
+                        hot[d] |= covers[e]
+                forbid[d] |= refused
+                c ^= refused
             while not c and d:
                 d -= 1
                 c = cands[d]
@@ -363,7 +385,30 @@ def _min_cover_search(
             forbid[d] = f | blocks[e]
             hot[d] = h | shrink[e]
     budget.charge(nodes)
-    raise ValueError("no valid set of any size exists")
+    return None
+
+
+def _cover_items(g: Graph, variant: Variant) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The items of the variant's cover search as (items, covers, reach,
+    blocks), the arguments of _min_cover_search: vertices for dominating and
+    total, covering their closed or open rows, and edges for paired,
+    covering both closed rows and ruling out every edge that meets them."""
+    rows = _cover_rows(g, variant)
+    if variant is not Variant.PAIRED:
+        # rows are symmetric, so the vertices whose row holds u are rows[u]
+        items = [1 << v for v in range(g.n)]
+        return items, rows, rows, items
+    edges = g.edges()
+    at = [0] * g.n  # the edges at each vertex
+    for e, (u, v) in enumerate(edges):
+        at[u] |= 1 << e
+        at[v] |= 1 << e
+    items = [(1 << u) | (1 << v) for u, v in edges]
+    covers = [rows[u] | rows[v] for u, v in edges]
+    # rows are symmetric: edge uv covers w exactly when w's row meets uv
+    reach = [_union(at, row) for row in rows]
+    blocks = [at[u] | at[v] for u, v in edges]
+    return items, covers, reach, blocks
 
 
 def min_parameter(
@@ -380,28 +425,17 @@ def min_parameter(
     """
     budget = budget or SearchBudget()
     start = budget.nodes
-    rows = _cover_rows(g, variant)
+    items, covers, reach, blocks = _cover_items(g, variant)
     if g.n == 0:
         return SolveReport(value=0, witness=(), nodes_explored=0)
+    cap = max(c.bit_count() for c in covers)  # no item covers more
     if variant is Variant.PAIRED:
-        edges = g.edges()
-        at = [0] * g.n  # the edges at each vertex
-        for e, (u, v) in enumerate(edges):
-            at[u] |= 1 << e
-            at[v] |= 1 << e
-        items = [(1 << u) | (1 << v) for u, v in edges]
-        covers = [rows[u] | rows[v] for u, v in edges]
-        # rows are symmetric: edge uv covers w exactly when w's row meets uv
-        reach = [_union(at, row) for row in rows]
-        blocks = [at[u] | at[v] for u, v in edges]
         sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
     else:
-        # rows are symmetric, so the vertices whose row holds u are rows[u]
-        items = blocks = [1 << v for v in range(g.n)]
-        covers = reach = rows
-        sizes = range(_ceil_div(g.n, max(row.bit_count() for row in rows)), g.n + 1)
-    cap = max(c.bit_count() for c in covers)  # no item covers more
+        sizes = range(_ceil_div(g.n, cap), g.n + 1)
     mask = _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
+    if mask is None:
+        raise ValueError("no valid set of any size exists")
     return SolveReport(
         value=mask.bit_count(), witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes - start
     )
@@ -498,149 +532,74 @@ def max_minimal_parameter(
     )
 
 
-def _checked_parts(
-    g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry
-) -> tuple[list[list[int]], list[int]]:
-    """The parts as ascending vertex lists and each vertex's part index,
-    once the partition and its cyclic shift symmetry verify (the symmetry
-    check validates the partition first)."""
+def _part_index(g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry) -> list[int]:
+    """Each vertex's part index, once the partition and its cyclic shift
+    symmetry verify (the symmetry check validates the partition first)."""
     problems = cyclic_symmetry_violations(g, partition, symmetry)
     if problems:
         raise ValueError(f"cyclic symmetry does not verify: {problems[0]}")
-    parts = [sorted(p) for p in partition.parts]
     part_of = [0] * g.n
-    for j, verts in enumerate(parts):
-        for v in verts:
+    for j, part in enumerate(partition.parts):
+        for v in part:
             part_of[v] = j
-    return parts, part_of
+    return part_of
 
 
-def _part_prefix_search(
-    parts: list[list[int]],
-    part_of: list[int],
-    rows: list[int],
+def _prefix_cover(
+    g: Graph,
+    variant: Variant,
     lifts: list[list[int]],
     base: list[int],
     bound: Fraction,
-    members: Optional[list[int]],
-    budget: SearchBudget,
-) -> Optional[int]:
-    """First chosen mask whose part-weight prefixes stay strictly under
-    q * bound / t for every prefix length q, rotation pinned at part 0.
-
-    Parts are decided in order, each by its subsets in ascending order,
-    depth first on an explicit stack; each subset is one node, counted
-    locally and charged to the budget whenever the count passes its room and
-    on every exit.  Weights start at base, and choosing v raises each part
-    listed in lifts[v] by one (a part listed twice rises by two).  Weights
-    only rise, so a prefix at the bound kills the branch, and after a subset
-    of part j only the prefixes up to j + 1 that contain a raised part, plus
-    prefix j + 1 itself, need a look.  A vertex whose cover row is wholly
-    decided must be covered (rows are symmetric, so no later part covers
-    it), hence every leaf covers V.  With member rows given, a member whose
-    member row is wholly decided must have a chosen neighbor, and a leaf
-    must have a perfect matching in the member rows.
-    """
-    t = len(parts)
-
-    def sealed_at(rows: list[int]) -> list[int]:
-        # a vertex is sealed at the last part its row reaches
-        sealed = [0] * t
-        for u, row in enumerate(rows):
-            sealed[max(part_of[v] for v in iter_bits(row))] |= 1 << u
-        return sealed
-
-    sealed = sealed_at(rows)
-    sealed_members = sealed_at(members) if members is not None else None
-    # The prefix sums P_0..P_t live in one integer, a field of `width` bits
-    # each, offset by `off` so that no field goes negative or carries into
-    # the next; choosing v adds rise[v], which raises every prefix that
-    # contains a part in lifts[v].
-    off = -sum(b for b in base if b < 0)
-    width = (off + sum(b for b in base if b > 0) + sum(map(len, lifts))).bit_length()
-    field_mask = (1 << width) - 1
-    ones = sum(1 << q * width for q in range(t + 1))
-    above = [ones >> (p + 1) * width << (p + 1) * width for p in range(t)]
-    rise = [sum(above[p] for p in lift) for lift in lifts]
-    lowest = [min(lift, default=t) for lift in lifts]
-    start = sum(off + s << q * width for q, s in enumerate(accumulate(base, initial=0)))
-    # P_q * t < q * bound exactly when field q is at most cap[q]
-    cap = [
-        off + _ceil_div(q * bound.numerator, t * bound.denominator) - 1
-        for q in range(t + 1)
-    ]
-    stack = [(0, iter(range(1 << len(parts[0]))), 0, 0, start)]
-    nodes = 0
-    room = budget.room()
-    while stack:
-        j, subs, chosen, covered, prefixes = stack[-1]
-        verts = parts[j]
-        for sub in subs:
-            nodes += 1
-            if nodes > room:
-                budget.charge(nodes)
-                nodes = 0
-                room = budget.room()
-            add, sums, lo = 0, prefixes, j
-            while sub:
-                low = sub & -sub
-                v = verts[low.bit_length() - 1]
-                add |= 1 << v
-                sums += rise[v]
-                if lowest[v] < lo:
-                    lo = lowest[v]
-                sub ^= low
-            q = lo + 1
-            while q <= j + 1 and sums >> q * width & field_mask <= cap[q]:
-                q += 1
-            if q <= j + 1:
-                continue
-            new_covered = covered | _union(rows, add)
-            if sealed[j] & ~new_covered:
-                continue
-            new_chosen = chosen | add
-            if sealed_members is not None and any(
-                not members[u] & new_chosen
-                for u in iter_bits(sealed_members[j] & new_chosen)
-            ):
-                continue
-            if j + 1 < t:
-                stack.append(
-                    (j + 1, iter(range(1 << len(parts[j + 1]))), new_chosen, new_covered, sums)
-                )
-                break
-            if members is None or _matched(members, new_chosen):
-                budget.charge(nodes)
-                return new_chosen
-        else:
-            stack.pop()
-    budget.charge(nodes)
-    return None
-
-
-def _size_search(
-    g: Graph,
-    partition: VertexPartition,
-    symmetry: CyclicSymmetry,
-    variant: Variant,
-    bound: Fraction,
+    most: int,
     budget: SearchBudget,
 ) -> Optional[frozenset[int]]:
-    """First valid set whose part-count prefixes stay strictly under
-    j * bound / t, rotation pinned at part 0."""
-    parts, part_of = _checked_parts(g, partition, symmetry)
-    rows = _cover_rows(g, variant)
-    got = _part_prefix_search(
-        parts,
-        part_of,
-        rows,
-        [[j] for j in part_of],
-        [0] * len(parts),
-        bound,
-        list(g.adj) if variant is Variant.PAIRED else None,
-        budget,
+    """First set of the variant whose part-weight prefixes P_q stay strictly
+    under q * bound / t for q = 1..t, rotation pinned at part 0, given that
+    no set under the caps has more than `most` vertices.
+
+    Weights start at base, and v joining raises each part listed in
+    lifts[v] by one (a part listed twice rises by two).  The set comes from
+    one pass of the cover search at the most items such a set can have, with
+    the prefixes as a side constraint: weights only rise, so an item that
+    takes a prefix past its cap is dead in every branch below, and a set
+    under the caps holds a cover the search reaches, itself under the caps.
+    """
+    items, covers, reach, blocks = _cover_items(g, variant)
+    t = len(base)
+    # P_q * t < q * bound exactly when P_q is at most the cap
+    slacks = [
+        _ceil_div(q * bound.numerator, t * bound.denominator) - 1 - p
+        for q, p in enumerate(accumulate(base), start=1)
+    ]
+    if min(slacks, default=0) < 0:
+        return None  # the empty set already breaks a cap
+    # The slack of P_q lives in field q - 1 of one integer, `width` bits
+    # each, over a guard bit that no slack or single rise reaches: taking a
+    # rise from every field at once borrows across none, and leaves every
+    # guard set exactly when no slack went negative.
+    lift = [sum(len(lifts[v]) for v in iter_bits(item)) for item in items]
+    width = max(max(slacks, default=0), max(lift, default=0)).bit_length() + 1
+    ones = sum(1 << q * width for q in range(t))
+    holding = [ones >> p * width << p * width for p in range(t)]  # the prefixes holding part p
+    vertex_rise = [sum(holding[p] for p in ps) for ps in lifts]
+    rise = [sum(vertex_rise[v] for v in iter_bits(item)) for item in items]
+    guards = ones << width - 1
+    start = guards + sum(s << q * width for q, s in enumerate(slacks))
+    cap = max((c.bit_count() for c in covers), default=0)
+    depth = min(most, g.n) // (2 if variant is Variant.PAIRED else 1)
+    got = _min_cover_search(
+        g.full_mask, items, covers, reach, blocks, cap, range(depth, depth + 1), budget,
+        (rise, start, guards),
     )
     return frozenset(iter_bits(got)) if got is not None else None
+
+
+def _decided(search: Callable[[int], Optional[frozenset[int]]], h: int) -> bool:
+    """Does the minimum equal h?  A hit of search(h), under h + 1/2, shows it
+    is at most h; no hit of search(h - 1), under (h - 1) + 1/2, shows it
+    exceeds h - 1."""
+    return search(h) is not None and search(h - 1) is None
 
 
 def prefix_pruned_search(
@@ -656,8 +615,16 @@ def prefix_pruned_search(
     By the rotation theorem (applied through the verified shift symmetry)
     such a set exists exactly when some valid set has size at most h.
     """
-    return _size_search(
-        g, partition, symmetry, variant, integer_bound(h) + HALF, budget or SearchBudget()
+    h = integer_bound(h)
+    part_of = _part_index(g, partition, symmetry)
+    return _prefix_cover(
+        g,
+        variant,
+        [[p] for p in part_of],
+        [0] * len(partition.parts),
+        h + HALF,
+        h,
+        budget or SearchBudget(),
     )
 
 
@@ -676,9 +643,7 @@ def decide_parameter_via_prefix(
     """
     h = integer_bound(h)
     budget = budget or SearchBudget()
-    if _size_search(g, partition, symmetry, variant, h + HALF, budget) is None:
-        return False
-    return _size_search(g, partition, symmetry, variant, h - HALF, budget) is None
+    return _decided(lambda j: prefix_pruned_search(g, partition, symmetry, variant, j, budget), h)
 
 
 def rd_prefix_pruned_search(
@@ -694,24 +659,22 @@ def rd_prefix_pruned_search(
     Such a set exists exactly when some dominating set has size at most h,
     because total redundancy on a k-regular graph is (k+1)|D| - |V|.  Part p
     weighs the redundancy of its vertices, -|part p| plus one for each
-    chosen closed neighbor of each of them.
+    chosen closed neighbor of each of them.  So a set under the last cap has
+    at most h vertices.
     """
     h = integer_bound(h)
     budget = budget or SearchBudget()
-    parts, part_of = _checked_parts(g, partition, symmetry)
+    part_of = _part_index(g, partition, symmetry)
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError("the redundancy search needs a regular graph")
     k = degs.pop()
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    got = _part_prefix_search(
-        parts,
-        part_of,
-        closed,
-        [[part_of[u] for u in iter_bits(row)] for row in closed],
-        [-len(p) for p in parts],
+    return _prefix_cover(
+        g,
+        Variant.DOMINATING,
+        [[part_of[u] for u in iter_bits(g.closed_mask(v))] for v in range(g.n)],
+        [-len(p) for p in partition.parts],
         (k + 1) * h - g.n + HALF,
-        None,
+        h,
         budget,
     )
-    return frozenset(iter_bits(got)) if got is not None else None

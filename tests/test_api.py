@@ -35,6 +35,14 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
+def test_the_domination_star_import_binds_the_budget_error():
+    # SearchBudget raises BudgetExceededError, so a star import needs both
+    names: dict = {}
+    exec("from cyclecert.domination import *", names)
+    assert names["BudgetExceededError"] is cyclecert.errors.BudgetExceededError
+    assert names["SearchBudget"] is cyclecert.errors.SearchBudget
+
+
 def test_every_module_but_errors_declares_all():
     # the check above passes vacuously on a module without __all__
     declared = {n for n in MODULES if hasattr(importlib.import_module(f"cyclecert.{n}"), "__all__")}

@@ -465,7 +465,7 @@ def test_domination_corollary_derives_the_shift(capsys):
     argv = ["domination", "corollary", "--graph", "torus:3:3", "--partition", "columns:3:3"]
     assert run(capsys, *argv, "--h", "3") == (0, {"h": 3, "equals": True})
     assert run(capsys, *argv, "--h", "3", "--mode", "search") == (
-        0, {"h": 3, "found": True, "witness": [2, 5, 8]})
+        0, {"h": 3, "found": True, "witness": [0, 1, 2]})
     assert run(capsys, *argv, "--h", "4", "--variant", "paired") == (0, {"h": 4, "equals": True})
     assert run(capsys, *argv, "--h", "2", "--variant", "paired") == (1, {"h": 2, "equals": False})
     # the derived shift finds what the column shift, which carries column i

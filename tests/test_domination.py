@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +45,7 @@ from cyclecert.structures import (
     VertexPartition,
     column_shift_symmetry,
     columns_partition,
+    find_shift,
 )
 from conftest import (
     brute_has_perfect_matching,
@@ -535,7 +537,9 @@ def test_room_starts_the_clock_and_stops_at_the_node_cap():
 
 
 # Each search counts its own nodes and settles with its budget; the second
-# field is its pinned node count, past 4097 so every cap below is reached.
+# field is its pinned node count.  Each cap below it is tested: a search past
+# 4097 nodes reaches the caps around its first settle, and one that answers
+# before it settles only on exit.
 BUDGETED_SEARCHES = {
     "min paired C5xC13": (
         lambda b: min_parameter(cartesian_cycles(5, 13), Variant.PAIRED, b), 12_562),
@@ -545,12 +549,18 @@ BUDGETED_SEARCHES = {
         lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 14_274),
     "decide dominating C5xC5": (
         lambda b: decide_parameter_via_prefix(
-            *torus_setup(5, 5), Variant.DOMINATING, 5, budget=b), 4_772),
-    "rd C5xC5": (lambda b: rd_prefix_pruned_search(*torus_setup(5, 5), 5, budget=b), 4_516),
-    # the one pinned search whose leaves the matching check refuses
+            *torus_setup(5, 5), Variant.DOMINATING, 5, budget=b), 13),
+    "rd C5xC5": (lambda b: rd_prefix_pruned_search(*torus_setup(5, 5), 5, budget=b), 12),
     "decide paired C5xC7": (
         lambda b: decide_parameter_via_prefix(
-            *torus_setup(5, 7), Variant.PAIRED, 10, budget=b), 26_842),
+            *torus_setup(5, 7), Variant.PAIRED, 10, budget=b), 69),
+    "decide dominating C5xC8": (
+        lambda b: decide_parameter_via_prefix(
+            *torus_setup(5, 8), Variant.DOMINATING, 10, budget=b), 8_348),
+    "rd C7xC7": (lambda b: rd_prefix_pruned_search(*torus_setup(7, 7), 12, budget=b), 20_011),
+    "decide paired C5xC20": (
+        lambda b: decide_parameter_via_prefix(
+            *torus_setup(5, 20), Variant.PAIRED, 28, budget=b), 7_280),
     "iso C200": (lambda b: find_mapping(cycle(200), cycle(200), b), 10_001),
 }
 
@@ -559,6 +569,7 @@ BUDGETED_SEARCHES = {
     (name, cap)
     for name, (_, pinned) in BUDGETED_SEARCHES.items()
     for cap in (0, 1, 4095, 4096, 4097, pinned - 1)
+    if cap < pinned
 ])
 def test_a_node_cap_raises_at_exactly_the_next_node(name, cap):
     search, _ = BUDGETED_SEARCHES[name]
@@ -747,8 +758,17 @@ def test_prefix_search_on_singleton_parts_of_a_long_cycle_does_not_recurse():
     assert time.monotonic() - start < 5.0
 
 
+# Each case carries the node count of the part-by-part engine that the cover
+# search replaced; the cover search stays under it, at the count pinned here.
+DECIDE_NODES = {(5, "dominating", 5): 13, (6, "dominating", 7): 362, (5, "paired", 8): 24,
+                (6, "paired", 8): 77}
+PREFIX_NODES = {(5, "dominating", 5): 12, (6, "dominating", 7): 260, (5, "paired", 8): 23,
+                (6, "paired", 8): 76}
+RD_NODES = {(5, 5): 12, (5, 4): 1, (6, 7): 312, (6, 6): 102}
+
+
 @pytest.mark.parametrize(
-    "n,variant,h,nodes",
+    "n,variant,h,part_by_part",
     [
         (5, "dominating", 5, 4_772),
         (6, "dominating", 7, 23_182),
@@ -756,121 +776,94 @@ def test_prefix_search_on_singleton_parts_of_a_long_cycle_does_not_recurse():
         (6, "paired", 8, 24_770),
     ],
 )
-def test_decide_via_prefix_node_counts_are_pinned(n, variant, h, nodes):
+def test_decide_via_prefix_node_counts_are_pinned(n, variant, h, part_by_part):
     g, p, sigma = torus_setup(5, n)
     budget = SearchBudget()
     assert decide_parameter_via_prefix(g, p, sigma, Variant(variant), h, budget=budget)
-    assert budget.nodes == nodes
+    assert budget.nodes == DECIDE_NODES[n, variant, h] < part_by_part
 
 
 @pytest.mark.parametrize(
-    "n,variant,h,nodes,witness",
+    "n,variant,h,part_by_part,witness",
     [
-        (5, "dominating", 5, 4_516, [0, 8, 11, 19, 22]),
-        (6, "dominating", 7, 14_446, [0, 5, 9, 13, 22, 23, 26]),
-        (5, "paired", 8, 305, [1, 2, 9, 12, 14, 17, 19, 24]),
+        (5, "dominating", 5, 4_516, [0, 7, 14, 16, 23]),
+        (6, "dominating", 7, 14_446, [0, 5, 8, 16, 17, 19, 27]),
+        (5, "paired", 8, 305, [0, 1, 3, 4, 12, 14, 17, 19]),
         (6, "paired", 8, 22_594, [0, 1, 3, 4, 14, 17, 20, 23]),
     ],
 )
-def test_prefix_search_node_counts_and_witnesses_are_pinned(n, variant, h, nodes, witness):
+def test_prefix_search_node_counts_and_witnesses_are_pinned(n, variant, h, part_by_part, witness):
     g, p, sigma = torus_setup(5, n)
     budget = SearchBudget()
     found = prefix_pruned_search(g, p, sigma, Variant(variant), h, budget=budget)
     assert sorted(found) == witness
-    assert budget.nodes == nodes
+    assert budget.nodes == PREFIX_NODES[n, variant, h] < part_by_part
 
 
 @pytest.mark.parametrize(
-    "n,h,nodes,witness",
+    "n,h,part_by_part,witness",
     [
-        (5, 5, 4_516, [0, 8, 11, 19, 22]),
+        (5, 5, 4_516, [0, 7, 14, 16, 23]),
         (5, 4, 1_856, None),
-        (6, 7, 27_279, [0, 9, 10, 13, 22, 23, 26]),
+        (6, 7, 27_279, [0, 8, 16, 17, 19, 27, 28]),
         (6, 6, 8_736, None),
     ],
 )
-def test_rd_prefix_search_node_counts_and_witnesses_are_pinned(n, h, nodes, witness):
+def test_rd_prefix_search_node_counts_and_witnesses_are_pinned(n, h, part_by_part, witness):
     g, p, sigma = torus_setup(5, n)
     budget = SearchBudget()
     found = rd_prefix_pruned_search(g, p, sigma, h, budget=budget)
     assert (sorted(found) if found is not None else None) == witness
-    assert budget.nodes == nodes
+    assert budget.nodes == RD_NODES[n, h] < part_by_part
 
 
-def reference_rd_search(g, partition, h, budget):
-    """The redundancy search with every prefix rescanned at every node."""
+def _circulant_blocks(k):
+    """C(4k; {1, 4}) in k blocks of 4 consecutive vertices, with its shift."""
+    g = circulant(4 * k, [1, 4])
+    p = VertexPartition(tuple(frozenset(range(4 * j, 4 * j + 4)) for j in range(k)))
+    return g, p, find_shift(g, p)
+
+
+THEOREM_CASES = {
+    **{f"C{m}xC{n}": (lambda m=m, n=n: torus_setup(m, n)) for m in range(3, 6) for n in range(3, 7)},
+    **{f"C({4 * k};1,4)": (lambda k=k: _circulant_blocks(k)) for k in range(3, 6)},
+}
+VALIDATORS = {
+    Variant.DOMINATING: is_dominating,
+    Variant.TOTAL: is_total_dominating,
+    Variant.PAIRED: is_paired_dominating,
+}
+
+
+def _prefixes_under(weights, bound):
+    t = len(weights)
+    return all(acc * t < q * bound for q, acc in enumerate(accumulate(weights), start=1))
+
+
+@pytest.mark.parametrize("case", THEOREM_CASES)
+def test_prefix_searches_find_a_set_exactly_when_the_minimum_is_at_most_h(case):
+    # the rotation theorem, through the verified shift: a set whose prefixes
+    # stay under the caps exists exactly when some valid set has at most h
+    # members, and the redundancy search answers for the domination number
+    g, p, sigma = THEOREM_CASES[case]()
+    assert sigma is not None
     k = g.degrees()[0]
-    bound = F((k + 1) * h - g.n) + F(1, 2)
-    parts = [sorted(p) for p in partition.parts]
-    t = len(parts)
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    sealed = []
-    decided = 0
-    for part in parts:
-        before = decided
-        decided |= sum(1 << v for v in part)
-        sealed.append([u for u in range(g.n) if not closed[u] & ~decided and closed[u] & ~before])
-
-    def prefixes_ok(chosen, upto):
-        acc = 0
-        for q in range(upto):
-            acc += sum((closed[u] & chosen).bit_count() - 1 for u in parts[q])
-            if not acc * t < (q + 1) * bound:
-                return False
-        return True
-
-    def rec(j, chosen, covered):
-        if j == t:
-            members = [v for v in range(g.n) if chosen >> v & 1]
-            if covered == g.full_mask and is_dominating(g, members) and prefixes_ok(chosen, t):
-                return chosen
-            return None
-        for sub in range(1 << len(parts[j])):
-            budget.charge(1)
-            add = sum(1 << v for i, v in enumerate(parts[j]) if sub >> i & 1)
-            new_covered = covered
-            for v in parts[j]:
-                if add >> v & 1:
-                    new_covered |= closed[v]
-            if any(not new_covered >> u & 1 for u in sealed[j]):
-                continue
-            if not prefixes_ok(chosen | add, j + 1):
-                continue
-            got = rec(j + 1, chosen | add, new_covered)
-            if got is not None:
-                return got
-        return None
-
-    got = rec(0, 0, 0)
-    return None if got is None else [v for v in range(g.n) if got >> v & 1]
-
-
-def test_rd_prefix_search_matches_the_full_rescan_on_random_instances():
-    rng = random.Random(2024)
-    for _ in range(60):
-        if rng.random() < 0.4:
-            m, n = rng.randint(3, 4), rng.randint(3, 5)
-            g, p, sigma = torus_setup(m, n)
-        else:
-            n = rng.choice([8, 9, 10, 12])
-            strides = rng.sample(range(1, n // 2 + 1), rng.randint(1, 2))
-            g = circulant(n, strides)
-            t = rng.choice([d for d in range(2, n + 1) if n % d == 0 and n // d <= 5])
-            if rng.random() < 0.5:  # residues mod t, shifted by one
-                p = VertexPartition(tuple(frozenset(range(j, n, t)) for j in range(t)))
-                sigma = CyclicSymmetry(tuple((v + 1) % n for v in range(n)))
-            else:  # consecutive blocks, shifted by a block
-                size = n // t
-                p = VertexPartition(tuple(frozenset(range(j * size, (j + 1) * size)) for j in range(t)))
-                sigma = CyclicSymmetry(tuple((v + size) % n for v in range(n)))
-        # the searches turn from refuting to finding at the domination number
-        h = min_parameter(g, Variant.DOMINATING).value + rng.choice([-1, 0, 1])
-        rng.randrange(3)  # keeps seed 2024's sequence of instances
-        want_budget, got_budget = SearchBudget(), SearchBudget()
-        want = reference_rd_search(g, p, h, want_budget)
-        found = rd_prefix_pruned_search(g, p, sigma, h, got_budget)
-        assert (sorted(found) if found is not None else None) == want
-        assert got_budget.nodes == want_budget.nodes
+    for variant, valid in VALIDATORS.items():
+        value = min_parameter(g, variant).value
+        for h in range(value - 1, value + 2):
+            found = prefix_pruned_search(g, p, sigma, variant, h)
+            assert (found is not None) == (value <= h), (variant, h)
+            if found is not None:
+                assert valid(g, found) and len(found) <= h, (variant, h)
+                counts = [len(found & part) for part in p.parts]
+                assert _prefixes_under(counts, h + F(1, 2)), (variant, h)
+            if variant is Variant.DOMINATING:
+                found = rd_prefix_pruned_search(g, p, sigma, h)
+                assert (found is not None) == (value <= h), ("rd", h)
+                if found is not None:
+                    assert is_dominating(g, found) and len(found) <= h, ("rd", h)
+                    rd = [sum(rd_vertex(g, found, u) for u in part) for part in p.parts]
+                    assert _prefixes_under(rd, (k + 1) * h - g.n + F(1, 2)), ("rd", h)
 
 
 # --- reports ---------------------------------------------------------------------
