@@ -16,7 +16,9 @@ parts, each run in fresh interpreters on each tree's `src`:
   the README's pair) on a fresh budget, graphs built outside the timing,
   parent and change alternating and the order swapped every run;
 - paired_reach: `min_parameter` paired on C5xCn for n = 3, 4, ... under a
-  --reach-seconds budget, up to the first n that runs out;
+  --reach-nodes cap, up to the first n that passes it.  Node counts are
+  deterministic, so the reach is the same on every run; the clock is only
+  a safety stop, at 600 s;
 - the README's dominating 5x8 comparison, as two more searches.
 """
 
@@ -65,9 +67,9 @@ from cyclecert.domination import *
 from cyclecert.errors import BudgetExceededError  # older trees leave it out of domination.__all__
 from cyclecert.graphs import cartesian_cycles
 from cyclecert.structures import column_shift_symmetry, columns_partition
-graph, call, seconds = sys.argv[1], sys.argv[2], float(sys.argv[3])
+graph, call, nodes = sys.argv[1], sys.argv[2], int(sys.argv[3])
 g = eval(graph)
-b = SearchBudget(max_nodes=10**9, max_seconds=seconds)
+b = SearchBudget(max_nodes=nodes, max_seconds=600)
 start = time.perf_counter()
 try:
     eval(call)
@@ -83,9 +85,9 @@ TORI_METRICS = {
 }
 
 
-def _child(tree: str, graph: str, call: str, seconds: float) -> dict:
+def _child(tree: str, graph: str, call: str, nodes: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, "-c", CHILD, graph, call, str(seconds)],
+    out = subprocess.run([sys.executable, "-c", CHILD, graph, call, str(nodes)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -124,7 +126,7 @@ def per_search(trees: dict[str, str]) -> dict:
         for run in range(runs):
             order = list(trees) if run % 2 == 0 else list(trees)[::-1]
             for side in order:
-                got = _child(trees[side], graph, call, 600)
+                got = _child(trees[side], graph, call, 10**9)
                 times[side].append(got["s"])
                 nodes[side].add(got["nodes"])
         row = {}
@@ -140,18 +142,18 @@ def per_search(trees: dict[str, str]) -> dict:
     return out
 
 
-def paired_reach(tree: str, seconds: float) -> dict:
+def paired_reach(tree: str, nodes: int) -> dict:
     rows = []
     n = 3
     while True:
-        got = _child(tree, f"cartesian_cycles(5, {n})", "min_parameter(g, Variant.PAIRED, b)", seconds)
+        got = _child(tree, f"cartesian_cycles(5, {n})", "min_parameter(g, Variant.PAIRED, b)", nodes)
         rows.append({"n": n, "decided": got["decided"], "nodes": got["nodes"], "s": round(got["s"], 3)})
         print("reach", tree, rows[-1], file=sys.stderr)
         if not got["decided"]:
             break
         n += 1
     decided = [r for r in rows if r["decided"]]
-    slowest = max(decided, key=lambda r: r["s"])
+    slowest = max(decided, key=lambda r: r["s"], default=None)
     return {"largest_n": decided[-1]["n"] if decided else None, "slowest": slowest, "runs": rows}
 
 
@@ -197,7 +199,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=24)
-    parser.add_argument("--reach-seconds", type=float, default=60)
+    parser.add_argument("--reach-nodes", type=int, default=10**8)
     args = parser.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     record = {
@@ -213,9 +215,9 @@ def main() -> None:
         },
         "paired_reach": {
             "method": f"min_parameter(cartesian_cycles(5, n), Variant.PAIRED) on "
-                      f"SearchBudget(max_nodes=10**9, max_seconds={args.reach_seconds:g}) in a "
-                      "fresh interpreter, n = 3, 4, ... up to the first n that runs out",
-            **{side: paired_reach(tree, args.reach_seconds) for side, tree in trees.items()},
+                      f"SearchBudget(max_nodes={args.reach_nodes}, max_seconds=600) in a "
+                      "fresh interpreter, n = 3, 4, ... up to the first n that passes the node cap",
+            **{side: paired_reach(tree, args.reach_nodes) for side, tree in trees.items()},
         },
         "search_tori_end_to_end": search_tori(trees, args.seed, args.pairs, args.seconds),
     }

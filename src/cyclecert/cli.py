@@ -442,7 +442,8 @@ def _parser() -> argparse.ArgumentParser:
     p = certify.add_parser("sum", help="find a rotation or equality certificate")
     p.add_argument("--list", required=True, help="comma-separated rationals, e.g. 1,3/2,-2")
     p.add_argument("--h", required=True, help="bound, a rational like 5/2")
-    p.add_argument("--direction", choices=["below", "above", "equality"], default="below")
+    p.add_argument("--direction", choices=[*(d.value for d in Direction), "equality"],
+                   default="below")
     p.add_argument("--epsilon", default=None,
                    help="nudge for equality certificates only, 1/2 when omitted")
     p.set_defaults(handler=_cmd_certify_sum)
@@ -515,7 +516,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--drawing", required=True)
     p.add_argument("--pieces", required=True, help="decomposition JSON file")
     p.add_argument("--h", type=_int_arg, required=True, help="integer crossing bound")
-    p.add_argument("--direction", choices=["below", "above"], default="below")
+    p.add_argument("--direction", choices=[d.value for d in Direction], default="below")
     p.set_defaults(handler=_cmd_drawing_certify)
 
     p = sub.add_parser("generate", help="emit a graph from a spec")
@@ -523,7 +524,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("reproduce", help="re-run a verification suite")
-    p.add_argument("--suite", choices=["t1", "n4", "structures"], required=True)
+    p.add_argument("--suite", choices=[*_PAPER_VALUES, "structures"], required=True)
     size = p.add_mutually_exclusive_group()
     size.add_argument("--quick", action="store_true", help="smaller instances only")
     size.add_argument("--n", type=_int_arg, default=None,

@@ -15,8 +15,10 @@ witness:
   into blocks that each meet the per-slot average;
 
 * an equality certificate: a below-certificate at h + eps paired with an
-  above-certificate at h - eps for a rational 0 < eps < 1; the pair exists
-  exactly when s = h.
+  above-certificate at h - eps for a rational 0 < eps < 1.  The pair exists
+  whenever |s - h| < eps, which pins s = h only for integer lists and h, so
+  `equality_certificate` also checks the exact total and gives one exactly
+  when s = h.
 
 Arithmetic is exact: rationals (`fractions.Fraction`) at the API, exact
 integers inside, and no float mode.  Each list is scaled once, by D0, the lcm
@@ -332,7 +334,8 @@ class RotationCertificate:
 
 @dataclass(frozen=True)
 class EqualityCertificate:
-    """Paired below/above certificates that together pin the total exactly."""
+    """Below/above certificates at h + eps and h - eps, given only when the
+    total is exactly h."""
 
     below: RotationCertificate
     above: RotationCertificate
@@ -596,16 +599,14 @@ def equality_certificate(
 ) -> Optional[EqualityCertificate]:
     """Certify total == bound.h via below(h + eps) plus above(h - eps).
 
-    The pair alone only shows |total - h| < eps, so the exact total (the
-    last entry of a full prefix table) is checked as well, in integers: None
-    unless total == h.
+    The pair alone only shows |total - h| < eps, so None unless the exact
+    total is h; then h - eps < total < h + eps, and the cycle lemma gives
+    both sides.
     """
     cl = cyclic_list(xs)
-    below = find_rotation(cl, bound.h + bound.epsilon, Direction.BELOW)
-    if below is None:
+    if total(cl) != bound.h:
         return None
-    above = find_rotation(cl, bound.h - bound.epsilon, Direction.ABOVE)
-    table = below.prefix_sums
-    if above is None or table.scaled[-1] * bound.h.denominator != bound.h.numerator * table.den:
-        return None
-    return EqualityCertificate(below=below, above=above)
+    return EqualityCertificate(
+        below=find_rotation(cl, bound.h + bound.epsilon, Direction.BELOW),
+        above=find_rotation(cl, bound.h - bound.epsilon, Direction.ABOVE),
+    )

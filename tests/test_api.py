@@ -49,6 +49,21 @@ def test_every_module_but_errors_declares_all():
     assert declared == set(MODULES) - {"errors"}
 
 
+LIBRARY = ("cyclic_core", "graphs", "iso", "structures", "tiles", "domination", "crossing")
+
+
+def test_the_package_exports_each_library_modules_all_and_nothing_else():
+    exported = {}
+    for name in LIBRARY:
+        module = importlib.import_module(f"cyclecert.{name}")
+        exported.update((attr, getattr(module, attr)) for attr in module.__all__)
+    wrong = [attr for attr, obj in exported.items() if getattr(cyclecert, attr, None) is not obj]
+    assert wrong == []
+    public = {attr for attr in vars(cyclecert) if not attr.startswith("_")}
+    assert public - set(exported) <= set(MODULES)
+    assert not {"formats", "cli"} & set(exported)
+
+
 def _torus_search(search):
     g = cartesian_cycles(3, 3)
     return lambda variant: search(g, columns_partition(3, 3), column_shift_symmetry(3, 3), variant, 3)

@@ -828,11 +828,6 @@ THEOREM_CASES = {
     **{f"C{m}xC{n}": (lambda m=m, n=n: torus_setup(m, n)) for m in range(3, 6) for n in range(3, 7)},
     **{f"C({4 * k};1,4)": (lambda k=k: _circulant_blocks(k)) for k in range(3, 6)},
 }
-VALIDATORS = {
-    Variant.DOMINATING: is_dominating,
-    Variant.TOTAL: is_total_dominating,
-    Variant.PAIRED: is_paired_dominating,
-}
 
 
 def _prefixes_under(weights, bound):
