@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 from fractions import Fraction
@@ -147,9 +146,7 @@ def _graph(args: argparse.Namespace):
 
 
 def _drawing(path: str):
-    """A drawing file; a graph file it names with @path resolves against its
-    folder."""
-    return drawing_from_json(load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
+    return drawing_from_json(load_json(path))
 
 
 def _partition_arg(text: str) -> Any:

@@ -3,8 +3,8 @@ JSON, and the graph spec mini-language.
 
 A graph is {"n": n, "edges": [[u, v], ...]}, vertices 0-based.  Graph specs
 name a family (cycle:n, torus:m:n, circulant:n:a,b, complete:n, kmn:m:n) or
-point with @path at a file holding a graph object; JSON drawings may carry
-either a spec string or an inline graph object.  Every file is read by
+point with @path at a file holding a graph object.  A drawing holds its graph
+inline, as that object, and names no other file.  Every file is read by
 `load_json`.  Rationals are {"num": p, "den": q} objects so nothing is ever
 rounded.  Integers in specs go through `parse_int`: ASCII decimal digits
 with an optional sign.  All parsers raise ValueError with a file- or
@@ -14,11 +14,10 @@ field-specific message.
 from __future__ import annotations
 
 import json
-import os
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Sequence, Union
 
 from .crossing import AbstractDrawing
 from .cyclic_core import (
@@ -234,17 +233,14 @@ def load_json(path: str) -> Any:
         raise ValueError(f"{path!r} nests too deeply to parse") from None
 
 
-def parse_graph_spec(spec: str, base_dir: Optional[str] = None) -> Graph:
+def parse_graph_spec(spec: str) -> Graph:
     """Resolve a graph spec string: a named family, or @path to a file holding
-    the graph JSON that `graph_to_json` writes."""
+    the graph JSON that `graph_to_json` writes, read from the path as given."""
     text = spec.strip()
     if not text:
         raise ValueError("empty graph spec")
     if text.startswith("@"):
-        path = text[1:]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return graph_from_json(load_json(path))
+        return graph_from_json(load_json(text[1:]))
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     args = rest.split(":") if rest else []
@@ -313,17 +309,15 @@ def drawing_to_json(d: AbstractDrawing) -> dict[str, Any]:
     }
 
 
-def drawing_from_json(doc: Any, base_dir: Optional[str] = None) -> AbstractDrawing:
+def drawing_from_json(doc: Any) -> AbstractDrawing:
+    """The drawing `drawing_to_json` writes; its graph is the inline graph
+    object, and a string there, spec or @path, is refused."""
     if not isinstance(doc, dict) or "graph" not in doc or "crossings" not in doc:
         raise ValueError("drawing document must be an object with graph and crossings")
     surface = doc.get("surface", "plane")
     if surface != "plane":
         raise ValueError(f"unsupported surface {surface!r}")
-    field = doc["graph"]
-    if isinstance(field, str):
-        g = parse_graph_spec(field, base_dir)
-    else:
-        g = graph_from_json(field)
+    g = graph_from_json(doc["graph"])
     pairs = []
     for item in _list(doc, "crossings"):
         if not isinstance(item, list) or len(item) != 2:

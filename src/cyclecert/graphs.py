@@ -55,16 +55,13 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         check_order(n)
         rows = [0] * n
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
-            e = norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"parallel edge {e} is not allowed")
-            seen.add(e)
+            if rows[u] >> v & 1:
+                raise ValueError(f"parallel edge {norm_edge(u, v)} is not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n=n, adj=tuple(rows))
@@ -145,15 +142,17 @@ def circulant(n: int, strides: Iterable[int]) -> Graph:
     Strides must be distinct values in 1..n//2; a stride equal to n/2
     contributes each diameter once.
     """
-    ss = sorted(set(strides))
+    ss = sorted(strides)
     if not ss:
         raise ValueError("at least one stride is required")
     if n < 2:
         raise ValueError("a circulant needs at least 2 vertices")
     check_order(n)
-    for a in ss:
+    for i, a in enumerate(ss):
         if not 1 <= a <= n // 2:
             raise ValueError(f"stride {a} out of range 1..{n // 2}")
+        if i and ss[i - 1] == a:
+            raise ValueError(f"stride {a} is repeated")
     edges = set()
     for a in ss:
         for i in range(n):

@@ -219,7 +219,8 @@ def test_rationals_refuse_more_than_4300_digits_on_reading(capsys, argv):
 
 def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):
     drawing = tmp_path / "d.json"
-    drawing.write_text(dump_json({"graph": "cycle:12", "crossings": []}), encoding="utf-8")
+    drawing.write_text(dump_json({"graph": graph_to_json(cycle(12)), "crossings": []}),
+                       encoding="utf-8")
     order = ",".join(["0", "1_0"] + [str(v) for v in range(1, 10)])
     cases = [
         ["generate", "--graph", "cycle:1_0"],
@@ -236,7 +237,8 @@ def test_integers_inside_strings_take_plain_decimal_digits(capsys, tmp_path):
 
 def test_comma_lists_refuse_an_empty_item(capsys, tmp_path):
     drawing = tmp_path / "d.json"
-    drawing.write_text(dump_json({"graph": "cycle:6", "crossings": []}), encoding="utf-8")
+    drawing.write_text(dump_json({"graph": graph_to_json(cycle(6)), "crossings": []}),
+                       encoding="utf-8")
     parity = ["drawing", "parity", "--drawing", str(drawing)]
     cases = [
         ["certify", "sum", "--list=1,,2", "--h=5"],
@@ -585,18 +587,28 @@ def test_decomposition_check(capsys, tmp_path):
 
 
 def test_drawing_check_valid_and_invalid(capsys, tmp_path):
-    good = {"surface": "plane", "graph": "circulant:8:1,4",
+    good = {"surface": "plane", "graph": graph_to_json(parse_graph_spec("circulant:8:1,4")),
             "crossings": [[[0, 4], [1, 5]]]}
     path = tmp_path / "d.json"
     path.write_text(dump_json(good), encoding="utf-8")
     code, doc = run(capsys, "drawing", "check", "--drawing", str(path))
     assert code == 0 and doc["valid"] and doc["cr_total"] == 1
 
-    bad = {"surface": "plane", "graph": "cycle:4", "crossings": [[[0, 1], [1, 2]]]}
+    bad = {"surface": "plane", "graph": graph_to_json(cycle(4)), "crossings": [[[0, 1], [1, 2]]]}
     path.write_text(dump_json(bad), encoding="utf-8")
     code, doc = run(capsys, "drawing", "check", "--drawing", str(path))
     assert code == 1 and not doc["valid"]
     assert doc["violations"][0]["kind"] == "adjacent-pair"
+
+
+def test_drawing_check_reads_no_file_the_drawing_names(capsys, tmp_path):
+    # g.json is a valid graph file; a drawing that names it is still refused
+    (tmp_path / "g.json").write_text(dump_json(graph_to_json(cycle(4))), encoding="utf-8")
+    path = tmp_path / "d.json"
+    path.write_text(dump_json({"surface": "plane", "graph": "@g.json", "crossings": []}),
+                    encoding="utf-8")
+    code, doc = run(capsys, "drawing", "check", "--drawing", str(path))
+    assert code == 2 and doc["error"] == "invalid input"
 
 
 def test_drawing_convex(capsys):
@@ -626,7 +638,8 @@ def test_drawing_certify(capsys, tmp_path):
     drawing = tmp_path / "d.json"
     pieces = tmp_path / "p.json"
     # C_4 drawn without crossings, split into two paths
-    drawing.write_text(dump_json({"graph": "cycle:4", "crossings": []}), encoding="utf-8")
+    drawing.write_text(dump_json({"graph": graph_to_json(cycle(4)), "crossings": []}),
+                       encoding="utf-8")
     pieces.write_text(dump_json({
         "pieces": [
             {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]},

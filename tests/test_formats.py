@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from cyclecert.cli import main
-from cyclecert.crossing import AbstractDrawing, convex_drawing
+from cyclecert.crossing import convex_drawing
 from cyclecert.cyclic_core import (
     BoundSpec,
     Direction,
@@ -282,8 +282,9 @@ def test_equality_parse_rejects_inconsistent_bounds():
 @pytest.mark.parametrize("spec", ["cycle:5", "torus:3:4", "circulant:12:1,4", "complete:5", "kmn:2:3"])
 def test_graph_file_round_trip(tmp_path, spec):
     g = parse_graph_spec(spec)
-    (tmp_path / "g.json").write_text(dump_json(graph_to_json(g)), encoding="utf-8")
-    assert parse_graph_spec("@g.json", base_dir=str(tmp_path)) == g
+    path = tmp_path / "g.json"
+    path.write_text(dump_json(graph_to_json(g)), encoding="utf-8")
+    assert parse_graph_spec(f"@{path}") == g
 
 
 def test_graph_file_rejects_malformed(tmp_path):
@@ -296,9 +297,9 @@ def test_graph_file_rejects_malformed(tmp_path):
     for name, (text, detail) in cases.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=detail):
-            parse_graph_spec(f"@{name}", base_dir=str(tmp_path))
+            parse_graph_spec(f"@{tmp_path / name}")
     with pytest.raises(ValueError, match="cannot read"):
-        parse_graph_spec("@missing.json", base_dir=str(tmp_path))
+        parse_graph_spec(f"@{tmp_path / 'missing.json'}")
 
 
 def test_parse_int_takes_ascii_digits_with_an_optional_sign():
@@ -353,9 +354,8 @@ def test_graph_spec_file_reference(tmp_path):
     path = tmp_path / "square.json"
     path.write_text(dump_json(graph_to_json(cycle(4))), encoding="utf-8")
     assert parse_graph_spec(f"@{path}") == cycle(4)
-    assert parse_graph_spec("@square.json", base_dir=str(tmp_path)) == cycle(4)
     with pytest.raises(ValueError):
-        parse_graph_spec("@missing.json", base_dir=str(tmp_path))
+        parse_graph_spec(f"@{tmp_path / 'missing.json'}")
 
 
 def test_partition_roundtrip_preserves_order():
@@ -405,33 +405,35 @@ def test_drawing_roundtrip_inline_graph():
     assert clone == d
 
 
-def test_drawing_with_spec_string_graph():
-    d = convex_drawing(complete(5))
-    doc = {**drawing_to_json(d), "graph": "complete:5"}
-    clone = drawing_from_json(doc)
-    assert clone == d
+def test_drawing_refuses_a_spec_string_graph():
+    doc = {**drawing_to_json(convex_drawing(complete(5))), "graph": "complete:5"}
+    with pytest.raises(ValueError, match="object with n and edges"):
+        drawing_from_json(doc)
 
 
-def test_drawing_with_file_graph(tmp_path):
-    g = cycle(6)
-    (tmp_path / "hexagon.json").write_text(dump_json(graph_to_json(g)), encoding="utf-8")
-    doc = {"surface": "plane", "graph": "@hexagon.json", "crossings": []}
-    clone = drawing_from_json(doc, base_dir=str(tmp_path))
-    assert clone == AbstractDrawing(g, [])
+def test_drawing_refuses_a_file_graph(tmp_path, monkeypatch):
+    # the file exists and holds a valid graph, named relative to the working
+    # directory and by its absolute path
+    (tmp_path / "hexagon.json").write_text(dump_json(graph_to_json(cycle(6))), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for graph in ("@hexagon.json", f"@{tmp_path / 'hexagon.json'}"):
+        with pytest.raises(ValueError, match="object with n and edges"):
+            drawing_from_json({"surface": "plane", "graph": graph, "crossings": []})
 
 
 def test_drawing_rejects_unknown_surface():
-    with pytest.raises(ValueError):
-        drawing_from_json({"surface": "torus", "graph": "cycle:4", "crossings": []})
+    with pytest.raises(ValueError, match="unsupported surface"):
+        drawing_from_json({"surface": "torus", "graph": graph_to_json(cycle(4)), "crossings": []})
 
 
 def test_drawing_rejects_bad_crossing_entries():
-    with pytest.raises(ValueError):
-        drawing_from_json({"graph": "cycle:4", "crossings": [[[0, 1]]]})
-    with pytest.raises(ValueError):
-        drawing_from_json({"graph": "cycle:4", "crossings": "nope"})
-    with pytest.raises(ValueError):
-        drawing_from_json({"graph": "cycle:4", "crossings": [[[0, 1], 5]]})
+    square = graph_to_json(cycle(4))
+    with pytest.raises(ValueError, match="bad crossing entry"):
+        drawing_from_json({"graph": square, "crossings": [[[0, 1]]]})
+    with pytest.raises(ValueError, match="crossings must be a list"):
+        drawing_from_json({"graph": square, "crossings": "nope"})
+    with pytest.raises(ValueError, match="crossing edge must be a"):
+        drawing_from_json({"graph": square, "crossings": [[[0, 1], 5]]})
 
 
 @pytest.mark.parametrize(

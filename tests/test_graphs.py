@@ -17,13 +17,15 @@ def test_norm_edge_orders():
 
 
 def test_from_edges_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for 3 vertices$"):
         Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^loop at vertex 1 is not allowed$"):
         Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^parallel edge \(0, 1\) is not allowed$"):
         Graph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^parallel edge \(1, 2\) is not allowed$"):
+        Graph.from_edges(3, [(2, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
         Graph.from_edges(-1, [])
 
 
@@ -94,6 +96,8 @@ def test_circulant_structure():
         circulant(8, [0])
     with pytest.raises(ValueError, match="at least 2 vertices"):
         circulant(1, [1])
+    with pytest.raises(ValueError, match="^stride 4 is repeated$"):
+        circulant(12, [1, 4, 4])
 
 
 def test_graph_equality_is_labeled():
