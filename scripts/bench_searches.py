@@ -1,4 +1,5 @@
-"""Record the exact searches of two checkouts side by side as a BENCH_*.json.
+"""Record the searches, drawings and a benchmark workload of two checkouts
+side by side as a BENCH_*.json.
 
 Usage, from the root of a checkout:
 
@@ -6,15 +7,20 @@ Usage, from the root of a checkout:
 
 --parent is a checkout of the commit to compare against (a `git clone` of
 it, so that its commit can be read), and --change the checkout under test,
-by default the one this script sits in.  Stdlib only.  The record has four
+by default the one this script sits in.  Stdlib only.  The record has five
 parts, each run in fresh interpreters on each tree's `src`:
 
-- search_tori_end_to_end: `perfbench/run.py --workload search-tori` from the
-  root of each checkout, seeds --seed onwards, which side runs first
-  alternating from pair to pair;
+- end_to_end: `perfbench/run.py --workload W` from the root of each
+  checkout, W given by --workload (search-tori by default), seeds --seed
+  onwards, which side runs first alternating from pair to pair;
 - per_search: nodes and the median seconds of 5 calls of each search (9 for
   the README's pair) on a fresh budget, graphs built outside the timing,
   parent and change alternating and the order swapped every run;
+- per_drawing: the crossing count and the median seconds of
+  `convex_drawing` and of two `decomposition_weights` calls on the drawing
+  it returns (the first one also validates it), for the two drawings of the
+  structures-crossing workload and for C(20000;{1,4}), alternating like
+  per_search;
 - paired_reach: `min_parameter` paired on C5xCn for n = 3, 4, ... under a
   --reach-nodes cap, up to the first n that passes it.  Node counts are
   deterministic, so the reach is the same on every run; the clock is only
@@ -79,15 +85,52 @@ except BudgetExceededError:
 print(json.dumps({"decided": decided, "nodes": b.nodes, "s": time.perf_counter() - start}))
 """
 
-TORI_METRICS = {
+# name -> (k of circulant(4k; 1, 4), circle order, timed runs)
+DRAWINGS = {
+    "circulant200 shuffled": (50, "shuffled", 9),
+    "circulant400 rotated": (100, "rotated", 9),
+    # 3 runs: a pair loop over its 40,000 edges takes about 30 s a call
+    "circulant20000": (5000, "identity", 3),
+}
+
+DRAWING_CHILD = """
+import json, random, sys, time
+from cyclecert.crossing import convex_drawing, decomposition_weights
+from cyclecert.graphs import circulant
+from cyclecert.structures import circulant14_decomposition
+k, arrange = int(sys.argv[1]), sys.argv[2]
+n = 4 * k
+g, dec = circulant(n, [1, 4]), circulant14_decomposition(k)
+order = list(range(n))
+rng = random.Random(1)
+if arrange == "shuffled":
+    rng.shuffle(order)
+elif arrange == "rotated":
+    turn = rng.randrange(n)
+    order = order[turn:] + order[:turn]
+start = time.perf_counter()
+d = convex_drawing(g, order)
+convex = time.perf_counter() - start
+weights = []
+for _ in range(2):
+    start = time.perf_counter()
+    decomposition_weights(d, dec)
+    weights.append(time.perf_counter() - start)
+print(json.dumps({"crossings": len(d.crossings), "convex_drawing": convex,
+                  "decomposition_weights": weights[0], "decomposition_weights_again": weights[1]}))
+"""
+CALLS = ("convex_drawing", "decomposition_weights", "decomposition_weights_again")
+
+METRICS = {
     "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ops_ok_ratio": "higher",
     "cert_p50_us": "lower", "cert_p99_us": "lower", "entries_per_s": "higher", "reproduce_s": "lower",
 }
 
 
-def _child(tree: str, graph: str, call: str, nodes: int) -> dict:
+def _child(tree: str, source: str, *args: object) -> dict:
+    """Run source in a fresh interpreter on tree's src; its stdout is JSON."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, "-c", CHILD, graph, call, str(nodes)],
+    out = subprocess.run([sys.executable, "-c", source, *map(str, args)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -126,7 +169,7 @@ def per_search(trees: dict[str, str]) -> dict:
         for run in range(runs):
             order = list(trees) if run % 2 == 0 else list(trees)[::-1]
             for side in order:
-                got = _child(trees[side], graph, call, 10**9)
+                got = _child(trees[side], CHILD, graph, call, 10**9)
                 times[side].append(got["s"])
                 nodes[side].add(got["nodes"])
         row = {}
@@ -142,11 +185,36 @@ def per_search(trees: dict[str, str]) -> dict:
     return out
 
 
+def per_drawing(trees: dict[str, str]) -> dict:
+    out = {}
+    for name, (k, arrange, runs) in DRAWINGS.items():
+        got: dict[str, list[dict]] = {side: [] for side in trees}
+        for run in range(runs):
+            order = list(trees) if run % 2 == 0 else list(trees)[::-1]
+            for side in order:
+                got[side].append(_child(trees[side], DRAWING_CHILD, k, arrange))
+        row: dict = {}
+        for side in trees:
+            (crossings,) = {r["crossings"] for r in got[side]}
+            row[side] = {"crossings": crossings}
+            for call in CALLS:
+                times = [r[call] for r in got[side]]
+                row[side][call] = {"median_s": round(statistics.median(times), 5),
+                                   "runs_s": [round(t, 5) for t in times]}
+        row["change_vs_parent"] = {
+            call: round(row["change"][call]["median_s"] / row["parent"][call]["median_s"] - 1, 3)
+            for call in CALLS
+        }
+        out[name] = row
+        print(name, json.dumps(row), file=sys.stderr)
+    return out
+
+
 def paired_reach(tree: str, nodes: int) -> dict:
     rows = []
     n = 3
     while True:
-        got = _child(tree, f"cartesian_cycles(5, {n})", "min_parameter(g, Variant.PAIRED, b)", nodes)
+        got = _child(tree, CHILD, f"cartesian_cycles(5, {n})", "min_parameter(g, Variant.PAIRED, b)", nodes)
         rows.append({"n": n, "decided": got["decided"], "nodes": got["nodes"], "s": round(got["s"], 3)})
         print("reach", tree, rows[-1], file=sys.stderr)
         if not got["decided"]:
@@ -157,13 +225,13 @@ def paired_reach(tree: str, nodes: int) -> dict:
     return {"largest_n": decided[-1]["n"] if decided else None, "slowest": slowest, "runs": rows}
 
 
-def search_tori(trees: dict[str, str], seed: int, pairs: int, seconds: float) -> dict:
+def end_to_end(trees: dict[str, str], workload: str, seed: int, pairs: int, seconds: float) -> dict:
     runs = []
     for i in range(pairs):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         pair: dict = {"seed": seed + i, "first": order[0]}
         for side in order:
-            argv = [sys.executable, "perfbench/run.py", "--workload", "search-tori",
+            argv = [sys.executable, "perfbench/run.py", "--workload", workload,
                     "--seed", str(seed + i), "--seconds", str(seconds), "--trace", "0"]
             last = subprocess.run(argv, cwd=trees[side], check=True, capture_output=True,
                                   text=True).stdout.strip().splitlines()[-1]
@@ -171,17 +239,18 @@ def search_tori(trees: dict[str, str], seed: int, pairs: int, seconds: float) ->
             if result["correct"] is not True or result["failed"]:
                 raise SystemExit(f"{side} run of seed {seed + i} not clean: {last}")
             pair[side] = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
-        print("tori", json.dumps(pair), file=sys.stderr)
+        print(workload, json.dumps(pair), file=sys.stderr)
         runs.append(pair)
     summary = {}
-    for metric, better in TORI_METRICS.items():
+    for metric, better in METRICS.items():
         parent = [p["parent"][metric] for p in runs]
         change = [p["change"][metric] for p in runs]
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
         summary[metric] = {"better": better, "parent_q1_median_q3": _quartiles(parent),
                            "change_q1_median_q3": _quartiles(change), "change_better_in_pairs": wins}
     return {
-        "method": f"python3 perfbench/run.py --workload search-tori --seed S --seconds {seconds:g} "
+        "workload": workload,
+        "method": f"python3 perfbench/run.py --workload {workload} --seed S --seconds {seconds:g} "
                   "--trace 0, from the root of each checkout; which side runs first alternates; "
                   "every run reported correct with 0 failed operations",
         "seeds": f"{seed}-{seed + pairs - 1}",
@@ -196,6 +265,7 @@ def main() -> None:
     parser.add_argument("--change", default=os.path.dirname(HERE))
     parser.add_argument("--out", required=True)
     parser.add_argument("--title", default="")
+    parser.add_argument("--workload", default="search-tori")
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=24)
@@ -213,13 +283,24 @@ def main() -> None:
                       "alternate and the order is swapped every run",
             "searches": per_search(trees),
         },
+        "per_drawing": {
+            "method": "each run is one convex_drawing call and two decomposition_weights calls "
+                      "on the drawing it returns, the first of which also validates the drawing "
+                      "(decomposition_weights_again is the second), in a fresh interpreter on "
+                      "that tree's src, graph, order and circulant14_decomposition built "
+                      "outside the timing, "
+                      "timed with time.perf_counter; shuffled and rotated orders come from "
+                      "random.Random(1), C(20000;{1,4}) is drawn in vertex order; parent and "
+                      "change alternate and the order is swapped every run",
+            "drawings": per_drawing(trees),
+        },
         "paired_reach": {
             "method": f"min_parameter(cartesian_cycles(5, n), Variant.PAIRED) on "
                       f"SearchBudget(max_nodes={args.reach_nodes}, max_seconds=600) in a "
                       "fresh interpreter, n = 3, 4, ... up to the first n that passes the node cap",
             **{side: paired_reach(tree, args.reach_nodes) for side, tree in trees.items()},
         },
-        "search_tori_end_to_end": search_tori(trees, args.seed, args.pairs, args.seconds),
+        "end_to_end": end_to_end(trees, args.workload, args.seed, args.pairs, args.seconds),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -7,14 +7,20 @@ crossing may involve an edge outside the graph, pair an edge with itself,
 pair edges sharing an endpoint, or repeat (two edges cross at most once).
 
 Splitting the edges into pieces spreads each crossing over the pieces that
-own its two edges: 2 to the piece owning both, else 1 and 1.  The doubled
-weights always sum to twice the crossing count, so their halves sum to the
-crossing count exactly, and running the rotation machinery on the halves
-turns a global crossing bound into a per-piece prefix certificate.  The
-bound is an int h (else ValueError) nudged by 1/2 toward the side it
-certifies; for an integer count every nudge in (0, 1) answers alike.  For
-graphs closed up from t copies of a tile, the canonical period decomposition
-makes those halves one number per copy.
+own its two edges: 2 to the piece owning both, else 1 and 1.  That is the
+same as giving each piece the sum, over its edges, of how many crossings
+each edge is in, which a drawing counts once, so each weights call is linear
+in the edges.  The doubled weights always sum to twice the crossing count,
+so their halves sum to the crossing count exactly, and running the rotation
+machinery on the halves turns a global crossing bound into a per-piece
+prefix certificate.  The bound is an int h (else ValueError) nudged by 1/2
+toward the side it certifies; for an integer count every nudge in (0, 1)
+answers alike.  For graphs closed up from t copies of a tile, the canonical
+period decomposition makes those halves one number per copy.
+
+A convex drawing puts the vertices on a circle and finds its crossings in
+one sweep over bitmasks of the chords, in time linear in the edges plus the
+crossings, up to the cost of masks E bits wide.
 
 The parity screen is the classical closed-curve obstruction: two
 vertex-disjoint cycles drawn in the plane must cross an even number of
@@ -23,10 +29,12 @@ times, so an odd count between them refutes planarity of the drawing data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
@@ -67,25 +75,57 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
+def _vertex_id(x: object, pair: object) -> int:
+    # a float or a string would otherwise be truncated or parsed into an id
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"crossing pair {pair!r}: vertex id {x!r} is not an int")
+    return int(x)
+
+
 def _norm_pair(pair: Sequence[Sequence[int]]) -> CrossingPair:
     (a, b) = pair
-    e = norm_edge(int(a[0]), int(a[1]))
-    f = norm_edge(int(b[0]), int(b[1]))
+    e = norm_edge(_vertex_id(a[0], pair), _vertex_id(a[1], pair))
+    f = norm_edge(_vertex_id(b[0], pair), _vertex_id(b[1], pair))
     return (e, f) if e <= f else (f, e)
 
 
 @dataclass(frozen=True)
 class AbstractDrawing:
-    """A graph and the (normalized, sorted) multiset of crossing edge pairs."""
+    """A graph and the (normalized, sorted) multiset of crossing edge pairs.
+
+    A vertex id that is not an int raises TypeError.
+    """
 
     graph: Graph
     crossings: tuple[CrossingPair, ...]
 
     def __init__(self, graph: Graph, crossings: Iterable[Sequence[Sequence[int]]]):
+        # Each graph edge, in both orientations, maps to its normalized
+        # tuple, so a pair of graph edges costs two lookups; any other pair
+        # (a list, an edge not in the graph) takes _norm_pair.
+        canon: dict[Edge, Edge] = {}
+        for e in graph.edges():
+            canon[e] = canon[e[::-1]] = e
+        pairs = []
+        for pair in crossings:
+            (a, b) = pair
+            try:
+                e, f = canon[a], canon[b]
+            except (KeyError, TypeError):
+                pairs.append(_norm_pair(pair))
+                continue
+            # (0.0, 2) finds (0, 2) in the map, so the ids' types are checked too
+            if type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is int:
+                pairs.append((e, f) if e <= f else (f, e))
+            else:
+                pairs.append(_norm_pair(pair))
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(
-            self, "crossings", tuple(sorted(_norm_pair(p) for p in crossings))
-        )
+        object.__setattr__(self, "crossings", tuple(sorted(pairs)))
+
+    @cached_property
+    def _edge_crossings(self) -> Counter[Edge]:
+        # how many crossings each edge is in, counted once per drawing
+        return Counter(chain.from_iterable(self.crossings))
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -172,29 +212,36 @@ def decomposition_weights(
     d: AbstractDrawing, decomposition: EdgeDecomposition
 ) -> DoubledWeightList:
     """Spread each crossing over the owning pieces: 2 if one piece owns both
-    edges, else 1 and 1."""
+    edges, else 1 and 1.
+
+    That is each piece's sum, over its edges, of how many crossings each
+    edge is in: a crossing inside one piece counts 1 + 1 there.  The drawing
+    counts crossings per edge once, so a call costs O(E) after the checks.
+    """
     _require_clean(d)
     validate_decomposition(d.graph, decomposition)
-    owner: dict[Edge, int] = {}
-    for i, piece in enumerate(decomposition.pieces):
-        for u, v in piece.edges:
-            owner[norm_edge(u, v)] = i
-    weights = [0] * len(decomposition.pieces)
-    for e, f in d.crossings:
-        pe, pf = owner[e], owner[f]
-        if pe == pf:
-            weights[pe] += 2
-        else:
-            weights[pe] += 1
-            weights[pf] += 1
-    return DoubledWeightList(tuple(weights))
+    counts = d._edge_crossings
+    return DoubledWeightList(tuple(
+        sum(counts.get(norm_edge(u, v), 0) for u, v in piece.edges)
+        for piece in decomposition.pieces
+    ))
 
 
 def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractDrawing:
     """Drawing with vertices on a circle in the given order, edges as chords.
 
-    Two chords cross exactly when their endpoints strictly interleave
-    around the circle.
+    Two chords cross exactly when they share no endpoint and exactly one end
+    of one lies strictly inside the arc of the other.  Chords are bits in
+    edge order: at[p] holds the chords ending at circle position p, and
+    odd[p] the XOR of at[0..p-1], the chords with exactly one end before p.
+    For chord i on positions pa < pb, odd[pb] ^ odd[pa + 1] holds the chords
+    with exactly one end strictly between them (both ends inside cancel),
+    and masking out at[pa] | at[pb] drops the chords that share an end.
+    Its bits past i are the later chords crossing i, so the pairs come out
+    normalized and sorted.  One sweep around the circle keeps odd[p] as it
+    goes, and each chord that is open keeps only the bits past it of
+    odd[pa + 1] and at[pa].  Cost: O(E) operations on masks of at most E
+    bits, plus one step per crossing.
     """
     order = tuple(order) if order is not None else tuple(range(g.n))
     if sorted(order) != list(range(g.n)):
@@ -203,16 +250,33 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
     for i, v in enumerate(order):
         pos[v] = i
     edges = g.edges()
-    # Each chord as its sorted pair of circle positions.  Positions are
-    # distinct, so chords sharing an endpoint share a position and fail both
-    # strict interleavings below.
-    spans = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in edges]
+    ends: list[list[int]] = [[] for _ in range(g.n)]
+    right = []
+    for i, (a, b) in enumerate(edges):
+        pa, pb = (pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a])
+        ends[pa].append(i)
+        ends[pb].append(i)
+        right.append(pb)
+    odd = 0
+    opened: dict[int, tuple[int, int]] = {}
+    later = [0] * len(edges)  # bit j of later[i]: chord i + 1 + j crosses chord i
+    for p, chords in enumerate(ends):
+        at = sum(1 << i for i in chords)
+        for i in chords:
+            if right[i] == p:
+                inside, left = opened.pop(i)
+                later[i] = ((odd >> (i + 1)) ^ inside) & ~(left | at >> (i + 1))
+        odd ^= at
+        for i in chords:
+            if right[i] > p:
+                opened[i] = (odd >> (i + 1), at >> (i + 1))
     crossings = []
-    for i, (pa, pb) in enumerate(spans):
+    for i, mask in enumerate(later):
         e = edges[i]
-        for f, (pc, pd) in zip(edges[i + 1 :], spans[i + 1 :]):
-            if pa < pc < pb < pd or pc < pa < pd < pb:
-                crossings.append((e, f))
+        while mask:
+            low = mask & -mask
+            crossings.append((e, edges[i + low.bit_length()]))
+            mask ^= low
     return AbstractDrawing(g, crossings)
 
 

@@ -1,7 +1,11 @@
-"""The benchmark script's paired reach: a node cap makes it repeatable."""
+"""The benchmark script: a node cap makes its paired reach repeatable, its
+end-to-end part runs the workload it is given, and its drawing rows count
+the drawing they time."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,3 +29,33 @@ def test_paired_reach_stops_at_the_first_n_past_the_node_cap():
         assert [r["n"] for r in reach["runs"]] == list(range(3, 11))
     fields = [[(r["n"], r["decided"], r["nodes"]) for r in reach["runs"]] for reach in runs]
     assert fields[0] == fields[1]
+
+
+def test_end_to_end_runs_the_named_workload_and_alternates_the_first_side(monkeypatch):
+    script = _load_script()
+    calls = []
+
+    def run(argv, cwd, **kwargs):
+        calls.append((cwd, argv[argv.index("--workload") + 1], argv[argv.index("--seed") + 1]))
+        metrics = {m: {"value": 1.0 if cwd == "p" else 0.5} for m in script.METRICS}
+        line = json.dumps({"correct": True, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(argv, 0, stdout=f"provenance\n{line}\n")
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    record = script.end_to_end({"parent": "p", "change": "c"}, "structures-crossing", 7, 2, 1.0)
+    assert calls == [("p", "structures-crossing", "7"), ("c", "structures-crossing", "7"),
+                     ("c", "structures-crossing", "8"), ("p", "structures-crossing", "8")]
+    assert record["workload"] == "structures-crossing"
+    assert "--workload structures-crossing" in record["method"]
+    assert [p["first"] for p in record["pairs"]] == ["parent", "change"]
+    assert record["summary"]["wall_s"]["change_better_in_pairs"] == 2
+    assert record["summary"]["entries_per_s"]["change_better_in_pairs"] == 0
+
+
+def test_a_drawing_row_counts_the_crossings_of_the_drawing_it_times():
+    script = _load_script()
+    for arrange in ("identity", "rotated", "shuffled"):
+        got = script._child(ROOT, script.DRAWING_CHILD, 3, arrange)
+        assert all(got[call] >= 0 for call in script.CALLS)
+        if arrange != "shuffled":  # a turn of the circle keeps the drawing
+            assert got["crossings"] == 36

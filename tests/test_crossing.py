@@ -38,6 +38,25 @@ def test_crossings_are_normalized_and_sorted():
     assert d1.crossings[0] == ((0, 2), (1, 3))
 
 
+@pytest.mark.parametrize("pair", [
+    ((0.9, 2), (1, 3.7)),  # int() truncates these to (0, 2) and (1, 3)
+    ((0.0, 2), (1, 3)),  # equal and hashing alike to the graph edge (0, 2)
+    ((0, 2), (1, "3")),  # int() parses "3"
+    ((True, 2), (1, 3)),
+    [(0, 2.0), [1, 3]],  # a list misses the map of graph edges
+])
+def test_a_vertex_id_that_is_not_an_int_is_refused(pair):
+    with pytest.raises(TypeError, match=r"crossing pair .* is not an int"):
+        AbstractDrawing(complete(4), [pair])
+
+
+def test_int_ids_in_lists_or_reversed_normalize_alike():
+    g = complete(4)
+    want = (((0, 2), (1, 3)),)
+    for pair in [((0, 2), (1, 3)), ((3, 1), (2, 0)), [[2, 0], [1, 3]], ([1, 3], (0, 2))]:
+        assert AbstractDrawing(g, [pair]).crossings == want
+
+
 def test_validate_reports_unknown_edge():
     d = AbstractDrawing(cycle(4), [((0, 2), (1, 3))])
     kinds = {v.kind for v in validate_drawing(d)}
@@ -181,6 +200,24 @@ def test_convex_matches_set_rule_random():
         assert convex_drawing(g, order).crossings == want
 
 
+@pytest.mark.parametrize("k, arrange, count", [(50, "shuffled", 25537), (100, "rotated", 1200)])
+def test_convex_matches_set_rule_at_the_benchmark_sizes(k, arrange, count):
+    # circulant(200) in a shuffled order and circulant(400) in a rotated one,
+    # as the structures-crossing workload draws them
+    n = 4 * k
+    g = circulant(n, [1, 4])
+    rng = random.Random(1)
+    order = list(range(n))
+    if arrange == "shuffled":
+        rng.shuffle(order)
+    else:
+        turn = rng.randrange(n)
+        order = order[turn:] + order[:turn]
+    d = convex_drawing(g, order)
+    assert d.crossings == AbstractDrawing(g, set_rule_convex_crossings(g, order)).crossings
+    assert len(d.crossings) == count
+
+
 def test_convex_order_must_be_permutation():
     with pytest.raises(ValueError):
         convex_drawing(cycle(4), [0, 1, 2, 2])
@@ -249,6 +286,51 @@ def test_weights_total_identity_random():
         w = decomposition_weights(d, EdgeDecomposition(pieces))
         assert w.total() == 2 * cr_total(d)
         assert sum(w.halves()) == cr_total(d)
+
+
+def reference_weights(d: AbstractDrawing, dec: EdgeDecomposition) -> list[int]:
+    """2 to the piece owning both edges of a crossing, else 1 and 1."""
+    owner = {tuple(sorted(e)): i for i, piece in enumerate(dec.pieces) for e in piece.edges}
+    weights = [0] * len(dec.pieces)
+    for e, f in d.crossings:
+        if owner[e] == owner[f]:
+            weights[owner[e]] += 2
+        else:
+            weights[owner[e]] += 1
+            weights[owner[f]] += 1
+    return weights
+
+
+def test_weights_match_the_pair_rule_piece_by_piece():
+    rng = random.Random(405)
+    same_piece = set()
+    for _ in range(150):
+        n = rng.randint(4, 9)
+        g = random_graph(rng, n, 0.6)
+        edges = g.edges()
+        if not edges:
+            continue
+        if rng.random() < 0.5:
+            order = list(range(n))
+            rng.shuffle(order)
+            d = convex_drawing(g, order)
+        else:
+            # any clean drawing: distinct disjoint edge pairs, each at most once
+            candidates = [(e, f) for i, e in enumerate(edges) for f in edges[i + 1 :] if not set(e) & set(f)]
+            chosen = rng.sample(candidates, rng.randint(0, len(candidates)))
+            d = AbstractDrawing(g, [(f[::-1], e) if rng.random() < 0.5 else (e, f) for e, f in chosen])
+            assert validate_drawing(d) == []
+        t = rng.randint(1, 5)
+        buckets = [[] for _ in range(t)]
+        for u, v in edges:
+            buckets[rng.randrange(t)].append((v, u) if rng.random() < 0.5 else (u, v))
+        dec = EdgeDecomposition(tuple(Piece(frozenset(range(n)), frozenset(b)) for b in buckets if b))
+        want = reference_weights(d, dec)
+        for _ in range(3):  # the per-edge counts are kept between calls
+            assert list(decomposition_weights(d, dec).weights) == want
+        owner = {tuple(sorted(e)): i for i, piece in enumerate(dec.pieces) for e in piece.edges}
+        same_piece.update(owner[e] == owner[f] for e, f in d.crossings)
+    assert same_piece == {True, False}
 
 
 def test_weights_reject_invalid_drawing():
