@@ -18,9 +18,11 @@ parts, each run in fresh interpreters on each tree's `src`:
   parent and change alternating and the order swapped every run;
 - per_drawing: the crossing count and the median seconds of
   `convex_drawing` and of two `decomposition_weights` calls on the drawing
-  it returns (the first one also validates it), for the two drawings of the
-  structures-crossing workload and for C(20000;{1,4}), alternating like
-  per_search;
+  it returns, for the two drawings of the structures-crossing workload and
+  for C(20000;{1,4}), alternating like per_search.  The first call also
+  validates the drawing and the decomposition; a tree that keeps the
+  weights on the drawing answers the second from there, and an older tree
+  validates the decomposition again;
 - paired_reach: `min_parameter` paired on C5xCn for n = 3, 4, ... under a
   --reach-nodes cap, up to the first n that passes it.  Node counts are
   deterministic, so the reach is the same on every run; the clock is only
@@ -65,14 +67,16 @@ SEARCHES = {
     "decide dominating C5xC8 h=10": (
         "(cartesian_cycles(5, 8), columns_partition(5, 8), column_shift_symmetry(5, 8))",
         "decide_parameter_via_prefix(*g, Variant.DOMINATING, 10, budget=b)", 9),
+    # the structures-crossing workload's partition search; there is none
+    "find partition K3,4 t=7": ("complete_bipartite(3, 4)", "find_transitive_partition(g, 7, b)", 9),
 }
 
 CHILD = """
 import json, sys, time
 from cyclecert.domination import *
 from cyclecert.errors import BudgetExceededError  # older trees leave it out of domination.__all__
-from cyclecert.graphs import cartesian_cycles
-from cyclecert.structures import column_shift_symmetry, columns_partition
+from cyclecert.graphs import cartesian_cycles, complete_bipartite
+from cyclecert.structures import column_shift_symmetry, columns_partition, find_transitive_partition
 graph, call, nodes = sys.argv[1], sys.argv[2], int(sys.argv[3])
 g = eval(graph)
 b = SearchBudget(max_nodes=nodes, max_seconds=600)
@@ -286,7 +290,9 @@ def main() -> None:
         "per_drawing": {
             "method": "each run is one convex_drawing call and two decomposition_weights calls "
                       "on the drawing it returns, the first of which also validates the drawing "
-                      "(decomposition_weights_again is the second), in a fresh interpreter on "
+                      "and the decomposition (decomposition_weights_again is the second: a tree "
+                      "that keeps the weights on the drawing answers it from there, an older "
+                      "tree validates the decomposition again), in a fresh interpreter on "
                       "that tree's src, graph, order and circulant14_decomposition built "
                       "outside the timing, "
                       "timed with time.perf_counter; shuffled and rotated orders come from "

@@ -6,6 +6,16 @@ constructor, so a bad drawing can be built and then reported on: no
 crossing may involve an edge outside the graph, pair an edge with itself,
 pair edges sharing an endpoint, or repeat (two edges cross at most once).
 
+Each object is checked once.  The constructor's normalizing loop is the one
+pass over the pairs: a pair made of the graph's own edge tuples, in order,
+is kept as it is, and the loop notes any pair off the graph's edge map or
+sharing a vertex; after the sort a neighbour comparison finds repeats.  The
+validator's per-pair scan runs, once per drawing, only when something was
+noted, so a clean drawing costs no scan.  The weights of a decomposition
+are kept on the drawing, so the decomposition is validated once per drawing
+and equal decompositions share one DoubledWeightList, whose halves are one
+tuple: repeated certificates on it reuse one scaled list.
+
 Splitting the edges into pieces spreads each crossing over the pieces that
 own its two edges: 2 to the piece owning both, else 1 and 1.  That is the
 same as giving each piece the sum, over its edges, of how many crossings
@@ -34,7 +44,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
@@ -82,10 +93,17 @@ def _vertex_id(x: object, pair: object) -> int:
     return int(x)
 
 
+def _norm_edge(x: Sequence[int], pair: object) -> Edge:
+    try:
+        (u, v) = x
+    except (TypeError, ValueError):
+        raise TypeError(f"crossing pair {pair!r}: edge {x!r} is not two vertex ids") from None
+    return norm_edge(_vertex_id(u, pair), _vertex_id(v, pair))
+
+
 def _norm_pair(pair: Sequence[Sequence[int]]) -> CrossingPair:
     (a, b) = pair
-    e = norm_edge(_vertex_id(a[0], pair), _vertex_id(a[1], pair))
-    f = norm_edge(_vertex_id(b[0], pair), _vertex_id(b[1], pair))
+    e, f = _norm_edge(a, pair), _norm_edge(b, pair)
     return (e, f) if e <= f else (f, e)
 
 
@@ -93,34 +111,55 @@ def _norm_pair(pair: Sequence[Sequence[int]]) -> CrossingPair:
 class AbstractDrawing:
     """A graph and the (normalized, sorted) multiset of crossing edge pairs.
 
-    A vertex id that is not an int raises TypeError.
+    A vertex id that is not an int, or an edge that is not two ids, raises
+    TypeError.
     """
 
     graph: Graph
     crossings: tuple[CrossingPair, ...]
 
     def __init__(self, graph: Graph, crossings: Iterable[Sequence[Sequence[int]]]):
-        # Each graph edge, in both orientations, maps to its normalized
-        # tuple, so a pair of graph edges costs two lookups; any other pair
-        # (a list, an edge not in the graph) takes _norm_pair.
+        # The one pass over the pairs.  Each graph edge, in both
+        # orientations, maps to the graph's own tuple for it.  A tuple of two
+        # such tuples in order is kept as it is; a pair of graph edges costs
+        # two lookups; any other pair (a list, an edge not in the graph)
+        # takes _norm_pair.  The pass notes every pair that may break a rule
+        # (off the map, or two edges sharing a vertex), and after the sort
+        # a neighbour comparison finds repeats, so a drawing with nothing
+        # noted is clean without the validator's scan.
         canon: dict[Edge, Edge] = {}
         for e in graph.edges():
             canon[e] = canon[e[::-1]] = e
         pairs = []
+        append = pairs.append
+        noted = False
         for pair in crossings:
             (a, b) = pair
             try:
                 e, f = canon[a], canon[b]
             except (KeyError, TypeError):
-                pairs.append(_norm_pair(pair))
+                append(_norm_pair(pair))
+                noted = True
                 continue
-            # (0.0, 2) finds (0, 2) in the map, so the ids' types are checked too
-            if type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is int:
-                pairs.append((e, f) if e <= f else (f, e))
-            else:
-                pairs.append(_norm_pair(pair))
+            if not (a is e and b is f and type(pair) is tuple):
+                # (0.0, 2) finds (0, 2) in the map, so the ids' types are checked
+                if not type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is int:
+                    append(_norm_pair(pair))
+                    noted = True
+                    continue
+                pair = (e, f)
+            if f < e:
+                pair = (f, e)
+            if e[0] in f or e[1] in f:
+                noted = True
+            append(pair)
+        # pairs in strictly increasing order are sorted and have no repeat
+        if not all(map(lt, pairs, islice(pairs, 1, None))):
+            pairs.sort()
+            noted = noted or any(map(eq, pairs, islice(pairs, 1, None)))
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "crossings", tuple(sorted(pairs)))
+        object.__setattr__(self, "crossings", tuple(pairs))
+        object.__setattr__(self, "_noted", noted)
 
     @cached_property
     def _edge_crossings(self) -> Counter[Edge]:
@@ -129,7 +168,10 @@ class AbstractDrawing:
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
-        # graph and crossings are frozen, so one scan serves every caller
+        # graph and crossings are frozen, so one scan serves every caller,
+        # and only a drawing whose constructor noted a pair needs it
+        if not self._noted:
+            return ()
         out = []
         adj, n = self.graph.adj, self.graph.n
         previous = None
@@ -153,6 +195,11 @@ class AbstractDrawing:
                 )
             previous = pair
         return tuple(out)
+
+    @cached_property
+    def _weights(self) -> dict[EdgeDecomposition, DoubledWeightList]:
+        # decomposition_weights' answers for this drawing, by decomposition
+        return {}
 
 
 def validate_drawing(d: AbstractDrawing) -> list[Violation]:
@@ -205,6 +252,11 @@ class DoubledWeightList:
         return sum(self.weights)
 
     def halves(self) -> tuple[Fraction, ...]:
+        """The weights halved: one tuple, the same object on every call."""
+        return self._halves
+
+    @cached_property
+    def _halves(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(w, 2) for w in self.weights)
 
 
@@ -217,8 +269,22 @@ def decomposition_weights(
     That is each piece's sum, over its edges, of how many crossings each
     edge is in: a crossing inside one piece counts 1 + 1 there.  The drawing
     counts crossings per edge once, so a call costs O(E) after the checks.
+    The answer is kept on the drawing for the decomposition (or any equal
+    one), so the decomposition is validated and summed once per drawing:
+    later calls return the same DoubledWeightList.  A bad drawing or an
+    invalid decomposition raises on every call.
     """
     _require_clean(d)
+    try:
+        weights = d._weights.get(decomposition)
+    except TypeError:  # a piece holding a list cannot be a key; answer afresh
+        return _piece_weights(d, decomposition)
+    if weights is None:
+        weights = d._weights[decomposition] = _piece_weights(d, decomposition)
+    return weights
+
+
+def _piece_weights(d: AbstractDrawing, decomposition: EdgeDecomposition) -> DoubledWeightList:
     validate_decomposition(d.graph, decomposition)
     counts = d._edge_crossings
     return DoubledWeightList(tuple(

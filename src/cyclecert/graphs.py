@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -75,9 +76,15 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
+        """The edges (u, v), u < v, in increasing order: a fresh list of the
+        same tuples on every call."""
+        return list(self._edges)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
             (u, v) for u, row in enumerate(self.adj) for v in iter_bits(row >> (u + 1) << (u + 1))
-        ]
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)

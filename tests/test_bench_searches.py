@@ -1,6 +1,6 @@
 """The benchmark script: a node cap makes its paired reach repeatable, its
-end-to-end part runs the workload it is given, and its drawing rows count
-the drawing they time."""
+end-to-end part runs the workload it is given, its drawing rows count the
+drawing they time, and its partition row runs the workload's search."""
 
 import importlib.util
 import json
@@ -59,3 +59,10 @@ def test_a_drawing_row_counts_the_crossings_of_the_drawing_it_times():
         assert all(got[call] >= 0 for call in script.CALLS)
         if arrange != "shuffled":  # a turn of the circle keeps the drawing
             assert got["crossings"] == 36
+
+
+def test_the_partition_search_row_runs_the_workload_search():
+    script = _load_script()
+    graph, call, runs = script.SEARCHES["find partition K3,4 t=7"]
+    got = script._child(ROOT, script.CHILD, graph, call, 10**9)
+    assert got["decided"] and got["nodes"] == 245 and runs == 9

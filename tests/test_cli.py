@@ -521,10 +521,14 @@ def test_partition_find(capsys):
     assert code == 1 and not doc["found"]
 
 
-def test_partition_find_honours_budget_seconds(capsys):
-    # 12!/2 candidate orders of the 13 singleton classes, each refuted
+def test_partition_find_honours_budget_seconds(capsys, tmp_path):
+    # K13 minus the edge 0-12: about 2 * 10^8 orders of the 13 singleton classes
+    # pass the pair screen, each refuted by the window test
+    graph = tmp_path / "k13-minus-an-edge.json"
+    edges = [(u, v) for u in range(13) for v in range(u + 1, 13) if (u, v) != (0, 12)]
+    graph.write_text(dump_json(graph_to_json(Graph.from_edges(13, edges))), encoding="utf-8")
     start = time.monotonic()
-    code = main(["partition", "find", "--graph", "kmn:3:10", "--t", "13",
+    code = main(["partition", "find", "--graph", f"@{graph}", "--t", "13",
                  "--budget-seconds", "1"])
     out = capsys.readouterr().out
     assert time.monotonic() - start < 5

@@ -7,6 +7,7 @@ from cyclecert.crossing import (
     AbstractDrawing,
     DoubledWeightList,
     Parity,
+    Violation,
     convex_drawing,
     cr_between,
     cr_total,
@@ -50,6 +51,18 @@ def test_a_vertex_id_that_is_not_an_int_is_refused(pair):
         AbstractDrawing(complete(4), [pair])
 
 
+@pytest.mark.parametrize("pair", [
+    ((0, 1, 5), (2, 3)),  # would be cut to (0, 1)
+    ((0,), (2, 3)),
+    ((0, 1), 3),
+    ([0, 1], [2, 3, 1]),
+])
+def test_an_edge_that_is_not_two_ids_is_refused(pair):
+    with pytest.raises(TypeError, match=r"crossing pair .* is not two vertex ids") as caught:
+        AbstractDrawing(complete(4), [pair])
+    assert repr(pair) in str(caught.value)
+
+
 def test_int_ids_in_lists_or_reversed_normalize_alike():
     g = complete(4)
     want = (((0, 2), (1, 3)),)
@@ -87,39 +100,86 @@ def test_validate_clean_drawing():
     assert validate_drawing(d) == []
 
 
-def reference_violations(d: AbstractDrawing) -> list[str]:
-    """The good-drawing rules checked with sets and has_edge, pair by pair."""
+def reference_scan(g: Graph, pairs: list) -> list[Violation]:
+    """Each pair normalized on its own, the list sorted, then every rule
+    checked on every pair; TypeError when some vertex id is not an int."""
+
+    def edge(x):
+        if any(type(v) is not int for v in x):
+            raise TypeError(x)
+        return tuple(sorted(x))
+
+    crossings = sorted(tuple(sorted((edge(a), edge(b)))) for a, b in pairs)
     out = []
-    seen = set()
-    for e, f in d.crossings:
-        for edge in (e, f):
-            if not d.graph.has_edge(*edge):
-                out.append(f"unknown-edge: edge {edge} is not in the graph")
+    for i, (e, f) in enumerate(crossings):
+        for x in (e, f):
+            if not g.has_edge(*x):
+                out.append(Violation("unknown-edge", f"edge {x} is not in the graph"))
         if e == f:
-            out.append(f"self-pair: edge {e} paired with itself")
+            out.append(Violation("self-pair", f"edge {e} paired with itself"))
         elif set(e) & set(f):
-            shared = (set(e) & set(f)).pop()
-            out.append(f"adjacent-pair: edges {e} and {f} share vertex {shared}")
-        if (e, f) in seen:
-            out.append(f"duplicate-pair: edges {e} and {f} cross more than once")
-        seen.add((e, f))
+            shared = min(set(e) & set(f), key=e.index)
+            out.append(Violation("adjacent-pair", f"edges {e} and {f} share vertex {shared}"))
+        if (e, f) in crossings[:i]:
+            out.append(Violation("duplicate-pair", f"edges {e} and {f} cross more than once"))
     return out
 
 
 def test_validate_matches_reference_on_random_bad_drawings():
-    rng = random.Random(17)
-    kinds = set()
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(2, 7), 0.5)
+    # graph edges as the graph's own tuples, fresh, reversed or as lists;
+    # foreign edges; floats and bools for ids; self, adjacent and repeated pairs
+    rng = random.Random(29)
+    kinds, refused = set(), 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 0.9))
+        edges = g.edges()
         ids = range(-1, g.n + 1)
-        pool = g.edges() + [(rng.choice(ids), rng.choice(ids)) for _ in range(3)]
-        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 8))]
-        pairs += rng.sample(pairs, min(2, len(pairs)))
-        d = AbstractDrawing(g, pairs)
-        got = [str(v) for v in validate_drawing(d)]
-        assert got == reference_violations(d)
-        kinds.update(msg.split(":")[0] for msg in got)
+
+        def some_edge():
+            roll = rng.random()
+            if not edges or roll < 0.1:
+                return (rng.choice(ids), rng.choice(ids))
+            e = rng.choice(edges)
+            if roll < 0.5:
+                return e
+            if roll < 0.7:
+                return e[::-1]
+            if roll < 0.85:
+                return list(e)
+            if roll < 0.99:
+                return (e[0] + 0, e[1] + 0)
+            return (float(e[0]), e[1]) if rng.random() < 0.5 else (e[0], e[1] == 1 or e[1])
+
+        pairs = []
+        for _ in range(rng.randint(0, 12)):
+            e = some_edge()
+            roll = rng.random()
+            if roll < 0.1:
+                pairs.append((e, e))
+            elif roll < 0.2 and pairs:
+                pairs.append(rng.choice(pairs))
+            else:
+                pairs.append((e, some_edge()) if rng.random() < 0.8 else [e, some_edge()])
+        try:
+            want = reference_scan(g, pairs)
+        except TypeError:
+            with pytest.raises(TypeError, match="is not an int"):
+                AbstractDrawing(g, pairs)
+            refused += 1
+            continue
+        got = validate_drawing(AbstractDrawing(g, pairs))
+        assert got == want
+        kinds.update(v.kind for v in got)
     assert kinds == {"unknown-edge", "self-pair", "adjacent-pair", "duplicate-pair"}
+    assert refused > 10
+
+
+def test_a_drawing_reuses_crossing_pairs_made_of_the_graph_edges():
+    g = complete(5)
+    pairs = list(convex_drawing(g).crossings)
+    d = AbstractDrawing(g, pairs)
+    assert all(x is y for x, y in zip(d.crossings, pairs))
+    assert validate_drawing(d) == []
 
 
 # --- counting -------------------------------------------------------------------
@@ -331,6 +391,45 @@ def test_weights_match_the_pair_rule_piece_by_piece():
         owner = {tuple(sorted(e)): i for i, piece in enumerate(dec.pieces) for e in piece.edges}
         same_piece.update(owner[e] == owner[f] for e, f in d.crossings)
     assert same_piece == {True, False}
+
+
+def test_equal_decompositions_share_the_weights_of_one_validation(monkeypatch):
+    import cyclecert.crossing as crossing
+
+    calls = []
+    validate = crossing.validate_decomposition
+    monkeypatch.setattr(crossing, "validate_decomposition", lambda *a: calls.append(a) or validate(*a))
+    k = 4
+    d = convex_drawing(circulant(4 * k, [1, 4]))
+    first = decomposition_weights(d, circulant14_decomposition(k))
+    again = circulant14_decomposition(k)  # equal, not the same object
+    assert decomposition_weights(d, again) is first
+    for h in (12 * k - 1, 12 * k):
+        prefix_cr_certificate(d, again, h)
+    assert len(calls) == 1
+    assert first.halves() is first.halves()
+    # another drawing of the same graph keeps its own weights
+    other = AbstractDrawing(d.graph, d.crossings[1:])
+    assert decomposition_weights(other, again).total() == first.total() - 2
+    assert len(calls) == 2
+    # pieces holding lists cannot be kept, and are answered afresh
+    listed = EdgeDecomposition(tuple(Piece(p.vertices, list(p.edges)) for p in again.pieces))
+    for _ in range(2):
+        assert decomposition_weights(d, listed) == first
+    assert len(calls) == 4
+
+
+def test_an_invalid_decomposition_raises_on_every_call():
+    g = cycle(4)
+    d = convex_drawing(g)
+    missing = EdgeDecomposition((Piece(frozenset(range(4)), frozenset(g.edges()[1:])),))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="do not cover every edge"):
+            decomposition_weights(d, missing)
+        with pytest.raises(ValueError, match="do not cover every edge"):
+            prefix_cr_certificate(d, missing, 0)
+    whole = EdgeDecomposition((Piece(frozenset(range(4)), frozenset(g.edges())),))
+    assert decomposition_weights(d, whole).weights == (0,)
 
 
 def test_weights_reject_invalid_drawing():

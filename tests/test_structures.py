@@ -253,13 +253,17 @@ def test_find_transitive_partition_budget():
         find_transitive_partition(complete_bipartite(2, 3), 5, SearchBudget(max_nodes=1))
 
 
+def _k13_minus_an_edge() -> Graph:
+    return Graph.from_edges(13, [e for e in complete(13).edges() if e != (0, 12)])
+
+
 @pytest.mark.parametrize(
     "g, t",
     [
-        # the 13 singleton classes pass the class screen in every order, so
-        # the search walks 12!/2 candidates; none has a shift, as the degrees
-        # differ, and the window test refutes each one
-        (complete_bipartite(3, 10), 13),
+        # 13 singleton classes: every order that never puts 0 next to 12
+        # passes the pair screen, about 2 * 10^8 candidates; none has a shift,
+        # as the degrees differ, and the window test refutes each one
+        (_k13_minus_an_edge(), 13),
         # no half of the star passes the class screen against its complement,
         # so the search tries about 7 * 10^10 classes and never a candidate
         (complete_bipartite(1, 39), 2),
@@ -580,7 +584,7 @@ def _singletons(n: int) -> VertexPartition:
         (transitive_by_windows, lambda: (complete(13), star_decomposition_complete(13)), 810),
         (transitive_by_windows, lambda: (complete(31), star_decomposition_complete(31)), 12_150),
         (transitive_by_windows, lambda: (circulant(32, [1, 4]), circulant14_decomposition(8)), 8_134),
-        (find_transitive_partition, lambda: (complete_bipartite(3, 4), 7), 1_957),
+        (find_transitive_partition, lambda: (complete_bipartite(3, 4), 7), 245),
         (find_transitive_partition, lambda: (cycle(12), 4), 16),
     ],
     ids=[
@@ -885,8 +889,10 @@ def test_isomorphic_on_degree_preserving_swaps_agrees_with_permutation_oracle():
     assert any(answers) and not all(answers)
 
 
-def reference_find_transitive_partition(g, t, budget):
-    """The partition search with one recursive call per class."""
+def reference_find_transitive_partition(g, t, budget, screen=True):
+    """The partition search with one recursive call per class.  With screen,
+    each window of two consecutive classes, the closing one too, must match
+    classes 0 and 1 together."""
     if g.n % t != 0:
         return None
     size = g.n // t
@@ -895,20 +901,28 @@ def reference_find_transitive_partition(g, t, budget):
         degs = sorted((g.adj[v] & sum(1 << u for u in vs)).bit_count() for v in vs)
         return (len(vs), sum(degs) // 2, tuple(degs))
 
+    def pair_refused(chosen, a, b):
+        return screen and t >= 3 and class_fingerprint(a | b) != class_fingerprint(chosen[0] | chosen[1])
+
     def extend(chosen, remaining):
         if len(chosen) == t:
             if t >= 3 and min(chosen[1]) > min(chosen[-1]):
                 return None
+            if pair_refused(chosen, chosen[-1], chosen[0]):
+                return None
             candidate = VertexPartition(tuple(chosen))
-            return candidate if is_transitive_partition(g, candidate, budget) else None
+            return candidate if structures.is_transitive_partition(g, candidate, budget) else None
         fp0 = class_fingerprint(chosen[0])
         for picked in combinations(sorted(remaining), size):
             budget.charge(1)
             cls = frozenset(picked)
-            if class_fingerprint(cls) == fp0:
-                found = extend(chosen + [cls], remaining - cls)
-                if found is not None:
-                    return found
+            if class_fingerprint(cls) != fp0:
+                continue
+            if len(chosen) >= 2 and pair_refused(chosen, chosen[-1], cls):
+                continue
+            found = extend(chosen + [cls], remaining - cls)
+            if found is not None:
+                return found
         return None
 
     for rest in combinations(range(1, g.n), size - 1):
@@ -928,18 +942,42 @@ def _search_outcome(search, g, t, max_nodes):
     return None if found is None else found.parts
 
 
-def test_find_transitive_partition_agrees_with_the_recursive_search():
+def _unscreened(g, t, budget):
+    return reference_find_transitive_partition(g, t, budget, screen=False)
+
+
+def test_find_transitive_partition_agrees_with_the_recursive_search(monkeypatch):
     rng = random.Random(43)
     cases = [(cycle(6), 3), (cycle(8), 4), (cartesian_cycles(3, 3), 3), (complete_bipartite(2, 3), 5)]
+    cases += [(cycle(n), n) for n in range(3, 9)]  # singleton classes: the pair screen decides
+    cases.append((complete_bipartite(3, 4), 7))
     for _ in range(150):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.uniform(0.2, 0.8))
         cases.append((g, rng.choice([d for d in range(2, n + 1) if n % d == 0])))
     outcomes = []
     for g, t in cases:
-        max_nodes = rng.choice([1, 3, 10, 1_000_000])
+        max_nodes = rng.choice([1, 3, 10, 100, 1_000, 1_000_000])
         want = _search_outcome(reference_find_transitive_partition, g, t, max_nodes)
         got = _search_outcome(find_transitive_partition, g, t, max_nodes)
         assert got == want
         outcomes.append("found" if isinstance(want, tuple) else want)
+        # the screen refuses no witness: without it the first one is the same
+        got = _search_outcome(find_transitive_partition, g, t, 1_000_000)
+        assert got == _search_outcome(_unscreened, g, t, 1_000_000)
+    # K13 minus an edge is far past any cap here: both searches must try the
+    # same candidates, in the same order, before the cap stops them
+    tried = []
+
+    def recorded(g, partition, budget):
+        tried[-1].append(partition.parts)
+        return is_transitive_partition(g, partition, budget)
+
+    monkeypatch.setattr(structures, "is_transitive_partition", recorded)
+    for max_nodes in (1, 300, 3_000):
+        for search in (reference_find_transitive_partition, find_transitive_partition):
+            tried.append([])
+            assert _search_outcome(search, _k13_minus_an_edge(), 13, max_nodes) == "over budget"
+        assert tried[-2] == tried[-1]
+    assert len(tried[-1]) > 10
     assert {"found", None, "over budget"} <= set(outcomes)
