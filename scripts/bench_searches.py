@@ -23,10 +23,10 @@ parts, each run in fresh interpreters on each tree's `src`:
   validates the drawing and the decomposition; a tree that keeps the
   weights on the drawing answers the second from there, and an older tree
   validates the decomposition again;
-- paired_reach: `min_parameter` paired on C5xCn for n = 3, 4, ... under a
-  --reach-nodes cap, up to the first n that passes it.  Node counts are
-  deterministic, so the reach is the same on every run; the clock is only
-  a safety stop, at 600 s;
+- reach: `min_parameter` paired on C5xCn and `max_minimal_parameter` total
+  on C4xCn, for n = 3, 4, ... under a --reach-nodes cap, each up to the
+  first n that passes it.  Node counts are deterministic, so the reach is
+  the same on every run; the clock is only a safety stop, at 600 s;
 - the README's dominating 5x8 comparison, as two more searches.
 """
 
@@ -45,6 +45,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # name -> (graph expression, call on g and budget b, timed runs)
 SEARCHES = {
     "min paired C5xC13": ("cartesian_cycles(5, 13)", "min_parameter(g, Variant.PAIRED, b)", 5),
+    # 3 runs: the id-order solvers take about 3 s on each of these two
+    "min paired C5xC26": ("cartesian_cycles(5, 26)", "min_parameter(g, Variant.PAIRED, b)", 3),
+    "max-minimal total C4xC8": (
+        "cartesian_cycles(4, 8)", "max_minimal_parameter(g, Variant.TOTAL, b)", 3),
     "min total C7xC7": ("cartesian_cycles(7, 7)", "min_parameter(g, Variant.TOTAL, b)", 5),
     "min dominating C7xC7": ("cartesian_cycles(7, 7)", "min_parameter(g, Variant.DOMINATING, b)", 5),
     "max-minimal total C4xC6": (
@@ -214,13 +218,21 @@ def per_drawing(trees: dict[str, str]) -> dict:
     return out
 
 
-def paired_reach(tree: str, nodes: int) -> dict:
+# family -> (rows m of the C_m x C_n tori, the solve on g and budget b)
+REACH = {
+    "paired": (5, "min_parameter(g, Variant.PAIRED, b)"),
+    "upper_total": (4, "max_minimal_parameter(g, Variant.TOTAL, b)"),
+}
+
+
+def reach(tree: str, family: str, nodes: int) -> dict:
+    m, call = REACH[family]
     rows = []
     n = 3
     while True:
-        got = _child(tree, CHILD, f"cartesian_cycles(5, {n})", "min_parameter(g, Variant.PAIRED, b)", nodes)
+        got = _child(tree, CHILD, f"cartesian_cycles({m}, {n})", call, nodes)
         rows.append({"n": n, "decided": got["decided"], "nodes": got["nodes"], "s": round(got["s"], 3)})
-        print("reach", tree, rows[-1], file=sys.stderr)
+        print("reach", family, tree, rows[-1], file=sys.stderr)
         if not got["decided"]:
             break
         n += 1
@@ -300,11 +312,14 @@ def main() -> None:
                       "change alternate and the order is swapped every run",
             "drawings": per_drawing(trees),
         },
-        "paired_reach": {
-            "method": f"min_parameter(cartesian_cycles(5, n), Variant.PAIRED) on "
-                      f"SearchBudget(max_nodes={args.reach_nodes}, max_seconds=600) in a "
-                      "fresh interpreter, n = 3, 4, ... up to the first n that passes the node cap",
-            **{side: paired_reach(tree, args.reach_nodes) for side, tree in trees.items()},
+        **{
+            f"{family}_reach": {
+                "method": f"{call} on g = cartesian_cycles({m}, n) and b = "
+                          f"SearchBudget(max_nodes={args.reach_nodes}, max_seconds=600), in a "
+                          "fresh interpreter, n = 3, 4, ... up to the first n that passes the node cap",
+                **{side: reach(tree, family, args.reach_nodes) for side, tree in trees.items()},
+            }
+            for family, (m, call) in REACH.items()
         },
         "end_to_end": end_to_end(trees, args.workload, args.seed, args.pairs, args.seconds),
     }

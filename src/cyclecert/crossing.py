@@ -102,7 +102,10 @@ def _norm_edge(x: Sequence[int], pair: object) -> Edge:
 
 
 def _norm_pair(pair: Sequence[Sequence[int]]) -> CrossingPair:
-    (a, b) = pair
+    try:
+        (a, b) = pair
+    except (TypeError, ValueError):
+        raise TypeError(f"crossing pair {pair!r} is not two edges") from None
     e, f = _norm_edge(a, pair), _norm_edge(b, pair)
     return (e, f) if e <= f else (f, e)
 
@@ -134,10 +137,10 @@ class AbstractDrawing:
         append = pairs.append
         noted = False
         for pair in crossings:
-            (a, b) = pair
             try:
+                (a, b) = pair
                 e, f = canon[a], canon[b]
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 append(_norm_pair(pair))
                 noted = True
                 continue

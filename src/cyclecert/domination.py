@@ -9,22 +9,31 @@ dominating and paired sets and open ones for total: a set covers V when
 their OR is V, and a covering set is minimal exactly when every member is
 the only member of some row (removing it uncovers just those rows).
 
+Both exact solvers first relabel the graph in reverse Cuthill-McKee order
+(a breadth-first order, reversed), so that a vertex's neighbors sit close
+to it in the order whatever ids the caller gave; a torus stored row by
+row keeps a frontier about two rows wide in id order, and this order
+narrows it.  They search the relabelled graph, and map the witness back to
+the caller's ids.  Below, "first" means earliest in the order a search runs
+in: that order for the two solvers, the caller's ids for the corollary
+searches.
+
 Exact minimums come from one item-cover search: iterative deepening over
 the number of items, each depth a branch-and-bound on an explicit stack
 that branches on the uncovered vertex with the fewest items left, scanning
-only the vertices that have lost an item (ties to the lowest id; the
-lowest-id uncovered vertex while none has), backtracks at once when that
-vertex has none left, and tries the items covering it in ascending id.
-An item is a vertex for dominating and total sets and an edge for paired
-ones, since a paired set is exactly a disjoint union of edges whose
-endpoints dominate everything; choosing an edge rules
-out every edge that meets it.  Exact maximums over minimal sets come from
-one branch-and-bound pass that decides the vertices in id order and keeps
-the largest minimal set found so far as a bar that only rises; it prunes on
-irredundance (a member that has lost every private neighbor never gets one
-back), on decided vertices left undominated, and on a count that cannot
-beat the bar.  Both are budget-guarded: blowing the node or time budget
-raises, it never degrades to a wrong answer.
+only the vertices that have lost an item (ties to the first; the first
+uncovered vertex while none has), backtracks at once when that vertex has
+none left, and tries the items covering it in order.  An item is a vertex
+for dominating and total sets and an edge for paired ones, since a paired
+set is exactly a disjoint union of edges whose endpoints dominate
+everything; choosing an edge rules out every edge that meets it.  Exact
+maximums over minimal sets come from one branch-and-bound pass that
+decides the vertices in order and keeps the largest minimal set found so
+far as a bar that only rises; it prunes on irredundance (a member that has
+lost every private neighbor never gets one back), on decided vertices left
+undominated, and on a count that cannot beat the bar.  Both are
+budget-guarded: blowing the node or time budget raises, it never degrades
+to a wrong answer.
 
 The corollary searches run on the same item-cover search, with the
 prefix inequality of a cyclically ordered partition as a side constraint:
@@ -127,6 +136,39 @@ def _cover_rows(g: Graph, variant: Variant) -> list[int]:
     elif variant is not Variant.DOMINATING:
         raise TypeError(f"variant must be a Variant, got {variant!r}")
     return [g.closed_mask(v) for v in range(g.n)]
+
+
+def _rcm(g: Graph) -> tuple[Graph, list[int]]:
+    """g relabelled in reverse Cuthill-McKee order, and the old id of each
+    new id.
+
+    A breadth-first search runs from the lowest unvisited id of each
+    component and visits each vertex's unvisited neighbors by (degree, id);
+    the order is then reversed.  Every edge joins one breadth-first layer
+    or two consecutive ones, so a search that decides vertices in this
+    order keeps few of them decided but not yet settled."""
+    degree = g.degrees()
+    order: list[int] = []
+    seen = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        i = len(order)
+        order.append(root)
+        while i < len(order):  # order is the queue, and grows as it is read
+            v = order[i]
+            i += 1
+            fresh = g.adj[v] & ~seen
+            seen |= fresh
+            # by degree; the sort is stable, so ties stay in id order
+            order.extend(sorted(iter_bits(fresh), key=degree.__getitem__))
+    order.reverse()
+    new = [0] * g.n
+    for i, v in enumerate(order):
+        new[v] = i
+    adj = tuple(sum(1 << new[w] for w in iter_bits(g.adj[v])) for v in order)
+    return Graph(g.n, adj), order
 
 
 def _union(rows: Sequence[int], mask: int) -> int:
@@ -296,18 +338,21 @@ def _min_cover_search(
 
     Item e adds the vertices items[e] to the set and covers covers[e];
     reach[u] holds the items whose cover holds u, and blocks[e] the items
-    that choosing e rules out below it; no item covers more than cap.  For
-    each k, a depth-first search on per-depth arrays tries the items of one
-    uncovered vertex in ascending id and forbids each tried item to the
-    siblings after it, so no union is visited twice.  The vertex is the one
-    with the fewest items left among the uncovered vertices that have lost
-    an item since the root, ties to the lowest id, and the lowest uncovered
-    vertex while none has; the scan stops at a vertex with at most one item
-    left, and a node whose vertex has none is a dead end.  hot[d] holds the
-    vertices that may have lost one: refusing item e takes it from the
-    vertices of covers[e], and choosing e takes blocks[e] from those of
-    shrink[e].  Nodes are counted locally and charged to the budget whenever
-    the count passes its room and on every exit.
+    that choosing e rules out below it; no item covers more than cap.
+    Vertices and items are taken in index order, which is the reverse
+    Cuthill-McKee position under min_parameter and the caller's id under
+    the prefix searches.  For each k, a depth-first search on per-depth
+    arrays tries the items of one uncovered vertex in ascending index and
+    forbids each tried item to the siblings after it, so no union is
+    visited twice.  The vertex is the one with the fewest items left among
+    the uncovered vertices that have lost an item since the root, ties to
+    the lowest index, and the lowest uncovered vertex while none has; the
+    scan stops at a vertex with at most one item left, and a node whose
+    vertex has none is a dead end.  hot[d] holds the vertices that may have
+    lost one: refusing item e takes it from the vertices of covers[e], and
+    choosing e takes blocks[e] from those of shrink[e].  Nodes are counted
+    locally and charged to the budget whenever the count passes its room
+    and on every exit.
 
     prefix, when given, is (rise, start, guards): packed slacks that start
     at start and fall by rise[e] as item e joins, valid while every guard
@@ -420,14 +465,18 @@ def min_parameter(
     for dominating and total, covering its closed or open neighborhood, and
     an edge for paired, covering both closed neighborhoods and ruling out
     every edge that meets it.  Item counts are tried in ascending order, so
-    the first witness found is optimal.  Raises BudgetExceededError when the
-    budget runs out and ValueError when no set of the variant exists at all.
+    the first witness found is optimal.  The search runs on g relabelled in
+    reverse Cuthill-McKee order; the witness is in g's ids, sorted.  Raises
+    BudgetExceededError when the budget runs out and ValueError when no set
+    of the variant exists at all.
     """
     budget = budget or SearchBudget()
     start = budget.nodes
-    items, covers, reach, blocks = _cover_items(g, variant)
+    _cover_rows(g, variant)  # refuses the variant or an isolated vertex in the caller's ids
     if g.n == 0:
         return SolveReport(value=0, witness=(), nodes_explored=0)
+    g, old = _rcm(g)
+    items, covers, reach, blocks = _cover_items(g, variant)
     cap = max(c.bit_count() for c in covers)  # no item covers more
     if variant is Variant.PAIRED:
         sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
@@ -437,17 +486,20 @@ def min_parameter(
     if mask is None:
         raise ValueError("no valid set of any size exists")
     return SolveReport(
-        value=mask.bit_count(), witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes - start
+        value=mask.bit_count(),
+        witness=tuple(sorted(old[v] for v in iter_bits(mask))),
+        nodes_explored=budget.nodes - start,
     )
 
 
 def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int]:
     """Largest minimal set as (witness_mask, size), in one pass.
 
-    One in/out branch-and-bound over the vertices in id order, "in" before
-    "out", depth first on an explicit stack.  Nodes are counted locally and
-    charged to the budget whenever the count passes its room and on every
-    exit.  The bar is the size of the largest minimal set found so far; it
+    One in/out branch-and-bound over the vertices in index order, which
+    max_minimal_parameter makes the reverse Cuthill-McKee order, "in"
+    before "out", depth first on an explicit stack.  Nodes are counted
+    locally and charged to the budget whenever the count passes its room
+    and on every exit.  The bar is the size of the largest minimal set found so far; it
     only rises, and a leaf replaces the witness only when it beats the bar,
     which may have risen since the leaf was pushed.  Each node carries the
     chosen mask and the vertices dominated exactly once and at least twice.
@@ -516,19 +568,24 @@ def max_minimal_parameter(
     A set is minimal exactly when it dominates and every member has a
     private neighbor.  One exact branch-and-bound pass prunes on
     irredundance, undominated sealed vertices and a count that cannot beat
-    the largest minimal set found so far; the witness is the first largest
-    set in its depth-first order.  The search is iterative, so large graphs
-    exhaust the budget instead of the recursion limit.  Raises ValueError
-    when no minimal set exists (the empty graph, or an isolated vertex for
-    total).
+    the largest minimal set found so far.  It decides the vertices in
+    reverse Cuthill-McKee order, and the witness, the first largest set in
+    its depth-first order, is given in g's ids, sorted.  The search is
+    iterative, so large graphs exhaust the budget instead of the recursion
+    limit.  Raises ValueError when no minimal set exists (the empty graph,
+    or an isolated vertex for total).
     """
     if variant is Variant.PAIRED:
         raise ValueError("upper parameters are defined for dominating/total only")
     budget = budget or SearchBudget()
     start = budget.nodes
+    _cover_rows(g, variant)  # refuses the variant or an isolated vertex in the caller's ids
+    g, old = _rcm(g)
     mask, size = _max_minimal_search(_cover_rows(g, variant), budget)
     return SolveReport(
-        value=size, witness=tuple(iter_bits(mask)), nodes_explored=budget.nodes - start
+        value=size,
+        witness=tuple(sorted(old[v] for v in iter_bits(mask))),
+        nodes_explored=budget.nodes - start,
     )
 
 

@@ -1,6 +1,7 @@
-"""The benchmark script: a node cap makes its paired reach repeatable, its
-end-to-end part runs the workload it is given, its drawing rows count the
-drawing they time, and its partition row runs the workload's search."""
+"""The benchmark script: a node cap makes its paired and upper total reach
+repeatable, its end-to-end part runs the workload it is given, its drawing
+rows count the drawing they time, and its partition row runs the workload's
+search."""
 
 import importlib.util
 import json
@@ -18,17 +19,26 @@ def _load_script():
     return module
 
 
-def test_paired_reach_stops_at_the_first_n_past_the_node_cap():
-    # each C5xCn up to n = 9 takes under 3,000 nodes and C5xC10 3,378, so
-    # both runs stop at n = 10 whatever the clock reads
+def _check_reach(family, cap, largest):
+    # node counts, not the clock, stop both runs at the same n
     script = _load_script()
-    runs = [script.paired_reach(ROOT, 3_000) for _ in range(2)]
+    runs = [script.reach(ROOT, family, cap) for _ in range(2)]
     for reach in runs:
-        assert reach["largest_n"] == 9
-        assert reach["runs"][-1]["n"] == 10 and not reach["runs"][-1]["decided"]
-        assert [r["n"] for r in reach["runs"]] == list(range(3, 11))
+        assert reach["largest_n"] == largest
+        assert reach["runs"][-1]["n"] == largest + 1 and not reach["runs"][-1]["decided"]
+        assert [r["n"] for r in reach["runs"]] == list(range(3, largest + 2))
     fields = [[(r["n"], r["decided"], r["nodes"]) for r in reach["runs"]] for reach in runs]
     assert fields[0] == fields[1]
+
+
+def test_paired_reach_stops_at_the_first_n_past_the_node_cap():
+    # each C5xCn up to n = 10 takes under 3,000 nodes and C5xC11 3,207
+    _check_reach("paired", 3_000, 10)
+
+
+def test_upper_total_reach_stops_at_the_first_n_past_the_node_cap():
+    # C4xC3 and C4xC4 take 347 and 2,479 nodes, C4xC5 8,726
+    _check_reach("upper_total", 3_000, 4)
 
 
 def test_end_to_end_runs_the_named_workload_and_alternates_the_first_side(monkeypatch):

@@ -763,12 +763,12 @@ def test_reproduce_structures_honours_budget_seconds(capsys):
 
 
 def test_reproduce_spends_one_budget_across_its_instances(capsys):
-    # the three n4 instances spend 383, 2,979 and 14,274 nodes: each fits
-    # in 15,000, all three do not
-    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "15000")
+    # the three n4 instances spend 347, 2,479 and 8,726 nodes: each fits
+    # in 10,000, all three do not
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "10000")
     assert code == 3 and doc == {"error": "budget exceeded",
-                                 "detail": "node budget 15000 exceeded"}
-    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "17636")
+                                 "detail": "node budget 10000 exceeded"}
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "11552")
     assert code == 0 and doc["ok"] is True
 
 
@@ -787,9 +787,9 @@ def test_reproduce_t1_quick(capsys):
 @pytest.mark.parametrize("suite, stdout", [
     ("t1", '{"suite":"t1","results":[{"n":3,"value":4,"expected":4,"match":true,'
            '"witness":[0,1,8,11]},{"n":4,"value":6,"expected":6,"match":true,'
-           '"witness":[0,1,4,5,14,15]}],"ok":true}'),
+           '"witness":[0,1,10,11,14,15]}],"ok":true}'),
     ("n4", '{"suite":"n4","results":[{"n":3,"value":6,"expected":6,"match":true,'
-           '"witness":[0,1,2,3,4,5]}],"ok":true}'),
+           '"witness":[6,7,8,9,10,11]}],"ok":true}'),
 ])
 def test_reproduce_quick_stdout_is_pinned(capsys, suite, stdout):
     assert main(["reproduce", "--suite", suite, "--quick"]) == 0
@@ -844,7 +844,7 @@ def test_calls_in_one_process_share_no_state(capsys, monkeypatch):
         assert code == 0 and doc["results"][0]["expected"] == 4
         code, doc = run(capsys, "reproduce", "--suite", "n4", "--n", "3")
         assert code == 0 and doc["results"][0]["expected"] == 6
-    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "15000")
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "10000")
     assert code == 3
     code, doc = run(capsys, "reproduce", "--suite", "n4", "--quick")
     assert code == 0 and doc["ok"] is True

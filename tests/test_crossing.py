@@ -63,6 +63,18 @@ def test_an_edge_that_is_not_two_ids_is_refused(pair):
     assert repr(pair) in str(caught.value)
 
 
+@pytest.mark.parametrize("pair", [
+    ((0, 1), (2, 3), (0, 2)),  # three edges, each in the graph
+    ((0, 1),),
+    (),
+    5,
+])
+def test_a_pair_that_is_not_two_edges_is_refused(pair):
+    with pytest.raises(TypeError, match=r"crossing pair .* is not two edges") as caught:
+        AbstractDrawing(complete(4), [((0, 2), (1, 3)), pair])
+    assert repr(pair) in str(caught.value)
+
+
 def test_int_ids_in_lists_or_reversed_normalize_alike():
     g = complete(4)
     want = (((0, 2), (1, 3)),)

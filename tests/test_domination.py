@@ -29,7 +29,7 @@ from cyclecert.domination import (
     rd_prefix_pruned_search,
     rd_vertex,
 )
-from cyclecert import errors
+from cyclecert import domination, errors
 from cyclecert.errors import BudgetExceededError
 from cyclecert.graphs import (
     Graph,
@@ -38,6 +38,7 @@ from cyclecert.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    norm_edge,
 )
 from cyclecert.iso import find_mapping
 from cyclecert.structures import (
@@ -107,8 +108,10 @@ def test_total_domination_rejects_isolated_vertices():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
         is_total_dominating(g, {0, 1})
-    with pytest.raises(ValueError):
-        min_parameter(g, Variant.TOTAL)
+    # the solvers check before they relabel, so they name the caller's id
+    for solve in (min_parameter, max_minimal_parameter):
+        with pytest.raises(ValueError, match="vertex 2 is isolated"):
+            solve(g, Variant.TOTAL)
 
 
 def test_empty_set_dominates_nothing():
@@ -329,14 +332,14 @@ def test_paired_c5xc10_node_count_and_witness_are_pinned():
     budget = SearchBudget()
     report = min_parameter(cartesian_cycles(5, 10), Variant.PAIRED, budget)
     assert report.value == 14
-    assert budget.nodes == report.nodes_explored == 3_378
-    assert report.witness == (0, 1, 3, 6, 13, 16, 28, 29, 31, 32, 34, 35, 38, 48)
+    assert budget.nodes == report.nodes_explored == 313
+    assert report.witness == (0, 1, 3, 4, 7, 8, 22, 25, 26, 29, 32, 35, 36, 39)
     assert is_paired_dominating(cartesian_cycles(5, 10), report.witness)
 
 
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
-    (6, 8, Variant.DOMINATING, 12, 66_908, (0, 1, 2, 3, 13, 18, 23, 28, 31, 33, 36, 46)),
-    (5, 8, Variant.TOTAL, 11, 1_339, (0, 1, 2, 12, 13, 16, 23, 26, 27, 37, 38)),
+    (6, 8, Variant.DOMINATING, 12, 60_486, (0, 11, 13, 17, 23, 27, 28, 29, 32, 42, 44, 46)),
+    (5, 8, Variant.TOTAL, 11, 3_099, (2, 3, 8, 15, 19, 20, 21, 24, 25, 37, 38)),
 ])
 def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
@@ -348,7 +351,8 @@ def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, va
 
 
 def test_paired_c5xc19_is_solved_within_half_a_million_nodes():
-    # 126,680 nodes when the search branches on the most constrained vertex
+    # 126,680 nodes when the search branches on the most constrained vertex,
+    # 14,255 in reverse Cuthill-McKee order
     g = cartesian_cycles(5, 19)
     report = min_parameter(g, Variant.PAIRED, SearchBudget(max_nodes=500_000))
     assert report.value == paired_value_c5(19) == 26
@@ -385,15 +389,75 @@ def test_min_parameter_on_a_long_cycle_does_not_recurse(n, variant, value):
         assert is_paired_dominating(g, report.witness)
 
 
+@pytest.mark.parametrize("m, n", [(4, 5), (5, 4)])
+@pytest.mark.parametrize("variant, value, validator", [
+    (Variant.DOMINATING, 10, is_minimal_dominating),
+    (Variant.TOTAL, 10, is_minimal_total_dominating),
+])
+def test_max_minimal_parameter_does_not_depend_on_vertex_ids(m, n, variant, value, validator):
+    assert max_minimal_parameter(cartesian_cycles(m, n), variant).value == value
+    for seed in range(3):
+        perm = list(range(m * n))
+        random.Random(seed).shuffle(perm)
+        g = Graph.from_edges(m * n, [(perm[u], perm[v]) for u, v in cartesian_cycles(m, n).edges()])
+        report = max_minimal_parameter(g, variant)
+        assert report.value == value == len(report.witness)
+        assert validator(g, report.witness)
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(0, []),
+    Graph.from_edges(1, []),
+    # a path, an isolated vertex and a triangle, ids interleaved
+    Graph.from_edges(8, [(0, 5), (5, 3), (1, 6), (6, 7), (7, 1)]),
+    cartesian_cycles(4, 6),
+])
+def test_the_reverse_cuthill_mckee_relabelling_is_a_permutation(g):
+    relabelled, old = domination._rcm(g)
+    assert sorted(old) == list(range(g.n))
+    assert relabelled.n == g.n
+    assert sorted(relabelled.edges()) == sorted(
+        norm_edge(old.index(u), old.index(v)) for u, v in g.edges()
+    )
+
+
+def test_the_reverse_cuthill_mckee_order_narrows_a_torus_band():
+    # C4xC6 stored row by row joins ids 18 apart.  In breadth-first order an
+    # edge stays within one layer or two consecutive ones, and no two
+    # consecutive layers of C4xC6 hold more than 14 vertices.
+    def band(g):
+        return max(v - u for u, v in g.edges())
+
+    g = cartesian_cycles(4, 6)
+    assert band(g) == 18
+    assert band(domination._rcm(g)[0]) < 14
+
+
+def test_paired_c5xc26_is_solved_within_a_million_nodes():
+    # 3,563,894 nodes in id order, 568,231 in reverse Cuthill-McKee order
+    g = cartesian_cycles(5, 26)
+    report = min_parameter(g, Variant.PAIRED, SearchBudget(max_nodes=10**6))
+    assert report.value == paired_value_c5(26) == 36
+    assert is_paired_dominating(g, report.witness)
+
+
+def test_upper_total_c4xc8_is_solved_within_half_a_million_nodes():
+    # 2,596,058 nodes in id order, 448,726 in reverse Cuthill-McKee order
+    g = cartesian_cycles(4, 8)
+    report = max_minimal_parameter(g, Variant.TOTAL, SearchBudget(max_nodes=500_000))
+    assert report.value == 16
+    assert is_minimal_total_dominating(g, report.witness)
+
+
 def test_min_parameter_on_a_long_cycle_exhausts_the_budget_not_the_stack():
     with pytest.raises(BudgetExceededError):
         min_parameter(cycle(3300), Variant.DOMINATING, SearchBudget(max_nodes=1000))
 
 
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
-    (4, 5, Variant.TOTAL, 10, 14_274, tuple(range(10))),
-    (4, 6, Variant.TOTAL, 12, 76_987, tuple(range(12))),
-    (5, 5, Variant.DOMINATING, 10, 91_907, (0, 1, 2, 3, 4, 10, 11, 12, 13, 14)),
+    (4, 5, Variant.TOTAL, 10, 8_726, tuple(range(10, 20))),
+    (4, 6, Variant.TOTAL, 12, 32_735, tuple(range(12, 24))),
+    (5, 5, Variant.DOMINATING, 10, 75_265, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23)),
 ])
 def test_max_minimal_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
@@ -450,10 +514,15 @@ def test_max_minimal_matches_the_per_size_search_on_random_graphs():
                 rows = list(g.adj)
             else:
                 rows = [g.closed_mask(v) for v in range(n)]
-            mask, size = reference_max_minimal_search(rows, SearchBudget())
+            _, size = reference_max_minimal_search(rows, SearchBudget())
             report = max_minimal_parameter(g, variant)
-            assert report.value == size
-            assert report.witness == tuple(v for v in range(n) if mask >> v & 1)
+            # the solver decides in its own order, so its witness may be
+            # another largest minimal set than the reference's first
+            assert report.value == size == len(report.witness)
+            if variant is Variant.TOTAL:
+                assert is_minimal_total_dominating(g, report.witness)
+            else:
+                assert is_minimal_dominating(g, report.witness)
     assert refused > 0
 
 
@@ -463,8 +532,8 @@ def test_paired_capacity_is_the_largest_pair_cover():
     budget = SearchBudget()
     report = min_parameter(circulant(16, [1, 2]), Variant.PAIRED, budget)
     assert report.value == 6
-    assert budget.nodes == report.nodes_explored == 6
-    assert report.witness == (0, 1, 2, 4, 9, 11)
+    assert budget.nodes == report.nodes_explored == 15
+    assert report.witness == (0, 5, 7, 8, 9, 14)
 
 
 @pytest.mark.parametrize("solve, variant", [
@@ -542,11 +611,13 @@ def test_room_starts_the_clock_and_stops_at_the_node_cap():
 # before it settles only on exit.
 BUDGETED_SEARCHES = {
     "min paired C5xC13": (
-        lambda b: min_parameter(cartesian_cycles(5, 13), Variant.PAIRED, b), 12_562),
+        lambda b: min_parameter(cartesian_cycles(5, 13), Variant.PAIRED, b), 1_030),
+    "min paired C5xC17": (
+        lambda b: min_parameter(cartesian_cycles(5, 17), Variant.PAIRED, b), 23_934),
     "min total C7xC6": (
-        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 4_793),
+        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 3_471),
     "max-minimal total C4xC5": (
-        lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 14_274),
+        lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 8_726),
     "decide dominating C5xC5": (
         lambda b: decide_parameter_via_prefix(
             *torus_setup(5, 5), Variant.DOMINATING, 5, budget=b), 13),
