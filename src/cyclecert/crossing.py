@@ -6,15 +6,16 @@ constructor, so a bad drawing can be built and then reported on: no
 crossing may involve an edge outside the graph, pair an edge with itself,
 pair edges sharing an endpoint, or repeat (two edges cross at most once).
 
-Each object is checked once.  The constructor's normalizing loop is the one
-pass over the pairs: a pair made of the graph's own edge tuples, in order,
-is kept as it is, and the loop notes any pair off the graph's edge map or
-sharing a vertex; after the sort a neighbour comparison finds repeats.  The
-validator's per-pair scan runs, once per drawing, only when something was
-noted, so a clean drawing costs no scan.  The weights of a decomposition
-are kept on the drawing, so the decomposition is validated once per drawing
-and equal decompositions share one DoubledWeightList, whose halves are one
-tuple: repeated certificates on it reuse one scaled list.
+Each object is checked once.  The constructor's loop is the one pass over
+the pairs and unpacks each once: a tuple of the graph's own edge tuples is
+kept, any other pair's edges are read by `graphs.read_edge`, and a pair is
+noted only when an edge is off the graph or the two share a vertex; after
+the sort a neighbour comparison finds repeats.  The validator's scan runs,
+once per drawing, only when something was noted, so a clean drawing, given
+as the graph's tuples or as JSON lists, costs no scan.  The weights of a
+decomposition are kept on the drawing, so the decomposition is validated
+once per drawing and equal decompositions share one DoubledWeightList, whose
+halves are one tuple: repeated certificates on it reuse one scaled list.
 
 Splitting the edges into pieces spreads each crossing over the pieces that
 own its two edges: 2 to the piece owning both, else 1 and 1.  That is the
@@ -49,7 +50,7 @@ from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
-from .graphs import Graph, norm_edge
+from .graphs import Graph, norm_edge, read_edge
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
 
@@ -86,50 +87,31 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
-def _vertex_id(x: object, pair: object) -> int:
-    # a float or a string would otherwise be truncated or parsed into an id
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"crossing pair {pair!r}: vertex id {x!r} is not an int")
-    return int(x)
-
-
-def _norm_edge(x: Sequence[int], pair: object) -> Edge:
-    try:
-        (u, v) = x
-    except (TypeError, ValueError):
-        raise TypeError(f"crossing pair {pair!r}: edge {x!r} is not two vertex ids") from None
-    return norm_edge(_vertex_id(u, pair), _vertex_id(v, pair))
-
-
-def _norm_pair(pair: Sequence[Sequence[int]]) -> CrossingPair:
-    try:
-        (a, b) = pair
-    except (TypeError, ValueError):
-        raise TypeError(f"crossing pair {pair!r} is not two edges") from None
-    e, f = _norm_edge(a, pair), _norm_edge(b, pair)
-    return (e, f) if e <= f else (f, e)
+class _PairName(tuple):
+    # (pair, its two edges) naming the pair in a reader's error, formatted only
+    # then: as given when a list or tuple shows it, else as the two edges
+    def __str__(self) -> str:
+        pair, edges = self
+        return f"crossing pair {pair if isinstance(pair, (tuple, list)) else edges!r}"
 
 
 @dataclass(frozen=True)
 class AbstractDrawing:
     """A graph and the (normalized, sorted) multiset of crossing edge pairs.
 
-    A vertex id that is not an int, or an edge that is not two ids, raises
-    TypeError.
+    A pair that is not two edges, an edge that is not two vertex ids, or an
+    id that is not an int raises TypeError naming the pair.
     """
 
     graph: Graph
     crossings: tuple[CrossingPair, ...]
 
     def __init__(self, graph: Graph, crossings: Iterable[Sequence[Sequence[int]]]):
-        # The one pass over the pairs.  Each graph edge, in both
-        # orientations, maps to the graph's own tuple for it.  A tuple of two
-        # such tuples in order is kept as it is; a pair of graph edges costs
-        # two lookups; any other pair (a list, an edge not in the graph)
-        # takes _norm_pair.  The pass notes every pair that may break a rule
-        # (off the map, or two edges sharing a vertex), and after the sort
-        # a neighbour comparison finds repeats, so a drawing with nothing
-        # noted is clean without the validator's scan.
+        # The one pass over the pairs (see the module docstring).  Each graph
+        # edge, in both orientations, maps to the graph's own tuple for it.
+        # Any pair but a tuple of two such tuples (a list, a reversed or fresh
+        # edge, an id that is not a plain int, an edge off the graph) has its
+        # edges read by read_edge and mapped onto the graph's tuples.
         canon: dict[Edge, Edge] = {}
         for e in graph.edges():
             canon[e] = canon[e[::-1]] = e
@@ -138,18 +120,21 @@ class AbstractDrawing:
         noted = False
         for pair in crossings:
             try:
-                (a, b) = pair
-                e, f = canon[a], canon[b]
-            except (KeyError, TypeError, ValueError):
-                append(_norm_pair(pair))
-                noted = True
-                continue
-            if not (a is e and b is f and type(pair) is tuple):
-                # (0.0, 2) finds (0, 2) in the map, so the ids' types are checked
-                if not type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]) is int:
-                    append(_norm_pair(pair))
+                (e, f) = pair
+            except (TypeError, ValueError):
+                raise TypeError(f"crossing pair {pair!r} is not two edges") from None
+            try:
+                # (0.0, 2) finds (0, 2) in the map, so identity is asked for
+                kept = type(pair) is tuple and canon[e] is e and canon[f] is f
+            except (KeyError, TypeError):  # off the map, or unhashable
+                kept = False
+            if not kept:
+                where = _PairName((pair, (e, f)))
+                e, f = read_edge(e, where), read_edge(f, where)
+                if e in canon and f in canon:
+                    e, f = canon[e], canon[f]
+                else:
                     noted = True
-                    continue
                 pair = (e, f)
             if f < e:
                 pair = (f, e)
@@ -176,13 +161,11 @@ class AbstractDrawing:
         if not self._noted:
             return ()
         out = []
-        adj, n = self.graph.adj, self.graph.n
         previous = None
         for pair in self.crossings:
             e, f = pair
             for edge in pair:
-                u, v = edge  # normalized: u <= v
-                if not (0 <= u < v < n and adj[u] >> v & 1):
+                if not self.graph.has_edge(*edge):
                     out.append(Violation("unknown-edge", f"edge {edge} is not in the graph"))
             if e == f:
                 out.append(Violation("self-pair", f"edge {e} paired with itself"))
@@ -229,17 +212,13 @@ def cr_between(
     """Crossings with one edge in a_edges and the other in b_edges.
 
     The two edge sets must be disjoint, otherwise a shared edge would have
-    no well-defined side.
+    no well-defined side; an id that is not an int raises TypeError.
     """
-    a = {norm_edge(u, v) for u, v in a_edges}
-    b = {norm_edge(u, v) for u, v in b_edges}
+    a = {read_edge(x, "a_edges") for x in a_edges}
+    b = {read_edge(x, "b_edges") for x in b_edges}
     if a & b:
         raise ValueError(f"edge sets overlap at {sorted(a & b)[0]}")
-    count = 0
-    for e, f in d.crossings:
-        if (e in a and f in b) or (e in b and f in a):
-            count += 1
-    return count
+    return sum((e in a and f in b) or (e in b and f in a) for e, f in d.crossings)
 
 
 @dataclass(frozen=True)
@@ -385,8 +364,8 @@ def periodic_prefix_certificate(
     return prefix_cr_certificate(d, decomposition, h, Direction.BELOW)
 
 
-def _check_cycle(g: Graph, edges: Iterable[Sequence[int]], label: str) -> set[int]:
-    es = {norm_edge(u, v) for u, v in edges}
+def _check_cycle(g: Graph, edges: Iterable[Sequence[int]], label: str) -> tuple[set[Edge], set[int]]:
+    es = {read_edge(x, label) for x in edges}
     if len(es) < 3:
         raise ValueError(f"{label} needs at least 3 edges to be a cycle")
     deg: dict[int, int] = {}
@@ -413,7 +392,7 @@ def _check_cycle(g: Graph, edges: Iterable[Sequence[int]], label: str) -> set[in
                 stack.append(w)
     if seen != verts:
         raise ValueError(f"{label} is not connected")
-    return verts
+    return es, verts
 
 
 def jordan_parity_screen(
@@ -427,11 +406,9 @@ def jordan_parity_screen(
     crossing data is not realizable.
     """
     _require_clean(d)
-    cycle_a = [tuple(e) for e in cycle_a]
-    cycle_b = [tuple(e) for e in cycle_b]
-    va = _check_cycle(d.graph, cycle_a, "first cycle")
-    vb = _check_cycle(d.graph, cycle_b, "second cycle")
+    ea, va = _check_cycle(d.graph, cycle_a, "first cycle")
+    eb, vb = _check_cycle(d.graph, cycle_b, "second cycle")
     if va & vb:
         raise ValueError(f"cycles share vertex {sorted(va & vb)[0]}")
-    between = cr_between(d, cycle_a, cycle_b)
+    between = cr_between(d, ea, eb)
     return Parity.EVEN if between % 2 == 0 else Parity.ODD

@@ -7,8 +7,9 @@ point with @path at a file holding a graph object.  A drawing holds its graph
 inline, as that object, and names no other file.  Every file is read by
 `load_json`.  Rationals are {"num": p, "den": q} objects so nothing is ever
 rounded.  Integers in specs go through `parse_int`: ASCII decimal digits
-with an optional sign.  All parsers raise ValueError with a file- or
-field-specific message.
+with an optional sign; vertex ids and edges go through `graphs.read_id` and
+`read_edge`.  All parsers raise ValueError with a file- or field-specific
+message.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from .crossing import AbstractDrawing
 from .cyclic_core import (
@@ -30,7 +31,7 @@ from .cyclic_core import (
     RotationCertificate,
     common_denominator,
 )
-from .graphs import Graph, cartesian_cycles, circulant, complete, complete_bipartite, cycle, norm_edge
+from .graphs import Graph, cartesian_cycles, circulant, complete, complete_bipartite, cycle, read_edge, read_id
 from .structures import EdgeDecomposition, Piece, VertexPartition
 
 __all__ = [
@@ -166,23 +167,19 @@ def graph_to_json(g: Graph) -> dict[str, Any]:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-def _int(value: Any, what: str) -> int:
-    # type() rather than isinstance(): True is an int but not a vertex id
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def _read(read: Callable[..., Any], *args: Any) -> Any:
+    # graphs' id or edge reader, or the drawing constructor, on values from a
+    # file: a bad id there is malformed input, so its TypeError is ValueError
+    try:
+        return read(*args)
+    except TypeError as err:
+        raise ValueError(str(err)) from None
 
 
-def _int_list(value: Any, what: str) -> list[int]:
+def _id_list(value: Any, where: str) -> list[int]:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
-    return [_int(v, what) for v in value]
-
-
-def _edge(value: Any, what: str) -> tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{what} must be a [u, v] pair, got {value!r}")
-    return _int(value[0], what), _int(value[1], what)
+        raise ValueError(f"{where} must be a list of vertex ids, got {value!r}")
+    return [_read(read_id, v, where) for v in value]
 
 
 def _list(doc: dict[str, Any], key: str) -> list[Any]:
@@ -195,7 +192,10 @@ def _list(doc: dict[str, Any], key: str) -> list[Any]:
 def graph_from_json(obj: Any) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("a graph must be an object with n and edges")
-    return Graph.from_edges(_int(obj["n"], "n"), [_edge(e, "edge") for e in _list(obj, "edges")])
+    n = obj["n"]
+    if type(n) is not int:  # True is an int but not a vertex count
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return Graph.from_edges(n, [_read(read_edge, e, "graph") for e in _list(obj, "edges")])
 
 
 _DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
@@ -269,7 +269,7 @@ def partition_to_json(p: VertexPartition) -> dict[str, Any]:
 def partition_from_json(doc: Any) -> VertexPartition:
     if not isinstance(doc, dict) or "parts" not in doc:
         raise ValueError("partition document must be an object with parts")
-    return VertexPartition(tuple(frozenset(_int_list(p, "vertex")) for p in _list(doc, "parts")))
+    return VertexPartition(tuple(frozenset(_id_list(p, "part")) for p in _list(doc, "parts")))
 
 
 def decomposition_to_json(d: EdgeDecomposition) -> dict[str, Any]:
@@ -293,8 +293,8 @@ def decomposition_from_json(doc: Any) -> EdgeDecomposition:
             raise ValueError("each piece needs vertices and edges")
         pieces.append(
             Piece(
-                vertices=frozenset(_int_list(obj["vertices"], "vertex")),
-                edges=frozenset(norm_edge(*_edge(e, "edge")) for e in _list(obj, "edges")),
+                vertices=frozenset(_id_list(obj["vertices"], "piece")),
+                edges=frozenset(_read(read_edge, e, "piece") for e in _list(obj, "edges")),
             )
         )
     return EdgeDecomposition(tuple(pieces))
@@ -317,13 +317,7 @@ def drawing_from_json(doc: Any) -> AbstractDrawing:
     surface = doc.get("surface", "plane")
     if surface != "plane":
         raise ValueError(f"unsupported surface {surface!r}")
-    g = graph_from_json(doc["graph"])
-    pairs = []
-    for item in _list(doc, "crossings"):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"bad crossing entry {item!r}")
-        pairs.append((_edge(item[0], "crossing edge"), _edge(item[1], "crossing edge")))
-    return AbstractDrawing(g, pairs)
+    return _read(AbstractDrawing, graph_from_json(doc["graph"]), _list(doc, "crossings"))
 
 
 def dump_json(doc: Any) -> str:

@@ -4,6 +4,9 @@ cycles, and circulants.
 
 Vertices are always 0..n-1.  Loops and parallel edges are rejected at
 construction time; every edge is stored normalized as (u, v) with u < v.
+
+Vertex ids and edges a caller or a file hands in are read by one rule:
+`read_id` (an int, not a bool) and `read_edge` (two such ids, normalized).
 """
 
 from __future__ import annotations
@@ -33,6 +36,23 @@ def check_order(count: int) -> None:
     """Refuse a vertex count past sys.maxsize, as no list can index it."""
     if count > sys.maxsize:
         raise ValueError(f"vertex count exceeds sys.maxsize ({sys.maxsize})")
+
+
+def read_id(x: object, where: object) -> int:
+    """x as a vertex id, else TypeError naming `where` (formatted only then)
+    and x: a float or a string would be truncated or parsed into an id."""
+    if type(x) is int or isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    raise TypeError(f"{where}: vertex id {x!r} is not an int")
+
+
+def read_edge(x: object, where: object) -> tuple[int, int]:
+    """x, two vertex ids, as the edge (u, v) with u <= v, else TypeError."""
+    try:
+        (u, v) = x
+    except (TypeError, ValueError):
+        raise TypeError(f"{where}: edge {x!r} is not two vertex ids") from None
+    return norm_edge(read_id(u, where), read_id(v, where))
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -78,7 +78,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .errors import SearchBudget
-from .graphs import Graph, check_order, iter_bits, norm_edge
+from .graphs import Graph, check_order, iter_bits, norm_edge, read_edge, read_id
 from .iso import find_mapping, isomorphic
 
 __all__ = [
@@ -149,10 +149,13 @@ Structure = Union[VertexPartition, EdgeDecomposition]
 
 
 def validate_partition(g: Graph, partition: VertexPartition) -> None:
-    """Raise ValueError unless the parts cover V(g) disjointly."""
+    """Raise ValueError unless the parts cover V(g) disjointly (TypeError for
+    an id that is not an int)."""
     seen: set[int] = set()
-    for part in partition.parts:
-        for v in part:
+    for i, part in enumerate(partition.parts):
+        where = f"part {i}"
+        for x in part:
+            v = read_id(x, where)
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} out of range")
             if v in seen:
@@ -163,20 +166,23 @@ def validate_partition(g: Graph, partition: VertexPartition) -> None:
 
 
 def validate_decomposition(g: Graph, decomposition: EdgeDecomposition) -> None:
-    """Raise ValueError unless the piece edge sets partition E(g)."""
+    """Raise ValueError unless the piece edge sets partition E(g) (TypeError
+    for an id that is not an int or an edge that is not two ids)."""
     seen: set[tuple[int, int]] = set()
-    for idx, piece in enumerate(decomposition.pieces):
-        for v in piece.vertices:
+    for i, piece in enumerate(decomposition.pieces):
+        where = f"piece {i}"
+        for x in piece.vertices:
+            v = read_id(x, where)
             if not 0 <= v < g.n:
-                raise ValueError(f"piece {idx}: vertex {v} out of range")
-        for u, v in piece.edges:
-            e = norm_edge(u, v)
-            if not g.has_edge(*e):
-                raise ValueError(f"piece {idx}: edge {e} is not in the graph")
+                raise ValueError(f"{where}: vertex {v} out of range")
+        for x in piece.edges:
+            u, v = e = read_edge(x, where)
+            if not g.has_edge(u, v):
+                raise ValueError(f"{where}: edge {e} is not in the graph")
             if e in seen:
                 raise ValueError(f"edge {e} appears in two pieces")
             if u not in piece.vertices or v not in piece.vertices:
-                raise ValueError(f"piece {idx}: edge {e} leaves the declared vertex set")
+                raise ValueError(f"{where}: edge {e} leaves the declared vertex set")
             seen.add(e)
     if len(seen) != g.edge_count:
         raise ValueError("piece edges do not cover every edge")
@@ -482,7 +488,7 @@ def _symmetry_violations(g: Graph, structure: Structure, sigma: tuple[int, ...])
     t = len(vertex_sets)
     for i, vs in enumerate(vertex_sets):
         j = (i + 1) % t
-        if frozenset(sigma[v] for v in vs) != vertex_sets[j]:
+        if frozenset(sigma[v] for v in vs) != frozenset(vertex_sets[j]):
             out.append(f"shift: part {i} does not map onto part {j}")
     for i, edges in enumerate(edge_sets or ()):
         j = (i + 1) % t

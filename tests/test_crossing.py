@@ -75,6 +75,22 @@ def test_a_pair_that_is_not_two_edges_is_refused(pair):
     assert repr(pair) in str(caught.value)
 
 
+def test_a_pair_given_as_a_one_shot_iterator_is_unpacked_once():
+    d = AbstractDrawing(cycle(4), [iter([(0, 2), (1, 3)])])
+    assert d == AbstractDrawing(cycle(4), [((0, 2), (1, 3))])
+    assert [v.kind for v in validate_drawing(d)] == ["unknown-edge", "unknown-edge"]
+    clean = AbstractDrawing(two_triangles(), [iter([(1, 3), (0, 2)])])
+    assert clean.crossings == (((0, 2), (1, 3)),) and validate_drawing(clean) == []
+
+
+def test_a_clean_drawing_of_fresh_or_listed_edges_notes_nothing():
+    g = complete(5)
+    pairs = convex_drawing(g).crossings
+    for form in (lambda e: list(e), lambda e: e[::-1], lambda e: (e[0] + 0, e[1] + 0)):
+        d = AbstractDrawing(g, [[form(e), form(f)] for e, f in pairs])
+        assert d.crossings == pairs and not d._noted
+
+
 def test_int_ids_in_lists_or_reversed_normalize_alike():
     g = complete(4)
     want = (((0, 2), (1, 3)),)
@@ -200,6 +216,15 @@ def test_a_drawing_reuses_crossing_pairs_made_of_the_graph_edges():
 def test_cr_total_counts_multiset():
     d = AbstractDrawing(two_triangles(), [((0, 2), (1, 3)), ((0, 2), (3, 5))])
     assert cr_total(d) == 2
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_cr_between_refuses_an_id_that_is_not_an_int(bad):
+    d = convex_drawing(complete(4))
+    with pytest.raises(TypeError, match=rf"a_edges: vertex id {bad!r} is not an int"):
+        cr_between(d, [(bad, 3)], [(0, 2)])
+    with pytest.raises(TypeError, match=rf"b_edges: vertex id {bad!r} is not an int"):
+        cr_between(d, [(0, 2)], [(bad, 3)])
 
 
 def test_cr_between_requires_disjoint_sets():
@@ -584,6 +609,24 @@ def test_parity_screen_validates_cycles():
     with pytest.raises(ValueError, match="vertex 0 has degree 3"):
         jordan_parity_screen(convex_drawing(complete(7)), [(0, 1), (0, 2), (0, 3)],
                              [(4, 5), (5, 6), (4, 6)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_parity_screen_refuses_an_id_that_is_not_an_int(bad):
+    d = convex_drawing(circulant(12, [1, 4]))
+    a, b = [(0, 4), (4, 8), (8, 0)], [(1, 5), (5, 9), (9, 1)]
+    assert jordan_parity_screen(d, a, b) is Parity.EVEN
+    with pytest.raises(TypeError, match=rf"second cycle: vertex id {bad!r} is not an int"):
+        jordan_parity_screen(d, a, [(bad, 5), (5, 9), (9, 1)])
+    with pytest.raises(TypeError, match=rf"first cycle: vertex id {bad!r} is not an int"):
+        jordan_parity_screen(d, [(bad, 5), (5, 9), (9, 1)], a)
+
+
+def test_parity_screen_reads_cycles_given_as_generators():
+    d = convex_drawing(circulant(12, [1, 4]))
+    a = ((4 * i, (4 * i + 4) % 12) for i in range(3))
+    b = ([4 * i + 1, (4 * i + 5) % 12] for i in range(3))
+    assert jordan_parity_screen(d, a, b) is Parity.EVEN
 
 
 def test_parity_screen_rejects_disconnected_edge_set():

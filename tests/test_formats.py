@@ -428,11 +428,11 @@ def test_drawing_rejects_unknown_surface():
 
 def test_drawing_rejects_bad_crossing_entries():
     square = graph_to_json(cycle(4))
-    with pytest.raises(ValueError, match="bad crossing entry"):
+    with pytest.raises(ValueError, match=r"crossing pair \[\[0, 1\]\] is not two edges"):
         drawing_from_json({"graph": square, "crossings": [[[0, 1]]]})
     with pytest.raises(ValueError, match="crossings must be a list"):
         drawing_from_json({"graph": square, "crossings": "nope"})
-    with pytest.raises(ValueError, match="crossing edge must be a"):
+    with pytest.raises(ValueError, match=r"crossing pair \[\[0, 1\], 5\]: edge 5 is not two vertex ids"):
         drawing_from_json({"graph": square, "crossings": [[[0, 1], 5]]})
 
 

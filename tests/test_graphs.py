@@ -1,3 +1,6 @@
+import re
+from enum import IntEnum
+
 import pytest
 
 from cyclecert.graphs import (
@@ -8,12 +11,31 @@ from cyclecert.graphs import (
     complete_bipartite,
     cycle,
     norm_edge,
+    read_edge,
+    read_id,
 )
 
 
 def test_norm_edge_orders():
     assert norm_edge(3, 1) == (1, 3)
     assert norm_edge(1, 3) == (1, 3)
+
+
+def test_the_readers_take_ints_and_pairs_of_ints_only():
+    class Id(IntEnum):
+        TWO = 2
+
+    assert type(read_id(Id.TWO, "here")) is int and read_id(7, "here") == 7
+    assert read_edge([Id.TWO, 0], "here") == (0, 2) and read_edge(iter((5, 1)), "here") == (1, 5)
+    for bad in (True, 1.0, "1", None):
+        message = re.escape(f"here: vertex id {bad!r} is not an int")
+        with pytest.raises(TypeError, match=message):
+            read_id(bad, "here")
+        with pytest.raises(TypeError, match=message):
+            read_edge((0, bad), "here")
+    for bad in ((0, 1, 2), (0,), 5, None):
+        with pytest.raises(TypeError, match=re.escape(f"here: edge {bad!r} is not two vertex ids")):
+            read_edge(bad, "here")
 
 
 def test_from_edges_rejects_bad_input():

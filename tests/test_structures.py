@@ -1,5 +1,6 @@
 import pytest
 
+from cyclecert.domination import Variant, prefix_pruned_search
 from cyclecert.errors import BudgetExceededError, SearchBudget
 from cyclecert.graphs import (
     Graph,
@@ -133,6 +134,44 @@ def test_validate_decomposition_rules():
         validate_decomposition(g, EdgeDecomposition((Piece(all_v | {4}, frozenset(g.edges())),)))
     with pytest.raises(ValueError, match="at least one piece"):
         EdgeDecomposition(())
+
+
+def test_a_part_vertex_that_is_not_an_int_is_refused_naming_its_part():
+    g = cartesian_cycles(3, 4)
+    parts = list(columns_partition(3, 4).parts)
+    parts[0] = frozenset({0.0, 4, 8})  # equal and hashing alike to {0, 4, 8}
+    p = VertexPartition(tuple(parts))
+    for check in (validate_partition, is_transitive_partition):
+        with pytest.raises(TypeError, match=r"part 0: vertex id 0\.0 is not an int"):
+            check(g, p)
+
+
+def test_a_piece_edge_or_vertex_that_is_not_read_is_refused_naming_its_piece():
+    g = circulant(12, [1, 4])
+    pieces = list(circulant14_decomposition(3).pieces)
+    first = pieces[0]
+    pieces[0] = Piece(first.vertices, frozenset({(0, 1, 2), (0, 4)}))
+    with pytest.raises(TypeError, match=r"piece 0: edge \(0, 1, 2\) is not two vertex ids"):
+        validate_decomposition(g, EdgeDecomposition(tuple(pieces)))
+    pieces[0] = Piece(first.vertices, frozenset({(0, True), (0, 4)}))
+    with pytest.raises(TypeError, match="piece 0: vertex id True is not an int"):
+        validate_decomposition(g, EdgeDecomposition(tuple(pieces)))
+    pieces[0] = Piece(frozenset({"0", 1, 4}), first.edges)
+    with pytest.raises(TypeError, match="piece 0: vertex id '0' is not an int"):
+        is_transitive_decomposition(g, EdgeDecomposition(tuple(pieces)))
+
+
+def test_list_valued_parts_answer_as_frozenset_parts():
+    g = cartesian_cycles(3, 4)
+    sets = columns_partition(3, 4)
+    lists = VertexPartition(tuple(sorted(part) for part in sets.parts))
+    sigma = column_shift_symmetry(3, 4)
+    assert cyclic_symmetry_violations(g, lists, sigma) == []
+    shift = find_shift(g, sets)
+    assert shift is not None and find_shift(g, lists) == shift
+    assert is_transitive_partition(g, lists)
+    want = prefix_pruned_search(g, sets, sigma, Variant.DOMINATING, 4)
+    assert prefix_pruned_search(g, lists, sigma, Variant.DOMINATING, 4) == want
 
 
 # --- transitivity checks --------------------------------------------------------
