@@ -50,7 +50,7 @@ from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
-from .graphs import Graph, norm_edge, read_edge
+from .graphs import Graph, read_edge
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
 
@@ -108,13 +108,11 @@ class AbstractDrawing:
 
     def __init__(self, graph: Graph, crossings: Iterable[Sequence[Sequence[int]]]):
         # The one pass over the pairs (see the module docstring).  Each graph
-        # edge, in both orientations, maps to the graph's own tuple for it.
-        # Any pair but a tuple of two such tuples (a list, a reversed or fresh
-        # edge, an id that is not a plain int, an edge off the graph) has its
-        # edges read by read_edge and mapped onto the graph's tuples.
-        canon: dict[Edge, Edge] = {}
-        for e in graph.edges():
-            canon[e] = canon[e[::-1]] = e
+        # edge (u, v), u < v, maps to the graph's own tuple for it.  Any pair
+        # but a tuple of two such tuples (a list, a reversed or fresh edge, an
+        # id that is not a plain int, an edge off the graph) has its edges
+        # read by read_edge, which puts u <= v, and mapped onto those tuples.
+        canon = {e: e for e in graph.edges()}
         pairs = []
         append = pairs.append
         noted = False
@@ -218,6 +216,11 @@ def cr_between(
     b = {read_edge(x, "b_edges") for x in b_edges}
     if a & b:
         raise ValueError(f"edge sets overlap at {sorted(a & b)[0]}")
+    return _count_between(d, a, b)
+
+
+def _count_between(d: AbstractDrawing, a: set[Edge], b: set[Edge]) -> int:
+    # crossings between a and b, two disjoint sets of read edges
     return sum((e in a and f in b) or (e in b and f in a) for e, f in d.crossings)
 
 
@@ -257,10 +260,7 @@ def decomposition_weights(
     invalid decomposition raises on every call.
     """
     _require_clean(d)
-    try:
-        weights = d._weights.get(decomposition)
-    except TypeError:  # a piece holding a list cannot be a key; answer afresh
-        return _piece_weights(d, decomposition)
+    weights = d._weights.get(decomposition)
     if weights is None:
         weights = d._weights[decomposition] = _piece_weights(d, decomposition)
     return weights
@@ -270,7 +270,7 @@ def _piece_weights(d: AbstractDrawing, decomposition: EdgeDecomposition) -> Doub
     validate_decomposition(d.graph, decomposition)
     counts = d._edge_crossings
     return DoubledWeightList(tuple(
-        sum(counts.get(norm_edge(u, v), 0) for u, v in piece.edges)
+        sum(counts[e] for e in piece.edges)
         for piece in decomposition.pieces
     ))
 
@@ -410,5 +410,5 @@ def jordan_parity_screen(
     eb, vb = _check_cycle(d.graph, cycle_b, "second cycle")
     if va & vb:
         raise ValueError(f"cycles share vertex {sorted(va & vb)[0]}")
-    between = cr_between(d, ea, eb)
+    between = _count_between(d, ea, eb)
     return Parity.EVEN if between % 2 == 0 else Parity.ODD

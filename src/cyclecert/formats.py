@@ -8,8 +8,8 @@ inline, as that object, and names no other file.  Every file is read by
 `load_json`.  Rationals are {"num": p, "den": q} objects so nothing is ever
 rounded.  Integers in specs go through `parse_int`: ASCII decimal digits
 with an optional sign; vertex ids and edges go through `graphs.read_id` and
-`read_edge`.  All parsers raise ValueError with a file- or field-specific
-message.
+`read_edge`, for a partition, decomposition or drawing in its constructor.
+All parsers raise ValueError with a file- or field-specific message.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .cyclic_core import (
     RotationCertificate,
     common_denominator,
 )
-from .graphs import Graph, cartesian_cycles, circulant, complete, complete_bipartite, cycle, read_edge, read_id
+from .graphs import Graph, cartesian_cycles, circulant, complete, complete_bipartite, cycle, read_edge
 from .structures import EdgeDecomposition, Piece, VertexPartition
 
 __all__ = [
@@ -168,18 +168,19 @@ def graph_to_json(g: Graph) -> dict[str, Any]:
 
 
 def _read(read: Callable[..., Any], *args: Any) -> Any:
-    # graphs' id or edge reader, or the drawing constructor, on values from a
-    # file: a bad id there is malformed input, so its TypeError is ValueError
+    # graphs' edge reader, or a structure or drawing constructor, on values
+    # from a file: a bad id there is malformed input, so its TypeError is
+    # ValueError
     try:
         return read(*args)
     except TypeError as err:
         raise ValueError(str(err)) from None
 
 
-def _id_list(value: Any, where: str) -> list[int]:
+def _id_list(value: Any, where: str) -> list[Any]:
     if not isinstance(value, list):
         raise ValueError(f"{where} must be a list of vertex ids, got {value!r}")
-    return [_read(read_id, v, where) for v in value]
+    return value
 
 
 def _list(doc: dict[str, Any], key: str) -> list[Any]:
@@ -269,7 +270,7 @@ def partition_to_json(p: VertexPartition) -> dict[str, Any]:
 def partition_from_json(doc: Any) -> VertexPartition:
     if not isinstance(doc, dict) or "parts" not in doc:
         raise ValueError("partition document must be an object with parts")
-    return VertexPartition(tuple(frozenset(_id_list(p, "part")) for p in _list(doc, "parts")))
+    return _read(VertexPartition, tuple(_id_list(p, "part") for p in _list(doc, "parts")))
 
 
 def decomposition_to_json(d: EdgeDecomposition) -> dict[str, Any]:
@@ -291,13 +292,8 @@ def decomposition_from_json(doc: Any) -> EdgeDecomposition:
     for obj in _list(doc, "pieces"):
         if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
             raise ValueError("each piece needs vertices and edges")
-        pieces.append(
-            Piece(
-                vertices=frozenset(_id_list(obj["vertices"], "piece")),
-                edges=frozenset(_read(read_edge, e, "piece") for e in _list(obj, "edges")),
-            )
-        )
-    return EdgeDecomposition(tuple(pieces))
+        pieces.append(Piece(_id_list(obj["vertices"], "piece"), _list(obj, "edges")))
+    return _read(EdgeDecomposition, tuple(pieces))
 
 
 def drawing_to_json(d: AbstractDrawing) -> dict[str, Any]:

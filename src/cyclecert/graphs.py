@@ -7,6 +7,8 @@ construction time; every edge is stored normalized as (u, v) with u < v.
 
 Vertex ids and edges a caller or a file hands in are read by one rule:
 `read_id` (an int, not a bool) and `read_edge` (two such ids, normalized).
+The constructors of partitions, decompositions, shifts, tiles and drawings
+apply it when built; `Graph.from_edges` trusts the generators and file readers.
 """
 
 from __future__ import annotations

@@ -9,7 +9,12 @@ edge decompositions a window is the graph (union of piece vertex sets,
 union of piece edge sets); for vertex partitions it is the subgraph induced
 on the union of the parts.  Single-part windows are compared too, so a
 partition into parts of unequal size can never be transitive, and the
-length-t window is the whole graph for every start.
+window test skips length t, whose windows are all the whole structure.
+
+Ids are read once, when a structure is built: each constructor reads them
+by `graphs.read_id` and `read_edge` and stores parts and pieces as
+frozensets, so a repeat inside one is one member, and the validators check
+graph facts only: range, graph edges, disjointness, cover and endpoints.
 
 The shift path comes first.  An automorphism sigma of g with
 sigma(V_i) = V_{i+1} for every part i (for a decomposition: carrying the
@@ -74,7 +79,7 @@ partition, so they refuse no witness and only prune.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Optional, Union
 
 from .errors import SearchBudget
@@ -104,15 +109,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VertexPartition:
-    """Vertex classes in cyclic order; must cover 0..n-1 disjointly."""
+    """Vertex classes in cyclic order, each read into a frozenset of ids
+    when built (TypeError naming `part i`); must cover 0..n-1 disjointly."""
 
     parts: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("a partition needs at least one part")
-        if any(len(p) == 0 for p in self.parts):
+        parts = tuple(frozenset(map(read_id, p, repeat(f"part {i}"))) for i, p in enumerate(self.parts))
+        if not all(parts):
             raise ValueError("empty parts are not allowed")
+        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True)
@@ -122,25 +130,34 @@ class Piece:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
+    def _read(self, where: str) -> Piece:
+        w = repeat(where)
+        return Piece(frozenset(map(read_id, self.vertices, w)), frozenset(map(read_edge, self.edges, w)))
+
 
 @dataclass(frozen=True)
 class EdgeDecomposition:
-    """Pieces in cyclic order; their edge sets must partition E(G)."""
+    """Pieces in cyclic order, each read into frozensets of ids and of edges
+    (u, v), u <= v, when built (TypeError naming `piece i`); their edge sets
+    must partition E(G)."""
 
     pieces: tuple[Piece, ...]
 
     def __post_init__(self) -> None:
         if not self.pieces:
             raise ValueError("a decomposition needs at least one piece")
+        object.__setattr__(self, "pieces", tuple(p._read(f"piece {i}") for i, p in enumerate(self.pieces)))
 
 
 @dataclass(frozen=True)
 class CyclicSymmetry:
-    """A vertex permutation intended to shift every part onto the next one."""
+    """A vertex permutation, read as ids when built, intended to shift every
+    part onto the next one."""
 
     sigma: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", tuple(map(read_id, self.sigma, repeat("sigma"))))
         if sorted(self.sigma) != list(range(len(self.sigma))):
             raise ValueError("sigma must be a permutation of 0..n-1")
 
@@ -149,13 +166,10 @@ Structure = Union[VertexPartition, EdgeDecomposition]
 
 
 def validate_partition(g: Graph, partition: VertexPartition) -> None:
-    """Raise ValueError unless the parts cover V(g) disjointly (TypeError for
-    an id that is not an int)."""
+    """Raise ValueError unless the parts cover V(g) disjointly."""
     seen: set[int] = set()
-    for i, part in enumerate(partition.parts):
-        where = f"part {i}"
-        for x in part:
-            v = read_id(x, where)
+    for part in partition.parts:
+        for v in part:
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} out of range")
             if v in seen:
@@ -166,23 +180,19 @@ def validate_partition(g: Graph, partition: VertexPartition) -> None:
 
 
 def validate_decomposition(g: Graph, decomposition: EdgeDecomposition) -> None:
-    """Raise ValueError unless the piece edge sets partition E(g) (TypeError
-    for an id that is not an int or an edge that is not two ids)."""
+    """Raise ValueError unless the piece edge sets partition E(g)."""
     seen: set[tuple[int, int]] = set()
     for i, piece in enumerate(decomposition.pieces):
-        where = f"piece {i}"
-        for x in piece.vertices:
-            v = read_id(x, where)
+        for v in piece.vertices:
             if not 0 <= v < g.n:
-                raise ValueError(f"{where}: vertex {v} out of range")
-        for x in piece.edges:
-            u, v = e = read_edge(x, where)
-            if not g.has_edge(u, v):
-                raise ValueError(f"{where}: edge {e} is not in the graph")
+                raise ValueError(f"piece {i}: vertex {v} out of range")
+        for e in piece.edges:
+            if not g.has_edge(*e):
+                raise ValueError(f"piece {i}: edge {e} is not in the graph")
             if e in seen:
                 raise ValueError(f"edge {e} appears in two pieces")
-            if u not in piece.vertices or v not in piece.vertices:
-                raise ValueError(f"{where}: edge {e} leaves the declared vertex set")
+            if not piece.vertices.issuperset(e):
+                raise ValueError(f"piece {i}: edge {e} leaves the declared vertex set")
             seen.add(e)
     if len(seen) != g.edge_count:
         raise ValueError("piece edges do not cover every edge")
@@ -200,21 +210,15 @@ def columns_partition(m: int, n: int) -> VertexPartition:
     if m < 3 or n < 3:
         raise ValueError("both cycle factors need at least 3 vertices")
     check_order(m * n)
-    return VertexPartition(
-        tuple(frozenset(i * n + j for i in range(m)) for j in range(n))
-    )
+    return VertexPartition(tuple(range(j, m * n, n) for j in range(n)))
 
 
 def star_decomposition_bipartite(m: int, n: int) -> EdgeDecomposition:
     """K_{m,n} as m stars: piece i is vertex i joined to the whole right side."""
     if m < 1 or n < 1:
         raise ValueError("both sides must be nonempty")
-    right = frozenset(range(m, m + n))
-    pieces = tuple(
-        Piece(vertices=frozenset({i}) | right, edges=frozenset((i, w) for w in right))
-        for i in range(m)
-    )
-    return EdgeDecomposition(pieces)
+    right = range(m, m + n)
+    return EdgeDecomposition(tuple(Piece((i, *right), [(i, w) for w in right]) for i in range(m)))
 
 
 def star_decomposition_complete(n: int) -> EdgeDecomposition:
@@ -229,9 +233,8 @@ def star_decomposition_complete(n: int) -> EdgeDecomposition:
     half = (n - 1) // 2
     pieces = []
     for i in range(n):
-        verts = frozenset((i + j) % n for j in range(half + 1))
-        edges = frozenset(norm_edge(i, (i + j) % n) for j in range(1, half + 1))
-        pieces.append(Piece(vertices=verts, edges=edges))
+        verts = [(i + j) % n for j in range(half + 1)]
+        pieces.append(Piece(verts, [(i, v) for v in verts[1:]]))
     return EdgeDecomposition(tuple(pieces))
 
 
@@ -245,12 +248,9 @@ def circulant14_decomposition(k: int) -> EdgeDecomposition:
     if k < 3:
         raise ValueError("need k >= 3")
     n = 4 * k
-    pieces = []
-    for i in range(n):
-        verts = frozenset({i, (i + 1) % n, (i + 4) % n})
-        edges = frozenset({norm_edge(i, (i + 1) % n), norm_edge(i, (i + 4) % n)})
-        pieces.append(Piece(vertices=verts, edges=edges))
-    return EdgeDecomposition(tuple(pieces))
+    return EdgeDecomposition(tuple(
+        Piece((i, (i + 1) % n, (i + 4) % n), [(i, (i + 1) % n), (i, (i + 4) % n)]) for i in range(n)
+    ))
 
 
 def _sets(structure: Structure) -> tuple[list[frozenset[int]], Optional[list]]:
@@ -273,8 +273,9 @@ def _windows_all_isomorphic(g: Graph, structure: Structure, budget: SearchBudget
     t = len(parts)
     labels = [[-1] * g.n for _ in range(t)]
     rows: list[list[int]] = [[] for _ in range(t)]
-    for length in range(t):
-        # the adjacency tuples of this length known to be isomorphic to the
+    # length t is left out: every window of all t parts is the whole structure
+    for length in range(t - 1):
+        # the adjacency tuples of length + 1 known to be isomorphic to the
         # anchor (the start-0 window): the anchor and every window matched
         known: set[tuple[int, ...]] = set()
         for i in range(t):
@@ -357,8 +358,8 @@ def _find_shift(g: Graph, structure: Structure, budget: SearchBudget) -> Optiona
 def transitive_by_windows(
     g: Graph, structure: Structure, budget: Optional[SearchBudget] = None
 ) -> bool:
-    """The window test alone: for every length 1..t, all t windows are
-    pairwise isomorphic."""
+    """The window test alone: for every length 1..t-1, all t windows are
+    pairwise isomorphic (the t windows of length t are the whole structure)."""
     _validate(g, structure)
     return _windows_all_isomorphic(g, structure, budget or SearchBudget())
 
@@ -488,11 +489,10 @@ def _symmetry_violations(g: Graph, structure: Structure, sigma: tuple[int, ...])
     t = len(vertex_sets)
     for i, vs in enumerate(vertex_sets):
         j = (i + 1) % t
-        if frozenset(sigma[v] for v in vs) != frozenset(vertex_sets[j]):
+        if {sigma[v] for v in vs} != vertex_sets[j]:
             out.append(f"shift: part {i} does not map onto part {j}")
     for i, edges in enumerate(edge_sets or ()):
         j = (i + 1) % t
-        image = {norm_edge(sigma[u], sigma[v]) for u, v in edges}
-        if image != {norm_edge(u, v) for u, v in edge_sets[j]}:
+        if {norm_edge(sigma[u], sigma[v]) for u, v in edges} != edge_sets[j]:
             out.append(f"shift: the edges of piece {i} do not map onto piece {j}")
     return out

@@ -17,8 +17,9 @@ makes this the standard positive example for the transitivity checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .graphs import Graph, norm_edge
+from .graphs import Graph, read_id
 from .structures import EdgeDecomposition, Piece
 
 __all__ = [
@@ -32,13 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tile:
-    """A graph with left/right boundary tuples of equal width (repeats allowed)."""
+    """A graph with left/right boundary ids, read when built, of equal width
+    (repeats allowed)."""
 
     graph: Graph
     left: tuple[int, ...]
     right: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "left", tuple(map(read_id, self.left, repeat("left boundary"))))
+        object.__setattr__(self, "right", tuple(map(read_id, self.right, repeat("right boundary"))))
         if len(self.left) != len(self.right):
             raise ValueError("left and right boundaries must have equal width")
         for v in (*self.left, *self.right):
@@ -91,8 +95,8 @@ def _closure(q: Tile, t: int) -> tuple[Graph, list[tuple[set[int], list[tuple[in
     pieces = []
     for i in range(t):
         base, nxt = i * n0, (i + 1) % t * n0
-        edges = [norm_edge(u + base, v + base) for u, v in q.graph.edges()]
-        edges += [norm_edge(base + r, nxt + l) for r, l in zip(q.right, q.left)]
+        edges = [(u + base, v + base) for u, v in q.graph.edges()]
+        edges += [(base + r, nxt + l) for r, l in zip(q.right, q.left)]
         pieces.append((set(range(base, base + n0)).union(nxt + l for l in q.left), edges))
     return Graph.from_edges(t * n0, [e for _, edges in pieces for e in edges]), pieces
 
@@ -105,6 +109,4 @@ def tile_close(q: Tile, t: int) -> Graph:
 def canonical_periodic_decomposition(q: Tile, t: int) -> tuple[Graph, EdgeDecomposition]:
     """The closure of Q^t plus its decomposition into copy-plus-bundle pieces."""
     closure, pieces = _closure(q, t)
-    return closure, EdgeDecomposition(
-        tuple(Piece(vertices=frozenset(verts), edges=frozenset(edges)) for verts, edges in pieces)
-    )
+    return closure, EdgeDecomposition(tuple(Piece(verts, edges) for verts, edges in pieces))

@@ -137,13 +137,10 @@ def test_validate_decomposition_rules():
 
 
 def test_a_part_vertex_that_is_not_an_int_is_refused_naming_its_part():
-    g = cartesian_cycles(3, 4)
     parts = list(columns_partition(3, 4).parts)
     parts[0] = frozenset({0.0, 4, 8})  # equal and hashing alike to {0, 4, 8}
-    p = VertexPartition(tuple(parts))
-    for check in (validate_partition, is_transitive_partition):
-        with pytest.raises(TypeError, match=r"part 0: vertex id 0\.0 is not an int"):
-            check(g, p)
+    with pytest.raises(TypeError, match=r"part 0: vertex id 0\.0 is not an int"):
+        VertexPartition(tuple(parts))
 
 
 def test_a_piece_edge_or_vertex_that_is_not_read_is_refused_naming_its_piece():
@@ -172,6 +169,89 @@ def test_list_valued_parts_answer_as_frozenset_parts():
     assert is_transitive_partition(g, lists)
     want = prefix_pruned_search(g, sets, sigma, Variant.DOMINATING, 4)
     assert prefix_pruned_search(g, lists, sigma, Variant.DOMINATING, 4) == want
+
+
+def test_a_shift_entry_that_is_not_an_int_is_refused_when_built():
+    for sigma in ((1.0, 2, 0), (1, 2, 0.0), (True, False), ("1", "0")):
+        with pytest.raises(TypeError, match="sigma: vertex id .* is not an int"):
+            CyclicSymmetry(sigma)
+    assert CyclicSymmetry([1, 2, 0]).sigma == (1, 2, 0)
+
+
+def test_a_tile_boundary_that_is_not_an_int_is_refused_when_built():
+    with pytest.raises(TypeError, match=r"left boundary: vertex id 0\.0 is not an int"):
+        Tile(complete(4), left=(0.0, 1), right=(2, 3))
+    with pytest.raises(TypeError, match="right boundary: vertex id True is not an int"):
+        Tile(complete(4), left=(0, 1), right=(2, True))
+    assert Tile(complete(4), left=[0, 1], right=[2, 3]) == Tile(complete(4), (0, 1), (2, 3))
+
+
+def test_an_id_repeated_inside_one_part_is_one_member():
+    g = cartesian_cycles(3, 4)
+    parts = [sorted(part) for part in columns_partition(3, 4).parts]
+    parts[0] = [0, 0, 4, 8]
+    p = VertexPartition(tuple(parts))
+    validate_partition(g, p)
+    assert is_transitive_partition(g, p)
+    assert p == columns_partition(3, 4)
+
+
+def test_an_edge_given_in_both_orientations_inside_one_piece_is_one_member():
+    g = cycle(4)
+    d = EdgeDecomposition((Piece(range(4), [(0, 1), (1, 0), (1, 2), (2, 3), (0, 3)]),))
+    validate_decomposition(g, d)
+    assert is_transitive_decomposition(g, d)
+    assert d.pieces[0].edges == frozenset(g.edges())
+
+
+def _forms(pieces):
+    """One structure's (vertices, edges) pieces as frozensets, sorted lists,
+    tuples with a repeated id and edge, and edges in reversed orientation."""
+    return {
+        "frozensets": [(frozenset(vs), frozenset(es)) for vs, es in pieces],
+        "lists": [(sorted(vs), sorted(es)) for vs, es in pieces],
+        "repeats": [((*vs, min(vs)), (*es, *es[:1])) for vs, es in pieces],
+        "reversed": [(vs, [(v, u) for u, v in es]) for vs, es in pieces],
+    }
+
+
+def test_every_form_of_a_structure_builds_one_object_with_one_set_of_answers():
+    from cyclecert.crossing import convex_drawing, decomposition_weights, prefix_cr_certificate
+
+    g = cartesian_cycles(3, 4)
+    sigma = column_shift_symmetry(3, 4)
+    columns = columns_partition(3, 4)
+    for name, form in _forms([(sorted(p), []) for p in columns.parts]).items():
+        for order, transitive in (([0, 1, 2, 3], True), ([1, 0, 2, 3], False)):
+            p = VertexPartition(tuple(form[i][0] for i in order))
+            assert p == VertexPartition(tuple(columns.parts[i] for i in order)), name
+            validate_partition(g, p)
+            assert is_transitive_partition(g, p) is transitive, name
+            assert (find_shift(g, p) is not None) is transitive, name
+        p = VertexPartition(tuple(vs for vs, _ in form))
+        assert find_shift(g, p) == find_shift(g, columns), name
+        for h in (3, 4):
+            assert prefix_pruned_search(g, p, sigma, Variant.DOMINATING, h) == prefix_pruned_search(
+                g, columns, sigma, Variant.DOMINATING, h
+            ), name
+
+    g = circulant(12, [1, 4])
+    fans = circulant14_decomposition(3)
+    drawing = convex_drawing(g)
+    swapped = EdgeDecomposition((fans.pieces[1], fans.pieces[0], *fans.pieces[2:]))
+    pieces = [(sorted(p.vertices), sorted(p.edges)) for p in fans.pieces]
+    for name, form in _forms(pieces).items():
+        d = EdgeDecomposition(tuple(Piece(vs, es) for vs, es in form))
+        assert d == fans, name
+        validate_decomposition(g, d)
+        assert is_transitive_decomposition(g, d), name
+        assert find_shift(g, d) == find_shift(g, fans) is not None, name
+        assert decomposition_weights(drawing, d) is decomposition_weights(drawing, fans), name
+        assert prefix_cr_certificate(drawing, d, 36) == prefix_cr_certificate(drawing, fans, 36)
+        out = EdgeDecomposition((Piece(*form[1]), Piece(*form[0]), *(Piece(*f) for f in form[2:])))
+        assert out == swapped, name
+        assert not is_transitive_decomposition(g, out), name
+        assert find_shift(g, out) is None, name
 
 
 # --- transitivity checks --------------------------------------------------------
@@ -622,7 +702,7 @@ def _singletons(n: int) -> VertexPartition:
         (find_shift, lambda: (cycle(400), _singletons(400)), 400),
         (transitive_by_windows, lambda: (complete(13), star_decomposition_complete(13)), 810),
         (transitive_by_windows, lambda: (complete(31), star_decomposition_complete(31)), 12_150),
-        (transitive_by_windows, lambda: (circulant(32, [1, 4]), circulant14_decomposition(8)), 8_134),
+        (transitive_by_windows, lambda: (circulant(32, [1, 4]), circulant14_decomposition(8)), 3_624),
         (find_transitive_partition, lambda: (complete_bipartite(3, 4), 7), 245),
         (find_transitive_partition, lambda: (cycle(12), 4), 16),
     ],
