@@ -7,7 +7,7 @@ Usage, from the root of a checkout:
 
 --parent is a checkout of the commit to compare against (a `git clone` of
 it, so that its commit can be read), and --change the checkout under test,
-by default the one this script sits in.  Stdlib only.  The record has five
+by default the one this script sits in.  Stdlib only.  The record has six
 parts, each run in fresh interpreters on each tree's `src`:
 
 - end_to_end: `perfbench/run.py --workload W` from the root of each
@@ -23,6 +23,10 @@ parts, each run in fresh interpreters on each tree's `src`:
   validates the drawing and the decomposition; a tree that keeps the
   weights on the drawing answers the second from there, and an older tree
   validates the decomposition again;
+- per_certificate: the median seconds of 5 calls each of `find_rotation`,
+  `verify_certificate`, `certificate_to_json` with `dump_json`, and
+  `certificate_from_json`, on a seeded list of n mixed-denominator entries
+  for n = 10^3, 10^4 and 10^5, alternating like per_search;
 - reach: `min_parameter` paired on C5xCn and `max_minimal_parameter` total
   on C4xCn, for n = 3, 4, ... under a --reach-nodes cap, each up to the
   first n that passes it.  Node counts are deterministic, so the reach is
@@ -129,6 +133,41 @@ print(json.dumps({"crossings": len(d.crossings), "convex_drawing": convex,
 """
 CALLS = ("convex_drawing", "decomposition_weights", "decomposition_weights_again")
 
+# n of the seeded lists, each of entries p/q with |p| <= 50 and q in 1..12
+CERTIFICATE_SIZES = (10**3, 10**4, 10**5)
+CERTIFICATE_RUNS = 5
+
+CERTIFICATE_CHILD = """
+import json, random, statistics, sys, time
+from fractions import Fraction
+from cyclecert.cyclic_core import Direction, cyclic_list, find_rotation, total, verify_certificate
+from cyclecert.formats import certificate_from_json, certificate_to_json, dump_json
+n = int(sys.argv[1])
+rng = random.Random(n)
+cl = cyclic_list([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)])
+h = total(cl) + 1
+cert = find_rotation(cl, h, Direction.BELOW)
+assert verify_certificate(cl, h, cert)
+doc = json.loads(dump_json(certificate_to_json(cert, h)))
+calls = {
+    "find_rotation": lambda: find_rotation(cl, h, Direction.BELOW),
+    "verify_certificate": lambda: verify_certificate(cl, h, cert),
+    "certificate_to_json+dump_json": lambda: dump_json(certificate_to_json(cert, h)),
+    "certificate_from_json": lambda: certificate_from_json(doc, cl),
+}
+out = {}
+for name, call in calls.items():
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    out[name] = statistics.median(times)
+print(json.dumps(out))
+"""
+CERTIFICATE_CALLS = (
+    "find_rotation", "verify_certificate", "certificate_to_json+dump_json", "certificate_from_json")
+
 METRICS = {
     "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ops_ok_ratio": "higher",
     "cert_p50_us": "lower", "cert_p99_us": "lower", "entries_per_s": "higher", "reproduce_s": "lower",
@@ -193,28 +232,52 @@ def per_search(trees: dict[str, str]) -> dict:
     return out
 
 
+def _alternating(trees: dict[str, str], runs: int, source: str, *args: object) -> dict[str, list[dict]]:
+    """runs child runs of source on each tree, parent and change alternating
+    and the order swapped every run."""
+    got: dict[str, list[dict]] = {side: [] for side in trees}
+    for run in range(runs):
+        order = list(trees) if run % 2 == 0 else list(trees)[::-1]
+        for side in order:
+            got[side].append(_child(trees[side], source, *args))
+    return got
+
+
+def _timed_row(got: dict[str, list[dict]], calls: tuple[str, ...]) -> dict:
+    """Per side, the median and the runs of each call's seconds, and the
+    change's medians against the parent's."""
+    row: dict = {}
+    for side, results in got.items():
+        row[side] = {}
+        for call in calls:
+            times = [r[call] for r in results]
+            row[side][call] = {"median_s": round(statistics.median(times), 5),
+                               "runs_s": [round(t, 5) for t in times]}
+    row["change_vs_parent"] = {
+        call: round(row["change"][call]["median_s"] / row["parent"][call]["median_s"] - 1, 3)
+        for call in calls
+    }
+    return row
+
+
 def per_drawing(trees: dict[str, str]) -> dict:
     out = {}
     for name, (k, arrange, runs) in DRAWINGS.items():
-        got: dict[str, list[dict]] = {side: [] for side in trees}
-        for run in range(runs):
-            order = list(trees) if run % 2 == 0 else list(trees)[::-1]
-            for side in order:
-                got[side].append(_child(trees[side], DRAWING_CHILD, k, arrange))
-        row: dict = {}
+        got = _alternating(trees, runs, DRAWING_CHILD, k, arrange)
+        row = _timed_row(got, CALLS)
         for side in trees:
-            (crossings,) = {r["crossings"] for r in got[side]}
-            row[side] = {"crossings": crossings}
-            for call in CALLS:
-                times = [r[call] for r in got[side]]
-                row[side][call] = {"median_s": round(statistics.median(times), 5),
-                                   "runs_s": [round(t, 5) for t in times]}
-        row["change_vs_parent"] = {
-            call: round(row["change"][call]["median_s"] / row["parent"][call]["median_s"] - 1, 3)
-            for call in CALLS
-        }
+            (row[side]["crossings"],) = {r["crossings"] for r in got[side]}
         out[name] = row
         print(name, json.dumps(row), file=sys.stderr)
+    return out
+
+
+def per_certificate(trees: dict[str, str]) -> dict:
+    out = {}
+    for n in CERTIFICATE_SIZES:
+        row = _timed_row(_alternating(trees, CERTIFICATE_RUNS, CERTIFICATE_CHILD, n), CERTIFICATE_CALLS)
+        out[f"n={n}"] = row
+        print("certificate", n, json.dumps(row), file=sys.stderr)
     return out
 
 
@@ -311,6 +374,17 @@ def main() -> None:
                       "random.Random(1), C(20000;{1,4}) is drawn in vertex order; parent and "
                       "change alternate and the order is swapped every run",
             "drawings": per_drawing(trees),
+        },
+        "per_certificate": {
+            "method": "each run is one fresh interpreter on that tree's src that builds a list "
+                      "of n entries p/q, p in -50..50 and q in 1..12 from random.Random(n), with "
+                      "h its total plus 1, finds and verifies a below certificate outside the "
+                      "timing, then times 5 calls of each step with time.perf_counter and "
+                      "reports their median: find_rotation, verify_certificate, "
+                      "certificate_to_json with dump_json, and certificate_from_json given the "
+                      "list, on the JSON document read back outside the timing; parent and "
+                      "change alternate and the order is swapped every run",
+            "lists": per_certificate(trees),
         },
         **{
             f"{family}_reach": {

@@ -368,31 +368,27 @@ def _check_cycle(g: Graph, edges: Iterable[Sequence[int]], label: str) -> tuple[
     es = {read_edge(x, label) for x in edges}
     if len(es) < 3:
         raise ValueError(f"{label} needs at least 3 edges to be a cycle")
-    deg: dict[int, int] = {}
+    nbrs: dict[int, list[int]] = {}
     for u, v in es:
         if not g.has_edge(u, v):
             raise ValueError(f"{label} uses edge {(u, v)} not in the graph")
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(c != 2 for c in deg.values()):
-        bad = next(v for v, c in deg.items() if c != 2)
-        raise ValueError(f"{label} is not a cycle: vertex {bad} has degree {deg[bad]}")
-    verts = set(deg)
-    start = next(iter(verts))
-    stack, seen = [start], {start}
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in es:
-        adj[u].append(v)
-        adj[v].append(u)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != verts:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    for v, ws in nbrs.items():
+        if len(ws) != 2:
+            raise ValueError(f"{label} is not a cycle: vertex {v} has degree {len(ws)}")
+    # Every vertex has two distinct neighbors, so the edges are disjoint
+    # cycles: one cycle exactly when the walk from the first vertex visits
+    # every vertex before it returns.
+    start = prev = next(iter(nbrs))
+    v, visited = nbrs[start][0], 1
+    while v != start:
+        a, b = nbrs[v]
+        prev, v = v, b if a == prev else a
+        visited += 1
+    if visited != len(nbrs):
         raise ValueError(f"{label} is not connected")
-    return es, verts
+    return es, set(nbrs)
 
 
 def jordan_parity_screen(

@@ -37,11 +37,12 @@ of cycle-lemma statements; subscripts wrap modulo n.
 (n*a_i - H): the slot after the last maximum works for the below direction
 (last minimum for above).  By the cycle lemma (Dvoretzky-Motzkin/Raney)
 that start always works once the total is on the right side of h, so there
-is no second try; one pass re-checks every inequality on the running sums,
-which become the certificate's `PrefixTable` as they are: integers over one
-denominator, with no Fraction built per entry.  `verify_certificate` is one
-integer pass over that table.  `scan_rotation` is the exhaustive O(n^2)
-search in Fractions, kept as a reference to test against.
+is no second try and no re-check: one `accumulate` from the start gives the
+certificate's `PrefixTable` as it is, integers over one denominator with no
+Fraction built per entry.  `verify_certificate` is the one place that tests
+a certificate's inequalities, in one integer pass over that table.
+`scan_rotation` is the exhaustive O(n^2) search in Fractions, kept as a
+reference to test against.
 `prefix_condition_all_starts` finds every per-start witness in O(n) with a
 monotone stack over the doubled running sums.
 """
@@ -448,9 +449,20 @@ def find_rotation(
     """O(n) certificate search: start just past the last extreme running sum.
 
     Existence always agrees with scan_rotation; the returned k may differ.
-    Every inequality is re-checked on the running sums from that start, which
-    then become the prefix table; a failure there would contradict the cycle
-    lemma and raises RuntimeError.
+    The start needs no re-check, by the cycle lemma.  Write s = +1 for the
+    below direction and -1 for above, and let S_0 = 0 and
+    S_i = S_{i-1} + s*(n*a_i - H), so that S_{i+n} = S_i + S_n.  The prefix
+    of length j from start k holds exactly when S_{k-1+j} < S_{k-1}, and the
+    total test gives S_n < 0.  With k - 1 the last index in 0..n-1 where S is
+    largest, for j = 1..n:
+
+    * if k <= k-1+j <= n-1, then S_{k-1+j} < S_{k-1}, as the maximum is the
+      last one;
+    * if k-1+j = n, then S_n < 0 = S_0 <= S_{k-1};
+    * past n, S_{k-1+j} = S_n + S_{k-1+j-n} < S_{k-1}.
+
+    The prefix sums from k then become the table as they are;
+    `verify_certificate` re-checks a certificate.
     """
     cl = cyclic_list(xs)
     n = cl.n
@@ -468,13 +480,8 @@ def find_rotation(
     k = best_i + 1
     # a list first: tuple() of an iterator of unknown length resizes its
     # result, which strands small tuples on CPython's per-size free lists
-    prefixes = list(accumulate(_rotation(a, k)))
-    bound = 0
-    for acc in prefixes:
-        bound += sh
-        if not sn * acc < bound:
-            raise RuntimeError(f"internal error: start {k} fails a prefix test the cycle lemma guarantees")
-    return RotationCertificate(direction=direction, k=k, prefix_sums=PrefixTable(tuple(prefixes), d))
+    prefixes = tuple(list(accumulate(_rotation(a, k))))
+    return RotationCertificate(direction=direction, k=k, prefix_sums=PrefixTable(prefixes, d))
 
 
 def verify_certificate(

@@ -316,6 +316,8 @@ def paired_lower_bound(g: Graph) -> int:
 
 def paired_value_c5(n: int) -> int:
     """Closed form for the paired domination number of the C_5 x C_n torus."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 3:
         raise ValueError("need n >= 3")
     value = _ceil_div(4 * n, 3)
@@ -467,8 +469,16 @@ def min_parameter(
     every edge that meets it.  Item counts are tried in ascending order, so
     the first witness found is optimal.  The search runs on g relabelled in
     reverse Cuthill-McKee order; the witness is in g's ids, sorted.  Raises
-    BudgetExceededError when the budget runs out and ValueError when no set
-    of the variant exists at all.
+    BudgetExceededError when the budget runs out, and ValueError on an
+    isolated vertex for total and paired, where no set of the variant exists.
+
+    Otherwise the size range always holds a set, so the search always finds
+    one.  The sizes run up to n, and all n vertices are dominating, and total
+    once no vertex is isolated.  For paired, the edge counts run up to n//2,
+    and the endpoints of a maximal matching, at most n//2 disjoint edges,
+    dominate, as an undominated vertex would extend it; the counts start at
+    half of `paired_lower_bound`, which the paired number, even and at least
+    n over the largest degree, never falls below.
     """
     budget = budget or SearchBudget()
     start = budget.nodes
@@ -483,8 +493,6 @@ def min_parameter(
     else:
         sizes = range(_ceil_div(g.n, cap), g.n + 1)
     mask = _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
-    if mask is None:
-        raise ValueError("no valid set of any size exists")
     return SolveReport(
         value=mask.bit_count(),
         witness=tuple(sorted(old[v] for v in iter_bits(mask))),

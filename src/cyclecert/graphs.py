@@ -8,7 +8,9 @@ construction time; every edge is stored normalized as (u, v) with u < v.
 Vertex ids and edges a caller or a file hands in are read by one rule:
 `read_id` (an int, not a bool) and `read_edge` (two such ids, normalized).
 The constructors of partitions, decompositions, shifts, tiles and drawings
-apply it when built; `Graph.from_edges` trusts the generators and file readers.
+apply it when built; `Graph.from_edges` trusts the generators and file readers
+with its edges.  `check_order` reads a vertex count by the same rule, in every
+generator and in `Graph.from_edges`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def check_order(count: int) -> None:
-    """Refuse a vertex count past sys.maxsize, as no list can index it."""
+    """Refuse a vertex count that is not an int, or is a bool, by `read_id`'s
+    rule (TypeError), and one past sys.maxsize, as no list can index it."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise TypeError(f"vertex count {count!r} is not an int")
     if count > sys.maxsize:
         raise ValueError(f"vertex count exceeds sys.maxsize ({sys.maxsize})")
 
@@ -74,9 +79,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        check_order(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -126,22 +131,24 @@ class Graph:
 
 def cycle(n: int) -> Graph:
     """The cycle C_n, n >= 3, with edges (i, i+1 mod n)."""
+    check_order(n)
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    check_order(n)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     """The clique K_n, n >= 1."""
+    check_order(n)
     if n < 1:
         raise ValueError("a complete graph needs at least 1 vertex")
-    check_order(n)
     return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     """K_{m,n}: side U is 0..m-1, side W is m..m+n-1."""
+    check_order(m)
+    check_order(n)
     if m < 1 or n < 1:
         raise ValueError("both sides of a bipartite clique must be nonempty")
     check_order(m + n)

@@ -1,7 +1,7 @@
 """The benchmark script: a node cap makes its paired and upper total reach
 repeatable, its end-to-end part runs the workload it is given, its drawing
-rows count the drawing they time, and its partition row runs the workload's
-search."""
+rows count the drawing they time, its partition row runs the workload's
+search, and its certificate rows time each step on both sides."""
 
 import importlib.util
 import json
@@ -76,3 +76,27 @@ def test_the_partition_search_row_runs_the_workload_search():
     graph, call, runs = script.SEARCHES["find partition K3,4 t=7"]
     got = script._child(ROOT, script.CHILD, graph, call, 10**9)
     assert got["decided"] and got["nodes"] == 245 and runs == 9
+
+
+def test_a_certificate_row_times_each_step_on_both_sides(monkeypatch):
+    script = _load_script()
+    got = script._child(ROOT, script.CERTIFICATE_CHILD, 1000)
+    assert set(got) == set(script.CERTIFICATE_CALLS) and all(t >= 0 for t in got.values())
+    seen = []
+
+    def child(tree, source, n):
+        seen.append((tree, n))
+        return {call: 2.0 if tree == "p" else 1.0 for call in script.CERTIFICATE_CALLS}
+
+    monkeypatch.setattr(script, "_child", child)
+    out = script.per_certificate({"parent": "p", "change": "c"})
+    assert list(out) == [f"n={n}" for n in script.CERTIFICATE_SIZES] == ["n=1000", "n=10000", "n=100000"]
+    runs = script.CERTIFICATE_RUNS
+    assert seen[:4] == [("p", 1000), ("c", 1000), ("c", 1000), ("p", 1000)] and len(seen) == 6 * runs
+    for row in out.values():
+        assert set(row) == {"parent", "change", "change_vs_parent"}
+        for side, seconds in (("parent", 2.0), ("change", 1.0)):
+            assert set(row[side]) == set(script.CERTIFICATE_CALLS)
+            for timing in row[side].values():
+                assert timing == {"median_s": seconds, "runs_s": [seconds] * runs}
+        assert row["change_vs_parent"] == {call: -0.5 for call in script.CERTIFICATE_CALLS}

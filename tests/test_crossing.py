@@ -609,6 +609,10 @@ def test_parity_screen_validates_cycles():
     with pytest.raises(ValueError, match="vertex 0 has degree 3"):
         jordan_parity_screen(convex_drawing(complete(7)), [(0, 1), (0, 2), (0, 3)],
                              [(4, 5), (5, 6), (4, 6)])
+    # two disjoint triangles: every vertex has degree 2, yet no one cycle
+    with pytest.raises(ValueError, match="first cycle is not connected"):
+        jordan_parity_screen(convex_drawing(complete(7)), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                             [(4, 5), (5, 6), (4, 6)])
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])

@@ -158,6 +158,17 @@ def test_single_entry_list():
     assert find_rotation([F(3, 2)], 1, Direction.BELOW) is None
 
 
+def test_the_start_follows_the_last_of_tied_maxima():
+    # the running sums of 4*x_i + 4 are 0, -4, -8, 0: tied at their maximum
+    # at indices 0 and 3, and only the slot after the last one is a start
+    xs = (-2, -2, 1, -2)
+    cert = find_rotation(xs, -4, Direction.BELOW)
+    assert cert.k == 4 and verify_certificate(xs, -4, cert)
+    # from slot 1 the true prefix sums are -2, -4, -3, -5, and -3 is not below 3*(-4)/4
+    first = RotationCertificate(direction=Direction.BELOW, k=1, prefix_sums=(-2, -4, -3, -5))
+    assert not verify_certificate(xs, -4, first)
+
+
 def test_verify_rejects_out_of_range_start():
     cert = find_rotation([1, 1], 3, Direction.BELOW)
     bad = RotationCertificate(direction=cert.direction, k=5, prefix_sums=cert.prefix_sums)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as F
 from itertools import accumulate
@@ -705,6 +706,9 @@ def test_paired_closed_form_values():
     assert [paired_value_c5(n) for n in range(3, 9)] == [4, 6, 8, 8, 10, 12]
     with pytest.raises(ValueError):
         paired_value_c5(2)
+    for bad in (4.5, 4.0, True):
+        with pytest.raises(TypeError, match=re.escape(f"n must be an int, got {bad!r}")):
+            paired_value_c5(bad)
 
 
 def test_paired_closed_form_is_even():

@@ -293,6 +293,8 @@ def test_graph_file_rejects_malformed(tmp_path):
         "cut.json": ('{"n": 4, "edges": [[0, 1]', "not valid JSON"),
         "deep.json": ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
         "list.json": ("[[0, 1]]", "object with n and edges"),
+        "bool.json": ('{"n": true, "edges": []}', "n must be an integer, got True"),
+        "float.json": ('{"n": 4.0, "edges": []}', "n must be an integer, got 4.0"),
     }
     for name, (text, detail) in cases.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

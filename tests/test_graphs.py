@@ -51,6 +51,17 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(-1, [])
 
 
+@pytest.mark.parametrize("build, count", [
+    (lambda: complete(True), True),
+    (lambda: Graph.from_edges(True, []), True),
+    (lambda: cycle(5.0), 5.0),
+    (lambda: complete_bipartite(True, 2), True),
+], ids=["complete", "from_edges", "cycle", "complete_bipartite"])
+def test_a_vertex_count_is_an_int_and_not_a_bool(build, count):
+    with pytest.raises(TypeError, match=re.escape(f"vertex count {count!r} is not an int")):
+        build()
+
+
 def test_edges_sorted_and_counted():
     g = Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
     assert g.edges() == [(0, 1), (1, 3), (2, 3)]
