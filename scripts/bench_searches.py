@@ -71,6 +71,7 @@ SEARCHES = {
         "(cartesian_cycles(7, 7), columns_partition(7, 7), column_shift_symmetry(7, 7))",
         "decide_parameter_via_prefix(*g, Variant.DOMINATING, 12, budget=b)", 3),
     "min dominating C8xC8": ("cartesian_cycles(8, 8)", "min_parameter(g, Variant.DOMINATING, b)", 5),
+    "min total C7xC8": ("cartesian_cycles(7, 8)", "min_parameter(g, Variant.TOTAL, b)", 5),
     "min dominating C5xC8": ("cartesian_cycles(5, 8)", "min_parameter(g, Variant.DOMINATING, b)", 9),
     "decide dominating C5xC8 h=10": (
         "(cartesian_cycles(5, 8), columns_partition(5, 8), column_shift_symmetry(5, 8))",

@@ -23,7 +23,8 @@ the number of items, each depth a branch-and-bound on an explicit stack
 that branches on the uncovered vertex with the fewest items left, scanning
 only the vertices that have lost an item (ties to the first; the first
 uncovered vertex while none has), backtracks at once when that vertex has
-none left, and tries the items covering it in order.  An item is a vertex
+none left or when more uncovered vertices than items left pairwise share
+no item, and tries the items covering it in order.  An item is a vertex
 for dominating and total sets and an edge for paired ones, since a paired
 set is exactly a disjoint union of edges whose endpoints dominate
 everything; choosing an edge rules out every edge that meets it.  Exact
@@ -356,6 +357,21 @@ def _min_cover_search(
     locally and charged to the budget whenever the count passes its room
     and on every exit.
 
+    A node at depth d is also a dead end when a cover below it needs more
+    than k items, by either of two bounds on the vertices left uncovered:
+    the cap bound, more of them than (k - d) * cap; and the packing bound,
+    more than k - d of them that pairwise share no item (Meir and Moon,
+    1975).  share[u] holds u and every vertex that some item covering u
+    also covers, the union of covers over reach[u], and is filled on u's
+    first use.  The walk takes the lowest vertex left, drops its share, and
+    repeats, stopping once it has taken k - d + 1 vertices.  No item covers
+    two of the vertices taken, so each needs an item of its own.  Forbidden
+    and refused items only narrow the choice, so the bound holds under the
+    prefix caps too.  It cuts only subtrees that hold no cover of at most k
+    items, and the depth-first order is unchanged: each search visits a
+    subset of the nodes it visited without the bound, in the same order, and
+    finds the same set.
+
     prefix, when given, is (rise, start, guards): packed slacks that start
     at start and fall by rise[e] as item e joins, valid while every guard
     bit stays set.  A node refuses the items of its vertex whose rise clears
@@ -364,6 +380,7 @@ def _min_cover_search(
     """
     rise, start, guards = prefix or ([], 0, 0)
     shrink = [_union(covers, b) for b in blocks]
+    share = [0] * len(reach)  # filled on each vertex's first use
     many = len(items) + 1  # more than any vertex has left
     nodes = 0
     room = budget.room()
@@ -388,8 +405,19 @@ def _min_cover_search(
                 for e in picked[:d]:
                     chosen |= items[e]
                 return chosen
-            # at depth k the room (k - d) * cap is 0, so this stops there too
+            # need counts the items a cover below this node must hold: the
+            # cap bound (its room (k - d) * cap is 0 at depth k, so this
+            # stops there too), then the packing bound
+            spread, need = left, d
             if left.bit_count() > (k - d) * cap:
+                need = k + 1
+            while spread and need <= k:
+                need += 1
+                u = (spread & -spread).bit_length() - 1
+                if not (w := share[u]):
+                    w = share[u] = _union(covers, reach[u]) | 1 << u
+                spread &= ~w
+            if need > k:
                 c = 0
             elif scan := hot[d] & left:
                 f = forbid[d]

@@ -9,8 +9,10 @@ Vertex ids and edges a caller or a file hands in are read by one rule:
 `read_id` (an int, not a bool) and `read_edge` (two such ids, normalized).
 The constructors of partitions, decompositions, shifts, tiles and drawings
 apply it when built; `Graph.from_edges` trusts the generators and file readers
-with its edges.  `check_order` reads a vertex count by the same rule, in every
-generator and in `Graph.from_edges`.
+with its edges.  `read_int` applies the same rule to the other integers a
+caller hands in: `check_order` reads a vertex count by it, in every generator
+and in `Graph.from_edges`, `check_torus` the two factors of a torus, and
+`circulant` each stride, each before any comparison.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def read_int(x: object, what: str) -> int:
+    """x by `read_id`'s rule (an int, not a bool), else TypeError naming
+    what and x."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} {x!r} is not an int")
+    return int(x)
+
+
 def check_order(count: int) -> None:
     """Refuse a vertex count that is not an int, or is a bool, by `read_id`'s
     rule (TypeError), and one past sys.maxsize, as no list can index it."""
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise TypeError(f"vertex count {count!r} is not an int")
+    read_int(count, "vertex count")
     if count > sys.maxsize:
         raise ValueError(f"vertex count exceeds sys.maxsize ({sys.maxsize})")
 
@@ -155,15 +164,24 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph.from_edges(m + n, ((u, m + w) for u in range(m) for w in range(n)))
 
 
+def check_torus(m: int, n: int) -> None:
+    """Refuse cycle factors of a C_m x C_n torus that are not ints, or are
+    bools (TypeError), are under 3, or give a vertex count past
+    sys.maxsize."""
+    read_int(m, "cycle factor")
+    read_int(n, "cycle factor")
+    if m < 3 or n < 3:
+        raise ValueError("both cycle factors need at least 3 vertices")
+    check_order(m * n)
+
+
 def cartesian_cycles(m: int, n: int) -> Graph:
     """The torus product of C_m and C_n; vertex (i, j) has id i*n + j.
 
     Edges join (i, j)-(i, j+1) and (i, j)-(i+1, j), both indices cyclic.
     Requires m, n >= 3 so that the product stays a simple graph.
     """
-    if m < 3 or n < 3:
-        raise ValueError("both cycle factors need at least 3 vertices")
-    check_order(m * n)
+    check_torus(m, n)
     edges = []
     for i in range(m):
         for j in range(n):
@@ -178,12 +196,12 @@ def circulant(n: int, strides: Iterable[int]) -> Graph:
     Strides must be distinct values in 1..n//2; a stride equal to n/2
     contributes each diameter once.
     """
-    ss = sorted(strides)
+    ss = sorted(read_int(a, "stride") for a in strides)
     if not ss:
         raise ValueError("at least one stride is required")
+    check_order(n)
     if n < 2:
         raise ValueError("a circulant needs at least 2 vertices")
-    check_order(n)
     for i, a in enumerate(ss):
         if not 1 <= a <= n // 2:
             raise ValueError(f"stride {a} out of range 1..{n // 2}")

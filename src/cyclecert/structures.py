@@ -83,7 +83,7 @@ from itertools import combinations, repeat
 from typing import Optional, Union
 
 from .errors import SearchBudget
-from .graphs import Graph, check_order, iter_bits, norm_edge, read_edge, read_id
+from .graphs import Graph, check_torus, iter_bits, norm_edge, read_edge, read_id
 from .iso import find_mapping, isomorphic
 
 __all__ = [
@@ -207,9 +207,7 @@ def _validate(g: Graph, structure: Structure) -> None:
 
 def columns_partition(m: int, n: int) -> VertexPartition:
     """Columns of the C_m x C_n torus (ids i*n + j): part j holds column j."""
-    if m < 3 or n < 3:
-        raise ValueError("both cycle factors need at least 3 vertices")
-    check_order(m * n)
+    check_torus(m, n)
     return VertexPartition(tuple(range(j, m * n, n) for j in range(n)))
 
 
@@ -458,8 +456,7 @@ def find_transitive_partition(
 
 def column_shift_symmetry(m: int, n: int) -> CyclicSymmetry:
     """The torus automorphism (i, j) -> (i, j+1 mod n) on ids i*n + j."""
-    if m < 3 or n < 3:
-        raise ValueError("both cycle factors need at least 3 vertices")
+    check_torus(m, n)
     return CyclicSymmetry(
         tuple(i * n + (j + 1) % n for i in range(m) for j in range(n))
     )

@@ -32,8 +32,8 @@ def _check_reach(family, cap, largest):
 
 
 def test_paired_reach_stops_at_the_first_n_past_the_node_cap():
-    # each C5xCn up to n = 10 takes under 3,000 nodes and C5xC11 3,207
-    _check_reach("paired", 3_000, 10)
+    # each C5xCn up to n = 11 takes under 3,000 nodes and C5xC12 3,029
+    _check_reach("paired", 3_000, 11)
 
 
 def test_upper_total_reach_stops_at_the_first_n_past_the_node_cap():

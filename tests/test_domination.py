@@ -271,6 +271,29 @@ def test_min_parameter_matches_brute_on_random_graphs():
                 assert min_parameter(g, Variant(variant)).value == want
 
 
+def _connected_random_graph(rng, n):
+    """A random spanning tree, each vertex joined to an earlier one, plus
+    each other pair with probability 0.3."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+    return Graph.from_edges(n, sorted(edges))
+
+
+AGREEMENT_GRAPHS = [cartesian_cycles(3, n) for n in (3, 4, 5)] + [
+    _connected_random_graph(random.Random(35 + i), 5 + i % 5) for i in range(30)
+]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_min_parameter_agrees_with_the_exhaustive_minimum(variant):
+    # the packing bound cuts only subtrees that hold no cover of at most k
+    # items, so the minimum and a valid witness of it survive the cut
+    for g in AGREEMENT_GRAPHS:
+        report = min_parameter(g, variant)
+        assert report.value == brute_min_parameter(g, variant.value) == len(report.witness)
+        assert VALIDATORS[variant](g, report.witness)
+
+
 def test_paired_witness_is_a_disjoint_edge_union():
     report = min_parameter(cartesian_cycles(5, 3), Variant.PAIRED)
     witness = set(report.witness)
@@ -333,14 +356,16 @@ def test_paired_c5xc10_node_count_and_witness_are_pinned():
     budget = SearchBudget()
     report = min_parameter(cartesian_cycles(5, 10), Variant.PAIRED, budget)
     assert report.value == 14
-    assert budget.nodes == report.nodes_explored == 313
+    assert budget.nodes == report.nodes_explored == 187
     assert report.witness == (0, 1, 3, 4, 7, 8, 22, 25, 26, 29, 32, 35, 36, 39)
     assert is_paired_dominating(cartesian_cycles(5, 10), report.witness)
 
 
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
-    (6, 8, Variant.DOMINATING, 12, 60_486, (0, 11, 13, 17, 23, 27, 28, 29, 32, 42, 44, 46)),
-    (5, 8, Variant.TOTAL, 11, 3_099, (2, 3, 8, 15, 19, 20, 21, 24, 25, 37, 38)),
+    (6, 8, Variant.DOMINATING, 12, 18_600, (0, 11, 13, 17, 23, 27, 28, 29, 32, 42, 44, 46)),
+    (5, 8, Variant.TOTAL, 11, 332, (2, 3, 8, 15, 19, 20, 21, 24, 25, 37, 38)),
+    # 153,353 nodes without the packing bound, to the same witness
+    (7, 8, Variant.TOTAL, 16, 11_020, (1, 3, 5, 6, 9, 20, 23, 26, 28, 31, 34, 36, 37, 40, 47, 51)),
 ])
 def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
@@ -612,11 +637,11 @@ def test_room_starts_the_clock_and_stops_at_the_node_cap():
 # before it settles only on exit.
 BUDGETED_SEARCHES = {
     "min paired C5xC13": (
-        lambda b: min_parameter(cartesian_cycles(5, 13), Variant.PAIRED, b), 1_030),
+        lambda b: min_parameter(cartesian_cycles(5, 13), Variant.PAIRED, b), 802),
     "min paired C5xC17": (
-        lambda b: min_parameter(cartesian_cycles(5, 17), Variant.PAIRED, b), 23_934),
+        lambda b: min_parameter(cartesian_cycles(5, 17), Variant.PAIRED, b), 22_909),
     "min total C7xC6": (
-        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 3_471),
+        lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 621),
     "max-minimal total C4xC5": (
         lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 8_726),
     "decide dominating C5xC5": (
@@ -625,14 +650,17 @@ BUDGETED_SEARCHES = {
     "rd C5xC5": (lambda b: rd_prefix_pruned_search(*torus_setup(5, 5), 5, budget=b), 12),
     "decide paired C5xC7": (
         lambda b: decide_parameter_via_prefix(
-            *torus_setup(5, 7), Variant.PAIRED, 10, budget=b), 69),
+            *torus_setup(5, 7), Variant.PAIRED, 10, budget=b), 48),
     "decide dominating C5xC8": (
         lambda b: decide_parameter_via_prefix(
-            *torus_setup(5, 8), Variant.DOMINATING, 10, budget=b), 8_348),
-    "rd C7xC7": (lambda b: rd_prefix_pruned_search(*torus_setup(7, 7), 12, budget=b), 20_011),
+            *torus_setup(5, 8), Variant.DOMINATING, 10, budget=b), 4_094),
+    "decide dominating C7xC7": (
+        lambda b: decide_parameter_via_prefix(
+            *torus_setup(7, 7), Variant.DOMINATING, 12, budget=b), 8_473),
+    "rd C7xC7": (lambda b: rd_prefix_pruned_search(*torus_setup(7, 7), 12, budget=b), 8_543),
     "decide paired C5xC20": (
         lambda b: decide_parameter_via_prefix(
-            *torus_setup(5, 20), Variant.PAIRED, 28, budget=b), 7_280),
+            *torus_setup(5, 20), Variant.PAIRED, 28, budget=b), 6_959),
     "iso C200": (lambda b: find_mapping(cycle(200), cycle(200), b), 10_001),
 }
 
@@ -835,11 +863,11 @@ def test_prefix_search_on_singleton_parts_of_a_long_cycle_does_not_recurse():
 
 # Each case carries the node count of the part-by-part engine that the cover
 # search replaced; the cover search stays under it, at the count pinned here.
-DECIDE_NODES = {(5, "dominating", 5): 13, (6, "dominating", 7): 362, (5, "paired", 8): 24,
-                (6, "paired", 8): 77}
-PREFIX_NODES = {(5, "dominating", 5): 12, (6, "dominating", 7): 260, (5, "paired", 8): 23,
-                (6, "paired", 8): 76}
-RD_NODES = {(5, 5): 12, (5, 4): 1, (6, 7): 312, (6, 6): 102}
+DECIDE_NODES = {(5, "dominating", 5): 13, (6, "dominating", 7): 241, (5, "paired", 8): 12,
+                (6, "paired", 8): 50}
+PREFIX_NODES = {(5, "dominating", 5): 12, (6, "dominating", 7): 167, (5, "paired", 8): 11,
+                (6, "paired", 8): 49}
+RD_NODES = {(5, 5): 12, (5, 4): 1, (6, 7): 199, (6, 6): 74}
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from cyclecert.graphs import (
     read_edge,
     read_id,
 )
+from cyclecert.structures import column_shift_symmetry, columns_partition
 
 
 def test_norm_edge_orders():
@@ -59,6 +60,22 @@ def test_from_edges_rejects_bad_input():
 ], ids=["complete", "from_edges", "cycle", "complete_bipartite"])
 def test_a_vertex_count_is_an_int_and_not_a_bool(build, count):
     with pytest.raises(TypeError, match=re.escape(f"vertex count {count!r} is not an int")):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: circulant(12, [1.0, 4]), "stride 1.0 is not an int"),
+    (lambda: circulant(12, [True, 4]), "stride True is not an int"),
+    (lambda: cartesian_cycles(3.5, 3), "cycle factor 3.5 is not an int"),
+    (lambda: cartesian_cycles("3", 3), "cycle factor '3' is not an int"),
+    (lambda: columns_partition(3, 4.0), "cycle factor 4.0 is not an int"),
+    (lambda: column_shift_symmetry(True, 3), "cycle factor True is not an int"),
+], ids=["float stride", "bool stride", "float factor", "str factor", "columns_partition",
+        "column_shift_symmetry"])
+def test_a_stride_and_a_cycle_factor_are_ints_and_not_bools(build, message):
+    # read before any comparison: a float stride failed at `>>`, a bool one
+    # was stride 1, and a float factor was read as a vertex count of 10.5
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         build()
 
 
