@@ -212,20 +212,13 @@ def _quartiles(xs: list[float]) -> list[float]:
 def per_search(trees: dict[str, str]) -> dict:
     out = {}
     for name, (graph, call, runs) in SEARCHES.items():
-        times: dict[str, list[float]] = {side: [] for side in trees}
-        nodes: dict[str, set[int]] = {side: set() for side in trees}
-        for run in range(runs):
-            order = list(trees) if run % 2 == 0 else list(trees)[::-1]
-            for side in order:
-                got = _child(trees[side], CHILD, graph, call, 10**9)
-                times[side].append(got["s"])
-                nodes[side].add(got["nodes"])
         row = {}
-        for side in trees:
-            (count,) = nodes[side]  # node counts are deterministic
-            median = statistics.median(times[side])
+        for side, results in _alternating(trees, runs, CHILD, graph, call, 10**9).items():
+            (count,) = {r["nodes"] for r in results}  # node counts are deterministic
+            times = [r["s"] for r in results]
+            median = statistics.median(times)
             row[side] = {"nodes": count, "median_s": round(median, 4),
-                         "runs_s": [round(t, 4) for t in times[side]],
+                         "runs_s": [round(t, 4) for t in times],
                          "nodes_per_s": round(count / median)}
         row["change_vs_parent"] = round(row["change"]["median_s"] / row["parent"]["median_s"] - 1, 3)
         out[name] = row

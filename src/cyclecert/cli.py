@@ -9,9 +9,9 @@ document read by `formats.load_json`, and `generate` prints the graph JSON
 that @path reads back.
 `main` builds one `SearchBudget` per call from --budget-nodes and
 --budget-seconds, and every search of the command spends it, so a
-`reproduce` suite shares it across its instances.  Each command declares its
-defaults with its flags: 10^8 nodes and 600 seconds for `reproduce`, 10^7
-nodes and 60 seconds elsewhere.  A negative node cap is malformed input.
+`reproduce` suite shares it across its instances.  The flags default to
+`SearchBudget`'s caps, 10^7 nodes and 60 seconds, and to ten times them for
+`reproduce`.  A negative node cap is malformed input.
 Integer flags, and the integers inside specs and lists, go through
 `formats.parse_int`: plain decimal digits with an optional sign, nothing
 else that `int()` would read.  --budget-seconds takes plain decimals such
@@ -117,7 +117,9 @@ def _seconds_arg(text: str) -> float:
     return float(text)
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, nodes: int, seconds: float) -> None:
+def _add_budget_flags(p: argparse.ArgumentParser, scale: int = 1) -> None:
+    """The budget flags, defaulting to scale times `SearchBudget`'s caps."""
+    nodes, seconds = SearchBudget.max_nodes * scale, SearchBudget.max_seconds * scale
     p.add_argument("--budget-nodes", type=_int_arg, default=nodes, help="search node cap")
     p.add_argument("--budget-seconds", type=_seconds_arg, default=seconds, help="wall clock cap")
 
@@ -456,7 +458,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph spec, e.g. torus:5:3 or @file")
     p.add_argument("--variant", choices=[v.value for v in Variant], default="dominating")
     p.add_argument("--mode", choices=["min", "max-minimal"], default="min")
-    _add_budget_flags(p, 10_000_000, 60.0)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_domination_solve)
     p = dom.add_parser("corollary", help="prefix-pruned search or size decision")
     p.add_argument("--graph", required=True)
@@ -466,7 +468,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["search", "decide"], default="decide")
     p.add_argument("--rd", action="store_true",
                    help="use redundancy counts instead of sizes (dominating sets only)")
-    _add_budget_flags(p, 10_000_000, 60.0)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_domination_corollary)
 
     part = sub.add_parser("partition", help="vertex partitions").add_subparsers(
@@ -476,12 +478,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--transitive", action="store_true")
-    _add_budget_flags(p, 10_000_000, 60.0)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_structure_check)
     p = part.add_parser("find", help="search for a transitive partition into t classes")
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=_int_arg, required=True)
-    _add_budget_flags(p, 10_000_000, 60.0)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_partition_find)
 
     dec = sub.add_parser("decomposition", help="edge decompositions").add_subparsers(
@@ -491,7 +493,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--decomposition", required=True, help="decomposition JSON file")
     p.add_argument("--transitive", action="store_true")
-    _add_budget_flags(p, 10_000_000, 60.0)
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_structure_check)
 
     draw = sub.add_parser("drawing", help="combinatorial drawings").add_subparsers(
@@ -526,7 +528,7 @@ def _parser() -> argparse.ArgumentParser:
     size.add_argument("--quick", action="store_true", help="smaller instances only")
     size.add_argument("--n", type=_int_arg, default=None,
                       help="the t1 or n4 torus with n columns alone, n >= 3")
-    _add_budget_flags(p, 100_000_000, 600.0)
+    _add_budget_flags(p, 10)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser

@@ -383,7 +383,7 @@ def _min_cover_search(
     share = [0] * len(reach)  # filled on each vertex's first use
     many = len(items) + 1  # more than any vertex has left
     nodes = 0
-    room = budget.room()
+    room = budget.charge(0)
     for k in sizes:
         picked = [0] * k  # the item chosen at each depth above the node
         covered = [0] * (k + 1)
@@ -395,9 +395,8 @@ def _min_cover_search(
         while True:
             nodes += 1
             if nodes > room:
-                budget.charge(nodes)
+                room = budget.charge(nodes)
                 nodes = 0
-                room = budget.room()
             left = full & ~covered[d]
             if not left:
                 budget.charge(nodes)
@@ -563,14 +562,13 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     best, witness = 0, None
     stack = [(0, 0, 0, 0, 0)]  # next vertex, chosen, size, once, more
     nodes = 0
-    room = budget.room()
+    room = budget.charge(0)
     while stack:
         v, chosen, size, once, more = stack.pop()
         nodes += 1
         if nodes > room:
-            budget.charge(nodes)
+            room = budget.charge(nodes)
             nodes = 0
-            room = budget.room()
         if v == n:
             if size > best:
                 best, witness = size, chosen

@@ -23,16 +23,17 @@ class SearchBudget:
     The caps must be a non-negative int (not a bool) and a non-negative
     number of seconds other than NaN; anything else is a ValueError.
 
-    A hot loop counts its own nodes: `room()` starts the clock and returns
-    how many nodes the loop may count before it must settle them with
-    `charge(k)`, which adds the k nodes, reads the clock and raises past
-    either cap.  The loop charges when its count passes the room, opens a
-    new room, and charges what is left on every exit, so the cap still
-    raises at node max_nodes + 1 and the clock is read once per 4096 nodes.
-    A cold loop charges each node as it goes.
+    `charge(k)` is the one settle call: it adds k nodes, reads the clock,
+    raises past either cap, and returns the room, how many nodes a loop
+    may count before it must settle again.  A hot loop counts its own
+    nodes: it opens with `room = charge(0)`, settles with
+    `room = charge(nodes)` and a fresh count whenever the count passes the
+    room, and charges what is left on every exit, so the cap still raises
+    at node max_nodes + 1 and the clock is read once per 4096 nodes.  A
+    cold loop charges each node as it goes.
 
-    The clock starts at the first room or charge, whichever comes first: a
-    search that opens a room fixes its deadline before its first node.
+    The clock starts at the first charge: a search that opens with
+    `charge(0)` fixes its deadline before its first node.
     """
 
     max_nodes: int = 10_000_000
@@ -48,12 +49,7 @@ class SearchBudget:
         if isinstance(seconds, bool) or not isinstance(seconds, Real) or not seconds >= 0:
             raise ValueError(f"max_seconds must be a non-negative number, got {seconds!r}")
 
-    def room(self) -> int:
-        if self._deadline is None:
-            self._deadline = time.monotonic() + self.max_seconds
-        return min(self.max_nodes - self.nodes, 4096)
-
-    def charge(self, nodes: int) -> None:
+    def charge(self, nodes: int) -> int:
         now = time.monotonic()
         if self._deadline is None:
             self._deadline = now + self.max_seconds
@@ -62,3 +58,4 @@ class SearchBudget:
             raise BudgetExceededError(f"node budget {self.max_nodes} exceeded")
         if now > self._deadline:
             raise BudgetExceededError(f"time budget {self.max_seconds}s exceeded")
+        return min(self.max_nodes - self.nodes, 4096)

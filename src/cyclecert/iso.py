@@ -37,11 +37,11 @@ pattern against everything already mapped, which one bitmask comparison
 checks.
 
 The search counts candidate assignments as nodes of the caller's
-`SearchBudget` in a local count, opened with `room()` before refinement,
-which starts the clock; each round of refinement reads the clock with a
-charge of no nodes.  It settles them with `charge` whenever the
-count passes that room, at most every 4096 nodes, and at the end of the
-call; each settle reads the clock, so a single long search stops on time.
+`SearchBudget` in a local count.  Each round of refinement reads the clock
+with a charge of no nodes, which returns the room; the first round starts
+the clock.  The search settles its count with `charge` whenever the count
+passes that room, at most every 4096 nodes, and at the end of the call;
+each settle reads the clock, so a single long search stops on time.
 Past either cap it raises BudgetExceededError, so "unknown" is never
 conflated with "not isomorphic".  Exactness over speed: no hashing
 shortcuts decide the positive answer, only an explicit bijection does.
@@ -155,11 +155,11 @@ def _search(
 ) -> tuple[Optional[list[int]], int]:
     """The images of a bijection, or None, and the nodes not yet charged.
 
-    The clock starts before the first round of refinement, and each round
-    reads it, charging no nodes.  Whenever the count passes the
-    budget's room, at most every 4096 nodes and at the first node past the
-    cap, it charges the nodes so far, which reads the clock and raises past
-    either cap."""
+    Each round of refinement reads the clock, charging no nodes; the first
+    starts it.  Whenever the count passes the budget's room, at most every
+    4096 nodes and at the first node past the cap, it charges the nodes so
+    far, which reads the clock, raises past either cap and opens the next
+    room."""
     if g2.n != g1.n or g2.edge_count != g1.edge_count:
         return None, 0
     degrees = [row.bit_count() for row in g1.adj]
@@ -172,10 +172,9 @@ def _search(
         return [], 0
     nbrs1 = _neighbor_lists(g1)
     nbrs2 = nbrs1 if g2 is g1 else _neighbor_lists(g2)
-    room = budget.room()
     classes = len(set(cols1))
     while True:
-        budget.charge(0)
+        room = budget.charge(0)  # each round reads the clock; the first starts it
         table: dict[tuple, int] = {}
         cols1 = [
             table.setdefault((cols1[v], tuple(sorted([cols1[u] for u in nb]))), len(table))
@@ -216,9 +215,8 @@ def _search(
                 continue
             nodes += 1
             if nodes > room:
-                budget.charge(nodes)
+                room = budget.charge(nodes)
                 nodes = 0
-                room = budget.room()
             if adj2[w] & used != want:
                 continue
             image[order[depth]] = w

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .graphs import Graph, read_id
+from .graphs import Graph, read_id, read_int
 from .structures import EdgeDecomposition, Piece
 
 __all__ = [
@@ -74,39 +74,44 @@ def tile_concat(q1: Tile, q2: Tile) -> Tile:
 
 def tile_power(q: Tile, t: int) -> Tile:
     """t copies of q concatenated in a row, t >= 1."""
-    if t < 1:
-        raise ValueError("power needs t >= 1")
-    out = q
-    for _ in range(t - 1):
-        out = tile_concat(out, q)
-    return out
+    graph, _ = _copies(q, t, closed=False)
+    return Tile(graph, q.left, tuple(v + (t - 1) * q.graph.n for v in q.right))
 
 
-def _closure(q: Tile, t: int) -> tuple[Graph, list[tuple[set[int], list[tuple[int, int]]]]]:
-    """The closure of Q^t and its pieces as (vertices, edges).
+def _copies(
+    q: Tile, t: int, closed: bool
+) -> tuple[Graph, list[tuple[set[int], list[tuple[int, int]]]]]:
+    """Q^t, or its closure when closed, and its pieces as (vertices, edges).
 
     Piece i is copy i (offset i * |V(q)|) plus the join bundle from copy i to
-    copy i+1 (mod t); its vertex set is copy i plus the bundle endpoints.  A
-    repeated join is a parallel edge, which `Graph.from_edges` refuses.
+    copy i+1; the bundle of the last copy joins copy 0 when closed and is
+    empty otherwise.  A piece's vertex set is its copy plus the bundle
+    endpoints.  A repeated join is a parallel edge, which `Graph.from_edges`
+    refuses.
     """
-    if t < 2:
-        raise ValueError("closing needs t >= 2 copies")
+    t = read_int(t, "copy count")
+    if t < 1 + closed:
+        raise ValueError(f"{'closing' if closed else 'power'} needs t >= {1 + closed} copies")
     n0 = q.graph.n
+    inner = q.graph.edges()
     pieces = []
     for i in range(t):
-        base, nxt = i * n0, (i + 1) % t * n0
-        edges = [(u + base, v + base) for u, v in q.graph.edges()]
-        edges += [(base + r, nxt + l) for r, l in zip(q.right, q.left)]
-        pieces.append((set(range(base, base + n0)).union(nxt + l for l in q.left), edges))
+        base = i * n0
+        verts, edges = set(range(base, base + n0)), [(u + base, v + base) for u, v in inner]
+        if closed or i < t - 1:
+            nxt = (i + 1) % t * n0
+            verts.update(nxt + l for l in q.left)
+            edges += [(base + r, nxt + l) for r, l in zip(q.right, q.left)]
+        pieces.append((verts, edges))
     return Graph.from_edges(t * n0, [e for _, edges in pieces for e in edges]), pieces
 
 
 def tile_close(q: Tile, t: int) -> Graph:
     """Cyclic closure of Q^t: the outer boundaries are joined as well."""
-    return _closure(q, t)[0]
+    return _copies(q, t, closed=True)[0]
 
 
 def canonical_periodic_decomposition(q: Tile, t: int) -> tuple[Graph, EdgeDecomposition]:
     """The closure of Q^t plus its decomposition into copy-plus-bundle pieces."""
-    closure, pieces = _closure(q, t)
+    closure, pieces = _copies(q, t, closed=True)
     return closure, EdgeDecomposition(tuple(Piece(verts, edges) for verts, edges in pieces))

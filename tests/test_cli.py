@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from cyclecert.domination import (
     is_dominating,
     is_minimal_total_dominating,
     is_paired_dominating,
+    max_minimal_parameter,
+    min_parameter,
     prefix_pruned_search,
     rd_prefix_pruned_search,
 )
@@ -20,9 +23,11 @@ from cyclecert.structures import circulant14_decomposition, column_shift_symmetr
 
 
 def run(capsys, *argv):
+    """The exit code and the one JSON line that main prints on stdout."""
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip().startswith("{") else out
+    assert out.count("\n") == 1 and out.endswith("\n"), out
+    return code, json.loads(out)
 
 
 def test_certify_sum_found(capsys):
@@ -60,9 +65,12 @@ def test_certify_sum_equality_takes_half_when_epsilon_is_omitted(capsys):
 @pytest.mark.parametrize("epsilon", ["x", "1/4", "1/2"])
 def test_certify_sum_epsilon_belongs_to_equality_alone(capsys, direction, epsilon):
     # a valid value is refused too: a rotation certificate records no nudge
-    code, doc = run(capsys, "certify", "sum", "--list", "1,2", "--h", "5",
-                    "--direction", direction, "--epsilon", epsilon)
-    assert code == 2 and doc["error"] == "invalid input" and "--epsilon" in doc["detail"]
+    argv = ["certify", "sum", "--list", "1,2", "--h", "5", "--epsilon", epsilon]
+    calls = [[*argv, "--direction", direction]]
+    if direction == "below":
+        calls.append(argv)  # the direction when none is given
+    for call in calls:
+        assert "--epsilon" in _refused(capsys, *call)["detail"]
 
 
 def test_certify_sum_bad_rational_is_input_error(capsys):
@@ -175,11 +183,11 @@ def test_usage_errors_are_input_errors(capsys):
 
 
 def _refused(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    assert code == 2 and out.count("\n") == 1
-    doc = json.loads(out)
-    assert doc["error"] == "invalid input"
+    """The JSON error of a call refused as invalid input, within 10 s."""
+    start = time.monotonic()
+    code, doc = run(capsys, *argv)
+    assert time.monotonic() - start < 10
+    assert code == 2 and doc["error"] == "invalid input"
     return doc
 
 
@@ -258,15 +266,16 @@ def test_certify_verify_refuses_an_entry_no_prefix_sum_of_the_list_has(capsys, t
     path = tmp_path / "cert.json"
     code, doc = run(capsys, "certify", "sum", "--list", "3,-1/2,2,-2", "--h", "4")
     assert code == 0
+    path.write_text(dump_json(doc), encoding="utf-8")
+    verify = ["certify", "verify", "--list", "3,-1/2,2,-2", "--certificate", str(path)]
+    assert run(capsys, *verify) == (0, {"verified": True})
     doc["certificate"]["prefix"][1] = {"num": 3, "den": 4}
     path.write_text(dump_json(doc), encoding="utf-8")
-    detail = _refused(capsys, "certify", "verify", "--list", "3,-1/2,2,-2", "--certificate", str(path))["detail"]
-    assert "prefix entry 2 is 3/4" in detail
+    assert "prefix entry 2 is 3/4" in _refused(capsys, *verify)["detail"]
     # an entry over the list's D that is wrong is read, and fails to verify
     doc["certificate"]["prefix"][1] = {"num": 1, "den": 2}
     path.write_text(dump_json(doc), encoding="utf-8")
-    code, out = run(capsys, "certify", "verify", "--list", "3,-1/2,2,-2", "--certificate", str(path))
-    assert (code, out) == (1, {"verified": False})
+    assert run(capsys, *verify) == (1, {"verified": False})
 
 
 def test_comma_list_items_are_still_stripped_of_spaces(capsys):
@@ -338,10 +347,11 @@ def test_domination_solve_max_minimal_long_cycle_is_budget_exceeded(capsys):
 def test_bad_budget_caps_are_input_errors(capsys, flag, value):
     # a NaN deadline is never reached, so it would switch the clock off;
     # float() would read 1_0 and 1e1 as 10
-    start = time.monotonic()
-    code, doc = run(capsys, "partition", "find", "--graph", "kmn:3:10", "--t", "13", flag, value)
-    assert time.monotonic() - start < 5
-    assert code == 2 and doc["error"] == "invalid input" and flag in doc["detail"]
+    for graph, t in [("kmn:3:10", "13"), ("cycle:6", "3")]:
+        start = time.monotonic()
+        code, doc = run(capsys, "partition", "find", "--graph", graph, "--t", t, flag, value)
+        assert time.monotonic() - start < 5
+        assert code == 2 and doc["error"] == "invalid input" and flag in doc["detail"]
 
 
 @pytest.mark.parametrize("value", ["3_0", "\u0663", " 3"])
@@ -355,8 +365,24 @@ def test_bad_budget_caps_are_input_errors(capsys, flag, value):
 ])
 def test_integer_flags_take_plain_decimal_digits(capsys, argv, flag, value):
     # int() would read 3_0 as 30 and the Arabic-Indic digit as 3
-    code, doc = run(capsys, *argv, flag, value)
-    assert code == 2 and doc["error"] == "invalid input" and flag in doc["detail"]
+    assert flag in _refused(capsys, *argv, flag, value)["detail"]
+
+
+@pytest.mark.parametrize("argv, solve, variant", [
+    (["--graph", "torus:5:13", "--variant", "paired"], min_parameter, Variant.PAIRED),
+    (["--graph", "torus:4:5", "--variant", "total", "--mode", "max-minimal"],
+     max_minimal_parameter, Variant.TOTAL),
+], ids=["paired C5xC13", "upper total C4xC5"])
+def test_domination_solve_prints_the_pinned_node_count_and_a_cap_one_short_exits_3(
+        capsys, argv, solve, variant):
+    # the counts are pinned in test_domination.BUDGETED_SEARCHES
+    g = parse_graph_spec(argv[1])
+    nodes = solve(g, variant).nodes_explored
+    code, doc = run(capsys, "domination", "solve", *argv)
+    assert code == 0 and doc["nodes_explored"] == nodes
+    code, doc = run(capsys, "domination", "solve", *argv, "--budget-nodes", str(nodes - 1))
+    assert code == 3 and doc == {"error": "budget exceeded",
+                                 "detail": f"node budget {nodes - 1} exceeded"}
 
 
 def test_budget_flag_overrides_the_default(capsys):
@@ -605,14 +631,20 @@ def test_drawing_check_valid_and_invalid(capsys, tmp_path):
     assert doc["violations"][0]["kind"] == "adjacent-pair"
 
 
-def test_drawing_check_reads_no_file_the_drawing_names(capsys, tmp_path):
-    # g.json is a valid graph file; a drawing that names it is still refused
-    (tmp_path / "g.json").write_text(dump_json(graph_to_json(cycle(4))), encoding="utf-8")
-    path = tmp_path / "d.json"
-    path.write_text(dump_json({"surface": "plane", "graph": "@g.json", "crossings": []}),
-                    encoding="utf-8")
-    code, doc = run(capsys, "drawing", "check", "--drawing", str(path))
-    assert code == 2 and doc["error"] == "invalid input"
+def test_drawing_check_reads_no_file_the_drawing_names(capsys, tmp_path, monkeypatch):
+    # the convex drawing holds its graph inline; with a spec, or the name of
+    # g.json, a valid graph file in the working directory, in its place, it
+    # is refused
+    monkeypatch.chdir(tmp_path)
+    code, doc = run(capsys, "drawing", "convex", "--graph", "circulant:12:1,4")
+    Path("d.json").write_text(dump_json(doc), encoding="utf-8")
+    assert run(capsys, "drawing", "check", "--drawing", "d.json") == (
+        0, {"valid": True, "cr_total": 36})
+    code, graph = run(capsys, "generate", "--graph", "circulant:12:1,4")
+    Path("g.json").write_text(dump_json(graph), encoding="utf-8")
+    for name in ["circulant:12:1,4", "@g.json"]:
+        Path("named.json").write_text(dump_json({**doc, "graph": name}), encoding="utf-8")
+        _refused(capsys, "drawing", "check", "--drawing", "named.json")
 
 
 def test_drawing_convex(capsys):
@@ -636,6 +668,22 @@ def test_drawing_parity(capsys, tmp_path):
     code, doc = run(capsys, "drawing", "parity", "--drawing", str(path),
                     "--cycle-a", "0-2,2-4,0-4", "--cycle-b", "1-3,3-5,1-5")
     assert code == 1 and doc["parity"] == "odd"
+
+
+def test_drawing_parity_and_check_read_the_convex_circulant_12(capsys, tmp_path):
+    code, doc = run(capsys, "drawing", "convex", "--graph", "circulant:12:1,4")
+    path = tmp_path / "d.json"
+    path.write_text(dump_json(doc), encoding="utf-8")
+    parity = ["drawing", "parity", "--drawing", str(path), "--cycle-b", "1-5,5-9,9-1"]
+    assert main([*parity, "--cycle-a", "0-4,4-8,8-0"]) == 0
+    assert capsys.readouterr().out == '{"parity":"even"}\n'
+    _refused(capsys, *parity, "--cycle-a", "0-4,4-8")
+    # an id written as 0.0, and a crossing entry of three edges
+    assert doc["crossings"][0] == [[0, 4], [1, 5]]
+    for first in [[[0.0, 4], [1, 5]], [[0, 4], [1, 5], [2, 6]]]:
+        path.write_text(dump_json({**doc, "crossings": [first, *doc["crossings"][1:]]}),
+                        encoding="utf-8")
+        _refused(capsys, "drawing", "check", "--drawing", str(path))
 
 
 def test_drawing_certify(capsys, tmp_path):
@@ -676,15 +724,17 @@ def _circulant12_drawing_and_fans(capsys, tmp_path):
     ("357/10", "below", 2), ("36.0", "below", 2), ("36/1", "above", 2), ("3_6", "below", 2),
 ])
 def test_drawing_certify_takes_an_integer_h(capsys, tmp_path, h, direction, expected):
-    argv = _circulant12_drawing_and_fans(capsys, tmp_path)
-    code = main([*argv, "--h", h, "--direction", direction])
-    out = capsys.readouterr().out
-    assert code == expected and out.count("\n") == 1
-    doc = json.loads(out)
-    if expected == 2:
-        assert doc["error"] == "invalid input" and "--h" in doc["detail"]
-    else:
-        assert doc["found"] is (expected == 0)
+    argv = [*_circulant12_drawing_and_fans(capsys, tmp_path), "--h", h]
+    calls = [[*argv, "--direction", direction]]
+    if direction == "below":
+        calls.append(argv)  # the direction when none is given
+    for call in calls:
+        code, doc = run(capsys, *call)
+        assert code == expected
+        if expected == 2:
+            assert doc["error"] == "invalid input" and "--h" in doc["detail"]
+        else:
+            assert doc["found"] is (expected == 0)
 
 
 @pytest.mark.parametrize("command", ["corollary", "drawing certify"])
@@ -712,20 +762,25 @@ def test_generate_text_matches_library(capsys):
 
 
 def test_generate_json(capsys, tmp_path):
-    # what `generate` prints, `@path` reads back to the same bytes
+    # what `generate` prints, one line, `@path` reads back to the same bytes,
+    # and a solve reads as the graph it names
     path = tmp_path / "g.json"
     for spec in GENERATE_SPECS:
         assert main(["generate", "--graph", spec]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["n"] == parse_graph_spec(spec).n
+        assert out.count("\n") == 1 and json.loads(out)["n"] == parse_graph_spec(spec).n
         path.write_text(out, encoding="utf-8")
         assert main(["generate", "--graph", f"@{path}"]) == 0
         assert capsys.readouterr().out == out, spec
+        code, doc = run(capsys, "domination", "solve", "--graph", f"@{path}")
+        assert (code, doc["value"]) == (0, min_parameter(parse_graph_spec(spec), Variant.DOMINATING).value)
 
 
 def test_generate_bad_spec_is_input_error(capsys, tmp_path):
     code, doc = run(capsys, "generate", "--graph", "blob:9")
     assert code == 2 and doc["error"] == "invalid input"
+    detail = _refused(capsys, "generate", "--graph", "circulant:12:1,4,4")["detail"]
+    assert "stride 4 is repeated" in detail
     # a vertex count past sys.maxsize is refused before any loop over it
     huge = str(10**20)
     big = tmp_path / "big.json"
@@ -735,6 +790,7 @@ def test_generate_bad_spec_is_input_error(capsys, tmp_path):
     cases = [["generate", "--graph", spec] for spec in specs] + [
         ["partition", "check", "--graph", "torus:3:3", "--partition", f"columns:3:{huge}"],
         ["reproduce", "--suite", "t1", "--n", huge, "--budget-nodes", "10"],
+        ["reproduce", "--suite", "t1", "--n", huge],
     ]
     for argv in cases:
         assert "exceeds sys.maxsize" in _refused(capsys, *argv)["detail"]

@@ -624,11 +624,11 @@ def test_library_budgets_take_zero_fractions_and_no_time_limit(caps):
 
 
 def test_room_starts_the_clock_and_stops_at_the_node_cap():
+    # charge returns the room, the nodes a loop may count before it settles
     budget = SearchBudget(max_nodes=5000)
-    assert budget.room() == 4096
+    assert budget.charge(0) == 4096
     assert budget._deadline is not None
-    budget.charge(4096)
-    assert budget.room() == 904
+    assert budget.charge(4096) == 904
 
 
 # Each search counts its own nodes and settles with its budget; the second
@@ -918,6 +918,19 @@ def test_rd_prefix_search_node_counts_and_witnesses_are_pinned(n, h, part_by_par
     found = rd_prefix_pruned_search(g, p, sigma, h, budget=budget)
     assert (sorted(found) if found is not None else None) == witness
     assert budget.nodes == RD_NODES[n, h] < part_by_part
+
+
+@pytest.mark.parametrize("search", [
+    lambda g, p, sigma, b: prefix_pruned_search(g, p, sigma, Variant.DOMINATING, -1, budget=b),
+    lambda g, p, sigma, b: prefix_pruned_search(g, p, sigma, Variant.PAIRED, -1, budget=b),
+    lambda g, p, sigma, b: rd_prefix_pruned_search(g, p, sigma, -1, budget=b),
+], ids=["dominating", "paired", "rd"])
+def test_a_prefix_search_whose_empty_set_breaks_a_cap_answers_before_its_first_node(search):
+    # at h = -1 the first cap is under the weight of part 0 before any
+    # vertex joins, and weights only rise
+    budget = SearchBudget()
+    assert search(*torus_setup(5, 5), budget) is None
+    assert budget.nodes == 0
 
 
 def _circulant_blocks(k):

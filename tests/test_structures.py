@@ -172,21 +172,26 @@ def test_list_valued_parts_answer_as_frozenset_parts():
 
 
 def test_a_shift_entry_that_is_not_an_int_is_refused_when_built():
+    start = time.monotonic()
     for sigma in ((1.0, 2, 0), (1, 2, 0.0), (True, False), ("1", "0")):
         with pytest.raises(TypeError, match="sigma: vertex id .* is not an int"):
             CyclicSymmetry(sigma)
     assert CyclicSymmetry([1, 2, 0]).sigma == (1, 2, 0)
+    assert time.monotonic() - start < 2
 
 
 def test_a_tile_boundary_that_is_not_an_int_is_refused_when_built():
+    start = time.monotonic()
     with pytest.raises(TypeError, match=r"left boundary: vertex id 0\.0 is not an int"):
         Tile(complete(4), left=(0.0, 1), right=(2, 3))
     with pytest.raises(TypeError, match="right boundary: vertex id True is not an int"):
         Tile(complete(4), left=(0, 1), right=(2, True))
     assert Tile(complete(4), left=[0, 1], right=[2, 3]) == Tile(complete(4), (0, 1), (2, 3))
+    assert time.monotonic() - start < 2
 
 
 def test_an_id_repeated_inside_one_part_is_one_member():
+    start = time.monotonic()
     g = cartesian_cycles(3, 4)
     parts = [sorted(part) for part in columns_partition(3, 4).parts]
     parts[0] = [0, 0, 4, 8]
@@ -194,14 +199,17 @@ def test_an_id_repeated_inside_one_part_is_one_member():
     validate_partition(g, p)
     assert is_transitive_partition(g, p)
     assert p == columns_partition(3, 4)
+    assert time.monotonic() - start < 2
 
 
 def test_an_edge_given_in_both_orientations_inside_one_piece_is_one_member():
+    start = time.monotonic()
     g = cycle(4)
     d = EdgeDecomposition((Piece(range(4), [(0, 1), (1, 0), (1, 2), (2, 3), (0, 3)]),))
     validate_decomposition(g, d)
     assert is_transitive_decomposition(g, d)
     assert d.pieces[0].edges == frozenset(g.edges())
+    assert time.monotonic() - start < 2
 
 
 def _forms(pieces):
@@ -416,11 +424,13 @@ def test_one_budget_accumulates_over_two_window_tests():
 def test_equal_windows_need_no_search():
     # columns of a torus and singletons of a cycle, labelled in part order,
     # give the same adjacency at every start, so no window reaches match
+    start = time.monotonic()
     budget = SearchBudget()
     assert transitive_by_windows(cartesian_cycles(4, 4), columns_partition(4, 4), budget)
     singletons = VertexPartition(tuple(frozenset({v}) for v in range(100)))
     assert transitive_by_windows(cycle(100), singletons, budget)
     assert budget.nodes == 0
+    assert time.monotonic() - start < 2
 
 
 def test_equal_windows_still_read_the_clock():
@@ -602,6 +612,23 @@ def test_tile_power_one_is_identity():
     assert q.graph == edge_tile().graph
     with pytest.raises(ValueError, match="t >= 1"):
         tile_power(edge_tile(), 0)
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_tile_power_is_the_row_of_concatenations(t):
+    for q in _CLOSABLE_TILES.values():
+        row = q
+        for _ in range(t - 1):
+            row = tile_concat(row, q)
+        assert tile_power(q, t) == row
+
+
+def test_a_copy_count_that_is_not_an_int_is_refused():
+    # True would read as one copy, and 2.0 fail inside range()
+    q = Tile(complete(4), (0, 1), (2, 3))
+    for build, t in [(tile_power, True), (tile_close, 2.0), (canonical_periodic_decomposition, 2.0)]:
+        with pytest.raises(TypeError, match=f"copy count {t} is not an int"):
+            build(q, t)
 
 
 def test_column_tile_closes_to_torus():
