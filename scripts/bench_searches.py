@@ -17,9 +17,10 @@ parts, each run in fresh interpreters on each tree's `src`:
   the README's pair) on a fresh budget, graphs built outside the timing,
   parent and change alternating and the order swapped every run;
 - per_drawing: the crossing count and the median seconds of
-  `convex_drawing` and of two `decomposition_weights` calls on the drawing
-  it returns, for the two drawings of the structures-crossing workload and
-  for C(20000;{1,4}), alternating like per_search.  The first call also
+  `convex_drawing`, of two `decomposition_weights` calls on the drawing it
+  returns and of `jordan_parity_screen` on the workload's two stride-4
+  cycles, for the two drawings of the structures-crossing workload and for
+  C(20000;{1,4}), alternating like per_search.  The first weights call also
   validates the drawing and the decomposition; a tree that keeps the
   weights on the drawing answers the second from there, and an older tree
   validates the decomposition again;
@@ -108,7 +109,7 @@ DRAWINGS = {
 
 DRAWING_CHILD = """
 import json, random, sys, time
-from cyclecert.crossing import convex_drawing, decomposition_weights
+from cyclecert.crossing import convex_drawing, decomposition_weights, jordan_parity_screen
 from cyclecert.graphs import circulant
 from cyclecert.structures import circulant14_decomposition
 k, arrange = int(sys.argv[1]), sys.argv[2]
@@ -121,6 +122,8 @@ if arrange == "shuffled":
 elif arrange == "rotated":
     turn = rng.randrange(n)
     order = order[turn:] + order[:turn]
+cyc_a = [(4 * i, 4 * (i + 1) % n) for i in range(k)]
+cyc_b = [(4 * i + 1, (4 * i + 5) % n) for i in range(k)]
 start = time.perf_counter()
 d = convex_drawing(g, order)
 convex = time.perf_counter() - start
@@ -129,10 +132,14 @@ for _ in range(2):
     start = time.perf_counter()
     decomposition_weights(d, dec)
     weights.append(time.perf_counter() - start)
-print(json.dumps({"crossings": len(d.crossings), "convex_drawing": convex,
-                  "decomposition_weights": weights[0], "decomposition_weights_again": weights[1]}))
+start = time.perf_counter()
+parity = jordan_parity_screen(d, cyc_a, cyc_b)
+screen = time.perf_counter() - start
+print(json.dumps({"crossings": len(d.crossings), "parity": parity.value, "convex_drawing": convex,
+                  "decomposition_weights": weights[0], "decomposition_weights_again": weights[1],
+                  "jordan_parity_screen": screen}))
 """
-CALLS = ("convex_drawing", "decomposition_weights", "decomposition_weights_again")
+CALLS = ("convex_drawing", "decomposition_weights", "decomposition_weights_again", "jordan_parity_screen")
 
 # n of the seeded lists, each of entries p/q with |p| <= 50 and q in 1..12
 CERTIFICATE_SIZES = (10**3, 10**4, 10**5)
@@ -261,6 +268,7 @@ def per_drawing(trees: dict[str, str]) -> dict:
         row = _timed_row(got, CALLS)
         for side in trees:
             (row[side]["crossings"],) = {r["crossings"] for r in got[side]}
+            (row[side]["parity"],) = {r["parity"] for r in got[side]}
         out[name] = row
         print(name, json.dumps(row), file=sys.stderr)
     return out
@@ -357,11 +365,13 @@ def main() -> None:
             "searches": per_search(trees),
         },
         "per_drawing": {
-            "method": "each run is one convex_drawing call and two decomposition_weights calls "
+            "method": "each run is one convex_drawing call, two decomposition_weights calls "
                       "on the drawing it returns, the first of which also validates the drawing "
                       "and the decomposition (decomposition_weights_again is the second: a tree "
                       "that keeps the weights on the drawing answers it from there, an older "
-                      "tree validates the decomposition again), in a fresh interpreter on "
+                      "tree validates the decomposition again), and one jordan_parity_screen "
+                      "call on the cycles (4i, 4i + 4) and (4i + 1, 4i + 5), in a fresh "
+                      "interpreter on "
                       "that tree's src, graph, order and circulant14_decomposition built "
                       "outside the timing, "
                       "timed with time.perf_counter; shuffled and rotated orders come from "

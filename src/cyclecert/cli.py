@@ -109,6 +109,14 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _count_arg(text: str) -> int:
+    """A non-negative integer flag, read by `parse_int`."""
+    count = _int_arg(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {count}")
+    return count
+
+
 def _seconds_arg(text: str) -> float:
     """A time cap: plain decimal digits with an optional fraction, nothing
     else that `float()` would read (a sign, an exponent, nan, inf, 1_0)."""
@@ -120,7 +128,7 @@ def _seconds_arg(text: str) -> float:
 def _add_budget_flags(p: argparse.ArgumentParser, scale: int = 1) -> None:
     """The budget flags, defaulting to scale times `SearchBudget`'s caps."""
     nodes, seconds = SearchBudget.max_nodes * scale, SearchBudget.max_seconds * scale
-    p.add_argument("--budget-nodes", type=_int_arg, default=nodes, help="search node cap")
+    p.add_argument("--budget-nodes", type=_count_arg, default=nodes, help="search node cap")
     p.add_argument("--budget-seconds", type=_seconds_arg, default=seconds, help="wall clock cap")
 
 
@@ -538,8 +546,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         if hasattr(args, "budget_nodes"):
-            if args.budget_nodes < 0:
-                raise ValueError(f"--budget-nodes must be at least 0, got {args.budget_nodes}")
             args.budget = SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
         doc, code = args.handler(args)
         # inside the try: encoding can fail too, say on an integer past

@@ -6,22 +6,35 @@ constructor, so a bad drawing can be built and then reported on: no
 crossing may involve an edge outside the graph, pair an edge with itself,
 pair edges sharing an endpoint, or repeat (two edges cross at most once).
 
-Each object is checked once.  The constructor's loop is the one pass over
-the pairs and unpacks each once: a tuple of the graph's own edge tuples is
-kept, any other pair's edges are read by `graphs.read_edge`, and a pair is
-noted only when an edge is off the graph or the two share a vertex; after
-the sort a neighbour comparison finds repeats.  The validator's scan runs,
-once per drawing, only when something was noted, so a clean drawing, given
-as the graph's tuples or as JSON lists, costs no scan.  The weights of a
-decomposition are kept on the drawing, so the decomposition is validated
-once per drawing and equal decompositions share one DoubledWeightList, whose
-halves are one tuple: repeated certificates on it reuse one scaled list.
+Each object is checked once.  A drawing given as pairs is read by its
+constructor's one pass, which unpacks each pair once: a tuple of the graph's
+own edge tuples is kept, any other pair's edges are read by
+`graphs.read_edge`, and a pair is noted only when an edge is off the graph
+or the two share a vertex; after the sort a neighbour comparison finds
+repeats.  The validator's scan runs, once per drawing, only when something
+was noted, so a clean drawing, given as the graph's tuples or as JSON lists,
+costs no scan.  A convex drawing skips that pass: it is built from its
+sweep's masks by a private constructor, whose one loop writes the pairs and
+notes what the validator reports.  The weights of a decomposition are kept
+on the drawing, so the decomposition is validated once per drawing and equal
+decompositions share one DoubledWeightList, whose halves are one tuple:
+repeated certificates on it reuse one scaled list.
+
+Each drawing keeps one crossing index over the graph's edges, in
+`graph.edges()` order: each edge's position, how many crossings it is in,
+and a mask of the later edges it crosses (bit j - i - 1 of edge i's mask for
+edge j > i).  A convex drawing fills it as it is built.  A drawing given as
+pairs counts with one Counter over them on its first weights call, and reads
+the masks in one pass over them on its first between-count.  A between-count
+ANDs each edge's mask with the other set's mask shifted down past it, read
+only as wide as the edge's own mask: O(|A| + |B|) mask operations, with no
+scan of the crossings.
 
 Splitting the edges into pieces spreads each crossing over the pieces that
 own its two edges: 2 to the piece owning both, else 1 and 1.  That is the
 same as giving each piece the sum, over its edges, of how many crossings
-each edge is in, which a drawing counts once, so each weights call is linear
-in the edges.  The doubled weights always sum to twice the crossing count,
+each edge is in, which the index holds, so each weights call is linear in
+the edges.  The doubled weights always sum to twice the crossing count,
 so their halves sum to the crossing count exactly, and running the rotation
 machinery on the halves turns a global crossing bound into a per-piece
 prefix certificate.  The bound is an int h (else ValueError) nudged by 1/2
@@ -29,9 +42,10 @@ toward the side it certifies; for an integer count every nudge in (0, 1)
 answers alike.  For graphs closed up from t copies of a tile, the canonical
 period decomposition makes those halves one number per copy.
 
-A convex drawing puts the vertices on a circle and finds its crossings in
-one sweep over bitmasks of the chords, in time linear in the edges plus the
-crossings, up to the cost of masks E bits wide.
+A convex drawing puts the vertices on a circle and finds the chords each
+chord crosses later in one sweep over bitmasks: O(E) operations on masks of
+at most E bits.  Those masks are the index's masks, so one loop over them
+writes the pairs and the counts, one step per crossing.
 
 The parity screen is the classical closed-curve obstruction: two
 vertex-disjoint cycles drawn in the plane must cross an even number of
@@ -50,7 +64,7 @@ from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
-from .graphs import Graph, read_edge
+from .graphs import Graph, iter_bits, read_edge
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
 
@@ -147,15 +161,85 @@ class AbstractDrawing:
         object.__setattr__(self, "crossings", tuple(pairs))
         object.__setattr__(self, "_noted", noted)
 
+    @classmethod
+    def _from_later(cls, graph: Graph, later: Sequence[int]) -> AbstractDrawing:
+        """The drawing whose crossings are given as masks over the edges in
+        `graph.edges()` order: bit j - i - 1 of later[i] is set when edge i
+        crosses edge j > i.
+
+        One loop over the masks writes the pairs from the graph's own edge
+        tuples and tallies each edge's crossing count.  It notes a pair whose
+        edges share a vertex, and a bit past the last edge as an unknown
+        edge; the validator reports what it noted.  The other rules hold by
+        the layout.  A bit names a pair (i, j) with j > i, so no edge pairs
+        with itself.  Pairs come out with i ascending and, for one i, j
+        ascending; the graph's edges are in increasing order, so the pairs
+        are sorted, and each bit is written once, so none repeats.
+        """
+        edges = graph.edges()
+        last = len(edges) - 1
+        counts = [0] * len(edges)
+        pairs: list[CrossingPair] = []
+        append = pairs.append
+        out = []
+        for i, mask in enumerate(later):
+            if not mask:
+                continue
+            e = edges[i]
+            if mask.bit_length() > last - i:  # bits past the last edge
+                for bit in iter_bits(mask >> (last - i)):
+                    out.append(Violation(
+                        "unknown-edge", f"edge {e} crosses edge index {last + 1 + bit}, past the last edge"))
+                mask &= (1 << (last - i)) - 1
+            u, v = e
+            counts[i] += mask.bit_count()
+            while mask:
+                low = mask & -mask
+                j = i + low.bit_length()
+                f = edges[j]
+                if u in f or v in f:
+                    shared = u if u in f else v
+                    out.append(Violation("adjacent-pair", f"edges {e} and {f} share vertex {shared}"))
+                append((e, f))
+                counts[j] += 1
+                mask ^= low
+        drawing = cls.__new__(cls)
+        object.__setattr__(drawing, "graph", graph)
+        object.__setattr__(drawing, "crossings", tuple(pairs))
+        object.__setattr__(drawing, "_violations", tuple(out))
+        object.__setattr__(drawing, "_counts", counts)
+        object.__setattr__(drawing, "_later", later)
+        return drawing
+
     @cached_property
-    def _edge_crossings(self) -> Counter[Edge]:
-        # how many crossings each edge is in, counted once per drawing
-        return Counter(chain.from_iterable(self.crossings))
+    def _position(self) -> dict[Edge, int]:
+        # each graph edge's index in graph.edges() order
+        return {e: i for i, e in enumerate(self.graph.edges())}
+
+    @cached_property
+    def _counts(self) -> list[int]:
+        # how many crossings each edge is in, by index; a drawing given as
+        # pairs counts them here once, a convex drawing as it is built
+        tally = Counter(chain.from_iterable(self.crossings))
+        return [tally[e] for e in self.graph.edges()]
+
+    @cached_property
+    def _later(self) -> Sequence[int]:
+        # bit j - i - 1 of _later[i]: edge i crosses edge j > i.  A drawing
+        # given as pairs reads them here in one pass, on its first
+        # between-count; it is clean by then, so j > i on every pair.
+        position = self._position
+        later = [0] * len(position)
+        for e, f in self.crossings:
+            i = position[e]
+            later[i] |= 1 << (position[f] - i - 1)
+        return later
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         # graph and crossings are frozen, so one scan serves every caller,
-        # and only a drawing whose constructor noted a pair needs it
+        # and only a drawing whose constructor noted a pair needs it (a
+        # drawing built by _from_later has its own notes set instead)
         if not self._noted:
             return ()
         out = []
@@ -210,8 +294,13 @@ def cr_between(
     """Crossings with one edge in a_edges and the other in b_edges.
 
     The two edge sets must be disjoint, otherwise a shared edge would have
-    no well-defined side; an id that is not an int raises TypeError.
+    no well-defined side; an id that is not an int raises TypeError.  An
+    edge off the graph is in no crossing, so it counts 0.  A drawing with
+    violations raises ValueError, as in the other counting calls: the count
+    reads each edge's crossings as one bit per crossing edge, which a
+    repeated pair or an edge off the graph does not fit.
     """
+    _require_clean(d)
     a = {read_edge(x, "a_edges") for x in a_edges}
     b = {read_edge(x, "b_edges") for x in b_edges}
     if a & b:
@@ -220,8 +309,28 @@ def cr_between(
 
 
 def _count_between(d: AbstractDrawing, a: set[Edge], b: set[Edge]) -> int:
-    # crossings between a and b, two disjoint sets of read edges
-    return sum((e in a and f in b) or (e in b and f in a) for e, f in d.crossings)
+    # crossings between a and b, two disjoint sets of read edges, on a clean
+    # drawing; an edge off the graph is in no crossing
+    position, later = d._position, d._later
+    ia = [position[e] for e in a if e in position]
+    ib = [position[e] for e in b if e in position]
+    return _count_later(later, ia, ib) + _count_later(later, ib, ia)
+
+
+def _count_later(later: Sequence[int], mine: list[int], other: list[int]) -> int:
+    # crossings of the edges mine with later edges in other: each edge's mask
+    # ANDed with other's mask shifted down past it.  Other's mask is kept as
+    # bytes and only the window the edge's mask spans is read, so an edge
+    # costs the width of its own mask, not E bits.
+    buf = bytearray(len(later) // 8 + 1)
+    for j in other:
+        buf[j >> 3] |= 1 << (j & 7)
+    total = 0
+    for i in mine:
+        mask, lo = later[i], i + 1
+        window = int.from_bytes(buf[lo >> 3:((lo + mask.bit_length()) >> 3) + 1], "little")
+        total += (mask & (window >> (lo & 7))).bit_count()
+    return total
 
 
 @dataclass(frozen=True)
@@ -252,8 +361,10 @@ def decomposition_weights(
     edges, else 1 and 1.
 
     That is each piece's sum, over its edges, of how many crossings each
-    edge is in: a crossing inside one piece counts 1 + 1 there.  The drawing
-    counts crossings per edge once, so a call costs O(E) after the checks.
+    edge is in: a crossing inside one piece counts 1 + 1 there.  Those
+    counts are the drawing's crossing index, filled once per drawing (a
+    convex drawing fills it as it is built), so a call costs O(E) after the
+    checks.
     The answer is kept on the drawing for the decomposition (or any equal
     one), so the decomposition is validated and summed once per drawing:
     later calls return the same DoubledWeightList.  A bad drawing or an
@@ -268,9 +379,9 @@ def decomposition_weights(
 
 def _piece_weights(d: AbstractDrawing, decomposition: EdgeDecomposition) -> DoubledWeightList:
     validate_decomposition(d.graph, decomposition)
-    counts = d._edge_crossings
+    position, counts = d._position, d._counts
     return DoubledWeightList(tuple(
-        sum(counts[e] for e in piece.edges)
+        sum(counts[position[e]] for e in piece.edges)
         for piece in decomposition.pieces
     ))
 
@@ -285,11 +396,13 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
     For chord i on positions pa < pb, odd[pb] ^ odd[pa + 1] holds the chords
     with exactly one end strictly between them (both ends inside cancel),
     and masking out at[pa] | at[pb] drops the chords that share an end.
-    Its bits past i are the later chords crossing i, so the pairs come out
-    normalized and sorted.  One sweep around the circle keeps odd[p] as it
-    goes, and each chord that is open keeps only the bits past it of
-    odd[pa + 1] and at[pa].  Cost: O(E) operations on masks of at most E
-    bits, plus one step per crossing.
+    Its bits past i, shifted down by i + 1, are the later chords crossing
+    i: the drawing's crossing index keeps them as they are, and one loop
+    over them writes the normalized, sorted pairs and each chord's count.
+    One sweep around the circle keeps odd[p] as it goes, and each chord
+    that is open keeps only the bits past it of odd[pa + 1] and at[pa].
+    Cost: O(E) operations on masks of at most E bits, plus one step per
+    crossing.
     """
     order = tuple(order) if order is not None else tuple(range(g.n))
     if sorted(order) != list(range(g.n)):
@@ -307,7 +420,7 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
         right.append(pb)
     odd = 0
     opened: dict[int, tuple[int, int]] = {}
-    later = [0] * len(edges)  # bit j of later[i]: chord i + 1 + j crosses chord i
+    later = [0] * len(edges)  # bit j - i - 1 of later[i]: chord j > i crosses chord i
     for p, chords in enumerate(ends):
         at = sum(1 << i for i in chords)
         for i in chords:
@@ -318,14 +431,7 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
         for i in chords:
             if right[i] > p:
                 opened[i] = (odd >> (i + 1), at >> (i + 1))
-    crossings = []
-    for i, mask in enumerate(later):
-        e = edges[i]
-        while mask:
-            low = mask & -mask
-            crossings.append((e, edges[i + low.bit_length()]))
-            mask ^= low
-    return AbstractDrawing(g, crossings)
+    return AbstractDrawing._from_later(g, later)
 
 
 def prefix_cr_certificate(

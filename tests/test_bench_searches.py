@@ -1,7 +1,8 @@
 """The benchmark script: a node cap makes its paired and upper total reach
 repeatable, its end-to-end part runs the workload it is given, its drawing
-rows count the drawing they time, its partition row runs the workload's
-search, and its certificate rows time each step on both sides."""
+rows count the drawing they time and screen its parity, its partition row
+runs the workload's search, and its certificate rows time each step on both
+sides."""
 
 import importlib.util
 import json
@@ -64,9 +65,12 @@ def test_end_to_end_runs_the_named_workload_and_alternates_the_first_side(monkey
 
 def test_a_drawing_row_counts_the_crossings_of_the_drawing_it_times():
     script = _load_script()
+    assert "jordan_parity_screen" in script.CALLS
     for arrange in ("identity", "rotated", "shuffled"):
         got = script._child(ROOT, script.DRAWING_CHILD, 3, arrange)
         assert all(got[call] >= 0 for call in script.CALLS)
+        # the screen runs on two disjoint stride-4 cycles of a real drawing
+        assert got["parity"] == "even"
         if arrange != "shuffled":  # a turn of the circle keeps the drawing
             assert got["crossings"] == 36
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecert.crossing import (
     AbstractDrawing,
@@ -233,6 +235,26 @@ def test_cr_between_requires_disjoint_sets():
         cr_between(d, [(0, 2)], [(0, 2), (1, 3)])
 
 
+def test_cr_between_refuses_a_drawing_with_violations():
+    g = two_triangles()
+    a, b = [(0, 2), (2, 4), (0, 4)], [(1, 3), (3, 5), (1, 5)]
+    for pairs, kind in [
+        ([((0, 2), (1, 3)), ((0, 2), (1, 3))], "duplicate-pair"),
+        ([((0, 2), (2, 4))], "adjacent-pair"),
+        ([((0, 2), (1, 4))], "unknown-edge"),
+    ]:
+        with pytest.raises(ValueError, match=kind):
+            cr_between(AbstractDrawing(g, pairs), a, b)
+
+
+def test_cr_between_counts_an_edge_off_the_graph_as_zero():
+    g = two_triangles()
+    d = AbstractDrawing(g, [((0, 2), (1, 3)), ((0, 4), (1, 3))])
+    assert cr_between(d, [(0, 2), (0, 4), (0, 1)], [(1, 3), (2, 5)]) == 2
+    assert cr_between(d, [(0, 1), (4, 5)], [(1, 3)]) == 0
+    assert cr_between(d, [], [(1, 3)]) == 0
+
+
 def test_cr_between_counts_across_only():
     g = complete(5)
     d = convex_drawing(g)
@@ -313,6 +335,85 @@ def test_convex_matches_set_rule_at_the_benchmark_sizes(k, arrange, count):
     d = convex_drawing(g, order)
     assert d.crossings == AbstractDrawing(g, set_rule_convex_crossings(g, order)).crossings
     assert len(d.crossings) == count
+
+
+def scanned_between(d: AbstractDrawing, a: set, b: set) -> int:
+    """Crossings between a and b, two disjoint edge sets, by a scan of
+    every pair."""
+    return sum((e in a and f in b) or (e in b and f in a) for e, f in d.crossings)
+
+
+def check_convex_against_pairs(g: Graph, order: list[int], rng: random.Random) -> None:
+    # a convex drawing and the same pairs handed to the constructor agree on
+    # every count, and both match the chord rule
+    d = convex_drawing(g, order)
+    p = AbstractDrawing(g, list(d.crossings))
+    assert d.crossings == p.crossings == AbstractDrawing(g, set_rule_convex_crossings(g, order)).crossings
+    assert all(x is y for dp, pp in zip(d.crossings, p.crossings) for x, y in zip(dp, pp))
+    assert validate_drawing(d) == validate_drawing(p) == []
+    edges = g.edges()
+    if edges:
+        t = rng.randint(1, 4)
+        buckets = [[] for _ in range(t)]
+        for e in edges:
+            buckets[rng.randrange(t)].append(e)
+        dec = EdgeDecomposition(tuple(Piece(frozenset(range(g.n)), frozenset(x)) for x in buckets if x))
+        assert decomposition_weights(d, dec) == decomposition_weights(p, dec)
+        assert list(decomposition_weights(d, dec).weights) == reference_weights(d, dec)
+    for _ in range(3):
+        side = {e: rng.randrange(3) for e in edges}
+        a = {e for e in edges if side[e] == 0}
+        b = {e for e in edges if side[e] == 1}
+        want = scanned_between(d, a, b)
+        assert cr_between(d, a, b) == cr_between(p, a, b) == want
+
+
+def test_convex_and_pair_built_drawings_agree_random():
+    rng = random.Random(37)
+    for _ in range(120):
+        n = rng.randint(0, 11)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.9]))
+        order = list(range(n))
+        rng.shuffle(order)
+        check_convex_against_pairs(g, order, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 10), st.data())
+def test_convex_and_pair_built_drawings_agree(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    order = data.draw(st.permutations(range(n)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    check_convex_against_pairs(Graph.from_edges(n, chosen), list(order), random.Random(seed))
+
+
+def test_the_mask_constructor_reports_a_planted_adjacent_pair():
+    # edges of cycle(5): (0, 1), (0, 4), (1, 2), (2, 3), (3, 4); edge 0
+    # crosses edge 3, and edge 1 is planted crossing edge 4, with which it
+    # shares vertex 4
+    g = cycle(5)
+    d = AbstractDrawing._from_later(g, [0b100, 0b100, 0, 0, 0])
+    assert d.crossings == (((0, 1), (2, 3)), ((0, 4), (3, 4)))
+    assert validate_drawing(d) == [Violation("adjacent-pair", "edges (0, 4) and (3, 4) share vertex 4")]
+    with pytest.raises(ValueError, match="adjacent-pair"):
+        cr_between(d, [(0, 1)], [(2, 3)])
+    with pytest.raises(ValueError, match="adjacent-pair"):
+        decomposition_weights(d, EdgeDecomposition((Piece(frozenset(range(5)), frozenset(g.edges())),)))
+
+
+def test_the_mask_constructor_reports_a_bit_past_the_last_edge():
+    # edge 3 of cycle(5) has one edge past it; bit 1 of its mask names a
+    # sixth edge, which the graph does not have
+    g = cycle(5)
+    d = AbstractDrawing._from_later(g, [0b100, 0, 0, 0b10, 0])
+    assert d.crossings == (((0, 1), (2, 3)),)
+    assert validate_drawing(d) == [
+        Violation("unknown-edge", "edge (2, 3) crosses edge index 5, past the last edge")]
+    with pytest.raises(ValueError, match="unknown-edge"):
+        jordan_parity_screen(d, [(0, 1), (1, 2), (0, 2)], [(3, 4), (2, 3), (2, 4)])
+    clean = AbstractDrawing._from_later(g, [0b100, 0, 0, 0, 0])
+    assert validate_drawing(clean) == [] and clean == AbstractDrawing(g, [((2, 3), (0, 1))])
 
 
 def test_convex_order_must_be_permutation():
