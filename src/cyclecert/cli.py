@@ -287,12 +287,12 @@ def _cmd_structure_check(args: argparse.Namespace) -> tuple[Any, int]:
     )
     g = _graph(args)
     structure = load(getattr(args, args.command))  # --partition or --decomposition
-    validate(g, structure)
-    doc: dict[str, Any] = {"valid": True, key: len(getattr(structure, key))}
     if not args.transitive:
-        return doc, 0
-    doc["transitive"] = is_transitive(g, structure, args.budget)
-    return doc, 0 if doc["transitive"] else 1
+        validate(g, structure)
+        return {"valid": True, key: len(getattr(structure, key))}, 0
+    transitive = is_transitive(g, structure, args.budget)  # validates it first
+    doc = {"valid": True, key: len(getattr(structure, key)), "transitive": transitive}
+    return doc, 0 if transitive else 1
 
 
 def _cmd_partition_find(args: argparse.Namespace) -> tuple[Any, int]:

@@ -15,10 +15,11 @@ repeats.  The validator's scan runs, once per drawing, only when something
 was noted, so a clean drawing, given as the graph's tuples or as JSON lists,
 costs no scan.  A convex drawing skips that pass: it is built from its
 sweep's masks by a private constructor, whose one loop writes the pairs and
-notes what the validator reports.  The weights of a decomposition are kept
-on the drawing, so the decomposition is validated once per drawing and equal
-decompositions share one DoubledWeightList, whose halves are one tuple:
-repeated certificates on it reuse one scaled list.
+tests no rule, as the sweep breaks none (see `_from_later`).  The weights
+of a decomposition are kept on the drawing, so the decomposition is
+validated once per drawing and equal decompositions share one
+DoubledWeightList, whose halves are one tuple: repeated certificates on it
+reuse one scaled list.
 
 Each drawing keeps one crossing index over the graph's edges, in
 `graph.edges()` order: each edge's position, how many crossings it is in,
@@ -64,7 +65,7 @@ from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
-from .graphs import Graph, iter_bits, read_edge
+from .graphs import Graph, read_edge
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
 
@@ -168,45 +169,40 @@ class AbstractDrawing:
         crosses edge j > i.
 
         One loop over the masks writes the pairs from the graph's own edge
-        tuples and tallies each edge's crossing count.  It notes a pair whose
-        edges share a vertex, and a bit past the last edge as an unknown
-        edge; the validator reports what it noted.  The other rules hold by
-        the layout.  A bit names a pair (i, j) with j > i, so no edge pairs
-        with itself.  Pairs come out with i ascending and, for one i, j
-        ascending; the graph's edges are in increasing order, so the pairs
-        are sorted, and each bit is written once, so none repeats.
+        tuples and tallies each edge's crossing count.  It tests no rule:
+        the masks of its one caller, convex_drawing, keep them all by
+        construction.  There later[i] is
+        ((odd >> (i+1)) ^ inside) & ~(left | at >> (i+1)).  left and at hold
+        every chord ending at either end of chord i, so no chord left in the
+        mask shares a vertex with it.  odd and inside are XORs of at masks,
+        whose bits are all chord indices below E, so no bit names an edge
+        past the last.  The other rules hold by the layout.  A bit names a
+        pair (i, j) with j > i, so no edge pairs with itself.  Pairs come out
+        with i ascending and, for one i, j ascending; the graph's edges are
+        in increasing order, so the pairs are sorted, and each bit is written
+        once, so none repeats.  The drawing notes nothing, so the validator
+        reports nothing; its scan of a drawing given as pairs is the one
+        place the rules are tested.
         """
         edges = graph.edges()
-        last = len(edges) - 1
         counts = [0] * len(edges)
         pairs: list[CrossingPair] = []
         append = pairs.append
-        out = []
         for i, mask in enumerate(later):
             if not mask:
                 continue
             e = edges[i]
-            if mask.bit_length() > last - i:  # bits past the last edge
-                for bit in iter_bits(mask >> (last - i)):
-                    out.append(Violation(
-                        "unknown-edge", f"edge {e} crosses edge index {last + 1 + bit}, past the last edge"))
-                mask &= (1 << (last - i)) - 1
-            u, v = e
             counts[i] += mask.bit_count()
             while mask:
                 low = mask & -mask
                 j = i + low.bit_length()
-                f = edges[j]
-                if u in f or v in f:
-                    shared = u if u in f else v
-                    out.append(Violation("adjacent-pair", f"edges {e} and {f} share vertex {shared}"))
-                append((e, f))
+                append((e, edges[j]))
                 counts[j] += 1
                 mask ^= low
         drawing = cls.__new__(cls)
         object.__setattr__(drawing, "graph", graph)
         object.__setattr__(drawing, "crossings", tuple(pairs))
-        object.__setattr__(drawing, "_violations", tuple(out))
+        object.__setattr__(drawing, "_noted", False)
         object.__setattr__(drawing, "_counts", counts)
         object.__setattr__(drawing, "_later", later)
         return drawing
@@ -239,7 +235,7 @@ class AbstractDrawing:
     def _violations(self) -> tuple[Violation, ...]:
         # graph and crossings are frozen, so one scan serves every caller,
         # and only a drawing whose constructor noted a pair needs it (a
-        # drawing built by _from_later has its own notes set instead)
+        # convex drawing is clean by construction and notes none)
         if not self._noted:
             return ()
         out = []

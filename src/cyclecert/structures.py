@@ -444,8 +444,10 @@ def find_transitive_partition(
                 break
             if t >= 3 and (min(chosen[1]) > min(cls) or class_key(cls | chosen[0]) != key01):
                 continue  # a reflection, or the closing pair (t - 1, 0) fails
+            # the classes are disjoint and cover V by construction, so the
+            # candidate is valid without validate_partition
             candidate = VertexPartition((*chosen, cls))
-            if is_transitive_partition(g, candidate, budget):
+            if _is_transitive(g, candidate, budget):
                 return candidate
         else:
             stack.pop()

@@ -616,6 +616,21 @@ def test_decomposition_check(capsys, tmp_path):
     assert code == 0 and doc == {"valid": True, "pieces": 2}
 
 
+@pytest.mark.parametrize("command, doc_in, message", [
+    ("partition", {"parts": [[0, 1, 2], [0, 3, 4, 5, 6, 7, 8]]}, "vertex 0 appears in two parts"),
+    ("decomposition", {"pieces": [{"vertices": [0, 4], "edges": [[0, 4]]}]},
+     "piece 0: edge (0, 4) is not in the graph"),
+])
+def test_structure_check_transitive_refuses_an_invalid_structure(capsys, tmp_path, command, doc_in, message):
+    # under --transitive the structure is validated by the transitivity test
+    # alone, which must still refuse it with the validator's message
+    path = tmp_path / "structure.json"
+    path.write_text(dump_json(doc_in), encoding="utf-8")
+    code, doc = run(capsys, command, "check", "--graph", "torus:3:3",
+                    f"--{command}", str(path), "--transitive")
+    assert code == 2 and doc["error"] == "invalid input" and message in doc["detail"]
+
+
 def test_drawing_check_valid_and_invalid(capsys, tmp_path):
     good = {"surface": "plane", "graph": graph_to_json(parse_graph_spec("circulant:8:1,4")),
             "crossings": [[[0, 4], [1, 5]]]}

@@ -388,34 +388,6 @@ def test_convex_and_pair_built_drawings_agree(n, data):
     check_convex_against_pairs(Graph.from_edges(n, chosen), list(order), random.Random(seed))
 
 
-def test_the_mask_constructor_reports_a_planted_adjacent_pair():
-    # edges of cycle(5): (0, 1), (0, 4), (1, 2), (2, 3), (3, 4); edge 0
-    # crosses edge 3, and edge 1 is planted crossing edge 4, with which it
-    # shares vertex 4
-    g = cycle(5)
-    d = AbstractDrawing._from_later(g, [0b100, 0b100, 0, 0, 0])
-    assert d.crossings == (((0, 1), (2, 3)), ((0, 4), (3, 4)))
-    assert validate_drawing(d) == [Violation("adjacent-pair", "edges (0, 4) and (3, 4) share vertex 4")]
-    with pytest.raises(ValueError, match="adjacent-pair"):
-        cr_between(d, [(0, 1)], [(2, 3)])
-    with pytest.raises(ValueError, match="adjacent-pair"):
-        decomposition_weights(d, EdgeDecomposition((Piece(frozenset(range(5)), frozenset(g.edges())),)))
-
-
-def test_the_mask_constructor_reports_a_bit_past_the_last_edge():
-    # edge 3 of cycle(5) has one edge past it; bit 1 of its mask names a
-    # sixth edge, which the graph does not have
-    g = cycle(5)
-    d = AbstractDrawing._from_later(g, [0b100, 0, 0, 0b10, 0])
-    assert d.crossings == (((0, 1), (2, 3)),)
-    assert validate_drawing(d) == [
-        Violation("unknown-edge", "edge (2, 3) crosses edge index 5, past the last edge")]
-    with pytest.raises(ValueError, match="unknown-edge"):
-        jordan_parity_screen(d, [(0, 1), (1, 2), (0, 2)], [(3, 4), (2, 3), (2, 4)])
-    clean = AbstractDrawing._from_later(g, [0b100, 0, 0, 0, 0])
-    assert validate_drawing(clean) == [] and clean == AbstractDrawing(g, [((2, 3), (0, 1))])
-
-
 def test_convex_order_must_be_permutation():
     with pytest.raises(ValueError):
         convex_drawing(cycle(4), [0, 1, 2, 2])

@@ -1113,13 +1113,15 @@ def test_find_transitive_partition_agrees_with_the_recursive_search(monkeypatch)
         assert got == _search_outcome(_unscreened, g, t, 1_000_000)
     # K13 minus an edge is far past any cap here: both searches must try the
     # same candidates, in the same order, before the cap stops them
+    # (the reference's is_transitive_partition reaches _is_transitive too)
     tried = []
+    real = structures._is_transitive
 
     def recorded(g, partition, budget):
         tried[-1].append(partition.parts)
-        return is_transitive_partition(g, partition, budget)
+        return real(g, partition, budget)
 
-    monkeypatch.setattr(structures, "is_transitive_partition", recorded)
+    monkeypatch.setattr(structures, "_is_transitive", recorded)
     for max_nodes in (1, 300, 3_000):
         for search in (reference_find_transitive_partition, find_transitive_partition):
             tried.append([])
