@@ -58,6 +58,8 @@ SEARCHES = {
     "min dominating C7xC7": ("cartesian_cycles(7, 7)", "min_parameter(g, Variant.DOMINATING, b)", 5),
     "max-minimal total C4xC6": (
         "cartesian_cycles(4, 6)", "max_minimal_parameter(g, Variant.TOTAL, b)", 5),
+    "max-minimal dominating C5xC5": (
+        "cartesian_cycles(5, 5)", "max_minimal_parameter(g, Variant.DOMINATING, b)", 5),
     "decide dominating C5xC7 h=8": (
         "(cartesian_cycles(5, 7), columns_partition(5, 7), column_shift_symmetry(5, 7))",
         "decide_parameter_via_prefix(*g, Variant.DOMINATING, 8, budget=b)", 5),

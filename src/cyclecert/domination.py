@@ -32,9 +32,12 @@ maximums over minimal sets come from one branch-and-bound pass that
 decides the vertices in order and keeps the largest minimal set found so
 far as a bar that only rises; it prunes on irredundance (a member that has
 lost every private neighbor never gets one back), on decided vertices left
-undominated, and on a count that cannot beat the bar.  Both are
-budget-guarded: blowing the node or time budget raises, it never degrades
-to a wrong answer.
+undominated, on a count of the undecided vertices that cannot beat the bar,
+and on the free bound: each member that a minimal set adds below a node
+needs a private vertex of its own, which no member chosen so far watches,
+so the chosen members plus the vertices that none of them watches must
+beat the bar.  Both are budget-guarded: blowing the node or time budget
+raises, it never degrades to a wrong answer.
 
 The corollary searches run on the same item-cover search, with the
 prefix inequality of a cyclically ordered partition as a side constraint:
@@ -66,7 +69,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .cyclic_core import HALF, integer_bound
 # BudgetExceededError is re-exported: callers reach it through this module
 from .errors import BudgetExceededError, SearchBudget
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, read_id
 from .structures import CyclicSymmetry, VertexPartition, cyclic_symmetry_violations
 
 __all__ = [
@@ -108,12 +111,19 @@ class SolveReport:
     nodes_explored: int  # this solve's nodes, also on a budget shared with other searches
 
 
+def _vertex(g: Graph, x: object, where: str) -> int:
+    """x read as a vertex id by `graphs.read_id`, else TypeError naming
+    where; ValueError when it is not a vertex of g."""
+    v = read_id(x, where)
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return v
+
+
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
+        mask |= 1 << _vertex(g, v, "set")
     return mask
 
 
@@ -233,6 +243,7 @@ def is_paired_dominating(g: Graph, s: Iterable[int]) -> bool:
 
 
 def _private(g: Graph, smask: int, v: int) -> frozenset[int]:
+    v = _vertex(g, v, "v")
     if not smask >> v & 1:
         raise ValueError(f"vertex {v} is not in the set")
     want = 1 << v
@@ -290,9 +301,7 @@ def is_minimal_dominating(g: Graph, ds: Iterable[int]) -> bool:
 def rd_vertex(g: Graph, s: Iterable[int], u: int) -> int:
     """Redundant domination at u: |N[u] meet s| - 1 (so -1 when undominated)."""
     smask = _mask_of(g, s)
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
-    return (g.closed_mask(u) & smask).bit_count() - 1
+    return (g.closed_mask(_vertex(g, u, "u")) & smask).bit_count() - 1
 
 
 def rd_graph(g: Graph, s: Iterable[int]) -> int:
@@ -434,11 +443,14 @@ def _min_cover_search(
             if guards and c:
                 if d:
                     slack[d] = slack[d - 1] - rise[picked[d - 1]]
-                refused, s = 0, slack[d]
-                for e in iter_bits(c):
+                refused, s, m = 0, slack[d], c
+                while m:
+                    low = m & -m
+                    e = low.bit_length() - 1
                     if (s - rise[e]) & guards != guards:
-                        refused |= 1 << e
+                        refused |= low
                         hot[d] |= covers[e]
+                    m ^= low
                 forbid[d] |= refused
                 c ^= refused
             while not c and d:
@@ -540,7 +552,8 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     chosen mask and the vertices dominated exactly once and at least twice.
     rows is symmetric (w watches v exactly when v watches w), so member u
     keeps a private neighbor exactly while rows[u] meets the once-dominated
-    mask.  Three prunes, all sound:
+    mask, and the free mask, full & ~(once | more), holds the vertices that
+    no member watches.  Four prunes, all sound:
 
     * irredundance: adding v can only take private neighbors from members
       that share a watcher with v; one left without any kills the branch,
@@ -548,10 +561,21 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     * sealed vertices: a vertex whose whole row is decided and meets no
       member can never be dominated;
     * count: the chosen members plus the undecided vertices must beat the
-      bar.
+      bar;
+    * free bound: the chosen members plus the free vertices must beat the
+      bar.  A minimal set S below the node gives each member x it adds a
+      private vertex p(x), one that no other member of S watches; no
+      chosen member watches p(x), so p(x) is free, and distinct members
+      have distinct ones, so |S| <= size + |free|.  A node is cut at pop
+      when size + |free| <= best, and the "in" child of v is pushed only
+      when size + 1 + |free & ~rows[v]|, its own bound, beats the bar.
+      It is never weaker than n - |more| <= best: irredundance gives each
+      chosen member a once-watched vertex of its own, so size + |free| <=
+      |once| + |free| = n - |more|.
 
-    The witness is the first largest set in depth-first order: every leaf
-    before it is smaller, so the bar never cuts the path to it.
+    Each prune cuts only subtrees that hold no minimal set larger than the
+    bar, so the witness is the first largest set in depth-first order:
+    every leaf before it is smaller, so the bar never cuts the path to it.
     """
     n = len(rows)
     near = [_union(rows, row) for row in rows]  # members that share a watcher with v
@@ -559,6 +583,7 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     for w in range(n):
         sealed[rows[w].bit_length() - 1] |= 1 << w
 
+    full = (1 << n) - 1
     best, witness = 0, None
     stack = [(0, 0, 0, 0, 0)]  # next vertex, chosen, size, once, more
     nodes = 0
@@ -573,19 +598,25 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
             if size > best:
                 best, witness = size, chosen
             continue
+        free = full & ~(once | more)  # watched by no member
+        if size + free.bit_count() <= best:
+            continue
         # "out" is pushed first so that "in" is explored first; every
         # vertex sealed at v has v in its row, so only "out" can leave
         # one undominated.
-        if size + n - v - 1 > best and not sealed[v] & ~(once | more):
+        if size + n - v - 1 > best and not sealed[v] & free:
             stack.append((v + 1, chosen, size, once, more))
-        if size + n - v > best:
-            row = rows[v]
+        row = rows[v]
+        if size + n - v > best and size + 1 + (free & ~row).bit_count() > best:
             more_in = more | (once & row)
             once_in = (once | row) & ~more_in
             chosen_in = chosen | 1 << v
-            for u in iter_bits(chosen_in & near[v]):
-                if not rows[u] & once_in:
+            m = chosen_in & near[v]
+            while m:
+                low = m & -m
+                if not rows[low.bit_length() - 1] & once_in:
                     break
+                m ^= low
             else:
                 stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
     budget.charge(nodes)
@@ -601,8 +632,10 @@ def max_minimal_parameter(
 
     A set is minimal exactly when it dominates and every member has a
     private neighbor.  One exact branch-and-bound pass prunes on
-    irredundance, undominated sealed vertices and a count that cannot beat
-    the largest minimal set found so far.  It decides the vertices in
+    irredundance, undominated sealed vertices, and two counts that cannot
+    beat the largest minimal set found so far: the undecided vertices, and
+    the vertices no chosen member watches, each of which can be the private
+    vertex of at most one member still to come.  It decides the vertices in
     reverse Cuthill-McKee order, and the witness, the first largest set in
     its depth-first order, is given in g's ids, sorted.  The search is
     iterative, so large graphs exhaust the budget instead of the recursion

@@ -834,12 +834,12 @@ def test_reproduce_structures_honours_budget_seconds(capsys):
 
 
 def test_reproduce_spends_one_budget_across_its_instances(capsys):
-    # the three n4 instances spend 347, 2,479 and 8,726 nodes: each fits
-    # in 10,000, all three do not
-    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "10000")
+    # the three n4 instances spend 100, 632 and 2,897 nodes: each fits
+    # in 3,000, all three do not
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "3000")
     assert code == 3 and doc == {"error": "budget exceeded",
-                                 "detail": "node budget 10000 exceeded"}
-    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "11552")
+                                 "detail": "node budget 3000 exceeded"}
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "3629")
     assert code == 0 and doc["ok"] is True
 
 
@@ -915,7 +915,7 @@ def test_calls_in_one_process_share_no_state(capsys, monkeypatch):
         assert code == 0 and doc["results"][0]["expected"] == 4
         code, doc = run(capsys, "reproduce", "--suite", "n4", "--n", "3")
         assert code == 0 and doc["results"][0]["expected"] == 6
-    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "10000")
+    code, doc = run(capsys, "reproduce", "--suite", "n4", "--budget-nodes", "3000")
     assert code == 3
     code, doc = run(capsys, "reproduce", "--suite", "n4", "--quick")
     assert code == 0 and doc["ok"] is True

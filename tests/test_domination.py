@@ -39,6 +39,7 @@ from cyclecert.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    iter_bits,
     norm_edge,
 )
 from cyclecert.iso import find_mapping
@@ -137,6 +138,25 @@ def test_matching_search_skips_the_vertex_sets_it_has_explored():
 def test_vertex_out_of_range_rejected():
     with pytest.raises(ValueError):
         is_dominating(cycle(3), {5})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # a bool is not read as vertex 1, and a float or a string is refused by
+    # name rather than by a failed shift
+    (lambda g: is_dominating(g, [True]), TypeError, "set: vertex id True is not an int"),
+    (lambda g: is_total_dominating(g, [1.0]), TypeError, "set: vertex id 1.0 is not an int"),
+    (lambda g: is_minimal_dominating(g, ["1"]), TypeError, "set: vertex id '1' is not an int"),
+    (lambda g: pn(g, [0], True), TypeError, "v: vertex id True is not an int"),
+    (lambda g: epn(g, [0], 1.0), TypeError, "v: vertex id 1.0 is not an int"),
+    (lambda g: ipn(g, [0], "0"), TypeError, "v: vertex id '0' is not an int"),
+    (lambda g: pn(g, [0], -1), ValueError, "vertex -1 out of range"),
+    (lambda g: rd_vertex(g, [0], True), TypeError, "u: vertex id True is not an int"),
+    (lambda g: rd_vertex(g, [0], -1), ValueError, "vertex -1 out of range"),
+], ids=["set-bool", "set-float", "set-str", "pn-bool", "epn-float", "ipn-str", "pn-negative",
+        "rd-bool", "rd-negative"])
+def test_validators_read_ids_by_the_one_rule(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(cycle(3))
 
 
 # --- private neighborhoods ----------------------------------------------------
@@ -347,6 +367,14 @@ def test_upper_total_c4xc6_within_two_million_nodes():
     assert is_minimal_total_dominating(g, report.witness)
 
 
+def test_upper_total_c4xc10_is_solved_within_1_5_million_nodes():
+    # 4,887,112 nodes without the free bound
+    g = cartesian_cycles(4, 10)
+    report = max_minimal_parameter(g, Variant.TOTAL, SearchBudget(max_nodes=1_500_000))
+    assert report.value == 20
+    assert is_minimal_total_dominating(g, report.witness)
+
+
 def test_max_minimal_on_a_long_cycle_exhausts_the_budget_not_the_stack():
     with pytest.raises(BudgetExceededError):
         max_minimal_parameter(cycle(3300), Variant.TOTAL, SearchBudget(max_nodes=1000))
@@ -468,7 +496,8 @@ def test_paired_c5xc26_is_solved_within_a_million_nodes():
 
 
 def test_upper_total_c4xc8_is_solved_within_half_a_million_nodes():
-    # 2,596,058 nodes in id order, 448,726 in reverse Cuthill-McKee order
+    # 2,596,058 nodes in id order, 448,726 in reverse Cuthill-McKee order,
+    # 142,729 with the free bound
     g = cartesian_cycles(4, 8)
     report = max_minimal_parameter(g, Variant.TOTAL, SearchBudget(max_nodes=500_000))
     assert report.value == 16
@@ -481,9 +510,10 @@ def test_min_parameter_on_a_long_cycle_exhausts_the_budget_not_the_stack():
 
 
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
-    (4, 5, Variant.TOTAL, 10, 8_726, tuple(range(10, 20))),
-    (4, 6, Variant.TOTAL, 12, 32_735, tuple(range(12, 24))),
-    (5, 5, Variant.DOMINATING, 10, 75_265, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23)),
+    # 8,726, 32,735 and 75,265 nodes without the free bound, to the same witnesses
+    (4, 5, Variant.TOTAL, 10, 2_897, tuple(range(10, 20))),
+    (4, 6, Variant.TOTAL, 12, 13_539, tuple(range(12, 24))),
+    (5, 5, Variant.DOMINATING, 10, 40_339, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23)),
 ])
 def test_max_minimal_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
@@ -550,6 +580,62 @@ def test_max_minimal_matches_the_per_size_search_on_random_graphs():
             else:
                 assert is_minimal_dominating(g, report.witness)
     assert refused > 0
+
+
+def reference_rising_bar_search(rows):
+    """The one-pass search with a rising bar but without the free bound, as
+    (witness_mask, size, nodes)."""
+    n = len(rows)
+    near = [domination._union(rows, row) for row in rows]
+    sealed = [0] * n
+    for w in range(n):
+        sealed[rows[w].bit_length() - 1] |= 1 << w
+    best, witness, nodes = 0, None, 0
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        v, chosen, size, once, more = stack.pop()
+        nodes += 1
+        if v == n:
+            if size > best:
+                best, witness = size, chosen
+            continue
+        if size + n - v - 1 > best and not sealed[v] & ~(once | more):
+            stack.append((v + 1, chosen, size, once, more))
+        if size + n - v > best:
+            more_in = more | (once & rows[v])
+            once_in = (once | rows[v]) & ~more_in
+            chosen_in = chosen | 1 << v
+            if all(rows[u] & once_in for u in iter_bits(chosen_in & near[v])):
+                stack.append((v + 1, chosen_in, size + 1, once_in, more_in))
+    if witness is None:
+        raise ValueError("no valid set of any size exists")
+    return witness, best, nodes
+
+
+def _rising_bar_graphs():
+    rng = random.Random(43)
+    for _ in range(150):
+        yield random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5, 0.7, 0.9]))
+    for m in range(3, 6):
+        for n in range(3, 7):
+            yield cartesian_cycles(m, n)
+
+
+def test_the_free_bound_keeps_every_value_and_witness_and_adds_no_node():
+    compared = cut = 0
+    for g in _rising_bar_graphs():
+        for variant in (Variant.DOMINATING, Variant.TOTAL):
+            if variant is Variant.TOTAL and 0 in g.adj:
+                continue
+            relabelled, old = domination._rcm(g)
+            mask, size, nodes = reference_rising_bar_search(domination._cover_rows(relabelled, variant))
+            report = max_minimal_parameter(g, variant)
+            assert report.value == size
+            assert report.witness == tuple(sorted(old[v] for v in iter_bits(mask)))
+            assert report.nodes_explored <= nodes
+            compared += 1
+            cut += report.nodes_explored < nodes
+    assert compared > 250 and cut > compared // 2
 
 
 def test_paired_capacity_is_the_largest_pair_cover():
@@ -643,7 +729,9 @@ BUDGETED_SEARCHES = {
     "min total C7xC6": (
         lambda b: min_parameter(cartesian_cycles(7, 6), Variant.TOTAL, b), 621),
     "max-minimal total C4xC5": (
-        lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 8_726),
+        lambda b: max_minimal_parameter(cartesian_cycles(4, 5), Variant.TOTAL, b), 2_897),
+    "max-minimal total C4xC6": (
+        lambda b: max_minimal_parameter(cartesian_cycles(4, 6), Variant.TOTAL, b), 13_539),
     "decide dominating C5xC5": (
         lambda b: decide_parameter_via_prefix(
             *torus_setup(5, 5), Variant.DOMINATING, 5, budget=b), 13),
