@@ -13,9 +13,11 @@ parts, each run in fresh interpreters on each tree's `src`:
 - end_to_end: `perfbench/run.py --workload W` from the root of each
   checkout, W given by --workload (search-tori by default), seeds --seed
   onwards, which side runs first alternating from pair to pair;
-- per_search: nodes and the median seconds of 5 calls of each search (9 for
-  the README's pair) on a fresh budget, graphs built outside the timing,
-  parent and change alternating and the order swapped every run;
+- per_search: nodes and the median and least seconds of 5 calls of each
+  search (9 for the README's pair, and for every search whose first runs
+  take under 10 ms, as such short runs spread widely) on a fresh budget,
+  graphs built outside the timing, parent and change alternating and the
+  order swapped every run;
 - per_drawing: the crossing count and the median seconds of
   `convex_drawing`, of two `decomposition_weights` calls on the drawing it
   returns and of `jordan_parity_screen` on the workload's two stride-4
@@ -25,9 +27,11 @@ parts, each run in fresh interpreters on each tree's `src`:
   weights on the drawing answers the second from there, and an older tree
   validates the decomposition again;
 - per_certificate: the median seconds of 5 calls each of `find_rotation`,
-  `verify_certificate`, `certificate_to_json` with `dump_json`, and
-  `certificate_from_json`, on a seeded list of n mixed-denominator entries
-  for n = 10^3, 10^4 and 10^5, alternating like per_search;
+  `verify_certificate`, `equality_certificate`, `certificate_to_json` with
+  `dump_json`, and `certificate_from_json`, on a seeded list of n
+  mixed-denominator entries for n = 6, 12, 10^3, 10^4 and 10^5, alternating
+  like per_search; at n = 6 and 12 each of the 5 is the mean of a loop of
+  10^4 calls, as one call takes a few microseconds;
 - reach: `min_parameter` paired on C5xCn and `max_minimal_parameter` total
   on C4xCn, for n = 3, 4, ... under a --reach-nodes cap, each up to the
   first n that passes it.  Node counts are deterministic, so the reach is
@@ -143,25 +147,30 @@ print(json.dumps({"crossings": len(d.crossings), "parity": parity.value, "convex
 """
 CALLS = ("convex_drawing", "decomposition_weights", "decomposition_weights_again", "jordan_parity_screen")
 
-# n of the seeded lists, each of entries p/q with |p| <= 50 and q in 1..12
-CERTIFICATE_SIZES = (10**3, 10**4, 10**5)
+# n of the seeded lists, each of entries p/q with |p| <= 50 and q in 1..12,
+# -> calls per timed loop: a call on a short list takes a few microseconds
+CERTIFICATE_SIZES = {6: 10**4, 12: 10**4, 10**3: 1, 10**4: 1, 10**5: 1}
 CERTIFICATE_RUNS = 5
 
 CERTIFICATE_CHILD = """
 import json, random, statistics, sys, time
 from fractions import Fraction
-from cyclecert.cyclic_core import Direction, cyclic_list, find_rotation, total, verify_certificate
+from cyclecert.cyclic_core import (
+    BoundSpec, Direction, cyclic_list, equality_certificate, find_rotation, total, verify_certificate)
 from cyclecert.formats import certificate_from_json, certificate_to_json, dump_json
-n = int(sys.argv[1])
+n, loops = int(sys.argv[1]), int(sys.argv[2])
 rng = random.Random(n)
 cl = cyclic_list([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)])
 h = total(cl) + 1
 cert = find_rotation(cl, h, Direction.BELOW)
 assert verify_certificate(cl, h, cert)
 doc = json.loads(dump_json(certificate_to_json(cert, h)))
+bound = BoundSpec(total(cl), Fraction(1, 2))
+assert equality_certificate(cl, bound) is not None
 calls = {
     "find_rotation": lambda: find_rotation(cl, h, Direction.BELOW),
     "verify_certificate": lambda: verify_certificate(cl, h, cert),
+    "equality_certificate": lambda: equality_certificate(cl, bound),
     "certificate_to_json+dump_json": lambda: dump_json(certificate_to_json(cert, h)),
     "certificate_from_json": lambda: certificate_from_json(doc, cl),
 }
@@ -170,13 +179,14 @@ for name, call in calls.items():
     times = []
     for _ in range(5):
         start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
+        for _ in range(loops):
+            call()
+        times.append((time.perf_counter() - start) / loops)
     out[name] = statistics.median(times)
 print(json.dumps(out))
 """
-CERTIFICATE_CALLS = (
-    "find_rotation", "verify_certificate", "certificate_to_json+dump_json", "certificate_from_json")
+CERTIFICATE_CALLS = ("find_rotation", "verify_certificate", "equality_certificate",
+                     "certificate_to_json+dump_json", "certificate_from_json")
 
 METRICS = {
     "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ops_ok_ratio": "higher",
@@ -218,15 +228,26 @@ def _quartiles(xs: list[float]) -> list[float]:
     return [round(q1, 4), round(q2, 4), round(q3, 4)]
 
 
+# A search whose first runs take under SHORT_S on both sides runs SHORT_RUNS
+# times in all: runs of a few milliseconds in fresh interpreters are bimodal.
+SHORT_S = 0.01
+SHORT_RUNS = 9
+
+
 def per_search(trees: dict[str, str]) -> dict:
     out = {}
     for name, (graph, call, runs) in SEARCHES.items():
+        got = _alternating(trees, runs, CHILD, graph, call, 10**9)
+        if runs < SHORT_RUNS and all(statistics.median(r["s"] for r in rs) < SHORT_S for rs in got.values()):
+            more = _alternating(trees, SHORT_RUNS - runs, CHILD, graph, call, 10**9, first_run=runs)
+            for side in got:
+                got[side] += more[side]
         row = {}
-        for side, results in _alternating(trees, runs, CHILD, graph, call, 10**9).items():
+        for side, results in got.items():
             (count,) = {r["nodes"] for r in results}  # node counts are deterministic
             times = [r["s"] for r in results]
             median = statistics.median(times)
-            row[side] = {"nodes": count, "median_s": round(median, 4),
+            row[side] = {"nodes": count, "median_s": round(median, 4), "min_s": round(min(times), 4),
                          "runs_s": [round(t, 4) for t in times],
                          "nodes_per_s": round(count / median)}
         row["change_vs_parent"] = round(row["change"]["median_s"] / row["parent"]["median_s"] - 1, 3)
@@ -235,27 +256,34 @@ def per_search(trees: dict[str, str]) -> dict:
     return out
 
 
-def _alternating(trees: dict[str, str], runs: int, source: str, *args: object) -> dict[str, list[dict]]:
+def _alternating(trees: dict[str, str], runs: int, source: str, *args: object,
+                 first_run: int = 0) -> dict[str, list[dict]]:
     """runs child runs of source on each tree, parent and change alternating
-    and the order swapped every run."""
+    and the order swapped every run; first_run numbers the first of them, so
+    that more runs continue the alternation."""
     got: dict[str, list[dict]] = {side: [] for side in trees}
-    for run in range(runs):
+    for run in range(first_run, first_run + runs):
         order = list(trees) if run % 2 == 0 else list(trees)[::-1]
         for side in order:
             got[side].append(_child(trees[side], source, *args))
     return got
 
 
+def _figures(seconds: float) -> float:
+    return float(f"{seconds:.4g}")
+
+
 def _timed_row(got: dict[str, list[dict]], calls: tuple[str, ...]) -> dict:
-    """Per side, the median and the runs of each call's seconds, and the
+    """Per side, the median and the runs of each call's seconds to four
+    significant figures (a call on a short list takes microseconds), and the
     change's medians against the parent's."""
     row: dict = {}
     for side, results in got.items():
         row[side] = {}
         for call in calls:
             times = [r[call] for r in results]
-            row[side][call] = {"median_s": round(statistics.median(times), 5),
-                               "runs_s": [round(t, 5) for t in times]}
+            row[side][call] = {"median_s": _figures(statistics.median(times)),
+                               "runs_s": [_figures(t) for t in times]}
     row["change_vs_parent"] = {
         call: round(row["change"][call]["median_s"] / row["parent"][call]["median_s"] - 1, 3)
         for call in calls
@@ -278,8 +306,9 @@ def per_drawing(trees: dict[str, str]) -> dict:
 
 def per_certificate(trees: dict[str, str]) -> dict:
     out = {}
-    for n in CERTIFICATE_SIZES:
-        row = _timed_row(_alternating(trees, CERTIFICATE_RUNS, CERTIFICATE_CHILD, n), CERTIFICATE_CALLS)
+    for n, loops in CERTIFICATE_SIZES.items():
+        got = _alternating(trees, CERTIFICATE_RUNS, CERTIFICATE_CHILD, n, loops)
+        row = _timed_row(got, CERTIFICATE_CALLS)
         out[f"n={n}"] = row
         print("certificate", n, json.dumps(row), file=sys.stderr)
     return out
@@ -363,7 +392,9 @@ def main() -> None:
             "method": "each run is one call in a fresh interpreter on that tree's src, on "
                       "SearchBudget(max_nodes=10**9, max_seconds=600), timed with "
                       "time.perf_counter, graphs built outside the timing; parent and change "
-                      "alternate and the order is swapped every run",
+                      "alternate and the order is swapped every run; a search whose median "
+                      f"on both sides is under {SHORT_S * 1000:g} ms runs {SHORT_RUNS} times; "
+                      "min_s is the least run",
             "searches": per_search(trees),
         },
         "per_drawing": {
@@ -387,9 +418,12 @@ def main() -> None:
                       "h its total plus 1, finds and verifies a below certificate outside the "
                       "timing, then times 5 calls of each step with time.perf_counter and "
                       "reports their median: find_rotation, verify_certificate, "
-                      "certificate_to_json with dump_json, and certificate_from_json given the "
-                      "list, on the JSON document read back outside the timing; parent and "
-                      "change alternate and the order is swapped every run",
+                      "equality_certificate at h the total and eps 1/2 (BoundSpec built "
+                      "outside the timing), certificate_to_json with dump_json, and "
+                      "certificate_from_json given the list, on the JSON document read back "
+                      "outside the timing; at n = 6 and 12 each of the 5 is the mean of a loop "
+                      "of 10^4 calls; parent and change alternate and the order is swapped "
+                      "every run",
             "lists": per_certificate(trees),
         },
         **{

@@ -17,16 +17,19 @@ witness:
 * an equality certificate: a below-certificate at h + eps paired with an
   above-certificate at h - eps for a rational 0 < eps < 1.  The pair exists
   whenever |s - h| < eps, which pins s = h only for integer lists and h, so
-  `equality_certificate` also checks the exact total and gives one exactly
-  when s = h.
+  `equality_certificate` also checks the exact total, in integers, and
+  gives one exactly when s = h.
 
 Arithmetic is exact: rationals (`fractions.Fraction`) at the API, exact
 integers inside, and no float mode.  Each list is scaled once, by D0, the lcm
 of its entries' denominators; a `CyclicList` keeps those integers, and every
 call on it reuses them, multiplying once more only when h's denominator does
-not divide D0.  With D the lcm of D0 and h's denominator, a_i = D*x_i and
-H = D*h are integers and the test "p_j < j*h/n" becomes the sign test
-n*P_j < j*H on running sums P_j of a (flipped for the dual direction).
+not divide D0 (for `equality_certificate`, when h's or eps's does not: its
+two certificates share one scaling).  With D the lcm of D0 and h's
+denominator, a_i = D*x_i and H = D*h are integers and the test
+"p_j < j*h/n" becomes the sign test n*P_j < j*H on running sums P_j of a
+(flipped for the dual direction).  Both certificate routes end in one
+private integer kernel that takes a, H and D.
 `cyclic_list` hands back the same `CyclicList` for the same tuple while
 that tuple is among the last four it was given, so `find_rotation(xs, ...)`
 then `verify_certificate(xs, ...)` on one tuple scale it once.
@@ -464,9 +467,16 @@ def find_rotation(
     The prefix sums from k then become the table as they are;
     `verify_certificate` re-checks a certificate.
     """
-    cl = cyclic_list(xs)
-    n = cl.n
-    a, big_h, d = _scaled(cl, as_fraction(h))
+    return _rotation_certificate(*_scaled(cyclic_list(xs), as_fraction(h)), direction)
+
+
+def _rotation_certificate(
+    a: Sequence[int], big_h: int, d: int, direction: Direction
+) -> Optional[RotationCertificate]:
+    """`find_rotation` on the entries a_i = D*x_i against H = D*h, with d = D:
+    the certificate at the slot after the last extreme running sum, or None
+    when the total is on the wrong side of H."""
+    n = len(a)
     sn, sh = _signed(direction, n, big_h)
     if not sn * sum(a) < n * sh:
         return None
@@ -500,7 +510,7 @@ def verify_certificate(
     raises TypeError.
     """
     cl = cyclic_list(xs)
-    n = cl.n
+    n = len(cl.values)
     if isinstance(cert.k, bool) or not isinstance(cert.k, int):
         raise ValueError(f"k must be an integer, got {cert.k!r}")
     if not 1 <= cert.k <= n:
@@ -508,7 +518,7 @@ def verify_certificate(
     a, big_h, d = _scaled(cl, as_fraction(h))
     sn, sh = _signed(cert.direction, n, big_h)
     table = cert.prefix_sums
-    if len(table) != n:
+    if len(table.scaled) != n:
         return False
     step, rest = divmod(d, table.den)
     if rest:
@@ -608,12 +618,27 @@ def equality_certificate(
 
     The pair alone only shows |total - h| < eps, so None unless the exact
     total is h; then h - eps < total < h + eps, and the cycle lemma gives
-    both sides.
+    both sides.  With (a, D0) the list's integer form, the total is h
+    exactly when sum(a) * den(h) == num(h) * D0, a test in integers.  The
+    list is then scaled once, to D = lcm(D0, den(h), den(eps)), and both
+    certificates come from H = D*h and E = D*eps as ints: the below one
+    against H + E, the above one against H - E.  They equal
+    `find_rotation`'s at h + eps and h - eps field for field: the D there
+    divides this D, so each running sum here is the one there times the
+    same positive factor, the last extreme (ties included) and so k are the
+    same, and `PrefixTable` divides out the common factor of the table.
     """
-    cl = cyclic_list(xs)
-    if total(cl) != bound.h:
+    a, d0 = cyclic_list(xs).integer_form
+    h, eps = bound.h, bound.epsilon
+    if sum(a) * h.denominator != h.numerator * d0:
         return None
+    d = lcm(d0, h.denominator, eps.denominator)
+    if d != d0:
+        m = d // d0
+        a = [v * m for v in a]
+    big_h = h.numerator * (d // h.denominator)
+    e = eps.numerator * (d // eps.denominator)
     return EqualityCertificate(
-        below=find_rotation(cl, bound.h + bound.epsilon, Direction.BELOW),
-        above=find_rotation(cl, bound.h - bound.epsilon, Direction.ABOVE),
+        below=_rotation_certificate(a, big_h + e, d, Direction.BELOW),
+        above=_rotation_certificate(a, big_h - e, d, Direction.ABOVE),
     )

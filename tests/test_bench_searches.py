@@ -1,8 +1,8 @@
 """The benchmark script: a node cap makes its paired and upper total reach
 repeatable, its end-to-end part runs the workload it is given, its drawing
 rows count the drawing they time and screen its parity, its partition row
-runs the workload's search, and its certificate rows time each step on both
-sides."""
+runs the workload's search, its short searches run nine times with their
+minimum kept, and its certificate rows time each step on both sides."""
 
 import importlib.util
 import json
@@ -84,23 +84,61 @@ def test_the_partition_search_row_runs_the_workload_search():
 
 def test_a_certificate_row_times_each_step_on_both_sides(monkeypatch):
     script = _load_script()
-    got = script._child(ROOT, script.CERTIFICATE_CHILD, 1000)
-    assert set(got) == set(script.CERTIFICATE_CALLS) and all(t >= 0 for t in got.values())
+    assert "equality_certificate" in script.CERTIFICATE_CALLS
+    for n, loops in ((1000, 1), (6, 10)):
+        got = script._child(ROOT, script.CERTIFICATE_CHILD, n, loops)
+        assert set(got) == set(script.CERTIFICATE_CALLS) and all(t >= 0 for t in got.values())
     seen = []
 
-    def child(tree, source, n):
-        seen.append((tree, n))
-        return {call: 2.0 if tree == "p" else 1.0 for call in script.CERTIFICATE_CALLS}
+    def child(tree, source, n, loops):
+        seen.append((tree, n, loops))
+        return {call: 2e-6 if tree == "p" else 1e-6 for call in script.CERTIFICATE_CALLS}
 
     monkeypatch.setattr(script, "_child", child)
     out = script.per_certificate({"parent": "p", "change": "c"})
-    assert list(out) == [f"n={n}" for n in script.CERTIFICATE_SIZES] == ["n=1000", "n=10000", "n=100000"]
+    sizes = ["n=6", "n=12", "n=1000", "n=10000", "n=100000"]
+    assert list(out) == [f"n={n}" for n in script.CERTIFICATE_SIZES] == sizes
+    # a call on a short list is the mean of a loop of 10^4, a long one is timed alone
+    assert script.CERTIFICATE_SIZES == {6: 10**4, 12: 10**4, 1000: 1, 10000: 1, 100000: 1}
     runs = script.CERTIFICATE_RUNS
-    assert seen[:4] == [("p", 1000), ("c", 1000), ("c", 1000), ("p", 1000)] and len(seen) == 6 * runs
+    assert seen[:4] == [("p", 6, 10**4), ("c", 6, 10**4), ("c", 6, 10**4), ("p", 6, 10**4)]
+    assert len(seen) == 2 * runs * len(sizes)
     for row in out.values():
         assert set(row) == {"parent", "change", "change_vs_parent"}
-        for side, seconds in (("parent", 2.0), ("change", 1.0)):
+        for side, seconds in (("parent", 2e-6), ("change", 1e-6)):
             assert set(row[side]) == set(script.CERTIFICATE_CALLS)
+            # four significant figures, not a fixed count of decimals
             for timing in row[side].values():
                 assert timing == {"median_s": seconds, "runs_s": [seconds] * runs}
         assert row["change_vs_parent"] == {call: -0.5 for call in script.CERTIFICATE_CALLS}
+
+
+def test_a_search_of_a_few_milliseconds_runs_nine_times_and_keeps_its_minimum(monkeypatch):
+    script = _load_script()
+    seconds = {"short": {"p": [0.009, 0.004, 0.005], "c": [0.003, 0.004, 0.008]},
+               "long": {"p": [0.5, 0.3, 0.4], "c": [0.05, 0.2, 0.06]}}
+    seen = []
+
+    def child(tree, source, graph, call, nodes):
+        run = sum(1 for t, g in seen if (t, g) == (tree, graph))
+        seen.append((tree, graph))
+        return {"nodes": 7, "s": seconds[graph][tree][run % 3]}
+
+    searches = {"short one": ("short", "call", 3), "long one": ("long", "call", 3)}
+    monkeypatch.setattr(script, "SEARCHES", searches)
+    monkeypatch.setattr(script, "_child", child)
+    out = script.per_search({"parent": "p", "change": "c"})
+    assert script.SHORT_RUNS == 9 and script.SHORT_S == 0.01
+    # a short search's three first runs are followed by six more, alternating on
+    short = [t for t, g in seen if g == "short"]
+    assert short == (["p", "c", "c", "p"] * 5)[:18]
+    assert [t for t, g in seen if g == "long"] == ["p", "c", "c", "p", "p", "c"]
+    row = out["short one"]
+    assert len(row["parent"]["runs_s"]) == len(row["change"]["runs_s"]) == 9
+    assert (row["parent"]["min_s"], row["parent"]["median_s"]) == (0.004, 0.005)
+    assert (row["change"]["min_s"], row["change"]["median_s"]) == (0.003, 0.004)
+    row = out["long one"]
+    assert len(row["parent"]["runs_s"]) == 3
+    assert (row["parent"]["min_s"], row["parent"]["median_s"]) == (0.3, 0.4)
+    assert (row["change"]["min_s"], row["change"]["median_s"]) == (0.05, 0.06)
+    assert row["change_vs_parent"] == -0.85

@@ -14,6 +14,7 @@ from cyclecert.cyclic_core import (
     BoundSpec,
     CyclicList,
     Direction,
+    EqualityCertificate,
     PrefixGoal,
     PrefixTable,
     RotationCertificate,
@@ -479,6 +480,87 @@ def test_equality_certificate_roundtrip(xs, eps):
     assert eq is not None
     assert verify_certificate(xs, h + eps, eq.below)
     assert verify_certificate(xs, h - eps, eq.above)
+
+
+def _fields(cert):
+    return cert.direction, cert.k, cert.prefix_sums.scaled, cert.prefix_sums.den
+
+
+def _check_equality_is_the_rotation_pair(xs, bound):
+    """equality_certificate is None exactly off the total, and otherwise the
+    two find_rotation answers at h + eps and h - eps, field for field."""
+    got = equality_certificate(xs, bound)
+    if total(xs) != bound.h:
+        assert got is None
+        return None
+    below = find_rotation(xs, bound.h + bound.epsilon, Direction.BELOW)
+    above = find_rotation(xs, bound.h - bound.epsilon, Direction.ABOVE)
+    assert got == EqualityCertificate(below, above)
+    assert (_fields(got.below), _fields(got.above)) == (_fields(below), _fields(above))
+    return got
+
+
+# eps with a denominator from 2 to 12, some of which divide no D0 of mixed_rationals
+epsilons = st.integers(2, 12).flatmap(lambda q: st.builds(F, st.integers(1, q - 1), st.just(q)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(mixed_rationals, min_size=1, max_size=12),
+       st.sampled_from([F(0), F(0), F(0), F(1, 8), F(-1, 3), F(1), F(-5, 11)]), epsilons)
+def test_equality_certificate_is_the_pair_find_rotation_gives(values, offset, eps):
+    for xs in (tuple(values), values):
+        _check_equality_is_the_rotation_pair(xs, BoundSpec(h=total(values) + offset, epsilon=eps))
+
+
+def _kernel_calls(monkeypatch):
+    calls = []
+    kernel = cyclic_core._rotation_certificate
+
+    def spy(a, big_h, d, direction):
+        calls.append((a, big_h, d, direction))
+        return kernel(a, big_h, d, direction)
+
+    monkeypatch.setattr(cyclic_core, "_rotation_certificate", spy)
+    return calls
+
+
+def test_equality_on_an_integer_list_scales_it_once_to_the_half(monkeypatch):
+    # D0 = 1 and eps = 1/2, so D = 2 != D0: the list is doubled, once
+    xs = (3, -1, 4, 0, -2)
+    calls = _kernel_calls(monkeypatch)
+    eq = _check_equality_is_the_rotation_pair(xs, BoundSpec(h=4))
+    assert [c[1:] for c in calls[:2]] == [(9, 2, Direction.BELOW), (7, 2, Direction.ABOVE)]
+    assert calls[0][0] == [6, -2, 8, 0, -4] and calls[0][0] is calls[1][0]
+    assert (eq.k1, eq.k2) == (4, 1)
+    assert eq.below.prefix_sums == [0, -2, 1, 0, 4] and eq.above.prefix_sums == [3, 2, 6, 6, 4]
+    assert eq.below.prefix_sums.den == eq.above.prefix_sums.den == 1
+    assert verify_certificate(xs, F(9, 2), eq.below) and verify_certificate(xs, F(7, 2), eq.above)
+
+
+def test_equality_at_an_h_over_a_denominator_the_list_lacks():
+    # entries over 6 and 2 with total 1/3: h is over 3, which no entry is
+    xs = (F(1, 6), F(1, 2), F(-1, 3), F(1, 6), F(-1, 6))
+    assert total(xs) == F(1, 3)
+    for eps in (F(1, 2), F(1, 5), F(3, 4)):
+        assert _check_equality_is_the_rotation_pair(xs, BoundSpec(h=F(1, 3), epsilon=eps)) is not None
+        # an h one 7th off, or a 7th apart in its denominator: never the total
+        for h in (F(1, 3) + F(1, 7), F(1, 3) - F(1, 21), F(2, 7)):
+            assert _check_equality_is_the_rotation_pair(xs, BoundSpec(h=h, epsilon=eps)) is None
+
+
+def test_equality_where_d0_covers_h_and_eps_uses_the_lists_own_integers(monkeypatch):
+    xs = (F(1, 4), F(3, 4), F(-1, 2), F(5, 4), F(-3, 2))
+    a, d0 = cyclic_list(xs).integer_form
+    assert d0 == 4
+    calls = _kernel_calls(monkeypatch)
+    for eps in (F(1, 4), F(1, 2), F(3, 4)):
+        calls.clear()
+        eq = _check_equality_is_the_rotation_pair(xs, BoundSpec(h=F(1, 4), epsilon=eps))
+        assert calls[0][0] is a and calls[1][0] is a
+        assert [c[1:] for c in calls[:2]] == [
+            (1 + 4 * eps, 4, Direction.BELOW), (1 - 4 * eps, 4, Direction.ABOVE)]
+        assert verify_certificate(xs, F(1, 4) + eps, eq.below)
+        assert verify_certificate(xs, F(1, 4) - eps, eq.above)
 
 
 # --- one integer form per list -------------------------------------------------

@@ -389,11 +389,14 @@ def test_paired_c5xc10_node_count_and_witness_are_pinned():
     assert is_paired_dominating(cartesian_cycles(5, 10), report.witness)
 
 
+# ids name the variant and the graph alone, so a re-pinned count keeps the test's name
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
-    (6, 8, Variant.DOMINATING, 12, 18_600, (0, 11, 13, 17, 23, 27, 28, 29, 32, 42, 44, 46)),
-    (5, 8, Variant.TOTAL, 11, 332, (2, 3, 8, 15, 19, 20, 21, 24, 25, 37, 38)),
+    pytest.param(6, 8, Variant.DOMINATING, 12, 18_600, (0, 11, 13, 17, 23, 27, 28, 29, 32, 42, 44, 46),
+                 id="dominating-C6xC8"),
+    pytest.param(5, 8, Variant.TOTAL, 11, 332, (2, 3, 8, 15, 19, 20, 21, 24, 25, 37, 38), id="total-C5xC8"),
     # 153,353 nodes without the packing bound, to the same witness
-    (7, 8, Variant.TOTAL, 16, 11_020, (1, 3, 5, 6, 9, 20, 23, 26, 28, 31, 34, 36, 37, 40, 47, 51)),
+    pytest.param(7, 8, Variant.TOTAL, 16, 11_020,
+                 (1, 3, 5, 6, 9, 20, 23, 26, 28, 31, 34, 36, 37, 40, 47, 51), id="total-C7xC8"),
 ])
 def test_min_parameter_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
@@ -511,9 +514,10 @@ def test_min_parameter_on_a_long_cycle_exhausts_the_budget_not_the_stack():
 
 @pytest.mark.parametrize("rows, n, variant, value, nodes, witness", [
     # 8,726, 32,735 and 75,265 nodes without the free bound, to the same witnesses
-    (4, 5, Variant.TOTAL, 10, 2_897, tuple(range(10, 20))),
-    (4, 6, Variant.TOTAL, 12, 13_539, tuple(range(12, 24))),
-    (5, 5, Variant.DOMINATING, 10, 40_339, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23)),
+    pytest.param(4, 5, Variant.TOTAL, 10, 2_897, tuple(range(10, 20)), id="total-C4xC5"),
+    pytest.param(4, 6, Variant.TOTAL, 12, 13_539, tuple(range(12, 24)), id="total-C4xC6"),
+    pytest.param(5, 5, Variant.DOMINATING, 10, 40_339, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23),
+                 id="dominating-C5xC5"),
 ])
 def test_max_minimal_node_counts_and_witnesses_are_pinned(rows, n, variant, value, nodes, witness):
     budget = SearchBudget()
