@@ -31,7 +31,11 @@ parts, each run in fresh interpreters on each tree's `src`:
   `dump_json`, and `certificate_from_json`, on a seeded list of n
   mixed-denominator entries for n = 6, 12, 10^3, 10^4 and 10^5, alternating
   like per_search; at n = 6 and 12 each of the 5 is the mean of a loop of
-  10^4 calls, as one call takes a few microseconds;
+  10^4 calls, as one call takes a few microseconds, and those two rows run
+  9 times on each side, as such short runs spread widely.  Rows for n = 10^3
+  and 10^4 also time an in-process `certify sum` and `certify verify` of the
+  same list through `cli.main`.  Each side keeps its least run beside the
+  median;
 - reach: `min_parameter` paired on C5xCn and `max_minimal_parameter` total
   on C4xCn, for n = 3, 4, ... under a --reach-nodes cap, each up to the
   first n that passes it.  Node counts are deterministic, so the reach is
@@ -151,14 +155,17 @@ CALLS = ("convex_drawing", "decomposition_weights", "decomposition_weights_again
 # -> calls per timed loop: a call on a short list takes a few microseconds
 CERTIFICATE_SIZES = {6: 10**4, 12: 10**4, 10**3: 1, 10**4: 1, 10**5: 1}
 CERTIFICATE_RUNS = 5
+# n whose row also times the CLI round trip
+ROUND_TRIP_SIZES = (10**3, 10**4)
 
 CERTIFICATE_CHILD = """
-import json, random, statistics, sys, time
+import contextlib, io, json, os, random, statistics, sys, tempfile, time
 from fractions import Fraction
+from cyclecert import cli
 from cyclecert.cyclic_core import (
     BoundSpec, Direction, cyclic_list, equality_certificate, find_rotation, total, verify_certificate)
 from cyclecert.formats import certificate_from_json, certificate_to_json, dump_json
-n, loops = int(sys.argv[1]), int(sys.argv[2])
+n, loops, round_trip = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "1"
 rng = random.Random(n)
 cl = cyclic_list([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)])
 h = total(cl) + 1
@@ -174,6 +181,28 @@ calls = {
     "certificate_to_json+dump_json": lambda: dump_json(certificate_to_json(cert, h)),
     "certificate_from_json": lambda: certificate_from_json(doc, cl),
 }
+if round_trip:
+    listing = "--list=" + ",".join(map(str, cl.values))
+    summing = ["certify", "sum", listing, f"--h={h}"]
+    folder = tempfile.TemporaryDirectory()
+    path = os.path.join(folder.name, "cert.json")
+    verifying = ["certify", "verify", listing, "--certificate", path]
+
+    def main(argv, code):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == code
+        return out.getvalue()
+
+    def both():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(main(summing, 0))
+        main(verifying, 0)
+
+    both()  # builds the parser and writes the file certify verify reads
+    calls["cli certify sum"] = lambda: main(summing, 0)
+    calls["cli certify verify"] = lambda: main(verifying, 0)
+    calls["cli certify sum+verify"] = both
 out = {}
 for name, call in calls.items():
     times = []
@@ -187,6 +216,7 @@ print(json.dumps(out))
 """
 CERTIFICATE_CALLS = ("find_rotation", "verify_certificate", "equality_certificate",
                      "certificate_to_json+dump_json", "certificate_from_json")
+ROUND_TRIP_CALLS = ("cli certify sum", "cli certify verify", "cli certify sum+verify")
 
 METRICS = {
     "wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ops_ok_ratio": "higher",
@@ -274,15 +304,16 @@ def _figures(seconds: float) -> float:
 
 
 def _timed_row(got: dict[str, list[dict]], calls: tuple[str, ...]) -> dict:
-    """Per side, the median and the runs of each call's seconds to four
-    significant figures (a call on a short list takes microseconds), and the
-    change's medians against the parent's."""
+    """Per side, the median, the least and the runs of each call's seconds
+    to four significant figures (a call on a short list takes microseconds),
+    and the change's medians against the parent's."""
     row: dict = {}
     for side, results in got.items():
         row[side] = {}
         for call in calls:
             times = [r[call] for r in results]
             row[side][call] = {"median_s": _figures(statistics.median(times)),
+                               "min_s": _figures(min(times)),
                                "runs_s": [_figures(t) for t in times]}
     row["change_vs_parent"] = {
         call: round(row["change"][call]["median_s"] / row["parent"][call]["median_s"] - 1, 3)
@@ -307,8 +338,11 @@ def per_drawing(trees: dict[str, str]) -> dict:
 def per_certificate(trees: dict[str, str]) -> dict:
     out = {}
     for n, loops in CERTIFICATE_SIZES.items():
-        got = _alternating(trees, CERTIFICATE_RUNS, CERTIFICATE_CHILD, n, loops)
-        row = _timed_row(got, CERTIFICATE_CALLS)
+        # a looped call takes microseconds, and such short runs spread widely
+        runs = SHORT_RUNS if loops > 1 else CERTIFICATE_RUNS
+        round_trip = n in ROUND_TRIP_SIZES
+        got = _alternating(trees, runs, CERTIFICATE_CHILD, n, loops, int(round_trip))
+        row = _timed_row(got, CERTIFICATE_CALLS + (ROUND_TRIP_CALLS if round_trip else ()))
         out[f"n={n}"] = row
         print("certificate", n, json.dumps(row), file=sys.stderr)
     return out
@@ -422,8 +456,13 @@ def main() -> None:
                       "outside the timing), certificate_to_json with dump_json, and "
                       "certificate_from_json given the list, on the JSON document read back "
                       "outside the timing; at n = 6 and 12 each of the 5 is the mean of a loop "
-                      "of 10^4 calls; parent and change alternate and the order is swapped "
-                      "every run",
+                      f"of 10^4 calls, and those rows run {SHORT_RUNS} times on each side, the "
+                      f"others {CERTIFICATE_RUNS}; at n = 10^3 and 10^4 also cli.main in process "
+                      "with stdout captured: certify sum of the list spelled by str(Fraction) "
+                      "with --h and the default direction below, certify verify of the file "
+                      "that output was written to, and both with that write between them, "
+                      "after one untimed round trip; parent and change alternate and the order "
+                      "is swapped every run; min_s is the least run",
             "lists": per_certificate(trees),
         },
         **{

@@ -136,8 +136,8 @@ def _int_list(text: str) -> list[int]:
     return [parse_int(tok, f"in {text!r}: ") for tok in comma_items(text)]
 
 
-def _rational_list(text: str) -> list[Fraction]:
-    return [as_fraction(tok) for tok in comma_items(text)]
+def _rational_list(text: str) -> tuple[Fraction, ...]:
+    return tuple([as_fraction(tok) for tok in comma_items(text)])
 
 
 def _edge_list(text: str) -> list[tuple[int, int]]:
@@ -177,7 +177,7 @@ def _partition_arg(text: str) -> Any:
 def _cmd_certify_sum(args: argparse.Namespace) -> tuple[Any, int]:
     if args.epsilon is not None and args.direction != "equality":
         raise ValueError(f"--epsilon belongs to --direction equality alone, not {args.direction}")
-    xs = _rational_list(args.list)
+    xs = cyclic_list(_rational_list(args.list))
     h = as_fraction(args.h)
     if args.direction == "equality":
         epsilon = HALF if args.epsilon is None else as_fraction(args.epsilon)

@@ -106,6 +106,11 @@ class PrefixGoal(Enum):
 _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([+-]?[0-9]+)")
 _TOO_MANY_DIGITS = 10**_MAX_EXPONENT
+# The plain spelling that `str(Fraction)` writes, p or p/q in ASCII digits
+# with an optional sign.  Each part has at most 4300 digits, so its value
+# needs no digit check; a longer part goes to the full grammar.
+_DIGITS = f"[0-9]{{1,{_MAX_EXPONENT}}}"
+_PLAIN = re.compile(f"([+-]?{_DIGITS})(?:/({_DIGITS}))?")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -114,7 +119,19 @@ def as_fraction(value: RationalLike) -> Fraction:
     Strings follow `Fraction`'s grammar in ASCII without underscores, which
     `Fraction` alone would read as digit separators ('1_3' as 13), with an
     exponent of at most 4300 in absolute value, and with a numerator and
-    denominator of at most 4300 digits each."""
+    denominator of at most 4300 digits each.  A plain p or p/q with a
+    nonzero q is read in one match, without the isinstance chain; every
+    other string, a zero denominator included, goes through the full
+    grammar."""
+    if type(value) is str:
+        plain = _PLAIN.fullmatch(value)
+        if plain is not None:
+            p, q = plain.groups()
+            if q is None:
+                return Fraction(int(p))
+            den = int(q)
+            if den:
+                return Fraction(int(p), den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -317,5 +317,12 @@ def drawing_from_json(doc: Any) -> AbstractDrawing:
 
 
 def dump_json(doc: Any) -> str:
-    """One compact line: without an indent, json.dumps runs its C encoder."""
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """One compact line: without an indent, json.dumps runs its C encoder.
+
+    The cycle check is off.  It records the id of every list and dict on the
+    way down, about a seventh of the dump of a 10^5-entry prefix table, and
+    it only turns a document that contains itself into ValueError rather
+    than RecursionError.  The `*_to_json` writers and the CLI handlers build
+    every document fresh from new lists, dicts, strings and numbers, so none
+    contains itself."""
+    return json.dumps(doc, separators=(",", ":"), check_circular=False) + "\n"

@@ -2,7 +2,8 @@
 repeatable, its end-to-end part runs the workload it is given, its drawing
 rows count the drawing they time and screen its parity, its partition row
 runs the workload's search, its short searches run nine times with their
-minimum kept, and its certificate rows time each step on both sides."""
+minimum kept, and its certificate rows time each step, the CLI round trip
+at n = 10^3 and 10^4 included, on both sides with the least run kept."""
 
 import importlib.util
 import json
@@ -85,14 +86,16 @@ def test_the_partition_search_row_runs_the_workload_search():
 def test_a_certificate_row_times_each_step_on_both_sides(monkeypatch):
     script = _load_script()
     assert "equality_certificate" in script.CERTIFICATE_CALLS
-    for n, loops in ((1000, 1), (6, 10)):
-        got = script._child(ROOT, script.CERTIFICATE_CHILD, n, loops)
-        assert set(got) == set(script.CERTIFICATE_CALLS) and all(t >= 0 for t in got.values())
+    for n, loops, round_trip in ((1000, 1, 1), (6, 10, 0)):
+        got = script._child(ROOT, script.CERTIFICATE_CHILD, n, loops, round_trip)
+        calls = script.CERTIFICATE_CALLS + (script.ROUND_TRIP_CALLS if round_trip else ())
+        assert set(got) == set(calls) and all(t >= 0 for t in got.values())
     seen = []
 
-    def child(tree, source, n, loops):
-        seen.append((tree, n, loops))
-        return {call: 2e-6 if tree == "p" else 1e-6 for call in script.CERTIFICATE_CALLS}
+    def child(tree, source, n, loops, round_trip):
+        seen.append((tree, n, loops, round_trip))
+        calls = script.CERTIFICATE_CALLS + (script.ROUND_TRIP_CALLS if round_trip else ())
+        return {call: 2e-6 if tree == "p" else 1e-6 for call in calls}
 
     monkeypatch.setattr(script, "_child", child)
     out = script.per_certificate({"parent": "p", "change": "c"})
@@ -100,17 +103,31 @@ def test_a_certificate_row_times_each_step_on_both_sides(monkeypatch):
     assert list(out) == [f"n={n}" for n in script.CERTIFICATE_SIZES] == sizes
     # a call on a short list is the mean of a loop of 10^4, a long one is timed alone
     assert script.CERTIFICATE_SIZES == {6: 10**4, 12: 10**4, 1000: 1, 10000: 1, 100000: 1}
-    runs = script.CERTIFICATE_RUNS
-    assert seen[:4] == [("p", 6, 10**4), ("c", 6, 10**4), ("c", 6, 10**4), ("p", 6, 10**4)]
-    assert len(seen) == 2 * runs * len(sizes)
-    for row in out.values():
+    # the looped rows run nine times a side, the others five
+    runs = {6: 9, 12: 9, 1000: 5, 10000: 5, 100000: 5}
+    assert (script.SHORT_RUNS, script.CERTIFICATE_RUNS) == (9, 5)
+    assert seen[:4] == [("p", 6, 10**4, 0), ("c", 6, 10**4, 0), ("c", 6, 10**4, 0), ("p", 6, 10**4, 0)]
+    assert len(seen) == 2 * sum(runs.values())
+    # only the 10^3 and 10^4 rows time the CLI round trip
+    assert {(n, rt) for _, n, _, rt in seen} == {(6, 0), (12, 0), (1000, 1), (10000, 1), (100000, 0)}
+    for n, row in zip(runs, out.values()):
+        calls = script.CERTIFICATE_CALLS + (script.ROUND_TRIP_CALLS if n in (1000, 10000) else ())
         assert set(row) == {"parent", "change", "change_vs_parent"}
         for side, seconds in (("parent", 2e-6), ("change", 1e-6)):
-            assert set(row[side]) == set(script.CERTIFICATE_CALLS)
+            assert set(row[side]) == set(calls)
             # four significant figures, not a fixed count of decimals
             for timing in row[side].values():
-                assert timing == {"median_s": seconds, "runs_s": [seconds] * runs}
-        assert row["change_vs_parent"] == {call: -0.5 for call in script.CERTIFICATE_CALLS}
+                assert timing == {"median_s": seconds, "min_s": seconds, "runs_s": [seconds] * runs[n]}
+        assert row["change_vs_parent"] == {call: -0.5 for call in calls}
+
+
+def test_a_timed_row_keeps_the_least_run_beside_the_median():
+    script = _load_script()
+    got = {"parent": [{"f": 3e-3}, {"f": 1e-3}, {"f": 2e-3}], "change": [{"f": 5e-4}, {"f": 4e-4}, {"f": 9e-4}]}
+    row = script._timed_row(got, ("f",))
+    assert row["parent"]["f"] == {"median_s": 2e-3, "min_s": 1e-3, "runs_s": [3e-3, 1e-3, 2e-3]}
+    assert row["change"]["f"] == {"median_s": 5e-4, "min_s": 4e-4, "runs_s": [5e-4, 4e-4, 9e-4]}
+    assert row["change_vs_parent"] == {"f": -0.75}
 
 
 def test_a_search_of_a_few_milliseconds_runs_nine_times_and_keeps_its_minimum(monkeypatch):

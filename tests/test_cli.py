@@ -117,6 +117,23 @@ def test_certify_verify_accepts_unedited_sum_output(capsys, tmp_path):
     assert code == 0 and doc["verified"]
 
 
+@pytest.mark.parametrize("direction, h", [("below", "1"), ("above", "-3"), ("equality", "-3/4")])
+def test_every_spelling_of_a_list_gets_the_same_certificate(capsys, tmp_path, direction, h):
+    # the first spelling is read by the plain p/q reader alone; the others
+    # send their decimals and exponents through the full Fraction grammar
+    spellings = ["1/4,-3,2", "0.25,-3e0,+2", "1/4, -3, 2", "+1/4, -3.0, 2E0"]
+    paths = []
+    for i, listing in enumerate(spellings):
+        assert main(["certify", "sum", f"--list={listing}", f"--h={h}", f"--direction={direction}"]) == 0
+        paths.append(tmp_path / f"spelling{i}.json")
+        paths[-1].write_text(capsys.readouterr().out, encoding="utf-8")
+    assert len({path.read_bytes() for path in paths}) == 1
+    for listing in spellings:
+        for path in paths:
+            code, doc = run(capsys, "certify", "verify", f"--list={listing}", "--certificate", str(path))
+            assert code == 0 and doc["verified"]
+
+
 def test_certify_verify_roundtrip(capsys, tmp_path):
     code, doc = run(capsys, "certify", "sum", "--list", "0,0,4,0", "--h", "5")
     path = tmp_path / "cert.json"

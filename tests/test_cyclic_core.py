@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclecert import cyclic_core
@@ -75,6 +76,37 @@ def test_as_fraction_keeps_the_rest_of_the_fraction_grammar():
              "-2e-4299": F(-2, 10**4299), "-2e-4300": F(-2, 10**4300)}
     for text, value in cases.items():
         assert as_fraction(text) == value
+
+
+plain_parts = st.text(alphabet="0123456789", min_size=1, max_size=4300)
+
+
+@given(st.sampled_from(["", "+", "-"]), plain_parts, st.none() | plain_parts.filter(lambda q: q.strip("0")))
+@example("-", "9" * 4300, "1" + "0" * 4299)
+@example("+", "0" * 4300, "0" * 4299 + "7")
+@example("", "007", None)
+@settings(max_examples=200, deadline=None)
+def test_a_plain_rational_reads_as_fraction_reads_it(sign, num, den):
+    # p or p/q with a nonzero q and up to 4300 digits a part: the one-match path
+    text = sign + num + ("" if den is None else "/" + den)
+    got = as_fraction(text)
+    assert type(got) is F and got == F(text)
+
+
+def test_the_plain_reader_leaves_every_refusal_to_the_full_grammar():
+    for text in ("1/0", "0/00", "-3/0"):
+        with pytest.raises(ValueError, match=re.escape(f"zero denominator in {text!r}")):
+            as_fraction(text)
+    # a part past 4300 digits is refused by int(), as it was before the plain path
+    for text in ("1" * 4301, "-" + "1" * 4301 + "/3", "1/" + "2" * 4301):
+        with pytest.raises(ValueError, match="4300 digits"):
+            as_fraction(text)
+    for text in ("1_0/3", "\u0663/4"):
+        with pytest.raises(ValueError, match=re.escape(f"ASCII without underscores, got {text!r}")):
+            as_fraction(text)
+    for text in ("3/ 4", "3/-4", "+-3", "3/+4"):
+        with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {text!r}")):
+            as_fraction(text)
 
 
 def test_as_fraction_rejects_bool_and_float():
