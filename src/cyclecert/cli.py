@@ -180,8 +180,7 @@ def _cmd_certify_sum(args: argparse.Namespace) -> tuple[Any, int]:
     xs = cyclic_list(_rational_list(args.list))
     h = as_fraction(args.h)
     if args.direction == "equality":
-        epsilon = HALF if args.epsilon is None else as_fraction(args.epsilon)
-        bound = BoundSpec(h=h, epsilon=epsilon)
+        bound = BoundSpec(h) if args.epsilon is None else BoundSpec(h, args.epsilon)
         eq = equality_certificate(xs, bound)
         if eq is None:
             return {"found": False, "total": str(total(xs)), "h": str(h)}, 1

@@ -7,19 +7,19 @@ crossing may involve an edge outside the graph, pair an edge with itself,
 pair edges sharing an endpoint, or repeat (two edges cross at most once).
 
 Each object is checked once.  A drawing given as pairs is read by its
-constructor's one pass, which unpacks each pair once: a tuple of the graph's
-own edge tuples is kept, any other pair's edges are read by
-`graphs.read_edge`, and a pair is noted only when an edge is off the graph
-or the two share a vertex; after the sort a neighbour comparison finds
-repeats.  The validator's scan runs, once per drawing, only when something
-was noted, so a clean drawing, given as the graph's tuples or as JSON lists,
-costs no scan.  A convex drawing skips that pass: it is built from its
-sweep's masks by a private constructor, whose one loop writes the pairs and
-tests no rule, as the sweep breaks none (see `_from_later`).  The weights
-of a decomposition are kept on the drawing, so the decomposition is
-validated once per drawing and equal decompositions share one
-DoubledWeightList, whose halves are one tuple: repeated certificates on it
-reuse one scaled list.
+constructor's one pass, which unpacks each pair once, reads its two edges by
+`graphs.read_edge` and maps each edge of the graph onto the graph's own
+tuple through the edge-to-position map that the drawing then keeps for its
+index.  A pair is noted only when an edge is off the graph or the two share
+a vertex; after the sort a neighbour comparison finds repeats.  The
+validator's scan runs, once per drawing, only when something was noted, so
+a clean drawing costs no scan.  A convex drawing skips that pass: it is
+built from its sweep's masks by a private constructor, whose one loop
+writes the pairs and tests no rule, as the sweep breaks none (see
+`_from_later`).  The weights of a decomposition are kept on the drawing, so
+the decomposition is validated once per drawing and equal decompositions
+share one DoubledWeightList, whose halves are one tuple: repeated
+certificates on it reuse one scaled list.
 
 Each drawing keeps one crossing index over the graph's edges, in
 `graph.edges()` order: each edge's position, how many crossings it is in,
@@ -65,7 +65,7 @@ from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .cyclic_core import HALF, Direction, RotationCertificate, find_rotation, integer_bound
-from .graphs import Graph, read_edge
+from .graphs import Graph, read_edge, read_id
 from .structures import EdgeDecomposition, validate_decomposition
 from .tiles import Tile, canonical_periodic_decomposition
 
@@ -122,12 +122,11 @@ class AbstractDrawing:
     crossings: tuple[CrossingPair, ...]
 
     def __init__(self, graph: Graph, crossings: Iterable[Sequence[Sequence[int]]]):
-        # The one pass over the pairs (see the module docstring).  Each graph
-        # edge (u, v), u < v, maps to the graph's own tuple for it.  Any pair
-        # but a tuple of two such tuples (a list, a reversed or fresh edge, an
-        # id that is not a plain int, an edge off the graph) has its edges
-        # read by read_edge, which puts u <= v, and mapped onto those tuples.
-        canon = {e: e for e in graph.edges()}
+        # The one pass over the pairs (see the module docstring).  Each edge
+        # is read by read_edge, which puts u <= v, and an edge of the graph
+        # is mapped onto the graph's own tuple for it through its position.
+        edges = graph.edges()
+        position = {e: i for i, e in enumerate(edges)}
         pairs = []
         append = pairs.append
         noted = False
@@ -136,24 +135,15 @@ class AbstractDrawing:
                 (e, f) = pair
             except (TypeError, ValueError):
                 raise TypeError(f"crossing pair {pair!r} is not two edges") from None
-            try:
-                # (0.0, 2) finds (0, 2) in the map, so identity is asked for
-                kept = type(pair) is tuple and canon[e] is e and canon[f] is f
-            except (KeyError, TypeError):  # off the map, or unhashable
-                kept = False
-            if not kept:
-                where = _PairName((pair, (e, f)))
-                e, f = read_edge(e, where), read_edge(f, where)
-                if e in canon and f in canon:
-                    e, f = canon[e], canon[f]
-                else:
-                    noted = True
-                pair = (e, f)
-            if f < e:
-                pair = (f, e)
+            where = _PairName((pair, (e, f)))
+            e, f = read_edge(e, where), read_edge(f, where)
+            if e in position and f in position:
+                e, f = edges[position[e]], edges[position[f]]
+            else:
+                noted = True
             if e[0] in f or e[1] in f:
                 noted = True
-            append(pair)
+            append((e, f) if e < f else (f, e))
         # pairs in strictly increasing order are sorted and have no repeat
         if not all(map(lt, pairs, islice(pairs, 1, None))):
             pairs.sort()
@@ -161,6 +151,7 @@ class AbstractDrawing:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "crossings", tuple(pairs))
         object.__setattr__(self, "_noted", noted)
+        object.__setattr__(self, "_position", position)
 
     @classmethod
     def _from_later(cls, graph: Graph, later: Sequence[int]) -> AbstractDrawing:
@@ -209,7 +200,8 @@ class AbstractDrawing:
 
     @cached_property
     def _position(self) -> dict[Edge, int]:
-        # each graph edge's index in graph.edges() order
+        # each graph edge's index in graph.edges() order; a drawing given as
+        # pairs keeps the map its constructor read them with
         return {e: i for i, e in enumerate(self.graph.edges())}
 
     @cached_property
@@ -400,7 +392,7 @@ def convex_drawing(g: Graph, order: Optional[Sequence[int]] = None) -> AbstractD
     Cost: O(E) operations on masks of at most E bits, plus one step per
     crossing.
     """
-    order = tuple(order) if order is not None else tuple(range(g.n))
+    order = tuple(read_id(v, "order") for v in order) if order is not None else tuple(range(g.n))
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
     pos = [0] * g.n

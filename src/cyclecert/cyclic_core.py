@@ -61,6 +61,8 @@ from itertools import accumulate, chain, count, islice
 from math import gcd, lcm
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
+from .graphs import read_int
+
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
@@ -609,6 +611,7 @@ def greedy_block_cover(
     blocks cover each slot exactly once and only the final block wraps past
     slot n; from other starts the cover may overshoot.
     """
+    start = read_int(start, "start")
     cl = cyclic_list(xs)
     a, big_h, d = _scaled(cl, as_fraction(c) * cl.n)
     gs = _least_reaches(a, big_h, True)
@@ -644,7 +647,10 @@ def equality_certificate(
     divides this D, so each running sum here is the one there times the
     same positive factor, the last extreme (ties included) and so k are the
     same, and `PrefixTable` divides out the common factor of the table.
+    Anything but a BoundSpec as bound is a TypeError.
     """
+    if not isinstance(bound, BoundSpec):
+        raise TypeError(f"bound must be a BoundSpec, got {bound!r}")
     a, d0 = cyclic_list(xs).integer_form
     h, eps = bound.h, bound.epsilon
     if sum(a) * h.denominator != h.numerator * d0:

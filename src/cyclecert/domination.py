@@ -9,14 +9,15 @@ dominating and paired sets and open ones for total: a set covers V when
 their OR is V, and a covering set is minimal exactly when every member is
 the only member of some row (removing it uncovers just those rows).
 
-Both exact solvers first relabel the graph in reverse Cuthill-McKee order
-(a breadth-first order, reversed), so that a vertex's neighbors sit close
-to it in the order whatever ids the caller gave; a torus stored row by
-row keeps a frontier about two rows wide in id order, and this order
-narrows it.  They search the relabelled graph, and map the witness back to
-the caller's ids.  Below, "first" means earliest in the order a search runs
-in: that order for the two solvers, the caller's ids for the corollary
-searches.
+Both exact solvers run in one frame (`_solved`): it refuses a bad variant
+or an isolated vertex in the caller's ids, relabels the graph in reverse
+Cuthill-McKee order (a breadth-first order, reversed), so that a vertex's
+neighbors sit close to it in the order whatever ids the caller gave, runs
+the solver's search on the relabelled graph, and maps the witness back to
+the caller's ids, sorted.  A torus stored row by row keeps a frontier
+about two rows wide in id order, and this order narrows it.  Below,
+"first" means earliest in the order a search runs in: that order for the
+two solvers, the caller's ids for the corollary searches.
 
 Exact minimums come from one item-cover search: iterative deepening over
 the number of items, each depth a branch-and-bound on an explicit stack
@@ -474,27 +475,49 @@ def _min_cover_search(
     return None
 
 
-def _cover_items(g: Graph, variant: Variant) -> tuple[list[int], list[int], list[int], list[int]]:
+def _cover_items(
+    g: Graph, variant: Variant
+) -> tuple[list[int], list[int], list[int], list[int], int]:
     """The items of the variant's cover search as (items, covers, reach,
-    blocks), the arguments of _min_cover_search: vertices for dominating and
-    total, covering their closed or open rows, and edges for paired,
-    covering both closed rows and ruling out every edge that meets them."""
+    blocks, cap), the arguments of _min_cover_search: vertices for dominating
+    and total, covering their closed or open rows, and edges for paired,
+    covering both closed rows and ruling out every edge that meets them; cap
+    is the most vertices any item covers (0 when there is no item)."""
     rows = _cover_rows(g, variant)
     if variant is not Variant.PAIRED:
         # rows are symmetric, so the vertices whose row holds u are rows[u]
         items = [1 << v for v in range(g.n)]
-        return items, rows, rows, items
-    edges = g.edges()
-    at = [0] * g.n  # the edges at each vertex
-    for e, (u, v) in enumerate(edges):
-        at[u] |= 1 << e
-        at[v] |= 1 << e
-    items = [(1 << u) | (1 << v) for u, v in edges]
-    covers = [rows[u] | rows[v] for u, v in edges]
-    # rows are symmetric: edge uv covers w exactly when w's row meets uv
-    reach = [_union(at, row) for row in rows]
-    blocks = [at[u] | at[v] for u, v in edges]
-    return items, covers, reach, blocks
+        covers, reach, blocks = rows, rows, items
+    else:
+        edges = g.edges()
+        at = [0] * g.n  # the edges at each vertex
+        for e, (u, v) in enumerate(edges):
+            at[u] |= 1 << e
+            at[v] |= 1 << e
+        items = [(1 << u) | (1 << v) for u, v in edges]
+        covers = [rows[u] | rows[v] for u, v in edges]
+        # rows are symmetric: edge uv covers w exactly when w's row meets uv
+        reach = [_union(at, row) for row in rows]
+        blocks = [at[u] | at[v] for u, v in edges]
+    return items, covers, reach, blocks, max((c.bit_count() for c in covers), default=0)
+
+
+def _solved(
+    g: Graph, variant: Variant, budget: Optional[SearchBudget],
+    search: Callable[[Graph, SearchBudget], int],
+) -> SolveReport:
+    """The frame of both exact solvers.  It refuses the variant or an
+    isolated vertex in the caller's ids, relabels g in reverse Cuthill-McKee
+    order, runs search on the relabelled graph and the budget (a fresh one
+    when none is given) for a vertex mask, and reports that mask's size, its
+    vertices in g's ids, sorted, and the nodes this solve charged."""
+    budget = budget or SearchBudget()
+    start = budget.nodes
+    _cover_rows(g, variant)
+    relabelled, old = _rcm(g)
+    mask = search(relabelled, budget)
+    witness = tuple(sorted(old[v] for v in iter_bits(mask)))
+    return SolveReport(mask.bit_count(), witness, budget.nodes - start)
 
 
 def min_parameter(
@@ -519,28 +542,22 @@ def min_parameter(
     half of `paired_lower_bound`, which the paired number, even and at least
     n over the largest degree, never falls below.
     """
-    budget = budget or SearchBudget()
-    start = budget.nodes
-    _cover_rows(g, variant)  # refuses the variant or an isolated vertex in the caller's ids
-    if g.n == 0:
-        return SolveReport(value=0, witness=(), nodes_explored=0)
-    g, old = _rcm(g)
-    items, covers, reach, blocks = _cover_items(g, variant)
-    cap = max(c.bit_count() for c in covers)  # no item covers more
-    if variant is Variant.PAIRED:
-        sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
-    else:
-        sizes = range(_ceil_div(g.n, cap), g.n + 1)
-    mask = _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
-    return SolveReport(
-        value=mask.bit_count(),
-        witness=tuple(sorted(old[v] for v in iter_bits(mask))),
-        nodes_explored=budget.nodes - start,
-    )
+
+    def search(g: Graph, budget: SearchBudget) -> int:
+        if g.n == 0:
+            return 0  # the empty set, found without a node
+        items, covers, reach, blocks, cap = _cover_items(g, variant)
+        if variant is Variant.PAIRED:
+            sizes = range(paired_lower_bound(g) // 2, g.n // 2 + 1)
+        else:
+            sizes = range(_ceil_div(g.n, cap), g.n + 1)
+        return _min_cover_search(g.full_mask, items, covers, reach, blocks, cap, sizes, budget)
+
+    return _solved(g, variant, budget, search)
 
 
-def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int]:
-    """Largest minimal set as (witness_mask, size), in one pass.
+def _max_minimal_search(rows: list[int], budget: SearchBudget) -> int:
+    """Vertex mask of a largest minimal set, in one pass.
 
     One in/out branch-and-bound over the vertices in index order, which
     max_minimal_parameter makes the reverse Cuthill-McKee order, "in"
@@ -622,7 +639,7 @@ def _max_minimal_search(rows: list[int], budget: SearchBudget) -> tuple[int, int
     budget.charge(nodes)
     if witness is None:
         raise ValueError("no valid set of any size exists")
-    return witness, best
+    return witness
 
 
 def max_minimal_parameter(
@@ -644,16 +661,11 @@ def max_minimal_parameter(
     """
     if variant is Variant.PAIRED:
         raise ValueError("upper parameters are defined for dominating/total only")
-    budget = budget or SearchBudget()
-    start = budget.nodes
-    _cover_rows(g, variant)  # refuses the variant or an isolated vertex in the caller's ids
-    g, old = _rcm(g)
-    mask, size = _max_minimal_search(_cover_rows(g, variant), budget)
-    return SolveReport(
-        value=size,
-        witness=tuple(sorted(old[v] for v in iter_bits(mask))),
-        nodes_explored=budget.nodes - start,
-    )
+
+    def search(g: Graph, budget: SearchBudget) -> int:
+        return _max_minimal_search(_cover_rows(g, variant), budget)
+
+    return _solved(g, variant, budget, search)
 
 
 def _part_index(g: Graph, partition: VertexPartition, symmetry: CyclicSymmetry) -> list[int]:
@@ -689,7 +701,7 @@ def _prefix_cover(
     takes a prefix past its cap is dead in every branch below, and a set
     under the caps holds a cover the search reaches, itself under the caps.
     """
-    items, covers, reach, blocks = _cover_items(g, variant)
+    items, covers, reach, blocks, cap = _cover_items(g, variant)
     t = len(base)
     # P_q * t < q * bound exactly when P_q is at most the cap
     slacks = [
@@ -710,7 +722,6 @@ def _prefix_cover(
     rise = [sum(vertex_rise[v] for v in iter_bits(item)) for item in items]
     guards = ones << width - 1
     start = guards + sum(s << q * width for q, s in enumerate(slacks))
-    cap = max((c.bit_count() for c in covers), default=0)
     depth = min(most, g.n) // (2 if variant is Variant.PAIRED else 1)
     got = _min_cover_search(
         g.full_mask, items, covers, reach, blocks, cap, range(depth, depth + 1), budget,

@@ -8,11 +8,14 @@ construction time; every edge is stored normalized as (u, v) with u < v.
 Vertex ids and edges a caller or a file hands in are read by one rule:
 `read_id` (an int, not a bool) and `read_edge` (two such ids, normalized).
 The constructors of partitions, decompositions, shifts, tiles and drawings
-apply it when built; `Graph.from_edges` trusts the generators and file readers
-with its edges.  `read_int` applies the same rule to the other integers a
-caller hands in: `check_order` reads a vertex count by it, in every generator
-and in `Graph.from_edges`, `check_torus` the two factors of a torus, and
-`circulant` each stride, each before any comparison.
+apply it when built, and `convex_drawing` to each id of its order;
+`Graph.from_edges` trusts the generators and file readers with its edges.
+`read_int` applies the same rule to the other integers a caller hands in:
+`check_order` reads a vertex count by it, in every generator, in
+`Graph.from_edges` and in the star decompositions, `check_torus` the two
+factors of a torus, `circulant` each stride, and `circulant14_decomposition`
+its k, `find_transitive_partition` its class count t and
+`greedy_block_cover` its start, each before any comparison.
 """
 
 from __future__ import annotations

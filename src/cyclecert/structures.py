@@ -83,7 +83,9 @@ from itertools import combinations, repeat
 from typing import Optional, Union
 
 from .errors import SearchBudget
-from .graphs import Graph, check_torus, iter_bits, norm_edge, read_edge, read_id
+from .graphs import (
+    Graph, check_order, check_torus, iter_bits, norm_edge, read_edge, read_id, read_int
+)
 from .iso import find_mapping, isomorphic
 
 __all__ = [
@@ -213,6 +215,8 @@ def columns_partition(m: int, n: int) -> VertexPartition:
 
 def star_decomposition_bipartite(m: int, n: int) -> EdgeDecomposition:
     """K_{m,n} as m stars: piece i is vertex i joined to the whole right side."""
+    check_order(m)
+    check_order(n)
     if m < 1 or n < 1:
         raise ValueError("both sides must be nonempty")
     right = range(m, m + n)
@@ -226,6 +230,7 @@ def star_decomposition_complete(n: int) -> EdgeDecomposition:
     v_i to each of them.  Even n would cover every edge twice and is
     rejected.
     """
+    check_order(n)
     if n < 3 or n % 2 == 0:
         raise ValueError("this star decomposition needs an odd n >= 3")
     half = (n - 1) // 2
@@ -243,6 +248,7 @@ def circulant14_decomposition(k: int) -> EdgeDecomposition:
     {v_i v_{i+1}, v_i v_{i+4}} (mod 4k); needs k >= 3 so both stride orbits
     are full and the pieces stay edge-disjoint.
     """
+    read_int(k, "k")
     if k < 3:
         raise ValueError("need k >= 3")
     n = 4 * k
@@ -405,6 +411,7 @@ def find_transitive_partition(
     no witness.  It refutes K3,4 into 7 classes in 245 nodes, where the
     class screen alone takes 1,957.
     """
+    read_int(t, "t")
     if not 2 <= t <= g.n:
         raise ValueError(f"t must be in 2..{g.n}")
     if g.n % t != 0:

@@ -1,16 +1,20 @@
-"""Public surface: every exported name exists, and enum arguments take
-their members alone."""
+"""Public surface: every exported name exists, enum arguments take their
+members alone, and caller-given ints are read by the one rule of `graphs`."""
 
 import dataclasses
 import importlib
 import pkgutil
+import re
 
 import pytest
 
 import cyclecert
+from cyclecert.crossing import convex_drawing
 from cyclecert.cyclic_core import (
     Direction,
+    equality_certificate,
     find_rotation,
+    greedy_block_cover,
     prefix_condition_all_starts,
     scan_rotation,
     verify_certificate,
@@ -23,7 +27,14 @@ from cyclecert.domination import (
     prefix_pruned_search,
 )
 from cyclecert.graphs import Graph, cartesian_cycles, cycle
-from cyclecert.structures import column_shift_symmetry, columns_partition
+from cyclecert.structures import (
+    circulant14_decomposition,
+    column_shift_symmetry,
+    columns_partition,
+    find_transitive_partition,
+    star_decomposition_bipartite,
+    star_decomposition_complete,
+)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cyclecert.__path__))
 
@@ -98,3 +109,44 @@ def test_enum_arguments_refuse_non_members(entry, value):
 def test_the_empty_graph_still_answers_0_for_each_member():
     # min_parameter checks its variant before it answers the empty graph
     assert [min_parameter(Graph.from_edges(0, []), v).value for v in Variant] == [0, 0, 0]
+
+
+INT_ARGUMENTS = {
+    "greedy_block_cover start True": (lambda: greedy_block_cover([1, 1], 1, True), "start True"),
+    "greedy_block_cover start 1.0": (lambda: greedy_block_cover([1, 1], 1, 1.0), "start 1.0"),
+    "find_transitive_partition t 2.0": (
+        lambda: find_transitive_partition(cycle(4), 2.0), "t 2.0"
+    ),
+    "convex_drawing order True": (
+        lambda: convex_drawing(cycle(4), [True, 0, 2, 3]), "order: vertex id True"
+    ),
+    "star_decomposition_bipartite m True": (
+        lambda: star_decomposition_bipartite(True, 3), "vertex count True"
+    ),
+    "star_decomposition_bipartite n 3.0": (
+        lambda: star_decomposition_bipartite(2, 3.0), "vertex count 3.0"
+    ),
+    "star_decomposition_complete 5.0": (
+        lambda: star_decomposition_complete(5.0), "vertex count 5.0"
+    ),
+    "star_decomposition_complete '5'": (
+        lambda: star_decomposition_complete("5"), "vertex count '5'"
+    ),
+    "circulant14_decomposition 5.0": (lambda: circulant14_decomposition(5.0), "k 5.0"),
+    "circulant14_decomposition '5'": (lambda: circulant14_decomposition("5"), "k '5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_ARGUMENTS))
+def test_a_caller_given_int_that_is_not_an_int_is_refused_by_name(case):
+    # a bool must not pass as 1, and a float or a string must not reach an
+    # index or a range and fail there with a message that names no argument
+    call, named = INT_ARGUMENTS[case]
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an int")):
+        call()
+
+
+@pytest.mark.parametrize("bound", [3, "3", None], ids=["int", "str", "None"])
+def test_equality_certificate_refuses_a_bound_that_is_not_a_bound_spec(bound):
+    with pytest.raises(TypeError, match=re.escape(f"bound must be a BoundSpec, got {bound!r}")):
+        equality_certificate([1, 2], bound)

@@ -208,7 +208,9 @@ def test_a_drawing_reuses_crossing_pairs_made_of_the_graph_edges():
     g = complete(5)
     pairs = list(convex_drawing(g).crossings)
     d = AbstractDrawing(g, pairs)
-    assert all(x is y for x, y in zip(d.crossings, pairs))
+    assert d.crossings == tuple(pairs)
+    own = {id(e) for e in g.edges()}
+    assert all(id(e) in own and id(f) in own for e, f in d.crossings)
     assert validate_drawing(d) == []
 
 
